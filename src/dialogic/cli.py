@@ -27,7 +27,7 @@ from .goals import GoalStrategy, RsDistribution, STRATEGIES
 from .model import DecodeConfig, GenConfig, ValidationError
 from .ontology import Ontology, default_ontology, load_ontology
 from .revision import LexicalAuxPredictor, slot_value_match_filter
-from .simulator import augment_corpus, simulate_batch
+from .simulator import BatchReport, augment_corpus, simulate_batch
 from .stats import compute_stats
 
 EXIT_OK = 0
@@ -85,13 +85,16 @@ def _load_ontology(args, config) -> Ontology:
     return load_ontology(_require_path("--ontology", value))
 
 
-def _load_seeds(args, config, ontology: Ontology) -> SeedDataset:
-    path = _require_path("--seed-corpus", _setting(args, config, "seed_corpus"))
-    strict = not _setting(args, config, "lenient", False)
+def _load_corpus(flag: str, value: str | None, ontology: Ontology, strict: bool) -> SeedDataset:
     try:
-        return load_seed_corpus(path, ontology, strict=strict)
+        return load_seed_corpus(_require_path(flag, value), ontology, strict=strict)
     except CorpusError as exc:
-        raise ConfigError(f"--seed-corpus: {exc}") from exc
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
+def _load_seeds(args, config, ontology: Ontology) -> SeedDataset:
+    return _load_corpus("--seed-corpus", _setting(args, config, "seed_corpus"), ontology,
+                        strict=not _setting(args, config, "lenient", False))
 
 
 def _load_db(args, config, ontology: Ontology) -> EntityDb:
@@ -188,6 +191,18 @@ def _rs_distribution(config) -> RsDistribution:
         (int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in rows))
 
 
+def _finish(args, dialogues, report: BatchReport, out_path: str, verb: str, unit: str) -> int:
+    """Save the corpus, print the report, and map the outcome to an exit code."""
+    save_corpus(dialogues, out_path)
+    _progress(f"{verb} {report.succeeded}/{report.requested} {unit} -> {out_path}")
+    print(json.dumps(report.to_json(), indent=None if args.json else 2))
+    if report.succeeded >= 1:
+        return EXIT_OK
+    if report.failures.get("backend_error"):
+        return EXIT_BACKEND
+    return EXIT_NO_OUTPUT
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -218,15 +233,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     finally:
         if trace_fh:
             trace_fh.close()
-    save_corpus(dialogues, out_path)
-    _progress(f"simulated {report.succeeded}/{report.requested} dialogues -> {out_path}")
-    payload = report.to_json()
-    print(json.dumps(payload, indent=None if args.json else 2))
-    if report.succeeded >= 1:
-        return EXIT_OK
-    if report.failures.get("backend_error"):
-        return EXIT_BACKEND
-    return EXIT_NO_OUTPUT
+    return _finish(args, dialogues, report, out_path, "simulated", "dialogues")
 
 
 def cmd_augment_dst(args: argparse.Namespace) -> int:
@@ -243,24 +250,13 @@ def cmd_augment_dst(args: argparse.Namespace) -> int:
         raise ConfigError("--out is required")
     dialogues, report = augment_corpus(
         seeds, backend, None, ontology, cfg, passes=passes)
-    save_corpus(dialogues, out_path)
-    _progress(f"augmented {report.succeeded}/{report.requested} turns -> {out_path}")
-    print(json.dumps(report.to_json(), indent=None if args.json else 2))
-    if report.succeeded >= 1:
-        return EXIT_OK
-    if report.failures.get("backend_error"):
-        return EXIT_BACKEND
-    return EXIT_NO_OUTPUT
+    return _finish(args, dialogues, report, out_path, "augmented", "turns")
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
     ontology = _load_ontology(args, config)
-    path = _require_path("--corpus", _setting(args, config, "corpus"))
-    try:
-        dataset = load_seed_corpus(path, ontology, strict=False)
-    except CorpusError as exc:
-        raise ConfigError(f"--corpus: {exc}") from exc
+    dataset = _load_corpus("--corpus", _setting(args, config, "corpus"), ontology, strict=False)
     stats = compute_stats(dataset.dialogues)
     if args.json:
         print(json.dumps(stats.to_json()))
@@ -285,12 +281,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
     ontology = _load_ontology(args, config)
-    path = _require_path("--corpus", _setting(args, config, "corpus"))
     max_turns = int(_setting(args, config, "max_turns", 12))
-    try:
-        dataset = load_seed_corpus(path, ontology, strict=False)
-    except CorpusError as exc:
-        raise ConfigError(f"--corpus: {exc}") from exc
+    dataset = _load_corpus("--corpus", _setting(args, config, "corpus"), ontology, strict=False)
     violations: list[str] = []
     warnings: list[str] = []
     for issue in dataset.issues:
@@ -409,10 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _progress(f"error: {exc}")
-        return EXIT_CONFIG
-    except (OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         _progress(f"error: {exc}")
         return EXIT_CONFIG
 

@@ -147,7 +147,7 @@ def _validate_dialogue(dlg: Dialogue, ontology: Ontology, strict: bool,
                        issues: list[str]) -> None:
     """Check every triple against the ontology; strict mode raises, lenient drops."""
 
-    def handle(tmap, problems: list[str], where: str) -> None:
+    def handle(problems: list[str], where: str) -> None:
         for problem in problems:
             message = f"{dlg.id} {where}: {problem}"
             if strict:
@@ -164,20 +164,15 @@ def _validate_dialogue(dlg: Dialogue, ontology: Ontology, strict: bool,
                 if domain == GENERAL_DOMAIN or not ontology.is_informable(domain, slot):
                     del slots[slot]
 
-    handle(dlg.final_goal, dlg.final_goal.validate(ontology), "goal")
+    handle(dlg.final_goal.validate(ontology), "goal")
     if dlg.initial_goal is not dlg.final_goal:
-        handle(dlg.initial_goal, dlg.initial_goal.validate(ontology), "initial_goal")
+        handle(dlg.initial_goal.validate(ontology), "initial_goal")
     if not strict:
         drop_invalid(dlg.final_goal)
         drop_invalid(dlg.initial_goal)
     for i, turn in enumerate(dlg.turns):
-        handle(turn.belief, turn.belief.validate(ontology), f"turns[{i}].belief")
-        act_problems = turn.act.validate(ontology)
-        for problem in act_problems:
-            message = f"{dlg.id} turns[{i}].act: {problem}"
-            if strict:
-                raise CorpusError(message)
-            issues.append(message)
+        handle(turn.belief.validate(ontology), f"turns[{i}].belief")
+        handle(turn.act.validate(ontology), f"turns[{i}].act")
         if not strict:
             drop_invalid(turn.belief)
             kept = tuple(

@@ -69,9 +69,6 @@ class EntityDb:
     def size(self, domain: str) -> int:
         return len(self.tables.get(domain, []))
 
-    def columns(self, domain: str) -> set[str]:
-        return self._columns.get(domain, set())
-
     def query(self, domain: str, constraints: dict[str, str], *,
               strict: bool = False) -> DbResult:
         """Count entities matching all constraints and bucketize the count.
@@ -109,11 +106,6 @@ class EntityDb:
             if not candidates:
                 break
         return DbResult(domain, len(candidates), bucketize(len(candidates), True))
-
-
-def query(db: EntityDb, domain: str, constraints: dict[str, str], *,
-          strict: bool = False) -> DbResult:
-    return db.query(domain, constraints, strict=strict)
 
 
 def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:

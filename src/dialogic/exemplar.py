@@ -66,6 +66,13 @@ def goal_similarity(g1: UserGoal, g2: UserGoal) -> float:
     return domain_jaccard * slot_jaccard
 
 
+def _softmax_exps(weights: list[float], tau: float) -> tuple[list[float], float]:
+    """Unnormalised softmax terms exp((w - peak) / tau) and their sum."""
+    peak = max(weights)
+    exps = [math.exp((w - peak) / tau) for w in weights]
+    return exps, sum(exps)
+
+
 def selection_probabilities(target: UserGoal, pool: SeedDataset,
                             tau: float) -> dict[str, float]:
     """Softmax over goal similarities: p_j = exp(w_j / tau) / sum_k exp(w_k / tau)."""
@@ -73,11 +80,30 @@ def selection_probabilities(target: UserGoal, pool: SeedDataset,
         raise ValueError("temperature must be > 0")
     if len(pool) == 0:
         raise ValueError("candidate pool is empty")
-    weights = {d.id: goal_similarity(target, d.final_goal) / tau for d in pool}
-    peak = max(weights.values())
-    exps = {did: math.exp(w - peak) for did, w in weights.items()}
-    total = sum(exps.values())
-    return {did: e / total for did, e in exps.items()}
+    exps, total = _softmax_exps([goal_similarity(target, d.final_goal) for d in pool], tau)
+    return {d.id: e / total for d, e in zip(pool, exps)}
+
+
+def softmax_draw(weighted: list[tuple], k: int, tau: float,
+                 rng: random.Random) -> list[tuple]:
+    """Draw k (item, weight) pairs without replacement, renormalizing after each draw.
+
+    Returns (item, weight, probability at its draw) in draw order.
+    """
+    items = [item for item, _ in weighted]
+    weights = [w for _, w in weighted]
+    drawn = []
+    for _ in range(k):
+        exps, total = _softmax_exps(weights, tau)
+        x = rng.random() * total
+        acc, idx = 0.0, len(exps) - 1
+        for i, e in enumerate(exps):
+            acc += e
+            if x < acc:
+                idx = i
+                break
+        drawn.append((items.pop(idx), weights.pop(idx), exps[idx] / total))
+    return drawn
 
 
 @dataclass(frozen=True)
@@ -94,25 +120,9 @@ def select_examples(target: UserGoal, pool: SeedDataset, k: int, tau: float,
     """Draw k distinct dialogues without replacement, renormalizing after each draw."""
     if k > len(pool):
         raise ValueError(f"cannot sample {k} examples from a pool of {len(pool)}")
-    remaining = [(d, goal_similarity(target, d.final_goal)) for d in pool]
-    chosen: list[Dialogue] = []
-    record: list[tuple[str, float, float]] = []
-    for _ in range(k):
-        peak = max(w for _, w in remaining)
-        exps = [math.exp((w - peak) / tau) for _, w in remaining]
-        total = sum(exps)
-        x = rng.random() * total
-        acc = 0.0
-        idx = len(remaining) - 1
-        for i, e in enumerate(exps):
-            acc += e
-            if x < acc:
-                idx = i
-                break
-        dialogue, weight = remaining.pop(idx)
-        chosen.append(dialogue)
-        record.append((dialogue.id, weight, exps[idx] / total))
-    return chosen, ExampleSelection(target, tuple(record), tau)
+    drawn = softmax_draw([(d, goal_similarity(target, d.final_goal)) for d in pool], k, tau, rng)
+    record = tuple((d.id, w, p) for d, w, p in drawn)
+    return [d for d, _, _ in drawn], ExampleSelection(target, record, tau)
 
 
 def sample_examples(target: UserGoal, pool: SeedDataset, k: int, tau: float,

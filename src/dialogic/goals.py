@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .corpus import SeedDataset
 from .model import GenConfig, Dialogue, UserGoal
@@ -64,14 +65,20 @@ class RsDistribution:
 ObservedValues = dict[tuple[str, str], list[str]]
 
 
-def _value_pool(ontology: Ontology, domain: str, slot: str,
-                observed: ObservedValues | None) -> list[str]:
-    candidates = list(ontology.candidates(domain, slot))
-    if candidates:
+def value_pool(ontology: Ontology, domain: str, slot: str,
+               observed: ObservedValues | None) -> Sequence[str]:
+    """Values a goal or belief may take: ontology candidates, else values seen in seeds."""
+    candidates = ontology.candidates(domain, slot)
+    if candidates or not observed:
         return candidates
-    if observed:
-        return list(observed.get((domain, slot), []))
-    return []
+    return observed.get((domain, slot), [])
+
+
+def slot_pool(ontology: Ontology, domain: str, observed: ObservedValues | None,
+              exclude: frozenset[str] | set[str] = frozenset()) -> list[str]:
+    """Informable slots of `domain`, minus `exclude`, that have at least one value."""
+    return [s for s in ontology.informable_slots(domain)
+            if s not in exclude and value_pool(ontology, domain, s, observed)]
 
 
 def generate_goal_random(ontology: Ontology, dist: RsDistribution, rng: random.Random,
@@ -82,11 +89,7 @@ def generate_goal_random(ontology: Ontology, dist: RsDistribution, rng: random.R
     Open-valued slots draw from values observed in the seed set (when given);
     slots with no available value are never sampled.
     """
-    pool = [
-        d for d in ontology.goal_domains()
-        if any(_value_pool(ontology, d, s, observed_values)
-               for s in ontology.informable_slots(d))
-    ]
+    pool = [d for d in ontology.goal_domains() if slot_pool(ontology, d, observed_values)]
     if not pool:
         raise ValueError("no domain has informable slots with available values")
     n_domains, lo, hi = dist.sample_row(rng)
@@ -94,12 +97,11 @@ def generate_goal_random(ontology: Ontology, dist: RsDistribution, rng: random.R
     domains = rng.sample(pool, n_domains)
     goal = UserGoal()
     for domain in domains:
-        slots = [s for s in ontology.informable_slots(domain)
-                 if _value_pool(ontology, domain, slot=s, observed=observed_values)]
+        slots = slot_pool(ontology, domain, observed_values)
         n_slots = rng.randint(lo, hi)
         n_slots = max(1, min(n_slots, len(slots), cfg.max_slots_per_domain))
         for slot in rng.sample(slots, n_slots):
-            goal.set(domain, slot, rng.choice(_value_pool(ontology, domain, slot, observed_values)))
+            goal.set(domain, slot, rng.choice(value_pool(ontology, domain, slot, observed_values)))
     return goal
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .ontology import GENERAL_DOMAIN, NONE, Ontology, canonical_slot
@@ -195,8 +195,6 @@ class DialogAct:
         return problems
 
 
-EMPTY_ACT = DialogAct()
-
 DB_BUCKETS = ("db_0", "db_1", "db_2", "db_3", "db_nores")
 
 
@@ -244,6 +242,18 @@ class Turn:
     gpt_act: DialogAct | None = None
 
 
+def current_domain(belief: TurnBelief, context: list[Turn]) -> str | None:
+    """The first task domain of `belief`, else the last one of the latest turn with any."""
+    task = belief.task_domains()
+    if task:
+        return task[0]
+    for turn in reversed(context):
+        task = turn.belief.task_domains()
+        if task:
+            return task[-1]
+    return None
+
+
 @dataclass
 class Dialogue:
     """A conversation record: goal, turns, provenance."""
@@ -257,10 +267,6 @@ class Dialogue:
     def __post_init__(self):
         if self.source not in SOURCES:
             raise ValidationError(f"unknown dialogue source {self.source!r}")
-
-    @property
-    def goal(self) -> UserGoal:
-        return self.final_goal
 
 
 @dataclass(frozen=True)
@@ -298,6 +304,3 @@ class GenConfig:
             raise ValidationError("n_shots must be >= 1")
         if self.max_turns < 1:
             raise ValidationError("max_turns must be >= 1")
-
-    def with_seed(self, seed: int | None) -> "GenConfig":
-        return replace(self, rng_seed=seed)

@@ -22,6 +22,7 @@ from .model import (
     Triple,
     Turn,
     TurnBelief,
+    current_domain,
 )
 from .ontology import GENERAL_DOMAIN, NONE, Ontology
 from .textnorm import contains_phrase, find_phrase, match_tokens, parse_time, token_pairs
@@ -502,13 +503,7 @@ class LexicalAuxPredictor(AuxPredictor):
 
     def predict_act(self, context: list[Turn], utterance: str, belief: TurnBelief,
                     db: DbResult) -> DialogAct:
-        domain = next(iter(belief.task_domains()), None)
-        if domain is None:
-            for turn in reversed(context):
-                task = turn.belief.task_domains()
-                if task:
-                    domain = task[-1]
-                    break
+        domain = current_domain(belief, context)
         if domain is None:
             return FALLBACK_ACT
         if db.bucket == "db_0":
@@ -532,12 +527,36 @@ def _turn_wire(turn: Turn) -> dict:
     }
 
 
-class SubprocessAuxPredictor(AuxPredictor):
-    """Adapter for an external model speaking newline-delimited JSON on a pipe.
+class AuxError(RuntimeError):
+    """An external aux model could not be reached or sent an unreadable reply."""
+
+
+class WireAuxPredictor(AuxPredictor):
+    """Adapter for an external model that answers one JSON request at a time.
 
     Belief requests carry {context, utterance}; act requests additionally carry
     {belief, db}. Responses are {"belief": {...}} or {"act": [[...]]}.
+    Subclasses supply the transport in `_roundtrip`; a transport failure or a
+    reply that is not JSON is raised as AuxError.
     """
+
+    def _ask(self, context: list[Turn], utterance: str, **extra) -> dict:
+        request = {"context": [_turn_wire(t) for t in context], "utterance": utterance, **extra}
+        try:
+            return self._roundtrip(request)
+        except (OSError, ValueError) as exc:  # requests.RequestException is an OSError
+            raise AuxError(f"{type(self).__name__}: {exc}") from exc
+
+    def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
+        return TurnBelief.from_dict(self._ask(context, utterance).get("belief", {}))
+
+    def predict_act(self, context, utterance, belief, db) -> DialogAct:
+        reply = self._ask(context, utterance, belief=belief.to_dict(), db=db.to_json())
+        return DialogAct.from_triples(reply.get("act", []))
+
+
+class SubprocessAuxPredictor(WireAuxPredictor):
+    """Transport: newline-delimited JSON over a child process's stdin/stdout."""
 
     def __init__(self, argv: Sequence[str]):
         self.argv = list(argv)
@@ -557,7 +576,7 @@ class SubprocessAuxPredictor(AuxPredictor):
             proc.stdin.flush()
             line = proc.stdout.readline()
         if not line:
-            raise RuntimeError(f"aux subprocess {self.argv[0]!r} closed its pipe")
+            raise AuxError(f"aux subprocess {self.argv[0]!r} closed its pipe")
         return json.loads(line)
 
     def close(self) -> None:
@@ -565,20 +584,9 @@ class SubprocessAuxPredictor(AuxPredictor):
             self._proc.stdin.close()
             self._proc.wait(timeout=5)
 
-    def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
-        reply = self._roundtrip({
-            "context": [_turn_wire(t) for t in context], "utterance": utterance})
-        return TurnBelief.from_dict(reply.get("belief", {}))
 
-    def predict_act(self, context, utterance, belief, db) -> DialogAct:
-        reply = self._roundtrip({
-            "context": [_turn_wire(t) for t in context], "utterance": utterance,
-            "belief": belief.to_dict(), "db": db.to_json()})
-        return DialogAct.from_triples(reply.get("act", []))
-
-
-class HttpAuxPredictor(AuxPredictor):
-    """Adapter for an external model behind an HTTP POST endpoint."""
+class HttpAuxPredictor(WireAuxPredictor):
+    """Transport: one JSON POST per request to an HTTP endpoint."""
 
     def __init__(self, url: str, timeout: float = 30.0):
         import requests
@@ -587,18 +595,7 @@ class HttpAuxPredictor(AuxPredictor):
         self.timeout = timeout
         self._session = requests.Session()
 
-    def _post(self, request: dict) -> dict:
+    def _roundtrip(self, request: dict) -> dict:
         response = self._session.post(self.url, json=request, timeout=self.timeout)
         response.raise_for_status()
         return response.json()
-
-    def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
-        reply = self._post({
-            "context": [_turn_wire(t) for t in context], "utterance": utterance})
-        return TurnBelief.from_dict(reply.get("belief", {}))
-
-    def predict_act(self, context, utterance, belief, db) -> DialogAct:
-        reply = self._post({
-            "context": [_turn_wire(t) for t in context], "utterance": utterance,
-            "belief": belief.to_dict(), "db": db.to_json()})
-        return DialogAct.from_triples(reply.get("act", []))

@@ -8,7 +8,6 @@ never sees its own uncorrected errors.
 
 from __future__ import annotations
 
-import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ from .exemplar import (
     select_examples,
     serialize_act,
     serialize_goal,
+    softmax_draw,
 )
 from .goals import (
     GoalStrategy,
@@ -41,6 +41,8 @@ from .goals import (
     generate_goal_combination,
     generate_goal_random,
     generate_goal_substitution,
+    slot_pool,
+    value_pool,
 )
 from .model import (
     DialogAct,
@@ -54,9 +56,10 @@ from .model import (
     TurnBelief,
     UserGoal,
     accumulate_state,
+    current_domain,
 )
 from .ontology import GENERAL_DOMAIN, NONE, Ontology
-from .revision import AuxPredictor, revise_act, revise_belief, slot_value_match_filter
+from .revision import AuxError, AuxPredictor, revise_act, revise_belief, slot_value_match_filter
 from .textnorm import normalize_text
 
 USER_STOPS = ("\nAssistant",)
@@ -71,7 +74,7 @@ TraceSink = Callable[[dict], None]
 
 
 class SimulationError(RuntimeError):
-    """A run failed; `kind` is one of parse_error/backend_error/prompt_too_long."""
+    """A run failed; `kind` is one of parse_error/backend_error/prompt_too_long/aux_error."""
 
     def __init__(self, message: str, kind: str):
         super().__init__(message)
@@ -84,6 +87,19 @@ class UnaugmentableTurn(ValueError):
 
 class RejectedSample(RuntimeError):
     """The prescribed belief never survived the filter within the retry budget."""
+
+
+def _request_completion(backend: CompletionBackend, cfg: GenConfig, prompt: str,
+                        stop: tuple[str, ...]) -> str:
+    """One completion with the configured decoding; backend faults become backend_error."""
+    decode = cfg.decode
+    request = CompletionRequest(
+        prompt=prompt, max_tokens=decode.max_tokens, temperature=decode.temperature,
+        top_p=decode.top_p, frequency_penalty=decode.frequency_penalty, stop=stop)
+    try:
+        return backend.complete(request)
+    except BackendError as exc:
+        raise SimulationError(str(exc), kind="backend_error") from exc
 
 
 class SimulationRun:
@@ -125,14 +141,7 @@ class SimulationRun:
             raise SimulationError(
                 f"prompt grew past the context budget of {budget} tokens",
                 kind="prompt_too_long")
-        decode = self.cfg.decode
-        request = CompletionRequest(
-            prompt=prompt, max_tokens=decode.max_tokens, temperature=decode.temperature,
-            top_p=decode.top_p, frequency_penalty=decode.frequency_penalty, stop=stop)
-        try:
-            return self.backend.complete(request)
-        except BackendError as exc:
-            raise SimulationError(str(exc), kind="backend_error") from exc
+        return _request_completion(self.backend, self.cfg, prompt, stop)
 
     def _complete_line(self, prefix: str, stop: tuple[str, ...], parser):
         last: Exception | None = None
@@ -144,10 +153,11 @@ class SimulationRun:
             except ParseError as exc:
                 last = exc
                 continue
-            problems = annotation.validate(self.ontology) if hasattr(annotation, "validate") else []
-            if isinstance(annotation, TurnBelief) and problems:
-                last = ParseError("; ".join(problems))
-                continue
+            if isinstance(annotation, TurnBelief):
+                problems = annotation.validate(self.ontology)
+                if problems:
+                    last = ParseError("; ".join(problems))
+                    continue
             return annotation, normalize_text(text)
         raise SimulationError(
             f"unparseable completion after {self.cfg.retries + 1} attempts: {last}",
@@ -225,6 +235,9 @@ class SimulationRun:
                     break
             else:
                 self.status = STATUS_FINISHED_MAX_TURNS
+        except AuxError as exc:
+            self.status = STATUS_FAILED
+            raise SimulationError(str(exc), kind="aux_error") from exc
         except SimulationError:
             self.status = STATUS_FAILED
             raise
@@ -289,27 +302,14 @@ class DstAugSpec:
     n_shots: int = 2
 
 
-def _slot_pool(ontology: Ontology, domain: str, exclude: set[str],
-               observed: ObservedValues | None) -> list[str]:
-    pool = []
-    for slot in ontology.informable_slots(domain):
-        if slot in exclude:
-            continue
-        if ontology.candidates(domain, slot) or (observed and observed.get((domain, slot))):
-            pool.append(slot)
-    return pool
-
-
 def _sample_value(ontology: Ontology, domain: str, slot: str, rng: random.Random,
                   observed: ObservedValues | None, fallback: str | None = None) -> str:
-    candidates = list(ontology.candidates(domain, slot))
-    if not candidates and observed:
-        candidates = list(observed.get((domain, slot), []))
-    if not candidates:
-        if fallback is None:
-            raise UnaugmentableTurn(f"no values available for {domain}.{slot}")
-        return fallback
-    return rng.choice(candidates)
+    candidates = value_pool(ontology, domain, slot, observed)
+    if candidates:
+        return rng.choice(candidates)
+    if fallback is None:
+        raise UnaugmentableTurn(f"no values available for {domain}.{slot}")
+    return fallback
 
 
 def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
@@ -341,8 +341,8 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
         req_slots = list(dict.fromkeys(s for d, s in requested if d == domain))
         n_req = min(rng.randint(1, len(req_slots)), cfg.max_slots_per_domain - 2)
         chosen = rng.sample(req_slots, max(1, n_req))
-        pool = _slot_pool(ontology, domain, set(chosen) | set(req_slots)
-                          | {s for d, s in mentioned if d == domain}, observed_values)
+        pool = slot_pool(ontology, domain, observed_values, set(chosen) | set(req_slots)
+                         | {s for d, s in mentioned if d == domain})
         if len(pool) < 2:
             raise UnaugmentableTurn(f"{source.id} turn {turn_idx}: fewer than two "
                                     f"unmentioned slots left in {domain}")
@@ -353,22 +353,16 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
         kind = KIND_REQMORE
         fresh = [d for d in ontology.goal_domains()
                  if d not in mentioned_domains
-                 and _slot_pool(ontology, d, set(), observed_values)]
+                 and slot_pool(ontology, d, observed_values)]
         if not fresh:
             raise UnaugmentableTurn(f"{source.id} turn {turn_idx}: no unmentioned domain left")
         domain = rng.choice(fresh)
-        pool = _slot_pool(ontology, domain, set(), observed_values)
+        pool = slot_pool(ontology, domain, observed_values)
         for slot in rng.sample(pool, rng.randint(1, min(4, len(pool)))):
             belief.set(domain, slot, _sample_value(ontology, domain, slot, rng, observed_values))
     else:
         kind = KIND_OTHER
-        domain = next(iter(original.task_domains()), None)
-        if domain is None:
-            for turn in reversed(context):
-                task = turn.belief.task_domains()
-                if task:
-                    domain = task[-1]
-                    break
+        domain = current_domain(original, context)
         if domain is None:
             raise UnaugmentableTurn(f"{source.id} turn {turn_idx}: no current domain")
         original_slots = list(original.entries.get(domain, {}))
@@ -376,9 +370,8 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
         if original_slots:
             dropped = rng.sample(original_slots, rng.randint(1, len(original_slots)))
             kept = [s for s in original_slots if s not in dropped]
-        pool = _slot_pool(ontology, domain,
-                          set(original_slots) | {s for d, s in mentioned if d == domain},
-                          observed_values)
+        pool = slot_pool(ontology, domain, observed_values,
+                         set(original_slots) | {s for d, s in mentioned if d == domain})
         if not pool:
             raise UnaugmentableTurn(f"{source.id} turn {turn_idx}: no unmentioned slot "
                                     f"left in {domain}")
@@ -406,22 +399,8 @@ def _sample_turn_demos(target: TurnBelief, seeds: SeedDataset, k: int, tau: floa
     pool = [(d, i) for d, i in seeds.user_turns() if (d.id, i) != exclude]
     if not pool:
         raise UnaugmentableTurn("no seed user turns available as demonstrations")
-    k = min(k, len(pool))
-    remaining = [((d, i), _belief_similarity(target, d.turns[i].belief)) for d, i in pool]
-    chosen = []
-    for _ in range(k):
-        peak = max(w for _, w in remaining)
-        exps = [math.exp((w - peak) / tau) for _, w in remaining]
-        total = sum(exps)
-        x = rng.random() * total
-        acc, idx = 0.0, len(remaining) - 1
-        for i, e in enumerate(exps):
-            acc += e
-            if x < acc:
-                idx = i
-                break
-        chosen.append(remaining.pop(idx)[0])
-    return chosen
+    weighted = [((d, i), _belief_similarity(target, d.turns[i].belief)) for d, i in pool]
+    return [item for item, _, _ in softmax_draw(weighted, min(k, len(pool)), tau, rng)]
 
 
 def build_dst_prompt(spec: DstAugSpec, demos: list[tuple[Dialogue, int]],
@@ -467,16 +446,8 @@ def augment_dst_turn(spec: DstAugSpec, seeds: SeedDataset, backend: CompletionBa
         spec.belief, seeds, spec.n_shots, cfg.select_temperature, rng,
         exclude=(spec.source.id, spec.turn_idx))
     prompt = build_dst_prompt(spec, demos, ontology)
-    decode = cfg.decode
-    request = CompletionRequest(
-        prompt=prompt, max_tokens=decode.max_tokens, temperature=decode.temperature,
-        top_p=decode.top_p, frequency_penalty=decode.frequency_penalty, stop=DST_STOPS)
     for _ in range(cfg.retries + 1):
-        try:
-            completion = backend.complete(request)
-        except BackendError as exc:
-            raise SimulationError(str(exc), kind="backend_error") from exc
-        utterance = normalize_text(completion)
+        utterance = normalize_text(_request_completion(backend, cfg, prompt, DST_STOPS))
         if not utterance:
             continue
         if slot_value_match_filter(spec.belief, utterance, ontology) == spec.belief:
@@ -568,12 +539,12 @@ def simulate_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset,
         except ValueError as exc:
             report.record_failure("config_error", f"sim_{index:04d}: {exc}")
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, range(n)))
-    else:
-        for i in range(n):
-            run_one(i)
+    # wait once, at shutdown: waiting on each future in turn would wake this
+    # thread once per dialogue and slow a one-worker batch measurably
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        futures = [pool.submit(run_one, i) for i in range(n)]
+    for future in futures:
+        future.result()  # re-raise what run_one does not classify
 
     dialogues = [d for d in results if d is not None]
     report.succeeded = len(dialogues)

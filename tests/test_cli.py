@@ -180,6 +180,19 @@ def test_augment_dst_passes_upper_bound(tmp_path, capsys):
     assert len(corpus["dialogues"]) <= 36
 
 
+def test_augment_dst_backend_failure_exit_code(tmp_path, capsys):
+    empty_script = write_json(tmp_path / "empty.json", [])
+    code = main([
+        "augment-dst", "--seed-corpus", SEED_CORPUS_PATH,
+        "--out", str(tmp_path / "aug.json"), "--rng-seed", "5",
+        "--backend", "mock", "--mock-script", empty_script, "--json",
+    ])
+    assert code == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["succeeded"] == 0
+    assert report["failures"]["backend_error"] >= 1
+
+
 def test_unknown_backend_kind(tmp_path, capsys):
     code = main(["simulate", "--seed-corpus", SEED_CORPUS_PATH,
                  "--out", str(tmp_path / "x.json"), "--num", "1",

@@ -21,6 +21,7 @@ from dialogic.exemplar import (
     parse_user_line,
     render_demonstration,
     sample_examples,
+    select_examples,
     selection_probabilities,
     serialize_act,
     serialize_goal,
@@ -138,6 +139,28 @@ def test_sample_low_temperature_picks_argmax():
     for seed in range(25):
         drawn = sample_examples(target, pool, 1, 1e-6, make_rng(seed))
         assert drawn[0].id == "d1"
+
+
+def test_selection_record_probabilities_renormalize_after_each_draw():
+    target = goal_of({"hotel": {"area": "south", "stay": "5", "people": "4"}})
+    pool = mini_pool(
+        goal_of({"hotel": {"area": "south", "stay": "1"}}),
+        goal_of({"hotel": {"people": "2"}}),
+        goal_of({"hotel": {"area": "north", "stay": "5", "people": "4"}}),
+        goal_of({"train": {"day": "monday"}, "hotel": {"area": "east"}}),
+    )
+    tau = 0.3
+    chosen, selection = select_examples(target, pool, 3, tau, make_rng(8))
+    assert [d.id for d in chosen] == [dlg_id for dlg_id, _, _ in selection.chosen]
+    assert selection.target_goal is target and selection.tau == tau
+    probs = selection_probabilities(target, pool, tau)
+    first_id, _, first_p = selection.chosen[0]
+    assert first_p == pytest.approx(probs[first_id], abs=1e-12)
+    remaining = dict(probs)
+    for dlg_id, similarity, p in selection.chosen:
+        assert similarity == goal_similarity(target, pool.get(dlg_id).final_goal)
+        assert p == pytest.approx(remaining[dlg_id] / sum(remaining.values()), abs=1e-12)
+        del remaining[dlg_id]
 
 
 def test_sample_too_many_rejected():

@@ -1,10 +1,12 @@
+import sys
+
 import pytest
 
 from dialogic.backend import MockBackend
 from dialogic.exemplar import parse_system_line, parse_user_line
 from dialogic.goals import GoalStrategy
 from dialogic.model import DialogAct, GenConfig, NO_RESULT, Turn, TurnBelief, UserGoal
-from dialogic.revision import slot_value_match_filter
+from dialogic.revision import SubprocessAuxPredictor, slot_value_match_filter
 from dialogic.simulator import (
     DstAugSpec,
     KIND_OTHER,
@@ -186,6 +188,17 @@ def test_batch_isolates_failures(seeds, aux, entity_db, ontology):
     assert len(dialogues) == 3
     assert report.failed == 2
     assert report.failures.get("backend_error") == 2
+
+
+def test_batch_records_aux_fault_and_continues(seeds, entity_db, ontology):
+    # the child exits at once, so every belief request finds a closed pipe
+    aux = SubprocessAuxPredictor([sys.executable, "-c", "pass"])
+    dialogues, report = simulate_batch(
+        3, GoalStrategy(kind="combination"), seeds, MockBackend(list(BYE_SCRIPT) * 3), aux,
+        entity_db, ontology, GenConfig(rng_seed=11))
+    assert dialogues == []
+    assert report.requested == 3
+    assert report.failures == {"aux_error": 3}
 
 
 def test_batch_deterministic_with_replay(tmp_path, seeds, aux, entity_db, ontology):
