@@ -93,7 +93,7 @@ class TripletMap:
     def copy(self):
         return type(self)(self.entries)
 
-    def validate(self, ontology: Ontology, *, informable_only: bool = True) -> list[str]:
+    def validate(self, ontology: Ontology) -> list[str]:
         """Return a list of violation messages (empty when ontology-valid)."""
         problems = []
         for domain, slots in self.entries.items():
@@ -103,7 +103,7 @@ class TripletMap:
             for slot in slots:
                 if domain == GENERAL_DOMAIN:
                     problems.append(f"general domain carries slot {slot!r}")
-                elif informable_only and not ontology.is_informable(domain, slot):
+                elif not ontology.is_informable(domain, slot):
                     problems.append(f"{domain}.{slot} is not an informable slot")
         return problems
 

@@ -3,7 +3,7 @@
 Two failure modes are repaired on the fly: slots the LLM forgot to annotate
 (fixed by an auxiliary belief predictor, merged under LLM priority) and slots
 it annotated without expressing (removed by the slot-value match filter).
-System acts pass through an ordered, data-driven rule set.
+System acts pass through five fixed rules, applied in order to each triple.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import subprocess
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .database import BOOKING_SLOTS
 from .model import (
@@ -163,142 +163,67 @@ def revise_belief(gpt: TurnBelief, context: list[Turn], utterance: str,
 # dialog act rules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RuleContext:
-    state: DialogueState
-    db: DbResult
-    ontology: Ontology
-    prior_acts: tuple[DialogAct, ...] = ()
-    mentioned_domains: frozenset[str] = frozenset()
-
-    def discussed(self, domain: str) -> bool:
-        return domain in self.state.entries or domain in self.mentioned_domains
-
-
-RuleFn = Callable[[tuple[Triple, ...], RuleContext], tuple[tuple[Triple, ...], list[str]]]
-
-
-@dataclass(frozen=True)
-class ActRule:
-    name: str
-    apply: RuleFn
-
-
-@dataclass(frozen=True)
-class ActRuleSet:
-    rules: tuple[ActRule, ...]
-
-    def run(self, act: DialogAct, ctx: RuleContext) -> tuple[tuple[Triple, ...], list[str]]:
-        triples = act.triples
-        firings: list[str] = []
-        for rule in self.rules:
-            triples, fired = rule.apply(triples, ctx)
-            firings.extend(f"{rule.name}: {msg}" for msg in fired)
-        return triples, firings
-
-
-def _rule_permitted(triples, ctx):
-    kept, fired = [], []
-    for d, t, s in triples:
-        if not ctx.ontology.act_permitted(d, t):
-            fired.append(f"dropped ({d}, {t}, {s}); act not permitted for domain")
-        elif not ctx.ontology.act_slot_permitted(d, s):
-            fired.append(f"dropped ({d}, {t}, {s}); slot not permitted for domain")
-        else:
-            kept.append((d, t, s))
-    return tuple(kept), fired
-
-
-def _rule_nooffer_on_empty_db(triples, ctx):
-    if ctx.db.bucket != "db_0":
-        return triples, []
-    out, fired = [], []
-    for d, t, s in triples:
-        if d == ctx.db.domain and t in ("inform", "recommend", "select", "offerbook"):
-            out.append((d, "nooffer", NONE))
-            fired.append(f"replaced ({d}, {t}, {s}) with nooffer; empty db result")
-        else:
-            out.append((d, t, s))
-    return tuple(out), fired
-
-
-def booking_slots(domain: str) -> frozenset[str]:
-    return BOOKING_SLOTS.get(domain, frozenset({"stay", "day", "people", "time"}))
-
-
-def _rule_offerbooked_needs_booking(triples, ctx):
-    out, fired = [], []
-    for d, t, s in triples:
-        if t == "offerbooked":
-            offered = any(pa.has("offerbook", d) for pa in ctx.prior_acts)
-            booked = any(s2 in booking_slots(d) for s2 in ctx.state.entries.get(d, {}))
-            if not (offered or booked):
-                out.append((d, "inform", s))
-                fired.append(f"downgraded ({d}, offerbooked, {s}) to inform; no booking context")
-                continue
-        out.append((d, t, s))
-    return tuple(out), fired
-
-
-def _rule_drop_undiscussed(triples, ctx):
-    kept, fired = [], []
-    for d, t, s in triples:
-        if d != GENERAL_DOMAIN and not ctx.discussed(d):
-            fired.append(f"dropped ({d}, {t}, {s}); domain never discussed")
-        else:
-            kept.append((d, t, s))
-    return tuple(kept), fired
-
-
-def _rule_dedupe(triples, ctx):
-    seen, kept, fired = set(), [], []
-    for triple in triples:
-        if triple in seen:
-            fired.append(f"dropped duplicate {triple}")
-        else:
-            seen.add(triple)
-            kept.append(triple)
-    return tuple(kept), fired
-
-
-def default_act_rules() -> ActRuleSet:
-    return ActRuleSet(rules=(
-        ActRule("permitted-acts", _rule_permitted),
-        ActRule("nooffer-on-empty-db", _rule_nooffer_on_empty_db),
-        ActRule("offerbooked-needs-booking", _rule_offerbooked_needs_booking),
-        ActRule("drop-undiscussed-domains", _rule_drop_undiscussed),
-        ActRule("dedupe", _rule_dedupe),
-    ))
-
-
 FALLBACK_ACT = DialogAct(((GENERAL_DOMAIN, "reqmore", NONE),))
+
+_OFFER_ACTS = ("inform", "recommend", "select", "offerbook")
+_OTHER_BOOKING_SLOTS = frozenset({"stay", "day", "people", "time"})  # domains not in BOOKING_SLOTS
 
 
 def validate_act(act: DialogAct, belief_state: DialogueState, db: DbResult,
-                 ontology: Ontology, rules: ActRuleSet | None = None, *,
-                 prior_acts: Sequence[DialogAct] = (),
+                 ontology: Ontology, *, prior_acts: Sequence[DialogAct] = (),
                  mentioned_domains: frozenset[str] | None = None
                  ) -> tuple[DialogAct, list[str]]:
-    """Apply the act rule set; always returns a valid act (never empty)."""
-    rules = rules or default_act_rules()
-    ctx = RuleContext(
-        state=belief_state,
-        db=db,
-        ontology=ontology,
-        prior_acts=tuple(prior_acts),
-        mentioned_domains=mentioned_domains
-        if mentioned_domains is not None else frozenset(belief_state.domains()),
-    )
-    triples, firings = rules.run(act, ctx)
-    if not triples:
+    """Apply the act rules to each triple in turn; always returns a valid act (never empty).
+
+    The rules, in order; each firing starts with its rule's name:
+    1. permitted-acts: drop a triple whose act or slot its domain does not permit.
+    2. nooffer-on-empty-db: on a db_0 result, an inform, recommend, select or
+       offerbook in the queried domain becomes (domain, nooffer, none).
+    3. offerbooked-needs-booking: offerbooked becomes inform unless an earlier act
+       offered a booking in the domain or the state holds one of its booking slots.
+    4. drop-undiscussed-domains: drop a triple in a task domain that is neither in
+       the state nor among the mentioned domains (default: the state's domains).
+    5. dedupe: drop a repeat of a triple already kept.
+    An act left empty maps to FALLBACK_ACT.
+    """
+    if mentioned_domains is None:
+        mentioned_domains = frozenset(belief_state.domains())
+    kept: list[Triple] = []
+    firings: list[str] = []
+    for d, t, s in act.triples:
+        if not ontology.act_permitted(d, t):
+            firings.append(f"permitted-acts: dropped ({d}, {t}, {s}); act not permitted for domain")
+            continue
+        if not ontology.act_slot_permitted(d, s):
+            firings.append(f"permitted-acts: dropped ({d}, {t}, {s}); slot not permitted for domain")
+            continue
+        if db.bucket == "db_0" and d == db.domain and t in _OFFER_ACTS:
+            firings.append(f"nooffer-on-empty-db: replaced ({d}, {t}, {s}) with nooffer; "
+                           "empty db result")
+            t, s = "nooffer", NONE
+        if t == "offerbooked" and not (
+                any(pa.has("offerbook", d) for pa in prior_acts)
+                or not BOOKING_SLOTS.get(d, _OTHER_BOOKING_SLOTS).isdisjoint(
+                    belief_state.entries.get(d, {}))):
+            firings.append(f"offerbooked-needs-booking: downgraded ({d}, offerbooked, {s}) "
+                           "to inform; no booking context")
+            t = "inform"
+        if d != GENERAL_DOMAIN and d not in belief_state.entries and d not in mentioned_domains:
+            firings.append(f"drop-undiscussed-domains: dropped ({d}, {t}, {s}); "
+                           "domain never discussed")
+            continue
+        if (d, t, s) in kept:
+            firings.append(f"dedupe: dropped duplicate {(d, t, s)}")
+            continue
+        kept.append((d, t, s))
+    if not kept:
         firings.append("fallback: empty act mapped to (general, reqmore, none)")
         return FALLBACK_ACT, firings
-    return DialogAct(triples), firings
+    return DialogAct(tuple(kept)), firings
 
 
 def revise_act(gpt_act: DialogAct, *, belief_state: DialogueState, db: DbResult,
-               ontology: Ontology, rules: ActRuleSet | None = None,
-               prior_acts: Sequence[DialogAct] = (),
+               ontology: Ontology, prior_acts: Sequence[DialogAct] = (),
                mentioned_domains: frozenset[str] | None = None,
                aux: "AuxPredictor | None" = None,
                context: list[Turn] | None = None,
@@ -307,13 +232,13 @@ def revise_act(gpt_act: DialogAct, *, belief_state: DialogueState, db: DbResult,
                ) -> tuple[DialogAct, list[str], bool]:
     """Rule-validate the LLM act; consult the auxiliary act only on outright failure."""
     revised, firings = validate_act(
-        gpt_act, belief_state, db, ontology, rules,
+        gpt_act, belief_state, db, ontology,
         prior_acts=prior_acts, mentioned_domains=mentioned_domains)
     outright_failure = not gpt_act.is_empty() and revised == FALLBACK_ACT
     if outright_failure and aux is not None:
         aux_act = aux.predict_act(context or [], utterance, belief or TurnBelief(), db)
         revised, aux_firings = validate_act(
-            aux_act, belief_state, db, ontology, rules,
+            aux_act, belief_state, db, ontology,
             prior_acts=prior_acts, mentioned_domains=mentioned_domains)
         firings.extend("aux " + f for f in aux_firings)
         return revised, firings, True
@@ -564,7 +489,9 @@ class SubprocessAuxPredictor(WireAuxPredictor):
         self._lock = threading.Lock()
 
     def _ensure(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is not None and self._proc.poll() is not None:
+            self.close()
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         return self._proc
@@ -580,9 +507,16 @@ class SubprocessAuxPredictor(WireAuxPredictor):
         return json.loads(line)
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
+        """Close both pipes and reap the child, whether it is still running or not."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:  # unsent bytes for a child that has exited
+            pass
+        proc.stdout.close()
+        proc.wait(timeout=5)
 
 
 class HttpAuxPredictor(WireAuxPredictor):

@@ -211,6 +211,16 @@ def test_validate_json_output(tmp_path, capsys):
     assert any("stars" in v for v in payload["violations"])
 
 
+def test_validate_rejects_forbidden_act(tmp_path, capsys):
+    corpus = json.loads(open(SEED_CORPUS_PATH, encoding="utf-8").read())
+    corpus["dialogues"][0]["turns"][0]["act"].append(["taxi", "offerbook", "none"])
+    path = write_json(tmp_path / "bad.json", corpus)
+    code = main(["validate", "--corpus", path, "--json"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert any("act" in v and "offerbook" in v and "taxi" in v for v in payload["violations"])
+
+
 def test_validate_warns_on_long_dialogue(tmp_path, capsys):
     corpus = json.loads(open(SEED_CORPUS_PATH, encoding="utf-8").read())
     dlg = corpus["dialogues"][2]

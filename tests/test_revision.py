@@ -1,5 +1,9 @@
+import gc
 import sys
 import textwrap
+import warnings
+
+import pytest
 
 from dialogic.model import (
     DialogAct,
@@ -11,6 +15,7 @@ from dialogic.model import (
 )
 from dialogic.revision import (
     FALLBACK_ACT,
+    AuxError,
     SubprocessAuxPredictor,
     merge_beliefs,
     revise_act,
@@ -247,6 +252,8 @@ def test_empty_act_maps_to_reqmore(ontology):
 
 def test_validate_act_idempotent(ontology):
     rng = make_rng(14)
+    rule_names = ("permitted-acts: ", "nooffer-on-empty-db: ", "offerbooked-needs-booking: ",
+                  "drop-undiscussed-domains: ", "dedupe: ", "fallback: ")
     from .conftest import random_act
 
     state = ctx_state({"hotel": {"area": "south", "stay": "2"},
@@ -257,9 +264,10 @@ def test_validate_act_idempotent(ontology):
     for _ in range(300):
         act = random_act(ontology, rng)
         db = DbResult("hotel", *rng.choice([(0, "db_0"), (1, "db_1"), (5, "db_3")]))
-        once, _ = validate_act(act, state, db, ontology)
+        once, firings = validate_act(act, state, db, ontology)
         twice, _ = validate_act(once, state, db, ontology)
         assert twice == once
+        assert all(f.startswith(rule_names) for f in firings)
         assert once.validate(ontology) == []
 
 
@@ -366,6 +374,20 @@ def test_subprocess_adapter_round_trip(tmp_path):
         assert act.triples == (("general", "reqmore", "none"),)
     finally:
         adapter.close()
+
+
+def test_subprocess_adapter_reaps_dead_children():
+    # the child exits at once: every request fails and starts a fresh child
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        adapter = SubprocessAuxPredictor([sys.executable, "-c", "pass"])
+        for _ in range(3):
+            with pytest.raises(AuxError):
+                adapter.predict_belief([], "in the south")
+        adapter.close()
+        del adapter
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_http_adapter_round_trip():
