@@ -23,11 +23,23 @@ API_KEY_ENV = "DIALOGIC_API_KEY"
 
 
 class BackendError(RuntimeError):
-    """Base class for completion failures."""
+    """Base class for completion failures.
+
+    `retry_after` holds the seconds the server asked the client to wait (a
+    numeric `Retry-After` header), or None when it named none.
+    """
+
+    def __init__(self, *args, retry_after: int | None = None):
+        super().__init__(*args)
+        self.retry_after = retry_after
 
 
 class RateLimitedError(BackendError):
-    """The API rejected the request for rate reasons; retried with backoff."""
+    """The API rejected the request for rate reasons (HTTP 429); retried with backoff."""
+
+
+class ServerError(BackendError):
+    """The API failed on its side (HTTP 5xx); retried with backoff like a rate limit."""
 
 
 class BackendTimeout(BackendError):
@@ -217,6 +229,12 @@ class HttpBackendConfig:
     extra_headers: dict[str, str] = field(default_factory=dict)
 
 
+def _retry_after(response) -> int | None:
+    """The wait a `Retry-After: <seconds>` header asks for; None for a date or no header."""
+    value = str(response.headers.get("Retry-After", "")).strip()
+    return int(value) if value.isdigit() else None
+
+
 class HttpCompletionBackend(CompletionBackend):
     """POST to an OpenAI-compatible completions endpoint with retry/backoff."""
 
@@ -248,15 +266,17 @@ class HttpCompletionBackend(CompletionBackend):
             raise BackendTimeout(f"no response within {self.config.timeout}s") from exc
         except requests.RequestException as exc:
             raise BackendError(f"request failed: {exc}") from exc
-        if response.status_code == 429:
-            raise RateLimitedError("rate limited (HTTP 429)")
-        if response.status_code >= 500:
-            raise RateLimitedError(f"server error (HTTP {response.status_code})")
-        if response.status_code != 200:
+        status = response.status_code
+        retry_after = _retry_after(response) if status in (429, 503) else None
+        if status == 429:
+            raise RateLimitedError("rate limited (HTTP 429)", retry_after=retry_after)
+        if status >= 500:
+            raise ServerError(f"server error (HTTP {status})", retry_after=retry_after)
+        if status != 200:
             excerpt = response.text[:200]
             if "context" in excerpt.lower() and "length" in excerpt.lower():
                 raise ContextLengthExceeded(excerpt)
-            raise BackendError(f"HTTP {response.status_code}: {excerpt}")
+            raise BackendError(f"HTTP {status}: {excerpt}")
         try:
             text = response.json()["choices"][0]["text"]
         except (ValueError, KeyError, IndexError) as exc:
@@ -270,9 +290,12 @@ class HttpCompletionBackend(CompletionBackend):
                 self._bucket.acquire()
                 try:
                     return self._post_once(req)
-                except (RateLimitedError, BackendTimeout):
+                except (RateLimitedError, ServerError, BackendTimeout) as exc:
                     if attempt == self.config.retries:
                         raise
-                    time.sleep(delay + random.uniform(0, delay / 2))
+                    if exc.retry_after is not None:
+                        time.sleep(exc.retry_after)
+                    else:
+                        time.sleep(delay + random.uniform(0, delay / 2))
                     delay *= 2
         raise BackendError("unreachable")  # pragma: no cover

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -65,6 +67,15 @@ class EntityDb:
                     index.setdefault((slot, _norm_value(value)), set()).add(i)
             self._index[domain] = index
             self._columns[domain] = columns
+        # inequality-matched time columns: parsed minutes in ascending order,
+        # and the row of each, so a bound selects a contiguous run of rows
+        self._times: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
+        parse = cache(parse_time)  # rows share times: parse each distinct one once
+        for domain, slot in _TIME_INEQUALITIES:
+            timed = sorted(
+                (minutes, i) for i, record in enumerate(self.tables.get(domain, []))
+                if (minutes := parse(str(record.get(slot, "")))) is not None)
+            self._times[(domain, slot)] = ([m for m, _ in timed], [i for _, i in timed])
 
     def size(self, domain: str) -> int:
         return len(self.tables.get(domain, []))
@@ -75,6 +86,12 @@ class EntityDb:
 
         `dontcare` matches everything; booking slots are ignored; unknown slots
         are ignored unless strict mode is on.
+
+        Each constraint selects its rows by index: an exact value from the
+        (slot, normalized value) index built at construction, a train time
+        bound by bisection in that column's presorted times. Only the selected
+        row sets are intersected, so with no active constraint the count is
+        the table size and no per-row work is done.
         """
         if not self.ontology.has_domain(domain):
             raise DatabaseError(f"unknown domain {domain!r}")
@@ -82,7 +99,7 @@ class EntityDb:
             return DbResult(domain, 0, "db_nores")
         records = self.tables[domain]
         booking = BOOKING_SLOTS.get(domain, frozenset())
-        candidates = set(range(len(records)))
+        candidates: set[int] | None = None  # None: every row
         for slot, value in constraints.items():
             if slot in booking or value == "dontcare":
                 continue
@@ -93,19 +110,19 @@ class EntityDb:
             mode = _TIME_INEQUALITIES.get((domain, slot))
             wanted = parse_time(value) if mode else None
             if wanted is not None:
-                keep = set()
-                for i in candidates:
-                    have = parse_time(str(records[i].get(slot, "")))
-                    if have is None:
-                        continue
-                    if (mode == "ge" and have >= wanted) or (mode == "le" and have <= wanted):
-                        keep.add(i)
-                candidates &= keep
+                minutes, rows = self._times[(domain, slot)]
+                if mode == "ge":
+                    matched = rows[bisect_left(minutes, wanted):]
+                else:
+                    matched = rows[:bisect_right(minutes, wanted)]
             else:
-                candidates &= self._index[domain].get((slot, _norm_value(value)), set())
+                matched = self._index[domain].get((slot, _norm_value(value)), ())
+            # index sets are shared between calls: build a new set, never update one
+            candidates = set(matched) if candidates is None else candidates.intersection(matched)
             if not candidates:
                 break
-        return DbResult(domain, len(candidates), bucketize(len(candidates), True))
+        count = len(records) if candidates is None else len(candidates)
+        return DbResult(domain, count, bucketize(count, True))
 
 
 def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:

@@ -25,7 +25,7 @@ from .model import (
     current_domain,
 )
 from .ontology import GENERAL_DOMAIN, NONE, Ontology
-from .textnorm import contains_phrase, find_phrase, match_tokens, parse_time, token_pairs
+from .textnorm import contains_phrase, match_tokens, parse_time, token_pairs
 
 BOOLEAN_SLOTS = ("parking", "internet")
 
@@ -291,6 +291,14 @@ class LexicalAuxPredictor(AuxPredictor):
 
     Every emitted triple's value (or cue) is present in the normalized
     utterance, so its output always survives the match filter.
+
+    Lexicon phrases are found by index, not by trying each phrase in turn:
+    construction records each phrase's rank in the scan order (longest
+    first), the set of phrase lengths, and the multi-token phrases by their
+    squeezed spelling ("guest house" under "guesthouse"). An utterance then
+    costs at most one dict lookup per phrase length and token, whatever the
+    lexicon size, and every phrase is found at the position `find_phrase`
+    gives it.
     """
 
     def __init__(self, ontology: Ontology, seeds=None):
@@ -305,6 +313,13 @@ class LexicalAuxPredictor(AuxPredictor):
                 for value in values:
                     if ontology.has_domain(domain) and ontology.is_informable(domain, slot):
                         self._add_value(domain, slot, value)
+        ranked = sorted(self._lexicon, key=len, reverse=True)
+        self._rank = {phrase: i for i, phrase in enumerate(ranked)}
+        self._lengths = sorted({len(phrase) for phrase in ranked})
+        self._squeezed: dict[str, list[tuple[str, ...]]] = {}
+        for phrase in ranked:
+            if len(phrase) > 1:
+                self._squeezed.setdefault("".join(phrase), []).append(phrase)
 
     def _add_value(self, domain: str, slot: str, value: str) -> None:
         if value in ("yes", "no", "dontcare", NONE):
@@ -342,6 +357,25 @@ class LexicalAuxPredictor(AuxPredictor):
                 return domain
         return None
 
+    def _lexicon_hits(self, tokens: list[str]) -> list[tuple[tuple[str, ...], int]]:
+        """(phrase, `find_phrase` position) for each lexicon phrase in tokens, in scan order."""
+        view = tuple(tokens)
+        hits: dict[tuple[str, ...], int] = {}
+        for length in self._lengths:
+            for i in range(len(view) - length + 1):
+                key = view[i : i + length]
+                if key in self._lexicon and key not in hits:
+                    hits[key] = i
+        # spacing variants count only where the exact phrase never occurs
+        for i, tok in enumerate(view):
+            for phrase in self._squeezed.get(tok, ()):
+                hits.setdefault(phrase, i)
+        for i in range(len(view) - 1):
+            key = (view[i] + view[i + 1],)
+            if key in self._lexicon:
+                hits.setdefault(key, i)
+        return sorted(hits.items(), key=lambda hit: self._rank[hit[0]])
+
     def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
         pairs = token_pairs(utterance)
         tokens = [norm for _, norm in pairs]
@@ -353,10 +387,7 @@ class LexicalAuxPredictor(AuxPredictor):
                 belief.set(domain, slot, value)
 
         # literal values from the lexicon, longest phrases first
-        for phrase in sorted(self._lexicon, key=len, reverse=True):
-            pos = find_phrase(tokens, list(phrase))
-            if pos is None:
-                continue
+        for phrase, pos in self._lexicon_hits(tokens):
             candidates = self._lexicon[phrase]
             scoped = []
             for domain in domains:

@@ -12,6 +12,7 @@ from dialogic.backend import (
     MockBackend,
     RateLimitedError,
     ReplayBackend,
+    ServerError,
     UnknownPromptError,
     apply_stop,
     prompt_digest,
@@ -84,10 +85,11 @@ def test_replay_missing_file(tmp_path):
 
 
 class _FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text or (json.dumps(payload) if payload else "")
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -143,6 +145,28 @@ def test_live_rate_limit_exhausts(monkeypatch):
     backend, _ = _live([_FakeResponse(status_code=429)] * 3, retries=2)
     with pytest.raises(RateLimitedError):
         backend.complete(req())
+
+
+def test_live_server_error_exhausts(monkeypatch):
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    backend, responses = _live([_FakeResponse(status_code=502)] * 3, retries=2)
+    with pytest.raises(ServerError, match="HTTP 502"):
+        backend.complete(req())
+    assert responses == []  # one attempt and two retries
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_live_honours_retry_after(monkeypatch, status):
+    slept = []
+    monkeypatch.setattr("time.sleep", slept.append)
+    backend, _ = _live([
+        _FakeResponse(status_code=status, headers={"Retry-After": "7"}),
+        _FakeResponse(status_code=status, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+        _FakeResponse(payload={"choices": [{"text": "ok"}]}),
+    ])
+    assert backend.complete(req()) == "ok"
+    assert slept[0] == 7
+    assert 1.0 <= slept[1] <= 1.5  # a date is not a delay: the second computed backoff
 
 
 def test_live_context_length_not_retried():

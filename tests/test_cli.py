@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -104,7 +105,7 @@ def test_validate_on_simulated_corpus(tmp_path, mock_script_file, capsys):
 
 
 def test_validate_rejects_corrupted_belief(tmp_path, capsys):
-    corpus = json.loads(open(SEED_CORPUS_PATH, encoding="utf-8").read())
+    corpus = json.loads(Path(SEED_CORPUS_PATH).read_text("utf-8"))
     corpus["dialogues"][0]["turns"][0]["belief"]["hotel"]["pricerange"] = "expensive"
     path = write_json(tmp_path / "bad.json", corpus)
     code = main(["validate", "--corpus", path])
@@ -201,7 +202,7 @@ def test_unknown_backend_kind(tmp_path, capsys):
 
 
 def test_validate_json_output(tmp_path, capsys):
-    corpus = json.loads(open(SEED_CORPUS_PATH, encoding="utf-8").read())
+    corpus = json.loads(Path(SEED_CORPUS_PATH).read_text("utf-8"))
     corpus["dialogues"][0]["turns"][0]["belief"]["hotel"]["stars"] = "5"
     path = write_json(tmp_path / "bad.json", corpus)
     code = main(["validate", "--corpus", path, "--json"])
@@ -212,7 +213,7 @@ def test_validate_json_output(tmp_path, capsys):
 
 
 def test_validate_rejects_forbidden_act(tmp_path, capsys):
-    corpus = json.loads(open(SEED_CORPUS_PATH, encoding="utf-8").read())
+    corpus = json.loads(Path(SEED_CORPUS_PATH).read_text("utf-8"))
     corpus["dialogues"][0]["turns"][0]["act"].append(["taxi", "offerbook", "none"])
     path = write_json(tmp_path / "bad.json", corpus)
     code = main(["validate", "--corpus", path, "--json"])
@@ -222,7 +223,7 @@ def test_validate_rejects_forbidden_act(tmp_path, capsys):
 
 
 def test_validate_warns_on_long_dialogue(tmp_path, capsys):
-    corpus = json.loads(open(SEED_CORPUS_PATH, encoding="utf-8").read())
+    corpus = json.loads(Path(SEED_CORPUS_PATH).read_text("utf-8"))
     dlg = corpus["dialogues"][2]
     filler = dict(dlg["turns"][-1])
     filler["belief"] = {"general": {}}

@@ -1,8 +1,10 @@
 import json
+from functools import partial
 
 import pytest
 
-from dialogic.database import DatabaseError, bucketize, load_entity_db
+from dialogic.database import BOOKING_SLOTS, DatabaseError, EntityDb, bucketize, load_entity_db
+from dialogic.model import DbResult
 from dialogic.textnorm import match_tokens, parse_time
 
 from .conftest import make_rng
@@ -77,6 +79,105 @@ def test_query_random_constraints_match_oracle(entity_db, ontology):
                 list(ontology.candidates(domain, slot)) + ["dontcare"])
         result = entity_db.query(domain, constraints)
         assert result.count == brute_force_count(entity_db.tables[domain], constraints)
+
+
+def linear_scan_query(db, domain, constraints, *, strict=False):
+    """Reference for `EntityDb.query`: test every row against each constraint in turn."""
+    if not db.ontology.has_domain(domain):
+        raise DatabaseError(f"unknown domain {domain!r}")
+    if not db.ontology.queryable(domain) or domain not in db.tables:
+        return DbResult(domain, 0, "db_nores")
+    records = db.tables[domain]
+    columns = {slot for record in records for slot in record}
+    booking = BOOKING_SLOTS.get(domain, frozenset())
+    time_rule = {"leave": "ge", "arrive": "le"} if domain == "train" else {}
+    rows = list(records)
+    for slot, value in constraints.items():
+        if slot in booking or value == "dontcare":
+            continue
+        if slot not in columns:
+            if strict:
+                raise DatabaseError(f"unknown slot {domain}.{slot}")
+            continue
+        wanted = parse_time(value) if slot in time_rule else None
+        kept = []
+        for record in rows:
+            if wanted is None:
+                ok = slot in record and match_tokens(record[slot]) == match_tokens(value)
+            else:
+                have = parse_time(record.get(slot, ""))
+                ok = have is not None and (
+                    have >= wanted if time_rule[slot] == "ge" else have <= wanted)
+            if ok:
+                kept.append(record)
+        rows = kept
+        if not rows:
+            break
+    return DbResult(domain, len(rows), bucketize(len(rows), True))
+
+
+def _random_trains(rng, n):
+    def clock():
+        return rng.choice(["", "--:--", "morning"]) if rng.random() < 0.1 else \
+            f"{rng.randint(0, 23):02d}:{rng.choice([0, 1, 15, 30, 44, 59]):02d}"
+
+    trains = []
+    for i in range(n):
+        row = {"id": f"tr{i:04d}", "departure": rng.choice(["cambridge", "ely", "kings lynn"]),
+               "destination": rng.choice(["norwich", "stansted airport", "ely"]),
+               "day": rng.choice(["monday", "friday"]), "leave": clock(), "arrive": clock()}
+        if rng.random() < 0.05:
+            del row[rng.choice(["leave", "arrive", "day"])]
+        trains.append(row)
+    return trains
+
+
+def _random_constraints(rng, db, domain):
+    records = db.tables[domain]
+    slots = sorted({slot for record in records for slot in record})
+    slots += sorted(BOOKING_SLOTS.get(domain, ())) + ["color"]
+    constraints = {}
+    for slot in rng.sample(slots, rng.randint(0, 4)):
+        roll = rng.random()
+        if roll < 0.15:
+            constraints[slot] = "dontcare"
+        elif roll < 0.45:
+            constraints[slot] = f"{rng.randint(0, 24)}:{rng.choice(['00', '07', '30', '44', '60'])}"
+        elif roll < 0.9:
+            constraints[slot] = rng.choice(records).get(slot, "none")
+        else:
+            constraints[slot] = rng.choice(["morning", "none", "12"])
+    return constraints
+
+
+def test_query_matches_linear_scan_reference(entity_db, ontology):
+    rng = make_rng(29)
+    trains = EntityDb(ontology=ontology, tables={"train": _random_trains(rng, 120)})
+    for db in (entity_db, trains):
+        def index_snapshot():
+            return {d: {k: frozenset(v) for k, v in index.items()} for d, index in db._index.items()}
+
+        shared = index_snapshot()
+        for domain in db.tables:
+            size = db.size(domain)
+            assert db.query(domain, {}) == DbResult(domain, size, bucketize(size, True))
+        timed = 0
+        for _ in range(1000):
+            domain = rng.choice(sorted(db.tables))
+            constraints = _random_constraints(rng, db, domain)
+            strict = rng.random() < 0.2
+            outcomes = []
+            for query in (db.query, partial(linear_scan_query, db)):
+                try:
+                    outcomes.append(query(domain, constraints, strict=strict))
+                except DatabaseError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (domain, constraints, strict)
+            timed += domain == "train" and any(parse_time(constraints.get(s, "")) is not None
+                                               for s in ("leave", "arrive"))
+        assert timed > 40
+        # the index sets are shared by every query and must come out unchanged
+        assert index_snapshot() == shared
 
 
 def test_non_queryable_domain(entity_db):

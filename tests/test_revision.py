@@ -24,6 +24,8 @@ from dialogic.revision import (
     validate_act,
 )
 
+from dialogic.textnorm import find_phrase
+
 from .conftest import make_rng, random_belief
 
 
@@ -341,6 +343,40 @@ def test_aux_output_survives_filter(ontology, aux):
         assert slot_value_match_filter(out, utterance, ontology) == out
 
 
+def _linear_lexicon_hits(lexicon, tokens):
+    """Reference: the scan the index replaced, every phrase in turn, longest first."""
+    hits = [(p, find_phrase(tokens, list(p))) for p in sorted(lexicon, key=len, reverse=True)]
+    return [(p, pos) for p, pos in hits if pos is not None]
+
+
+def test_aux_lexicon_index_matches_linear_scan(aux):
+    assert (("guesthouse",), 2) in aux._lexicon_hits(["a", "cheap", "guest", "house"])
+    rng = make_rng(17)
+    phrases = list(aux._lexicon)
+    filler = ["i", "want", "a", "the", "to", "from", "in", "guest", "house", "north", "by", "7:30"]
+    spacing_variants = 0
+    for _ in range(2000):
+        tokens = []
+        for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.6:
+                tokens.append(rng.choice(filler))
+                continue
+            phrase = list(rng.choice(phrases))
+            form = rng.random()
+            if form < 0.25 and len(phrase) > 1:
+                phrase = ["".join(phrase)]  # "concert hall" -> "concerthall"
+            elif form < 0.5 and len(phrase) == 1 and len(phrase[0]) > 1:
+                cut = rng.randint(1, len(phrase[0]) - 1)
+                phrase = [phrase[0][:cut], phrase[0][cut:]]  # "guesthouse" -> "guest house"
+            elif form < 0.6 and len(phrase) > 1:
+                phrase = phrase[: rng.randint(1, len(phrase) - 1)]
+            tokens += phrase
+        hits = aux._lexicon_hits(tokens)
+        assert hits == _linear_lexicon_hits(aux._lexicon, tokens), tokens
+        spacing_variants += sum(tokens[pos : pos + len(p)] != list(p) for p, pos in hits)
+    assert spacing_variants > 100
+
+
 def test_aux_predict_act_nooffer(ontology, aux):
     act = aux.predict_act([], "", belief({"hotel": {"area": "south"}}),
                           DbResult("hotel", 0, "db_0"))
@@ -428,3 +464,4 @@ def test_http_adapter_round_trip():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()

@@ -193,9 +193,12 @@ def test_batch_isolates_failures(seeds, aux, entity_db, ontology):
 def test_batch_records_aux_fault_and_continues(seeds, entity_db, ontology):
     # the child exits at once, so every belief request finds a closed pipe
     aux = SubprocessAuxPredictor([sys.executable, "-c", "pass"])
-    dialogues, report = simulate_batch(
-        3, GoalStrategy(kind="combination"), seeds, MockBackend(list(BYE_SCRIPT) * 3), aux,
-        entity_db, ontology, GenConfig(rng_seed=11))
+    try:
+        dialogues, report = simulate_batch(
+            3, GoalStrategy(kind="combination"), seeds, MockBackend(list(BYE_SCRIPT) * 3), aux,
+            entity_db, ontology, GenConfig(rng_seed=11))
+    finally:
+        aux.close()
     assert dialogues == []
     assert report.requested == 3
     assert report.failures == {"aux_error": 3}
