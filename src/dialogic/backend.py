@@ -2,7 +2,8 @@
 
 The replay backend makes the whole pipeline deterministic: a transcript file
 records (prompt digest, prompt, completion, params) as JSON lines, and replay
-serves recorded completions bit-exact, keyed on the prompt digest.
+serves recorded completions bit-exact, keyed on the prompt digest and on how
+often that prompt was already served.
 """
 
 from __future__ import annotations
@@ -131,13 +132,22 @@ class MockBackend(CompletionBackend):
 
 
 class ReplayBackend(CompletionBackend):
-    """Serve completions recorded in a transcript file, keyed on prompt digest."""
+    """Serve completions recorded in a transcript file, in the order they were recorded.
+
+    Records are keyed on (prompt digest, occurrence): the n-th request for a
+    prompt gets the n-th completion recorded for it, counting records in file
+    order. So a prompt that recurs, such as a parse retry that re-sends it,
+    replays the completions it got when recorded. A request past the last
+    recorded occurrence gets the last one.
+    """
 
     name = "replay"
 
     def __init__(self, transcript: str | Path):
         self.transcript = Path(transcript)
-        self._completions: dict[str, str] = {}
+        self._completions: dict[str, list[str]] = {}
+        self._served: dict[str, int] = {}
+        self._lock = threading.Lock()
         if not self.transcript.exists():
             raise FileNotFoundError(f"transcript not found: {self.transcript}")
         with open(self.transcript, encoding="utf-8") as fh:
@@ -147,23 +157,26 @@ class ReplayBackend(CompletionBackend):
                     continue
                 try:
                     record = json.loads(line)
-                    self._completions[record["sha256"]] = record["completion"]
+                    self._completions.setdefault(record["sha256"], []).append(
+                        record["completion"])
                 except (json.JSONDecodeError, KeyError) as exc:
                     raise BackendError(
                         f"{self.transcript}:{lineno}: bad transcript record ({exc})") from exc
 
     def __len__(self) -> int:
-        return len(self._completions)
+        return sum(len(recorded) for recorded in self._completions.values())
 
     def complete(self, req: CompletionRequest) -> str:
         digest = prompt_digest(req.prompt)
-        try:
-            return self._completions[digest]
-        except KeyError:
+        recorded = self._completions.get(digest)
+        if recorded is None:
             head = req.prompt[-120:].replace("\n", "\\n")
             raise UnknownPromptError(
-                f"no recorded completion for prompt digest {digest[:12]}… (…{head})"
-            ) from None
+                f"no recorded completion for prompt digest {digest[:12]}… (…{head})")
+        with self._lock:
+            occurrence = self._served.get(digest, 0)
+            self._served[digest] = occurrence + 1
+        return recorded[min(occurrence, len(recorded) - 1)]
 
 
 class RecordingBackend(CompletionBackend):

@@ -18,6 +18,7 @@ from .model import (
     DbResult,
     NO_RESULT,
     SOURCE_SEED,
+    TripletMap,
     Turn,
     TurnBelief,
     UserGoal,
@@ -30,9 +31,82 @@ class CorpusError(ValueError):
     """Schema or ontology violation while reading a corpus file."""
 
 
+SimilarityKey = tuple[frozenset[str], frozenset[str]]
+
+
+def similarity_key(tmap: TripletMap) -> SimilarityKey:
+    """What goal similarity compares: the domain set and the domain-qualified slot set."""
+    return frozenset(tmap.entries), frozenset(tmap.qualified_slots())
+
+
+def key_similarity(a: SimilarityKey, b: SimilarityKey) -> float:
+    """Jaccard(domain sets) * Jaccard(slot sets); the slot factor is 1.0 when neither has slots.
+
+    0.0 when no domain is shared, which includes an empty domain set.
+    """
+    (d1, s1), (d2, s2) = a, b
+    shared = len(d1 & d2)
+    if not shared:
+        return 0.0
+    domain_jaccard = shared / (len(d1) + len(d2) - shared)
+    shared = len(s1 & s2)
+    slots = len(s1) + len(s2) - shared
+    slot_jaccard = shared / slots if slots else 1.0
+    return domain_jaccard * slot_jaccard
+
+
+class _KeyedCandidates:
+    """Candidates in pool order, each pointing at one of their distinct similarity keys."""
+
+    def __init__(self, items: list, maps: Iterable[TripletMap]):
+        self.items = items
+        distinct: dict[SimilarityKey, int] = {}
+        self.key_of = [distinct.setdefault(similarity_key(m), len(distinct)) for m in maps]
+        self.keys = list(distinct)
+
+    def weights(self, target: SimilarityKey) -> list[float]:
+        """key_similarity(target, candidate key) per candidate, one Jaccard per distinct key."""
+        by_key = [key_similarity(target, key) for key in self.keys]
+        return list(map(by_key.__getitem__, self.key_of))
+
+
+class SimilarityIndex:
+    """The similarity-weighted candidates of a seed pool, keyed once.
+
+    Example selection draws from the dialogues by final goal; DST turn
+    demonstrations draw from the user turns with a nonempty belief, as
+    (dialogue, turn index) pairs. Both lists are in pool order. A draw
+    computes one Jaccard per distinct key, not one per candidate.
+    """
+
+    def __init__(self, dialogues: list[Dialogue]):
+        self.goals = _KeyedCandidates(dialogues, (d.final_goal for d in dialogues))
+        turns = [(d, i) for d in dialogues
+                 for i, turn in enumerate(d.turns) if turn.belief.slot_count() > 0]
+        self.turns = _KeyedCandidates(turns, (d.turns[i].belief for d, i in turns))
+        self.turn_position = {(d.id, i): p for p, (d, i) in enumerate(turns)}
+        self._empty_goal = any(d.final_goal.is_empty() for d in dialogues)
+
+    def goal_weights(self, target: UserGoal) -> list[float]:
+        """goal_similarity(target, d.final_goal) for each dialogue, in pool order."""
+        if self.goals.items and (target.is_empty() or self._empty_goal):
+            raise ValueError("goal similarity is undefined for empty goals")
+        return self.goals.weights(similarity_key(target))
+
+    def turn_weights(self, target: TurnBelief) -> list[float]:
+        """Similarity of `target` to each candidate turn's belief; all 0.0 for an empty target."""
+        return self.turns.weights(similarity_key(target))
+
+
 @dataclass
 class SeedDataset:
-    """An in-memory corpus with id lookup and value statistics for open slots."""
+    """An in-memory corpus with id lookup, value statistics and a similarity index.
+
+    The dataset is read-only once constructed: the id map, `observed_values()`
+    and `similarity` are built from the dialogues at construction, so neither
+    the dialogues nor what those return may be changed afterwards. Being
+    read-only, one dataset can be shared by worker threads without a lock.
+    """
 
     dialogues: list[Dialogue] = field(default_factory=list)
     issues: list[str] = field(default_factory=list)
@@ -41,6 +115,8 @@ class SeedDataset:
         self._by_id = {d.id: d for d in self.dialogues}
         if len(self._by_id) != len(self.dialogues):
             raise CorpusError("duplicate dialogue ids in corpus")
+        self._observed = _observed_values(self.dialogues)
+        self.similarity = SimilarityIndex(self.dialogues)
 
     def __len__(self) -> int:
         return len(self.dialogues)
@@ -52,27 +128,22 @@ class SeedDataset:
         return self._by_id[dialogue_id]
 
     def observed_values(self) -> dict[tuple[str, str], list[str]]:
-        """Values seen for each (domain, slot) across goals and beliefs."""
-        seen: dict[tuple[str, str], dict[str, None]] = {}
-        maps = []
-        for dlg in self.dialogues:
-            maps.append(dlg.final_goal)
-            maps.extend(t.belief for t in dlg.turns)
-        for tmap in maps:
+        """Values seen for each (domain, slot) across goals and beliefs.
+
+        Built once; every call returns the same dict, which callers must not modify.
+        """
+        return self._observed
+
+
+def _observed_values(dialogues: list[Dialogue]) -> dict[tuple[str, str], list[str]]:
+    seen: dict[tuple[str, str], dict[str, None]] = {}
+    for dlg in dialogues:
+        for tmap in [dlg.final_goal] + [t.belief for t in dlg.turns]:
             for domain, slot, value in tmap.triples():
                 if slot == NONE or value in ("dontcare", NONE):
                     continue
                 seen.setdefault((domain, slot), {}).setdefault(value, None)
-        return {key: list(vals) for key, vals in seen.items()}
-
-    def user_turns(self) -> list[tuple[Dialogue, int]]:
-        """All (dialogue, turn index) pairs with a non-general, nonempty belief."""
-        pool = []
-        for dlg in self.dialogues:
-            for i, turn in enumerate(dlg.turns):
-                if turn.belief.slot_count() > 0:
-                    pool.append((dlg, i))
-        return pool
+    return {key: list(vals) for key, vals in seen.items()}
 
 
 def turn_to_json(turn: Turn) -> dict:

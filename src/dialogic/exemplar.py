@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .corpus import SeedDataset
+from .corpus import SeedDataset, key_similarity, similarity_key
 from .model import DialogAct, Dialogue, TripletMap, TurnBelief, UserGoal
 from .ontology import ACT_TYPES, NONE, Ontology, canonical_slot, default_ontology
 
@@ -56,14 +56,7 @@ def goal_similarity(g1: UserGoal, g2: UserGoal) -> float:
     """Jaccard(domain sets) * Jaccard(domain-qualified slot sets), in [0, 1]."""
     if g1.is_empty() or g2.is_empty():
         raise ValueError("goal similarity is undefined for empty goals")
-    d1, d2 = set(g1.domains()), set(g2.domains())
-    s1, s2 = g1.qualified_slots(), g2.qualified_slots()
-    domain_jaccard = len(d1 & d2) / len(d1 | d2)
-    if not (s1 | s2):
-        slot_jaccard = 1.0
-    else:
-        slot_jaccard = len(s1 & s2) / len(s1 | s2)
-    return domain_jaccard * slot_jaccard
+    return key_similarity(similarity_key(g1), similarity_key(g2))
 
 
 def _softmax_exps(weights: list[float], tau: float) -> tuple[list[float], float]:
@@ -80,18 +73,17 @@ def selection_probabilities(target: UserGoal, pool: SeedDataset,
         raise ValueError("temperature must be > 0")
     if len(pool) == 0:
         raise ValueError("candidate pool is empty")
-    exps, total = _softmax_exps([goal_similarity(target, d.final_goal) for d in pool], tau)
+    exps, total = _softmax_exps(pool.similarity.goal_weights(target), tau)
     return {d.id: e / total for d, e in zip(pool, exps)}
 
 
-def softmax_draw(weighted: list[tuple], k: int, tau: float,
+def softmax_draw(items: list, weights: list[float], k: int, tau: float,
                  rng: random.Random) -> list[tuple]:
-    """Draw k (item, weight) pairs without replacement, renormalizing after each draw.
+    """Draw k of `items` without replacement, renormalizing after each draw.
 
     Returns (item, weight, probability at its draw) in draw order.
     """
-    items = [item for item, _ in weighted]
-    weights = [w for _, w in weighted]
+    items, weights = list(items), list(weights)
     drawn = []
     for _ in range(k):
         exps, total = _softmax_exps(weights, tau)
@@ -120,7 +112,7 @@ def select_examples(target: UserGoal, pool: SeedDataset, k: int, tau: float,
     """Draw k distinct dialogues without replacement, renormalizing after each draw."""
     if k > len(pool):
         raise ValueError(f"cannot sample {k} examples from a pool of {len(pool)}")
-    drawn = softmax_draw([(d, goal_similarity(target, d.final_goal)) for d in pool], k, tau, rng)
+    drawn = softmax_draw(pool.dialogues, pool.similarity.goal_weights(target), k, tau, rng)
     record = tuple((d.id, w, p) for d, w, p in drawn)
     return [d for d, _, _ in drawn], ExampleSelection(target, record, tau)
 

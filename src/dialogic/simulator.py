@@ -24,7 +24,6 @@ from .exemplar import (
     estimate_tokens,
     format_system_line,
     format_user_line,
-    goal_similarity,
     parse_system_line,
     parse_user_line,
     select_examples,
@@ -386,21 +385,17 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
     return belief, kind
 
 
-def _belief_similarity(a: TurnBelief, b: TurnBelief) -> float:
-    try:
-        return goal_similarity(a, b)  # same measure, applied to turn-level maps
-    except ValueError:
-        return 0.0
-
-
 def _sample_turn_demos(target: TurnBelief, seeds: SeedDataset, k: int, tau: float,
                        rng: random.Random, exclude: tuple[str, int]
                        ) -> list[tuple[Dialogue, int]]:
-    pool = [(d, i) for d, i in seeds.user_turns() if (d.id, i) != exclude]
-    if not pool:
+    index = seeds.similarity
+    items, weights = list(index.turns.items), index.turn_weights(target)
+    skip = index.turn_position.get(exclude)
+    if skip is not None:
+        del items[skip], weights[skip]
+    if not items:
         raise UnaugmentableTurn("no seed user turns available as demonstrations")
-    weighted = [((d, i), _belief_similarity(target, d.turns[i].belief)) for d, i in pool]
-    return [item for item, _, _ in softmax_draw(weighted, min(k, len(pool)), tau, rng)]
+    return [item for item, _, _ in softmax_draw(items, weights, min(k, len(items)), tau, rng)]
 
 
 def build_dst_prompt(spec: DstAugSpec, demos: list[tuple[Dialogue, int]],

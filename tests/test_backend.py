@@ -84,6 +84,49 @@ def test_replay_missing_file(tmp_path):
         ReplayBackend(tmp_path / "nope.jsonl")
 
 
+def test_replay_serves_repeated_prompt_in_recorded_order(tmp_path):
+    sink = tmp_path / "t.jsonl"
+    recorder = record_transcript(MockBackend(["a", "x", "b", "c"]), sink)
+    assert [recorder.complete(req(p)) for p in ("p", "q", "p", "p")] == ["a", "x", "b", "c"]
+    replay = ReplayBackend(sink)
+    assert len(replay) == 4
+    assert [replay.complete(req("p")) for _ in range(4)] == ["a", "b", "c", "c"]
+    assert replay.complete(req("q")) == "x"
+
+
+def test_replay_occurrence_counter_under_threads(tmp_path):
+    import sys
+    import threading
+
+    n = 400
+    sink = tmp_path / "t.jsonl"
+    sink.write_text("".join(
+        json.dumps({"sha256": prompt_digest("p"), "completion": str(i)}) + "\n"
+        for i in range(n)))
+    replay = ReplayBackend(sink)
+    served, lock = [], threading.Lock()
+
+    def worker():
+        for _ in range(n // 8):
+            text = replay.complete(req("p"))
+            with lock:
+                served.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    # a lost counter update would serve one occurrence twice and skip another
+    assert sorted(served, key=int) == [str(i) for i in range(n)]
+
+
 class _FakeResponse:
     def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code

@@ -186,6 +186,158 @@ def test_sample_frequency_matches_probabilities():
     assert abs(hits / trials - probs["d0"]) < 0.01
 
 
+# -- similarity index against the per-pair loops -------------------------------
+
+def _pairwise_similarity(g1, g2):
+    """The set-based Jaccard product, pair by pair, as goal_similarity computed it."""
+    if g1.is_empty() or g2.is_empty():
+        raise ValueError("goal similarity is undefined for empty goals")
+    d1, d2 = set(g1.domains()), set(g2.domains())
+    s1, s2 = g1.qualified_slots(), g2.qualified_slots()
+    domain_jaccard = len(d1 & d2) / len(d1 | d2)
+    if not (s1 | s2):
+        slot_jaccard = 1.0
+    else:
+        slot_jaccard = len(s1 & s2) / len(s1 | s2)
+    return domain_jaccard * slot_jaccard
+
+
+def _pairwise_turn_weight(target, belief):
+    try:
+        return _pairwise_similarity(target, belief)
+    except ValueError:
+        return 0.0
+
+
+def _pairwise_draw(weighted, k, tau, rng):
+    """Softmax draw without replacement over (item, weight) pairs, one exp per pair."""
+    items = [item for item, _ in weighted]
+    weights = [w for _, w in weighted]
+    drawn = []
+    for _ in range(k):
+        peak = max(weights)
+        exps = [math.exp((w - peak) / tau) for w in weights]
+        total = sum(exps)
+        x = rng.random() * total
+        acc, idx = 0.0, len(exps) - 1
+        for i, e in enumerate(exps):
+            acc += e
+            if x < acc:
+                idx = i
+                break
+        drawn.append((items.pop(idx), weights.pop(idx), exps[idx] / total))
+    return drawn
+
+
+def _pairwise_turns(pool, exclude):
+    return [(d, i) for d in pool for i, turn in enumerate(d.turns)
+            if turn.belief.slot_count() > 0 and (d.id, i) != exclude]
+
+
+def _random_pool(ontology, rng):
+    """Dialogues whose goals and beliefs repeat, with domain-only and general entries."""
+    from dialogic.model import NO_RESULT, Turn
+
+    goals = [random_goal(ontology, rng) for _ in range(4)] + _DOMAIN_ONLY_GOALS
+    beliefs = [random_belief(ontology, rng) for _ in range(6)]
+    dialogues = []
+    for n in range(rng.randint(2, 9)):
+        goal = rng.choice(goals).copy()
+        turns = [Turn(user_utterance="hello .", belief=rng.choice(beliefs).copy(),
+                      db=NO_RESULT, act=DialogAct(), system_response="hi .")
+                 for _ in range(rng.randint(1, 4))]
+        dialogues.append(Dialogue(id=f"d{n}", initial_goal=goal, final_goal=goal,
+                                  turns=turns, source="seed"))
+    return SeedDataset(dialogues=dialogues)
+
+
+_DOMAIN_ONLY_GOALS = [goal_of({"hotel": {}}), goal_of({"general": {}})]
+
+
+def _random_target_goal(ontology, rng):
+    if rng.random() < 0.2:
+        return rng.choice(_DOMAIN_ONLY_GOALS).copy()
+    return random_goal(ontology, rng)
+
+
+def _random_target_belief(ontology, rng):
+    return TurnBelief() if rng.random() < 0.15 else random_belief(ontology, rng)
+
+
+def _random_exclude(pool, rng):
+    dlg = rng.choice(pool.dialogues)
+    return dlg.id, rng.randrange(len(dlg.turns) + 1)  # sometimes no such turn
+
+
+def test_similarity_index_weights_equal_pairwise_loops(ontology):
+    rng = make_rng(23)
+    shared_keys = 0
+    for _ in range(300):
+        pool = _random_pool(ontology, rng)
+        index = pool.similarity
+        shared_keys += len(index.turns.items) - len(index.turns.keys)
+        target = _random_target_goal(ontology, rng)
+        expected = [_pairwise_similarity(target, d.final_goal) for d in pool]
+        assert index.goal_weights(target) == expected
+        assert [goal_similarity(target, d.final_goal) for d in pool] == expected
+
+        belief = _random_target_belief(ontology, rng)
+        exclude = _random_exclude(pool, rng)
+        turns = _pairwise_turns(pool, exclude)
+        weights = index.turn_weights(belief)
+        skip = index.turn_position.get(exclude)
+        if skip is not None:
+            del weights[skip]
+        assert weights == [_pairwise_turn_weight(belief, d.turns[i].belief) for d, i in turns]
+        assert index.turns.items == _pairwise_turns(pool, None)
+    assert shared_keys > 300
+
+
+def test_similarity_index_empty_targets(ontology):
+    pool = _random_pool(ontology, make_rng(5))
+    assert pool.similarity.turn_weights(TurnBelief()) == [0.0] * len(pool.similarity.turns.items)
+    with pytest.raises(ValueError):
+        pool.similarity.goal_weights(UserGoal())
+    with pytest.raises(ValueError):
+        select_examples(goal_of({"hotel": {"stay": "2"}}),
+                        mini_pool(goal_of({"hotel": {"stay": "3"}}), UserGoal()), 1, 0.2,
+                        make_rng(0))
+
+
+def test_indexed_draws_equal_pairwise_draws(ontology):
+    from dialogic.simulator import UnaugmentableTurn, _sample_turn_demos
+
+    for seed in range(500):
+        rng = make_rng(seed)
+        pool = _random_pool(ontology, rng)
+        target = _random_target_goal(ontology, rng)
+        k = rng.randint(1, len(pool))
+        tau = rng.choice([0.05, 0.2, 1.0])
+        chosen, selection = select_examples(target, pool, k, tau, make_rng(seed))
+        reference_rng = make_rng(seed)
+        reference = _pairwise_draw(
+            [(d, _pairwise_similarity(target, d.final_goal)) for d in pool], k, tau,
+            reference_rng)
+        assert selection.chosen == tuple((d.id, w, p) for d, w, p in reference)
+        assert chosen == [d for d, _, _ in reference]
+
+        belief = _random_target_belief(ontology, rng)
+        exclude = _random_exclude(pool, rng)
+        turns = _pairwise_turns(pool, exclude)
+        demo_rng = make_rng(seed)
+        if not turns:
+            with pytest.raises(UnaugmentableTurn):
+                _sample_turn_demos(belief, pool, 2, tau, demo_rng, exclude)
+            continue
+        demos = _sample_turn_demos(belief, pool, 2, tau, demo_rng, exclude)
+        reference_rng = make_rng(seed)
+        reference = _pairwise_draw(
+            [((d, i), _pairwise_turn_weight(belief, d.turns[i].belief)) for d, i in turns],
+            min(2, len(turns)), tau, reference_rng)
+        assert demos == [item for item, _, _ in reference]
+        assert demo_rng.random() == reference_rng.random()
+
+
 # -- serialization -----------------------------------------------------------
 
 def test_serialize_goal_template_example():

@@ -220,6 +220,36 @@ def test_batch_deterministic_with_replay(tmp_path, seeds, aux, entity_db, ontolo
     assert [dialogue_to_json(d) for d in first] == [dialogue_to_json(d) for d in second]
 
 
+def test_replay_reproduces_retried_and_repeated_prompts(tmp_path, seeds, aux, entity_db,
+                                                        ontology):
+    from dialogic.backend import ReplayBackend, record_transcript
+    from dialogic.corpus import save_corpus
+
+    # the first completion is malformed, so the parse retry re-sends the first
+    # user prompt; the second run, same goal and rng, sends it a third time
+    served = []
+    def script(req):
+        served.append(req.prompt)
+        if len(served) == 1:
+            return "no annotation here"
+        if req.prompt.endswith("User("):
+            return f"[general]): hello {len(served)} , that is all ."
+        return "[general] [bye]): goodbye ."
+
+    def two_runs(backend, out):
+        dialogues = [
+            SimulationRun(simple_goal(), seeds, backend, aux, entity_db, ontology,
+                          GenConfig(retries=1), make_rng(3), dialogue_id=f"sim_{i}").run()
+            for i in range(2)]
+        save_corpus(dialogues, out)
+        return out.read_bytes()
+
+    transcript = tmp_path / "retry.jsonl"
+    recorded = two_runs(record_transcript(MockBackend(script), transcript), tmp_path / "a.json")
+    assert served.count(served[0]) == 3
+    assert two_runs(ReplayBackend(transcript), tmp_path / "b.json") == recorded
+
+
 def test_batch_rejects_zero(seeds, aux, entity_db, ontology):
     with pytest.raises(ValueError):
         simulate_batch(0, GoalStrategy(), seeds, MockBackend("x"), aux,
