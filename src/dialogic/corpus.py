@@ -281,8 +281,17 @@ def load_seed_corpus(path: str | Path, ontology: Ontology, *, strict: bool = Tru
 
 
 def save_corpus(dialogues: Iterable[Dialogue], path: str | Path) -> None:
-    """Write dialogues as corpus JSON; output is deterministic for fixed input."""
-    payload = {"dialogues": [dialogue_to_json(d) for d in dialogues]}
+    """Write dialogues as corpus JSON; output is deterministic for fixed input.
+
+    The file is one `{"dialogues": [...]}` document with one dialogue per
+    line, each encoded as it is written. Without indentation `json` encodes
+    in C, several times faster than its pure-Python indenting encoder.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+        fh.write('{"dialogues": [')
+        separator = "\n"
+        for dialogue in dialogues:
+            fh.write(separator)
+            fh.write(json.dumps(dialogue_to_json(dialogue), ensure_ascii=False))
+            separator = ",\n"
+        fh.write("\n]}\n")

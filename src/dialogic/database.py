@@ -58,13 +58,14 @@ class EntityDb:
     def __post_init__(self):
         self._index: dict[str, dict[tuple[str, tuple[str, ...]], set[int]]] = {}
         self._columns: dict[str, set[str]] = {}
+        norm = cache(_norm_value)  # cells repeat: tokenise each distinct value once
         for domain, records in self.tables.items():
             index: dict[tuple[str, tuple[str, ...]], set[int]] = {}
             columns: set[str] = set()
             for i, record in enumerate(records):
                 for slot, value in record.items():
                     columns.add(slot)
-                    index.setdefault((slot, _norm_value(value)), set()).add(i)
+                    index.setdefault((slot, norm(value)), set()).add(i)
             self._index[domain] = index
             self._columns[domain] = columns
         # inequality-matched time columns: parsed minutes in ascending order,
@@ -149,14 +150,5 @@ def default_entity_db(ontology: Ontology | None = None) -> EntityDb:
     """The small bundled sample database (restaurant/hotel/attraction/train)."""
     from .ontology import default_ontology
 
-    ontology = ontology or default_ontology()
-    tables = {}
-    root = resources.files("dialogic").joinpath("data/db")
-    for entry in root.iterdir():
-        if entry.name.endswith("_db.json"):
-            domain = entry.name[: -len("_db.json")]
-            records = json.loads(entry.read_text("utf-8"))
-            tables[domain] = [
-                {str(k).lower(): str(v).lower() for k, v in r.items()} for r in records
-            ]
-    return EntityDb(ontology=ontology, tables=tables)
+    with resources.as_file(resources.files("dialogic").joinpath("data/db")) as db_dir:
+        return load_entity_db(db_dir, ontology or default_ontology())

@@ -12,6 +12,7 @@ import json
 import subprocess
 import threading
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .database import BOOKING_SLOTS
@@ -286,6 +287,19 @@ _DEPARTURE_CUES = {"from", "leave", "leaves", "leaving", "depart", "departs", "d
 _DESTINATION_CUES = {"to", "arrive", "arrives", "arriving", "reach", "reaches"}
 
 
+def _lexicon_phrase(value: str) -> tuple[str, ...] | None:
+    """The tokens a value is found by, or None for a value that fires contextually."""
+    if value in ("yes", "no", "dontcare", NONE):
+        return None
+    tokens = tuple(match_tokens(value))
+    # bare digits, day names, and times fire contextually, not lexically
+    if not tokens or all(t.isdigit() for t in tokens):
+        return None
+    if len(tokens) == 1 and (tokens[0] in _DAY_NAMES or parse_time(tokens[0]) is not None):
+        return None
+    return tokens
+
+
 class LexicalAuxPredictor(AuxPredictor):
     """Ontology/seed-driven stand-in for a trained auxiliary model.
 
@@ -303,16 +317,23 @@ class LexicalAuxPredictor(AuxPredictor):
 
     def __init__(self, ontology: Ontology, seeds=None):
         self.ontology = ontology
-        self._lexicon: dict[tuple[str, ...], list[Triple]] = {}
-        for domain in ontology.goal_domains():
-            for slot in ontology.informable_slots(domain):
-                for value in ontology.candidates(domain, slot):
-                    self._add_value(domain, slot, value)
+        values = [(domain, slot, value)
+                  for domain in ontology.goal_domains()
+                  for slot in ontology.informable_slots(domain)
+                  for value in ontology.candidates(domain, slot)]
         if seeds is not None:
-            for (domain, slot), values in seeds.observed_values().items():
-                for value in values:
-                    if ontology.has_domain(domain) and ontology.is_informable(domain, slot):
-                        self._add_value(domain, slot, value)
+            values += [(domain, slot, value)
+                       for (domain, slot), observed in seeds.observed_values().items()
+                       if ontology.has_domain(domain) and ontology.is_informable(domain, slot)
+                       for value in observed]
+        phrase_of = cache(_lexicon_phrase)  # values recur across slots and seeds: tokenise once
+        self._lexicon: dict[tuple[str, ...], list[Triple]] = {}
+        for entry in values:
+            phrase = phrase_of(entry[2])
+            if phrase is not None:
+                bucket = self._lexicon.setdefault(phrase, [])
+                if entry not in bucket:
+                    bucket.append(entry)
         ranked = sorted(self._lexicon, key=len, reverse=True)
         self._rank = {phrase: i for i, phrase in enumerate(ranked)}
         self._lengths = sorted({len(phrase) for phrase in ranked})
@@ -320,20 +341,6 @@ class LexicalAuxPredictor(AuxPredictor):
         for phrase in ranked:
             if len(phrase) > 1:
                 self._squeezed.setdefault("".join(phrase), []).append(phrase)
-
-    def _add_value(self, domain: str, slot: str, value: str) -> None:
-        if value in ("yes", "no", "dontcare", NONE):
-            return
-        tokens = tuple(match_tokens(value))
-        # bare digits, day names, and times fire contextually, not lexically
-        if not tokens or all(t.isdigit() for t in tokens):
-            return
-        if len(tokens) == 1 and (tokens[0] in _DAY_NAMES or parse_time(tokens[0]) is not None):
-            return
-        entry = (domain, slot, value)
-        bucket = self._lexicon.setdefault(tokens, [])
-        if entry not in bucket:
-            bucket.append(entry)
 
     def _active_domains(self, tokens: list[str], context: list[Turn]) -> list[str]:
         found: dict[str, int] = {}

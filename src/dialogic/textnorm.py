@@ -18,25 +18,29 @@ NUMBER_WORDS: dict[str, str] = {
 }
 
 _PUNCT_TOKENS = {".", ",", "?", "!", ";", ":"}
+_PUNCT_RE = re.compile(r"[.,?!;:]")
 _TIME_RE = re.compile(r"^(\d{1,2}):(\d{2})$")
+
+
+def _detach(m: re.Match) -> str:
+    """One punctuation mark, kept attached only in `.:,` between two digits."""
+    ch, text, i = m.group(), m.string, m.start()
+    if ch in ".:," and 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
+        return ch
+    return f" {ch} "
 
 
 def normalize_text(text: str) -> str:
     """Lowercase, detach sentence punctuation, collapse whitespace.
 
     Punctuation between digits (times like 08:45, prices like 75.10) is kept
-    attached so values survive normalization intact.
+    attached so values survive normalization intact. "Digit" means
+    `str.isdigit()`, which also holds for superscripts and non-ASCII digits.
     """
     text = text.lower().strip()
-    out = []
-    for i, ch in enumerate(text):
-        if ch in ".:," and 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
-            out.append(ch)
-        elif ch in ".,?!;:":
-            out.append(f" {ch} ")
-        else:
-            out.append(ch)
-    return " ".join("".join(out).split())
+    if _PUNCT_RE.search(text) is not None:
+        text = _PUNCT_RE.sub(_detach, text)
+    return " ".join(text.split())
 
 
 def norm_token(token: str) -> str:

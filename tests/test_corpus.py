@@ -10,7 +10,7 @@ from dialogic.corpus import (
 )
 from dialogic.model import SOURCE_SIMULATED
 
-from .conftest import make_rng, random_goal
+from .conftest import SEED_CORPUS_PATH, make_rng, random_goal
 
 
 def write_corpus(tmp_path, payload, name="c.json"):
@@ -115,3 +115,58 @@ def test_duplicate_ids_rejected(tmp_path, ontology, seeds):
     path = write_corpus(tmp_path, payload)
     with pytest.raises(CorpusError, match="duplicate"):
         load_seed_corpus(path, ontology)
+
+
+def _random_dialogues(ontology, seeds, n):
+    """Bundled dialogues with random goals, ids and some non-ASCII text."""
+    rng = make_rng(17)
+    pool = list(seeds)
+    out = []
+    for i in range(n):
+        data = dialogue_to_json(rng.choice(pool))
+        data["id"] = f"gen{i:03d}"
+        data["goal"] = random_goal(ontology, rng).to_dict()
+        data["source"] = SOURCE_SIMULATED
+        turn = rng.choice(data["turns"])
+        turn["resp"] += rng.choice([" café crème", " 東京 ?", " naïve \"quoted\" \\ text", ""])
+        out.append(data)
+    return out
+
+
+def _saved_lines(tmp_path, dialogues):
+    out = tmp_path / "saved.json"
+    save_corpus(dialogues, out)
+    return out, out.read_text(encoding="utf-8").splitlines()
+
+
+def test_save_layout_one_dialogue_per_line(tmp_path, ontology, seeds):
+    random_path = write_corpus(tmp_path, {"dialogues": _random_dialogues(ontology, seeds, 60)},
+                               name="random.json")
+    for dataset in (seeds, load_seed_corpus(random_path, ontology, strict=False)):
+        dialogues = list(dataset)
+        out, lines = _saved_lines(tmp_path, dialogues)
+        payload = {"dialogues": [dialogue_to_json(d) for d in dialogues]}
+        indented = json.dumps(payload, indent=2, ensure_ascii=False)
+        assert json.loads(out.read_text(encoding="utf-8")) == json.loads(indented)
+        assert len(lines) == len(dialogues) + 2
+        assert lines[0] == '{"dialogues": ['
+        assert lines[-1] == "]}"
+        for line, dialogue in zip(lines[1:-1], payload["dialogues"]):
+            assert json.loads(line.removesuffix(",")) == dialogue
+    # the random dialogues' non-ASCII text is written as is, not escaped
+    text = out.read_text(encoding="utf-8")
+    assert "café" in text and "東京" in text
+    assert "\\u" not in text
+
+
+def test_save_empty_corpus_layout(tmp_path):
+    out, lines = _saved_lines(tmp_path, [])
+    assert json.loads(out.read_text(encoding="utf-8")) == {"dialogues": []}
+    assert lines == ['{"dialogues": [', "]}"]
+
+
+def test_indented_bundled_corpus_still_loads(ontology):
+    # the bundled seed file keeps the indented layout; both layouts load
+    with open(SEED_CORPUS_PATH, encoding="utf-8") as fh:
+        assert fh.read().startswith('{\n  "dialogues": [\n')
+    assert len(load_seed_corpus(SEED_CORPUS_PATH, ontology)) == 3

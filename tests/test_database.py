@@ -1,9 +1,18 @@
 import json
 from functools import partial
+from importlib import resources
 
 import pytest
 
-from dialogic.database import BOOKING_SLOTS, DatabaseError, EntityDb, bucketize, load_entity_db
+from dialogic.database import (
+    BOOKING_SLOTS,
+    DatabaseError,
+    EntityDb,
+    _norm_value,
+    bucketize,
+    default_entity_db,
+    load_entity_db,
+)
 from dialogic.model import DbResult
 from dialogic.textnorm import match_tokens, parse_time
 
@@ -256,3 +265,50 @@ def test_load_entity_db_rejects_non_array(tmp_path, ontology):
 
 def test_default_db_included_domains(entity_db):
     assert set(entity_db.tables) == {"restaurant", "hotel", "attraction", "train"}
+
+
+def per_cell_index(tables):
+    """Reference for `EntityDb._index`: every cell tokenised on its own."""
+    index = {}
+    for domain, records in tables.items():
+        by_value = index.setdefault(domain, {})
+        for i, record in enumerate(records):
+            for slot, value in record.items():
+                by_value.setdefault((slot, _norm_value(value)), set()).add(i)
+    return index
+
+
+def _random_repetitive_table(rng, n):
+    # few distinct values, many spellings of the same tokens: hyphens, commas,
+    # full stops, number words, leading zeros and digit-internal punctuation
+    values = ["north", "North.", "guest-house", "guest house", "guesthouse", "3-star", "three star",
+              "08:45", "8:45", "8:45.", "75.10", "75 , 10", "a, b", "a b", "kings-lynn", "", "?"]
+    return [{"name": f"e{i}", **{slot: rng.choice(values) for slot in ("area", "type", "stars")}}
+            for i in range(n)]
+
+
+def test_index_equals_per_cell_reference(entity_db, ontology):
+    rng = make_rng(31)
+    random_db = EntityDb(ontology=ontology, tables={
+        "hotel": _random_repetitive_table(rng, 400), "train": _random_trains(rng, 300)})
+    for db in (entity_db, random_db):
+        assert db._index == per_cell_index(db.tables)
+    # several spellings share one key, so the index has fewer keys than spellings
+    assert len(random_db._index["hotel"]) < len({(s, v) for r in random_db.tables["hotel"]
+                                                  for s, v in r.items()})
+
+
+def reference_default_tables():
+    """The bundled tables as read before `default_entity_db` went through `load_entity_db`."""
+    tables = {}
+    for entry in resources.files("dialogic").joinpath("data/db").iterdir():
+        if entry.name.endswith("_db.json"):
+            records = json.loads(entry.read_text("utf-8"))
+            tables[entry.name[: -len("_db.json")]] = [
+                {str(k).lower(): str(v).lower() for k, v in r.items()} for r in records]
+    return tables
+
+
+def test_default_db_equals_reference_tables(ontology):
+    assert default_entity_db(ontology).tables == reference_default_tables()
+    assert default_entity_db().tables == reference_default_tables()

@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 from dialogic.textnorm import (
     contains_phrase,
     find_phrase,
@@ -5,6 +8,22 @@ from dialogic.textnorm import (
     normalize_text,
     parse_time,
 )
+
+from .conftest import make_rng
+
+
+def reference_normalize(text: str) -> str:
+    """The per-character loop that `normalize_text` replaces, kept as its oracle."""
+    text = text.lower().strip()
+    out = []
+    for i, ch in enumerate(text):
+        if ch in ".:," and 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
+            out.append(ch)
+        elif ch in ".,?!;:":
+            out.append(f" {ch} ")
+        else:
+            out.append(ch)
+    return " ".join("".join(out).split())
 
 
 def test_normalize_detaches_punctuation():
@@ -51,3 +70,36 @@ def test_parse_time():
     assert parse_time("13:06") == 13 * 60 + 6
     assert parse_time("25:00") is None
     assert parse_time("cheap") is None
+
+
+def _bundled_texts() -> list[str]:
+    data = resources.files("dialogic").joinpath("data")
+    corpus = json.loads(data.joinpath("seed_corpus.json").read_text("utf-8"))
+    texts = [turn[key] for dialogue in corpus["dialogues"]
+             for turn in dialogue["turns"] for key in ("user", "resp")]
+    for entry in data.joinpath("db").iterdir():
+        if entry.name.endswith("_db.json"):
+            texts += [str(value) for record in json.loads(entry.read_text("utf-8"))
+                      for value in record.values()]
+    return texts
+
+
+def test_normalize_equals_reference_on_bundled_text():
+    texts = _bundled_texts()
+    assert len(texts) > 400
+    assert [normalize_text(t) for t in texts] == [reference_normalize(t) for t in texts]
+
+
+# "²" is isdigit() but not matched by \d; "٣" is a non-ASCII decimal digit;
+# "İ" lowercases to two code points, shifting every later index
+_ALPHABET = list("abcxyzAZ0123456789²٣İ-\t\n .,?!;:") + [" ", "1", ".", ":"]
+
+
+def test_normalize_equals_reference_on_random_strings():
+    rng = make_rng(41)
+    mismatches = []
+    for _ in range(100_000):
+        text = "".join(rng.choices(_ALPHABET, k=rng.randint(0, 16)))
+        if normalize_text(text) != reference_normalize(text):
+            mismatches.append(text)
+    assert mismatches == []
