@@ -106,13 +106,13 @@ def _load_db(args, config, ontology: Ontology) -> EntityDb:
 
 def _gen_config(args, config) -> GenConfig:
     decode_cfg = config.get("decode", {})
-    decode = DecodeConfig(
-        temperature=float(decode_cfg.get("temperature", 0.7)),
-        top_p=float(decode_cfg.get("top_p", 1.0)),
-        frequency_penalty=float(decode_cfg.get("frequency_penalty", 1.0)),
-        max_tokens=int(decode_cfg.get("max_tokens", 256)),
-    )
     try:
+        decode = DecodeConfig(
+            temperature=float(decode_cfg.get("temperature", 0.7)),
+            top_p=float(decode_cfg.get("top_p", 1.0)),
+            frequency_penalty=float(decode_cfg.get("frequency_penalty", 1.0)),
+            max_tokens=int(decode_cfg.get("max_tokens", 256)),
+        )
         return GenConfig(
             n_shots=int(_setting(args, config, "n_shots", 2)),
             select_temperature=float(_setting(args, config, "select_temperature", 0.2)),
@@ -145,7 +145,6 @@ def _build_backend(args, config) -> CompletionBackend:
             raise ConfigError("--endpoint and --model are required for the live backend")
         backend = HttpCompletionBackend(HttpBackendConfig(
             endpoint=endpoint, model=model,
-            retries=int(_setting(args, config, "retries", 3)),
             concurrency=int(_setting(args, config, "workers", 4)),
             context_budget=int(_setting(args, config, "context_budget", 4096)),
         ))
@@ -343,9 +342,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retries", type=int)
     parser.add_argument("--n-shots", dest="n_shots", type=int)
     parser.add_argument("--select-temperature", dest="select_temperature", type=float)
-    parser.add_argument("--max-turns", dest="max_turns", type=int)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--trace", help="write per-turn revision traces to this JSONL file")
     parser.add_argument("--seed-corpus", dest="seed_corpus")
     parser.add_argument("--lenient", action="store_const", const=True, default=None,
                         help="drop invalid seed triplets instead of rejecting the file")
@@ -366,6 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-source-dialogues", dest="n_source_dialogues", type=int)
     p.add_argument("--drop-probability", dest="drop_probability", type=float)
     p.add_argument("--db-dir", dest="db_dir")
+    p.add_argument("--max-turns", dest="max_turns", type=int)
+    p.add_argument("--workers", type=int)
+    p.add_argument("--trace", help="write per-turn revision traces to this JSONL file")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("augment-dst", help="generate turn-level state-tracking samples")

@@ -15,8 +15,6 @@ SOURCE_SIMULATED = "simulated"
 SOURCE_DST_AUGMENTED = "dst_augmented"
 SOURCES = (SOURCE_SEED, SOURCE_SIMULATED, SOURCE_DST_AUGMENTED)
 
-SPECIAL_VALUES = ("dontcare", "yes", "no", NONE)
-
 
 class ValidationError(ValueError):
     """A triple or dialogue violates the ontology or a structural invariant."""
@@ -277,6 +275,10 @@ class DecodeConfig:
     top_p: float = 1.0
     frequency_penalty: float = 1.0
     max_tokens: int = 256
+
+    def __post_init__(self):
+        if not 0 <= self.temperature <= 2 or not 0 <= self.top_p <= 2:
+            raise ValidationError("decode temperature and top_p must be in [0, 2]")
 
     @classmethod
     def nucleus(cls) -> "DecodeConfig":

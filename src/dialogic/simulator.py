@@ -20,6 +20,7 @@ from .exemplar import (
     DEFAULT_TASK_DESCRIPTION,
     ParseError,
     PromptTooLong,
+    _article,
     build_prompt,
     estimate_tokens,
     format_system_line,
@@ -83,15 +84,24 @@ class SimulationError(RuntimeError):
 class UnaugmentableTurn(ValueError):
     """No unmentioned slots or domains are available for this source turn."""
 
+    kind = "unaugmentable"
+
 
 class RejectedSample(RuntimeError):
     """The prescribed belief never survived the filter within the retry budget."""
 
+    kind = "rejected"
+
 
 def _request_completion(backend: CompletionBackend, cfg: GenConfig, prompt: str,
                         stop: tuple[str, ...]) -> str:
-    """One completion with the configured decoding; backend faults become backend_error."""
+    """One completion within the context budget; faults become prompt_too_long/backend_error."""
     decode = cfg.decode
+    budget = backend.context_budget
+    if budget is not None and estimate_tokens(prompt) + decode.max_tokens > budget:
+        raise SimulationError(
+            f"prompt plus max_tokens exceed the context budget of {budget} tokens",
+            kind="prompt_too_long")
     request = CompletionRequest(
         prompt=prompt, max_tokens=decode.max_tokens, temperature=decode.temperature,
         top_p=decode.top_p, frequency_penalty=decode.frequency_penalty, stop=stop)
@@ -132,20 +142,10 @@ class SimulationRun:
         except PromptTooLong as exc:
             raise SimulationError(str(exc), kind="prompt_too_long") from exc
 
-    # -- low-level completion ------------------------------------------------
-
-    def _complete(self, prompt: str, stop: tuple[str, ...]) -> str:
-        budget = self.backend.context_budget
-        if budget is not None and estimate_tokens(prompt) + self.cfg.decode.max_tokens > budget:
-            raise SimulationError(
-                f"prompt grew past the context budget of {budget} tokens",
-                kind="prompt_too_long")
-        return _request_completion(self.backend, self.cfg, prompt, stop)
-
     def _complete_line(self, prefix: str, stop: tuple[str, ...], parser):
         last: Exception | None = None
         for _ in range(self.cfg.retries + 1):
-            completion = self._complete(self.prompt + prefix, stop)
+            completion = _request_completion(self.backend, self.cfg, self.prompt + prefix, stop)
             line = prefix + completion.lstrip()
             try:
                 annotation, text = parser(line)
@@ -197,8 +197,9 @@ class SimulationRun:
             prior_acts=[t.act for t in self.turns], mentioned_domains=frozenset(self._mentioned),
             aux=self.aux, context=self.turns, utterance=utterance, belief=belief)
         if act != raw_act:
-            regenerated = self._complete(
-                self.prompt + f"Assistant({serialize_act(act)}): ", SYSTEM_STOPS)
+            regenerated = _request_completion(
+                self.backend, self.cfg, self.prompt + f"Assistant({serialize_act(act)}): ",
+                SYSTEM_STOPS)
             if regenerated.strip():
                 response = normalize_text(regenerated)
         self.prompt += format_system_line(act, response) + "\n"
@@ -412,7 +413,7 @@ def build_dst_prompt(spec: DstAugSpec, demos: list[tuple[Dialogue, int]],
                 slots.setdefault((d, s), None)
     header = (
         f"Answer the assistant's question on each feature you require when booking "
-        f"{('an ' if domain[:1] in 'aeiou' else 'a ')}{domain}. "
+        f"{_article(domain)} {domain}. "
         'Also mention no preference on a feature when your requirement on it is "dontcare".'
     )
     lines = [header, "Features:"]
@@ -505,6 +506,35 @@ def _make_goal(strategy: GoalStrategy, dist: RsDistribution, seeds: SeedDataset,
     return goal
 
 
+def _run_batch(ids: list[str], run: Callable[[int, random.Random], Dialogue],
+               cfg: GenConfig, workers: int = 1) -> tuple[list[Dialogue], BatchReport]:
+    """Run job i as `run(i, rng)` on its own rng substream and report in index order.
+
+    A failure counts under its exception's `kind`, any other ValueError as config_error.
+    """
+    master = random.Random(cfg.rng_seed)
+    run_seeds = [master.randrange(2 ** 63) for _ in ids]
+
+    def job(index: int) -> Dialogue | tuple[str, str]:
+        try:
+            return run(index, random.Random(run_seeds[index]))
+        except (SimulationError, RejectedSample, ValueError) as exc:
+            # keep the kind and note only: a held traceback would pin the run's frames
+            return getattr(exc, "kind", "config_error"), f"{ids[index]}: {exc}"
+
+    # wait once, at shutdown: waiting on each future in turn would wake this
+    # thread once per job and slow a one-worker batch measurably
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        futures = [pool.submit(job, i) for i in range(len(ids))]
+    outcomes = [future.result() for future in futures]  # re-raises what job does not classify
+    dialogues = [outcome for outcome in outcomes if isinstance(outcome, Dialogue)]
+    report = BatchReport(requested=len(ids), succeeded=len(dialogues))
+    for outcome in outcomes:
+        if not isinstance(outcome, Dialogue):
+            report.record_failure(*outcome)
+    return dialogues, report
+
+
 def simulate_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset,
                    backend: CompletionBackend, aux: AuxPredictor | None, db: EntityDb,
                    ontology: Ontology, cfg: GenConfig, *,
@@ -513,37 +543,16 @@ def simulate_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset,
     """Run n independent simulations on per-dialogue rng substreams."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    master = random.Random(cfg.rng_seed)
-    run_seeds = [master.randrange(2 ** 63) for _ in range(n)]
     observed = seeds.observed_values()
-    report = BatchReport(requested=n)
+    ids = [f"sim_{index:04d}" for index in range(n)]
 
-    def one(index: int) -> Dialogue:
-        rng = random.Random(run_seeds[index])
+    def run(index: int, rng: random.Random) -> Dialogue:
         goal = _make_goal(strategy, dist, seeds, ontology, cfg, rng, observed)
         return simulate_dialogue(
             goal, seeds, backend, aux, db, ontology, cfg, rng,
-            dialogue_id=f"sim_{index:04d}", trace=trace)
+            dialogue_id=ids[index], trace=trace)
 
-    results: list[Dialogue | None] = [None] * n
-    def run_one(index: int) -> None:
-        try:
-            results[index] = one(index)
-        except SimulationError as exc:
-            report.record_failure(exc.kind, f"sim_{index:04d}: {exc}")
-        except ValueError as exc:
-            report.record_failure("config_error", f"sim_{index:04d}: {exc}")
-
-    # wait once, at shutdown: waiting on each future in turn would wake this
-    # thread once per dialogue and slow a one-worker batch measurably
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(run_one, i) for i in range(n)]
-    for future in futures:
-        future.result()  # re-raise what run_one does not classify
-
-    dialogues = [d for d in results if d is not None]
-    report.succeeded = len(dialogues)
-    return dialogues, report
+    return _run_batch(ids, run, cfg, workers)
 
 
 def augment_corpus(seeds: SeedDataset, backend: CompletionBackend,
@@ -553,27 +562,17 @@ def augment_corpus(seeds: SeedDataset, backend: CompletionBackend,
     """Generate one augmented user turn per source turn per pass."""
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    master = random.Random(cfg.rng_seed)
     observed = observed if observed is not None else seeds.observed_values()
-    out: list[Dialogue] = []
-    report = BatchReport()
-    for pass_no in range(1, passes + 1):
-        for dlg in seeds:
-            for turn_idx in range(len(dlg.turns)):
-                report.requested += 1
-                rng = random.Random(master.randrange(2 ** 63))
-                try:
-                    belief, kind = generate_turn_belief(
-                        dlg, turn_idx, ontology, rng, cfg=cfg, observed_values=observed)
-                    spec = DstAugSpec(dlg, turn_idx, kind, belief, n_shots=cfg.n_shots)
-                    out.append(augment_dst_turn(
-                        spec, seeds, backend, aux, ontology, cfg, rng,
-                        dialogue_id=f"{dlg.id}-dst{turn_idx}-p{pass_no}"))
-                    report.succeeded += 1
-                except UnaugmentableTurn as exc:
-                    report.record_failure("unaugmentable", str(exc))
-                except RejectedSample as exc:
-                    report.record_failure("rejected", str(exc))
-                except SimulationError as exc:
-                    report.record_failure(exc.kind, str(exc))
-    return out, report
+    sources = [(dlg, turn_idx, pass_no) for pass_no in range(1, passes + 1)
+               for dlg in seeds for turn_idx in range(len(dlg.turns))]
+    ids = [f"{dlg.id}-dst{turn_idx}-p{pass_no}" for dlg, turn_idx, pass_no in sources]
+
+    def run(index: int, rng: random.Random) -> Dialogue:
+        dlg, turn_idx, _ = sources[index]
+        belief, kind = generate_turn_belief(
+            dlg, turn_idx, ontology, rng, cfg=cfg, observed_values=observed)
+        spec = DstAugSpec(dlg, turn_idx, kind, belief, n_shots=cfg.n_shots)
+        return augment_dst_turn(spec, seeds, backend, aux, ontology, cfg, rng,
+                                dialogue_id=ids[index])
+
+    return _run_batch(ids, run, cfg)

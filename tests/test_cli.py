@@ -260,3 +260,38 @@ def test_trace_file_written(tmp_path, mock_script_file):
     assert len(events) == 3  # one event per turn, one turn per dialogue
     assert {"dialogue", "turn", "raw_belief", "belief", "db", "act",
             "rule_firings"} <= set(events[0])
+
+
+@pytest.mark.parametrize("command", ["simulate", "augment-dst"])
+@pytest.mark.parametrize("decode", [{"temperature": 3}, {"top_p": -0.1}])
+def test_out_of_range_decode_is_config_error(tmp_path, mock_script_file, capsys,
+                                             command, decode):
+    config = write_json(tmp_path / "cfg.json", {"decode": decode})
+    code = main([command, "--config", config, "--seed-corpus", SEED_CORPUS_PATH,
+                 "--out", str(tmp_path / "x.json"), "--backend", "mock",
+                 "--mock-script", mock_script_file])
+    assert code == 2
+    assert "temperature and top_p" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_retries_flag_leaves_http_retries_alone():
+    from dialogic.backend import HttpBackendConfig
+    from dialogic.cli import _build_backend, build_parser
+
+    args = build_parser().parse_args([
+        "simulate", "--backend", "live", "--endpoint", "http://localhost:9/v1",
+        "--model", "m", "--retries", "0"])
+    backend = _build_backend(args, {})
+    assert backend.config.retries == HttpBackendConfig(endpoint="", model="").retries > 0
+
+
+@pytest.mark.parametrize("flag", [["--trace", "x"], ["--workers", "2"], ["--max-turns", "3"]])
+def test_simulate_only_flags_rejected_by_augment_dst(tmp_path, mock_script_file, capsys,
+                                                     flag):
+    code = main(["augment-dst", "--seed-corpus", SEED_CORPUS_PATH,
+                 "--out", str(tmp_path / "x.json"), "--backend", "mock",
+                 "--mock-script", mock_script_file, *flag])
+    assert code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()

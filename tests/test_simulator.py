@@ -204,6 +204,24 @@ def test_batch_records_aux_fault_and_continues(seeds, entity_db, ontology):
     assert report.failures == {"aux_error": 3}
 
 
+def test_batch_counts_every_failure_under_thread_switching(seeds, aux, entity_db, ontology):
+    # workers used to update the report unlocked; a 1 us switch interval made
+    # them lose failure counts and notes
+    n = 2000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        dialogues, report = simulate_batch(
+            n, GoalStrategy(kind="combination"), seeds, MockBackend([]), aux,
+            entity_db, ontology, GenConfig(rng_seed=3), workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert dialogues == []
+    assert report.requested == report.failed == n
+    assert report.failures == {"backend_error": n}
+    assert [note.split(":")[0] for note in report.notes] == [f"sim_{i:04d}" for i in range(n)]
+
+
 def test_batch_deterministic_with_replay(tmp_path, seeds, aux, entity_db, ontology):
     from dialogic.backend import ReplayBackend, record_transcript
 
@@ -412,3 +430,29 @@ def test_batch_parallel_workers_match_serial(tmp_path, seeds, aux, entity_db, on
         entity_db, ontology, GenConfig(rng_seed=5), workers=3)
     assert report.succeeded == 6
     assert [dialogue_to_json(d) for d in parallel] == [dialogue_to_json(d) for d in serial]
+
+
+def test_augment_over_budget_prompt_is_prompt_too_long(seeds, ontology):
+    from dialogic.simulator import augment_corpus
+
+    backend = MockBackend(" " + PRESCRIBED_UTTERANCE)
+    backend.context_budget = 50
+    dialogues, report = augment_corpus(
+        seeds, backend, None, ontology, GenConfig(rng_seed=17))
+    assert dialogues == []
+    assert report.failures["prompt_too_long"] >= 1
+    assert set(report.failures) <= {"prompt_too_long", "unaugmentable"}
+    assert report.failed == report.requested
+
+
+def test_augment_classifies_failures_like_simulate(seeds, ontology):
+    from dialogic.simulator import augment_corpus
+
+    def broken(req):
+        raise ValueError("bad request")
+
+    _, report = augment_corpus(seeds, MockBackend(broken), None, ontology,
+                               GenConfig(rng_seed=17))
+    assert set(report.failures) <= {"config_error", "unaugmentable"}
+    assert report.failures["config_error"] >= 1
+    assert report.notes[0].startswith(f"{seeds.dialogues[0].id}-dst0-p1: ")
