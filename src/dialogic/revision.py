@@ -26,7 +26,7 @@ from .model import (
     current_domain,
 )
 from .ontology import GENERAL_DOMAIN, NONE, Ontology
-from .textnorm import contains_phrase, match_tokens, parse_time, token_pairs
+from .textnorm import TokenView, match_tokens, parse_time, token_pairs
 
 BOOLEAN_SLOTS = ("parking", "internet")
 
@@ -49,21 +49,12 @@ _DONTCARE_CUES: tuple[tuple[str, ...], ...] = (
 # value matching
 # ---------------------------------------------------------------------------
 
-def _cue_positions(tokens: list[str], cue: str) -> list[int]:
-    positions = [i for i, t in enumerate(tokens) if t == cue]
-    # tolerate split spellings such as "wi fi"
-    positions += [i for i in range(len(tokens) - 1) if tokens[i] + tokens[i + 1] == cue]
-    return positions
-
-
-def _boolean_match(slot: str, value: str, tokens: list[str]) -> bool:
-    positions = []
-    for cue in _BOOLEAN_CUES[slot]:
-        positions.extend(_cue_positions(tokens, cue))
+def _boolean_match(slot: str, value: str, view: TokenView) -> bool:
+    positions = [pos for cue in _BOOLEAN_CUES[slot] for pos in view.positions(cue)]
     if not positions:
         return False
     def negated(pos: int) -> bool:
-        return any(t in _NEGATIONS for t in tokens[max(0, pos - 3): pos])
+        return any(t in _NEGATIONS for t in view.tokens[max(0, pos - 3): pos])
     if value == "yes":
         return any(not negated(p) for p in positions)
     if value == "no":
@@ -71,17 +62,17 @@ def _boolean_match(slot: str, value: str, tokens: list[str]) -> bool:
     return False
 
 
-def dontcare_expressed(tokens: list[str]) -> bool:
-    return any(contains_phrase(tokens, list(cue)) for cue in _DONTCARE_CUES)
+def dontcare_expressed(view: TokenView) -> bool:
+    return any(view.find(cue) is not None for cue in _DONTCARE_CUES)
 
 
-def value_expressed(slot: str, value: str, tokens: list[str]) -> bool:
+def value_expressed(slot: str, value: str, view: TokenView) -> bool:
     """True when the slot value is considered expressed by the (tokenized) utterance."""
     if value == "dontcare":
-        return dontcare_expressed(tokens)
+        return dontcare_expressed(view)
     if slot in _BOOLEAN_CUES and value in ("yes", "no"):
-        return _boolean_match(slot, value, tokens)
-    return contains_phrase(tokens, match_tokens(value))
+        return _boolean_match(slot, value, view)
+    return view.find(match_tokens(value)) is not None
 
 
 def slot_value_match_filter(belief: TurnBelief, utterance: str,
@@ -94,13 +85,13 @@ def slot_value_match_filter(belief: TurnBelief, utterance: str,
 
 
 def _filter_with_drops(belief: TurnBelief, utterance: str) -> tuple[TurnBelief, list[Triple]]:
-    tokens = match_tokens(utterance)
+    view = TokenView(match_tokens(utterance))
     kept = TurnBelief()
     dropped: list[Triple] = []
     for domain, slot, value in belief.triples():
         if domain == GENERAL_DOMAIN or slot == NONE or value == NONE:
             kept.set(domain, slot, value)
-        elif value_expressed(slot, value, tokens):
+        elif value_expressed(slot, value, view):
             kept.set(domain, slot, value)
         else:
             dropped.append((domain, slot, value))
@@ -306,13 +297,12 @@ class LexicalAuxPredictor(AuxPredictor):
     Every emitted triple's value (or cue) is present in the normalized
     utterance, so its output always survives the match filter.
 
-    Lexicon phrases are found by index, not by trying each phrase in turn:
-    construction records each phrase's rank in the scan order (longest
-    first), the set of phrase lengths, and the multi-token phrases by their
-    squeezed spelling ("guest house" under "guesthouse"). An utterance then
-    costs at most one dict lookup per phrase length and token, whatever the
-    lexicon size, and every phrase is found at the position `find_phrase`
-    gives it.
+    Lexicon phrases are found by index, not by trying each phrase in turn.
+    Each phrase is keyed twice: on its first two tokens joined (its only
+    token, for a one-token phrase) and on its squeezed spelling ("guest
+    house" under "guesthouse"). Every token and joined pair of the
+    utterance's `TokenView` names candidates under its key, and `view.find`
+    confirms each one and gives its position.
     """
 
     def __init__(self, ontology: Ontology, seeds=None):
@@ -336,18 +326,17 @@ class LexicalAuxPredictor(AuxPredictor):
                     bucket.append(entry)
         ranked = sorted(self._lexicon, key=len, reverse=True)
         self._rank = {phrase: i for i, phrase in enumerate(ranked)}
-        self._lengths = sorted({len(phrase) for phrase in ranked})
-        self._squeezed: dict[str, list[tuple[str, ...]]] = {}
+        self._keyed: dict[str, set[tuple[str, ...]]] = {}
         for phrase in ranked:
-            if len(phrase) > 1:
-                self._squeezed.setdefault("".join(phrase), []).append(phrase)
+            for key in ("".join(phrase[:2]), "".join(phrase)):
+                self._keyed.setdefault(key, set()).add(phrase)
 
-    def _active_domains(self, tokens: list[str], context: list[Turn]) -> list[str]:
+    def _active_domains(self, view: TokenView, context: list[Turn]) -> list[str]:
         found: dict[str, int] = {}
         for domain, keywords in _DOMAIN_KEYWORDS.items():
             for kw in keywords:
-                if kw in tokens:
-                    pos = tokens.index(kw)
+                if kw in view.at:
+                    pos = view.at[kw][0]
                     if domain not in found or pos < found[domain]:
                         found[domain] = pos
         ordered = [d for d, _ in sorted(found.items(), key=lambda kv: kv[1])]
@@ -364,29 +353,18 @@ class LexicalAuxPredictor(AuxPredictor):
                 return domain
         return None
 
-    def _lexicon_hits(self, tokens: list[str]) -> list[tuple[tuple[str, ...], int]]:
-        """(phrase, `find_phrase` position) for each lexicon phrase in tokens, in scan order."""
-        view = tuple(tokens)
-        hits: dict[tuple[str, ...], int] = {}
-        for length in self._lengths:
-            for i in range(len(view) - length + 1):
-                key = view[i : i + length]
-                if key in self._lexicon and key not in hits:
-                    hits[key] = i
-        # spacing variants count only where the exact phrase never occurs
-        for i, tok in enumerate(view):
-            for phrase in self._squeezed.get(tok, ()):
-                hits.setdefault(phrase, i)
-        for i in range(len(view) - 1):
-            key = (view[i] + view[i + 1],)
-            if key in self._lexicon:
-                hits.setdefault(key, i)
-        return sorted(hits.items(), key=lambda hit: self._rank[hit[0]])
+    def _lexicon_hits(self, view: TokenView) -> list[tuple[tuple[str, ...], int]]:
+        """(phrase, `view.find` position) for each lexicon phrase in the view, in scan order."""
+        candidates = {phrase for keys in (view.at, view.joined) for key in keys
+                      for phrase in self._keyed.get(key, ())}
+        hits = [(phrase, view.find(phrase)) for phrase in candidates]
+        return sorted((hit for hit in hits if hit[1] is not None), key=lambda h: self._rank[h[0]])
 
     def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
         pairs = token_pairs(utterance)
         tokens = [norm for _, norm in pairs]
-        domains = self._active_domains(tokens, context)
+        view = TokenView(tokens)
+        domains = self._active_domains(view, context)
         belief = TurnBelief()
 
         def emit(domain: str, slot: str, value: str) -> None:
@@ -394,7 +372,7 @@ class LexicalAuxPredictor(AuxPredictor):
                 belief.set(domain, slot, value)
 
         # literal values from the lexicon, longest phrases first
-        for phrase, pos in self._lexicon_hits(tokens):
+        for phrase, pos in self._lexicon_hits(view):
             candidates = self._lexicon[phrase]
             scoped = []
             for domain in domains:
@@ -453,12 +431,12 @@ class LexicalAuxPredictor(AuxPredictor):
             if domain is None:
                 continue
             for value in ("no", "yes"):
-                if _boolean_match(slot, value, tokens):
+                if _boolean_match(slot, value, view):
                     emit(domain, slot, value)
                     break
 
         # dontcare answers attach to the slots the system just requested
-        if dontcare_expressed(tokens) and context:
+        if dontcare_expressed(view) and context:
             for domain, slot in context[-1].act.slots_of("request"):
                 if self.ontology.has_domain(domain) and self.ontology.is_informable(domain, slot):
                     emit(domain, slot, "dontcare")

@@ -63,30 +63,46 @@ def match_tokens(text: str) -> list[str]:
     return [norm for _, norm in token_pairs(text)]
 
 
+class TokenView:
+    """One utterance's match tokens, indexed once for every phrase looked up in it.
+
+    `at` maps each token to its positions; `joined` maps each adjacent pair,
+    written as one token, to the position of its first half.
+    """
+
+    __slots__ = ("tokens", "at", "joined")
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tuple(tokens)
+        self.at: dict[str, list[int]] = {}
+        self.joined: dict[str, list[int]] = {}
+        for i, tok in enumerate(self.tokens):
+            self.at.setdefault(tok, []).append(i)
+        for i in range(len(self.tokens) - 1):
+            self.joined.setdefault(self.tokens[i] + self.tokens[i + 1], []).append(i)
+
+    def positions(self, token: str) -> list[int]:
+        """Where token occurs, also split in two ("wi fi" for "wifi")."""
+        return self.at.get(token, []) + self.joined.get(token, [])
+
+    def find(self, needle) -> int | None:
+        """Index of the first run of needle; else of needle written as one token,
+        or of a one-token needle split in two ("guest house" and "guesthouse")."""
+        if len(needle) > 1:
+            needle = tuple(needle)
+            # an exact run starts only where its first two tokens, joined, occur
+            for i in self.joined.get(needle[0] + needle[1], ()):
+                if self.tokens[i : i + len(needle)] == needle:
+                    return i
+            hits = self.at.get("".join(needle))
+        else:
+            hits = (self.at.get(needle[0]) or self.joined.get(needle[0])) if needle else None
+        return hits[0] if hits else None
+
+
 def find_phrase(haystack: list[str], needle: list[str]) -> int | None:
     """Index of the first occurrence of needle as a contiguous token run."""
-    if not needle:
-        return None
-    n = len(needle)
-    for i in range(len(haystack) - n + 1):
-        if haystack[i : i + n] == needle:
-            return i
-    # tolerate spacing variants such as "guest house" vs "guesthouse"
-    squeezed = "".join(needle)
-    if len(needle) > 1:
-        for i, tok in enumerate(haystack):
-            if tok == squeezed:
-                return i
-    if n == 1:
-        for i in range(len(haystack) - 1):
-            if haystack[i] + haystack[i + 1] == squeezed:
-                return i
-    return None
-
-
-def contains_phrase(haystack: list[str], needle: list[str]) -> bool:
-    """True if needle occurs as a contiguous token subsequence of haystack."""
-    return find_phrase(haystack, needle) is not None
+    return TokenView(haystack).find(needle)
 
 
 def parse_time(value: str) -> int | None:

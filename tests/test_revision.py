@@ -24,9 +24,10 @@ from dialogic.revision import (
     validate_act,
 )
 
-from dialogic.textnorm import find_phrase
+from dialogic.textnorm import TokenView
 
 from .conftest import make_rng, random_belief
+from .test_textnorm import reference_find_phrase
 
 
 def belief(entries):
@@ -344,13 +345,14 @@ def test_aux_output_survives_filter(ontology, aux):
 
 
 def _linear_lexicon_hits(lexicon, tokens):
-    """Reference: the scan the index replaced, every phrase in turn, longest first."""
-    hits = [(p, find_phrase(tokens, list(p))) for p in sorted(lexicon, key=len, reverse=True)]
+    """Reference: every phrase in turn, longest first, through the linear oracle."""
+    hits = [(p, reference_find_phrase(tokens, list(p)))
+            for p in sorted(lexicon, key=len, reverse=True)]
     return [(p, pos) for p, pos in hits if pos is not None]
 
 
 def test_aux_lexicon_index_matches_linear_scan(aux):
-    assert (("guesthouse",), 2) in aux._lexicon_hits(["a", "cheap", "guest", "house"])
+    assert (("guesthouse",), 2) in aux._lexicon_hits(TokenView(["a", "cheap", "guest", "house"]))
     rng = make_rng(17)
     phrases = list(aux._lexicon)
     filler = ["i", "want", "a", "the", "to", "from", "in", "guest", "house", "north", "by", "7:30"]
@@ -371,7 +373,7 @@ def test_aux_lexicon_index_matches_linear_scan(aux):
             elif form < 0.6 and len(phrase) > 1:
                 phrase = phrase[: rng.randint(1, len(phrase) - 1)]
             tokens += phrase
-        hits = aux._lexicon_hits(tokens)
+        hits = aux._lexicon_hits(TokenView(tokens))
         assert hits == _linear_lexicon_hits(aux._lexicon, tokens), tokens
         spacing_variants += sum(tokens[pos : pos + len(p)] != list(p) for p, pos in hits)
     assert spacing_variants > 100

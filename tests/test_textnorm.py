@@ -2,7 +2,7 @@ import json
 from importlib import resources
 
 from dialogic.textnorm import (
-    contains_phrase,
+    TokenView,
     find_phrase,
     match_tokens,
     normalize_text,
@@ -24,6 +24,27 @@ def reference_normalize(text: str) -> str:
         else:
             out.append(ch)
     return " ".join("".join(out).split())
+
+
+def reference_find_phrase(haystack: list[str], needle: list[str]) -> int | None:
+    """The linear scan that `TokenView.find` replaces, kept as its oracle."""
+    if not needle:
+        return None
+    n = len(needle)
+    for i in range(len(haystack) - n + 1):
+        if haystack[i : i + n] == needle:
+            return i
+    # tolerate spacing variants such as "guest house" vs "guesthouse"
+    squeezed = "".join(needle)
+    if len(needle) > 1:
+        for i, tok in enumerate(haystack):
+            if tok == squeezed:
+                return i
+    if n == 1:
+        for i in range(len(haystack) - 1):
+            if haystack[i] + haystack[i + 1] == squeezed:
+                return i
+    return None
 
 
 def test_normalize_detaches_punctuation():
@@ -49,20 +70,69 @@ def test_match_tokens_maps_number_words_and_times():
 
 def test_contains_phrase_token_boundaries():
     tokens = match_tokens("i need a train to birmingham new street station")
-    assert contains_phrase(tokens, ["birmingham", "new", "street"])
-    assert not contains_phrase(tokens, ["birmingham", "street"])
-    assert not contains_phrase(match_tokens("anything else"), ["any"])
+    assert find_phrase(tokens, ["birmingham", "new", "street"]) == 5
+    assert find_phrase(tokens, ["birmingham", "street"]) is None
+    assert find_phrase(match_tokens("anything else"), ["any"]) is None
 
 
 def test_contains_phrase_spacing_variants():
-    assert contains_phrase(match_tokens("a nice guest house"), ["guesthouse"])
-    assert contains_phrase(match_tokens("a guesthouse in town"), ["guest", "house"])
+    assert find_phrase(match_tokens("a nice guest house"), ["guesthouse"]) == 2
+    assert find_phrase(match_tokens("a guesthouse in town"), ["guest", "house"]) == 1
 
 
 def test_find_phrase_positions():
     tokens = ["a", "train", "to", "leicester"]
     assert find_phrase(tokens, ["leicester"]) == 3
     assert find_phrase(tokens, ["bus"]) is None
+    assert find_phrase(tokens, []) is None
+
+
+def test_token_view_positions_include_split_spellings():
+    view = TokenView(match_tokens("wifi , or at least wi fi ?"))
+    assert view.positions("wifi") == [0, 4]
+    assert view.positions("parking") == []
+
+
+# join/split collisions: "a b" and "ab", "ab c" and "a bc", "wi fi" and "wifi"
+_PHRASE_ALPHABET = ["a", "b", "ab", "abc", "bc", "wi", "fi", "wifi",
+                    "guest", "house", "guesthouse"]
+
+
+def _random_needle(rng, haystack: list[str]) -> list[str]:
+    """A third drawn from the alphabet, a third a run of the haystack, a third a respaced run."""
+    form = rng.random()
+    if form < 1 / 3 or not haystack:
+        return rng.choices(_PHRASE_ALPHABET, k=rng.randint(0, 3))
+    start = rng.randrange(len(haystack))
+    run = haystack[start : start + rng.randint(1, 3)]
+    if form < 2 / 3:
+        return run
+    if len(run) > 1:
+        return ["".join(run)]  # "guest house" -> "guesthouse"
+    if len(run[0]) > 1:
+        cut = rng.randint(1, len(run[0]) - 1)
+        return [run[0][:cut], run[0][cut:]]  # "wifi" -> "wi fi"
+    return run
+
+
+def test_token_view_find_equals_reference_on_random_pairs():
+    rng = make_rng(43)
+    mismatches = []
+    tiers = {"none": 0, "exact": 0, "squeezed": 0, "split": 0}
+    for _ in range(120_000):
+        haystack = rng.choices(_PHRASE_ALPHABET, k=rng.randint(0, 12))
+        needle = _random_needle(rng, haystack)
+        expected = reference_find_phrase(haystack, needle)
+        if TokenView(haystack).find(needle) != expected:
+            mismatches.append((haystack, needle))
+        if expected is None:
+            tiers["none"] += 1
+        elif haystack[expected : expected + len(needle)] == needle:
+            tiers["exact"] += 1
+        else:
+            tiers["squeezed" if len(needle) > 1 else "split"] += 1
+    assert mismatches == []
+    assert min(tiers.values()) > 10_000, tiers
 
 
 def test_parse_time():
