@@ -36,6 +36,8 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_NO_OUTPUT = 4
 
+_SIMULATE_ONLY_KEYS = ("trace", "workers", "max_turns")
+
 
 class ConfigError(Exception):
     """A bad flag/config value; reported with exit code 2."""
@@ -237,6 +239,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_augment_dst(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
+    simulate_only = [key for key in _SIMULATE_ONLY_KEYS if key in config]
+    if simulate_only:
+        raise ConfigError(f"--config: {', '.join(simulate_only)} only apply to simulate")
     passes = int(_setting(args, config, "passes", 1))
     if passes < 1:
         raise ConfigError("--passes must be >= 1")

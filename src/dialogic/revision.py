@@ -156,6 +156,7 @@ def revise_belief(gpt: TurnBelief, context: list[Turn], utterance: str,
 # ---------------------------------------------------------------------------
 
 FALLBACK_ACT = DialogAct(((GENERAL_DOMAIN, "reqmore", NONE),))
+_FALLBACK_FIRING = "fallback: empty act mapped to (general, reqmore, none)"
 
 _OFFER_ACTS = ("inform", "recommend", "select", "offerbook")
 _OTHER_BOOKING_SLOTS = frozenset({"stay", "day", "people", "time"})  # domains not in BOOKING_SLOTS
@@ -209,7 +210,7 @@ def validate_act(act: DialogAct, belief_state: DialogueState, db: DbResult,
             continue
         kept.append((d, t, s))
     if not kept:
-        firings.append("fallback: empty act mapped to (general, reqmore, none)")
+        firings.append(_FALLBACK_FIRING)
         return FALLBACK_ACT, firings
     return DialogAct(tuple(kept)), firings
 
@@ -226,7 +227,8 @@ def revise_act(gpt_act: DialogAct, *, belief_state: DialogueState, db: DbResult,
     revised, firings = validate_act(
         gpt_act, belief_state, db, ontology,
         prior_acts=prior_acts, mentioned_domains=mentioned_domains)
-    outright_failure = not gpt_act.is_empty() and revised == FALLBACK_ACT
+    # the rules kept no triple; a valid LLM [general] [reqmore] is no failure
+    outright_failure = not gpt_act.is_empty() and firings[-1:] == [_FALLBACK_FIRING]
     if outright_failure and aux is not None:
         aux_act = aux.predict_act(context or [], utterance, belief or TurnBelief(), db)
         revised, aux_firings = validate_act(
@@ -472,6 +474,9 @@ class AuxError(RuntimeError):
     """An external aux model could not be reached or sent an unreadable reply."""
 
 
+AUX_TIMEOUT_S = 30.0  # how long an external aux model may take to answer one request
+
+
 class WireAuxPredictor(AuxPredictor):
     """Adapter for an external model that answers one JSON request at a time.
 
@@ -517,9 +522,16 @@ class SubprocessAuxPredictor(WireAuxPredictor):
             proc = self._ensure()
             proc.stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
             proc.stdin.flush()
-            line = proc.stdout.readline()
-        if not line:
-            raise AuxError(f"aux subprocess {self.argv[0]!r} closed its pipe")
+            deadline = threading.Timer(AUX_TIMEOUT_S, proc.kill)  # the kill ends readline
+            deadline.start()
+            try:
+                line = proc.stdout.readline()
+            finally:
+                deadline.cancel()
+            if not line:
+                self.close()
+                raise AuxError(f"aux subprocess {self.argv[0]!r} closed its pipe "
+                               f"or sent no reply within {AUX_TIMEOUT_S} s")
         return json.loads(line)
 
     def close(self) -> None:
@@ -538,7 +550,7 @@ class SubprocessAuxPredictor(WireAuxPredictor):
 class HttpAuxPredictor(WireAuxPredictor):
     """Transport: one JSON POST per request to an HTTP endpoint."""
 
-    def __init__(self, url: str, timeout: float = 30.0):
+    def __init__(self, url: str, timeout: float = AUX_TIMEOUT_S):
         import requests
 
         self.url = url

@@ -286,12 +286,22 @@ def test_retries_flag_leaves_http_retries_alone():
     assert backend.config.retries == HttpBackendConfig(endpoint="", model="").retries > 0
 
 
-@pytest.mark.parametrize("flag", [["--trace", "x"], ["--workers", "2"], ["--max-turns", "3"]])
+@pytest.mark.parametrize("flag", [
+    ["--trace", "x"], ["--workers", "2"], ["--max-turns", "3"],
+    # the same settings from a --config file
+    {"trace": "t.jsonl"}, {"workers": 3}, {"max_turns": 2},
+    {"trace": "t.jsonl", "workers": 3, "max_turns": 2},
+])
 def test_simulate_only_flags_rejected_by_augment_dst(tmp_path, mock_script_file, capsys,
                                                      flag):
+    if isinstance(flag, dict):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(flag), encoding="utf-8")
+        flag = ["--config", str(config)]
     code = main(["augment-dst", "--seed-corpus", SEED_CORPUS_PATH,
                  "--out", str(tmp_path / "x.json"), "--backend", "mock",
                  "--mock-script", mock_script_file, *flag])
     assert code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "only apply to simulate" in err
     assert not (tmp_path / "x.json").exists()

@@ -1,6 +1,7 @@
 import gc
 import sys
 import textwrap
+import time
 import warnings
 
 import pytest
@@ -13,6 +14,7 @@ from dialogic.model import (
     Turn,
     TurnBelief,
 )
+from dialogic import revision
 from dialogic.revision import (
     FALLBACK_ACT,
     AuxError,
@@ -105,6 +107,7 @@ def test_filter_boolean_cues(ontology):
     assert slot_value_match_filter(yes, "i need free parking .", ontology) == yes
     no = belief({"hotel": {"internet": "no"}})
     assert slot_value_match_filter(no, "i do not need wifi .", ontology) == no
+    assert slot_value_match_filter(no, "no wi fi needed .", ontology) == no  # split spelling
     wrong_polarity = slot_value_match_filter(
         yes, "no parking needed .", ontology)
     assert wrong_polarity.to_dict() == {}
@@ -287,13 +290,15 @@ def test_revise_act_consults_aux_on_outright_failure(ontology, aux):
 
 
 def test_revise_act_keeps_valid_llm_act(ontology, aux):
-    act = DialogAct((("hotel", "request", "area"),))
-    out, _, used_aux = revise_act(
-        act, belief_state=ctx_state({"hotel": {"type": "hotel"}}),
-        db=DbResult("hotel", 5, "db_3"), ontology=ontology, aux=aux,
-        context=[], utterance="", belief=belief({"hotel": {"type": "hotel"}}))
-    assert not used_aux
-    assert out == act
+    # a valid [general] [reqmore] from the LLM is no outright failure either
+    for act in (DialogAct((("hotel", "request", "area"),)), FALLBACK_ACT):
+        out, firings, used_aux = revise_act(
+            act, belief_state=ctx_state({"hotel": {"type": "hotel"}}),
+            db=DbResult("hotel", 5, "db_3"), ontology=ontology, aux=aux,
+            context=[], utterance="", belief=belief({"hotel": {"type": "hotel"}}))
+        assert not used_aux
+        assert out == act
+        assert firings == []
 
 
 # -- lexical aux predictor -------------------------------------------------------
@@ -426,6 +431,21 @@ def test_subprocess_adapter_reaps_dead_children():
         del adapter
         gc.collect()
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_subprocess_adapter_read_deadline(monkeypatch):
+    # the child reads the request and never answers: the deadline kills and reaps it
+    monkeypatch.setattr(revision, "AUX_TIMEOUT_S", 0.5)
+    silent = "import sys, time\nsys.stdin.readline()\ntime.sleep(20)\n"
+    adapter = SubprocessAuxPredictor([sys.executable, "-c", silent])
+    started = time.monotonic()
+    try:
+        with pytest.raises(AuxError, match="no reply within 0.5 s"):
+            adapter.predict_belief([], "in the south")
+        assert time.monotonic() - started < 10
+        assert adapter._proc is None
+    finally:
+        adapter.close()
 
 
 def test_http_adapter_round_trip():

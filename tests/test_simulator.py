@@ -1,7 +1,9 @@
 import sys
+import time
 
 import pytest
 
+from dialogic import revision
 from dialogic.backend import MockBackend
 from dialogic.exemplar import parse_system_line, parse_user_line
 from dialogic.goals import GoalStrategy
@@ -190,18 +192,24 @@ def test_batch_isolates_failures(seeds, aux, entity_db, ontology):
     assert report.failures.get("backend_error") == 2
 
 
-def test_batch_records_aux_fault_and_continues(seeds, entity_db, ontology):
-    # the child exits at once, so every belief request finds a closed pipe
-    aux = SubprocessAuxPredictor([sys.executable, "-c", "pass"])
-    try:
-        dialogues, report = simulate_batch(
-            3, GoalStrategy(kind="combination"), seeds, MockBackend(list(BYE_SCRIPT) * 3), aux,
-            entity_db, ontology, GenConfig(rng_seed=11))
-    finally:
-        aux.close()
-    assert dialogues == []
-    assert report.requested == 3
-    assert report.failures == {"aux_error": 3}
+def test_batch_records_aux_fault_and_continues(seeds, entity_db, ontology, monkeypatch):
+    # a child that exits at once leaves every belief request a closed pipe; one that
+    # reads each request and never answers runs into the read deadline
+    monkeypatch.setattr(revision, "AUX_TIMEOUT_S", 0.3)
+    silent = "import sys, time\nsys.stdin.readline()\ntime.sleep(20)\n"
+    for child in ("pass", silent):
+        aux = SubprocessAuxPredictor([sys.executable, "-c", child])
+        started = time.monotonic()
+        try:
+            dialogues, report = simulate_batch(
+                3, GoalStrategy(kind="combination"), seeds, MockBackend(list(BYE_SCRIPT) * 3),
+                aux, entity_db, ontology, GenConfig(rng_seed=11))
+        finally:
+            aux.close()
+        assert time.monotonic() - started < 10
+        assert dialogues == []
+        assert report.requested == 3
+        assert report.failures == {"aux_error": 3}
 
 
 def test_batch_counts_every_failure_under_thread_switching(seeds, aux, entity_db, ontology):

@@ -87,12 +87,6 @@ def test_find_phrase_positions():
     assert find_phrase(tokens, []) is None
 
 
-def test_token_view_positions_include_split_spellings():
-    view = TokenView(match_tokens("wifi , or at least wi fi ?"))
-    assert view.positions("wifi") == [0, 4]
-    assert view.positions("parking") == []
-
-
 # join/split collisions: "a b" and "ab", "ab c" and "a bc", "wi fi" and "wifi"
 _PHRASE_ALPHABET = ["a", "b", "ab", "abc", "bc", "wi", "fi", "wifi",
                     "guest", "house", "guesthouse"]
