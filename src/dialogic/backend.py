@@ -208,10 +208,12 @@ def record_transcript(backend: CompletionBackend, sink: str | Path) -> Recording
 
 
 class _TokenBucket:
-    """Simple thread-safe limiter: at most `rate` acquisitions per second."""
+    """Thread-safe limiter: at most `rate` acquisitions per second, and at least
+    one token of capacity, so a rate below 1/s lets one through every 1/rate s."""
 
     def __init__(self, rate: float):
         self.rate = rate
+        self.capacity = max(rate, 1.0)
         self.allowance = rate
         self.last = time.monotonic()
         self._lock = threading.Lock()
@@ -220,7 +222,7 @@ class _TokenBucket:
         while True:
             with self._lock:
                 now = time.monotonic()
-                self.allowance = min(self.rate, self.allowance + (now - self.last) * self.rate)
+                self.allowance = min(self.capacity, self.allowance + (now - self.last) * self.rate)
                 self.last = now
                 if self.allowance >= 1.0:
                     self.allowance -= 1.0
@@ -240,6 +242,12 @@ class HttpBackendConfig:
     requests_per_second: float = 4.0
     context_budget: int = 4096
     extra_headers: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.concurrency < 1:
+            raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
+        if self.requests_per_second <= 0:
+            raise ValueError(f"requests_per_second must be > 0, got {self.requests_per_second}")
 
 
 def _retry_after(response) -> int | None:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 from .backend import (
@@ -24,7 +26,7 @@ from .backend import (
 from .corpus import CorpusError, SeedDataset, load_seed_corpus, save_corpus
 from .database import EntityDb, bucketize, default_entity_db, load_entity_db
 from .goals import GoalStrategy, RsDistribution, STRATEGIES
-from .model import DecodeConfig, GenConfig, ValidationError
+from .model import DecodeConfig, GenConfig
 from .ontology import Ontology, default_ontology, load_ontology
 from .revision import LexicalAuxPredictor, slot_value_match_filter
 from .simulator import BatchReport, augment_corpus, simulate_batch
@@ -36,8 +38,6 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_NO_OUTPUT = 4
 
-_SIMULATE_ONLY_KEYS = ("trace", "workers", "max_turns")
-
 
 class ConfigError(Exception):
     """A bad flag/config value; reported with exit code 2."""
@@ -47,9 +47,12 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
+def _config_flags(path: str) -> list[str]:
+    """The flags a --config file spells: `{"n_shots": 3}` is `--n-shots=3`.
+
+    `true` is a bare flag, `false` and `null` are left out, and any other
+    non-string value is passed JSON-encoded.
+    """
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"--config: file not found: {p}")
@@ -59,16 +62,26 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"--config: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError("--config: top level must be a JSON object")
-    return data
+    flags = []
+    for key, value in data.items():
+        if not re.fullmatch(r"\w[\w-]*", key):  # "out=x" must not pass as --out=x
+            raise ConfigError(f"--config: {key!r} is not a flag name")
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False and value is not None:
+            flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return flags
 
 
-def _setting(args: argparse.Namespace, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _given(args: argparse.Namespace, **dests: str) -> dict:
+    """{field: args.<dest>} for each flag that was set, so unset fields keep their defaults."""
+    return {name: getattr(args, dest) for name, dest in dests.items()
+            if getattr(args, dest, None) is not None}
+
+
+def _gen_fields(args: argparse.Namespace) -> dict:
+    return _given(args, **{f.name: f.name for f in fields(GenConfig)})
 
 
 def _require_path(flag: str, value: str | None) -> Path:
@@ -80,11 +93,10 @@ def _require_path(flag: str, value: str | None) -> Path:
     return path
 
 
-def _load_ontology(args, config) -> Ontology:
-    value = _setting(args, config, "ontology")
-    if value is None:
+def _load_ontology(args) -> Ontology:
+    if args.ontology is None:
         return default_ontology()
-    return load_ontology(_require_path("--ontology", value))
+    return load_ontology(_require_path("--ontology", args.ontology))
 
 
 def _load_corpus(flag: str, value: str | None, ontology: Ontology, strict: bool) -> SeedDataset:
@@ -94,75 +106,39 @@ def _load_corpus(flag: str, value: str | None, ontology: Ontology, strict: bool)
         raise ConfigError(f"{flag}: {exc}") from exc
 
 
-def _load_seeds(args, config, ontology: Ontology) -> SeedDataset:
-    return _load_corpus("--seed-corpus", _setting(args, config, "seed_corpus"), ontology,
-                        strict=not _setting(args, config, "lenient", False))
+def _load_seeds(args, ontology: Ontology) -> SeedDataset:
+    return _load_corpus("--seed-corpus", args.seed_corpus, ontology, strict=not args.lenient)
 
 
-def _load_db(args, config, ontology: Ontology) -> EntityDb:
-    value = _setting(args, config, "db_dir")
-    if value is None:
+def _load_db(args, ontology: Ontology) -> EntityDb:
+    if args.db_dir is None:
         return default_entity_db(ontology)
-    return load_entity_db(_require_path("--db-dir", value), ontology)
+    return load_entity_db(_require_path("--db-dir", args.db_dir), ontology)
 
 
-def _gen_config(args, config) -> GenConfig:
-    decode_cfg = config.get("decode", {})
-    try:
-        decode = DecodeConfig(
-            temperature=float(decode_cfg.get("temperature", 0.7)),
-            top_p=float(decode_cfg.get("top_p", 1.0)),
-            frequency_penalty=float(decode_cfg.get("frequency_penalty", 1.0)),
-            max_tokens=int(decode_cfg.get("max_tokens", 256)),
-        )
-        return GenConfig(
-            n_shots=int(_setting(args, config, "n_shots", 2)),
-            select_temperature=float(_setting(args, config, "select_temperature", 0.2)),
-            max_turns=int(_setting(args, config, "max_turns", 12)),
-            max_domains=int(_setting(args, config, "max_domains", 4)),
-            max_slots_per_domain=int(_setting(args, config, "max_slots_per_domain", 6)),
-            decode=decode,
-            retries=int(_setting(args, config, "retries", 2)),
-            rng_seed=_setting(args, config, "rng_seed"),
-        )
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_backend(args, config) -> CompletionBackend:
-    kind = _setting(args, config, "backend", "replay")
-    if kind == "replay":
-        path = _require_path("--transcript", _setting(args, config, "transcript"))
-        backend: CompletionBackend = ReplayBackend(path)
-    elif kind == "mock":
-        script_path = _require_path("--mock-script", _setting(args, config, "mock_script"))
-        script = json.loads(script_path.read_text("utf-8"))
-        if not isinstance(script, list):
-            raise ConfigError("--mock-script: expected a JSON array of completions")
+def _build_backend(args) -> CompletionBackend:
+    if args.backend == "replay":
+        backend: CompletionBackend = ReplayBackend(_require_path("--transcript", args.transcript))
+    elif args.backend == "mock":
+        script = json.loads(_require_path("--mock-script", args.mock_script).read_text("utf-8"))
+        if not isinstance(script, list) or not all(isinstance(item, str) for item in script):
+            raise ConfigError("--mock-script: expected a JSON array of completion strings")
         backend = MockBackend(script)
-    elif kind == "live":
-        endpoint = _setting(args, config, "endpoint")
-        model = _setting(args, config, "model")
-        if not endpoint or not model:
+    else:
+        if not args.endpoint or not args.model:
             raise ConfigError("--endpoint and --model are required for the live backend")
         backend = HttpCompletionBackend(HttpBackendConfig(
-            endpoint=endpoint, model=model,
-            concurrency=int(_setting(args, config, "workers", 4)),
-            context_budget=int(_setting(args, config, "context_budget", 4096)),
-        ))
-    else:
-        raise ConfigError(f"--backend: unknown kind {kind!r}")
-    record = _setting(args, config, "record")
-    if record:
-        backend = record_transcript(backend, record)
+            endpoint=args.endpoint, model=args.model,
+            **_given(args, concurrency="workers", context_budget="context_budget")))
+    if args.record:
+        backend = record_transcript(backend, args.record)
     return backend
 
 
-def _open_trace(args, config):
-    path = _setting(args, config, "trace")
-    if not path:
+def _open_trace(args):
+    if not args.trace:
         return None, None
-    fh = open(path, "w", encoding="utf-8")
+    fh = open(args.trace, "w", encoding="utf-8")
     lock = threading.Lock()
 
     def sink(event: dict) -> None:
@@ -173,29 +149,10 @@ def _open_trace(args, config):
     return sink, fh
 
 
-def _goal_strategy(args, config) -> GoalStrategy:
-    kind = _setting(args, config, "strategy", "combination")
-    if kind not in STRATEGIES:
-        raise ConfigError(f"--strategy: must be one of {', '.join(STRATEGIES)}")
-    return GoalStrategy(
-        kind=kind,
-        n_source_dialogues=int(_setting(args, config, "n_source_dialogues", 2)),
-        drop_probability=float(_setting(args, config, "drop_probability", 0.3)),
-    )
-
-
-def _rs_distribution(config) -> RsDistribution:
-    rows = config.get("rs_distribution")
-    if not rows:
-        return RsDistribution()
-    return RsDistribution(rows=tuple(
-        (int(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in rows))
-
-
-def _finish(args, dialogues, report: BatchReport, out_path: str, verb: str, unit: str) -> int:
+def _finish(args, dialogues, report: BatchReport, verb: str, unit: str) -> int:
     """Save the corpus, print the report, and map the outcome to an exit code."""
-    save_corpus(dialogues, out_path)
-    _progress(f"{verb} {report.succeeded}/{report.requested} {unit} -> {out_path}")
+    save_corpus(dialogues, args.out)
+    _progress(f"{verb} {report.succeeded}/{report.requested} {unit} -> {args.out}")
     print(json.dumps(report.to_json(), indent=None if args.json else 2))
     if report.succeeded >= 1:
         return EXIT_OK
@@ -209,58 +166,43 @@ def _finish(args, dialogues, report: BatchReport, out_path: str, verb: str, unit
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    if args.num is not None and args.num < 1:
-        raise ConfigError("--num must be >= 1")
-    n = int(_setting(args, config, "num", 1))
-    ontology = _load_ontology(args, config)
-    seeds = _load_seeds(args, config, ontology)
-    db = _load_db(args, config, ontology)
-    cfg = _gen_config(args, config)
-    backend = _build_backend(args, config)
-    strategy = _goal_strategy(args, config)
-    out_path = _setting(args, config, "out")
-    if not out_path:
+    if not args.out:
         raise ConfigError("--out is required")
+    cfg = GenConfig(**_gen_fields(args))
+    strategy = GoalStrategy(**_given(args, kind="strategy", n_source_dialogues="n_source_dialogues",
+                                     drop_probability="drop_probability"))
+    ontology = _load_ontology(args)
+    seeds = _load_seeds(args, ontology)
+    db = _load_db(args, ontology)
+    backend = _build_backend(args)
     aux = LexicalAuxPredictor(ontology, seeds)
-    trace_sink, trace_fh = _open_trace(args, config)
-    workers = _setting(args, config, "workers")
+    trace_sink, trace_fh = _open_trace(args)
     try:
         dialogues, report = simulate_batch(
-            n, strategy, seeds, backend, aux, db, ontology, cfg,
-            dist=_rs_distribution(config),
-            workers=int(workers) if workers is not None else backend.concurrency,
-            trace=trace_sink)
+            args.num, strategy, seeds, backend, aux, db, ontology, cfg,
+            workers=args.workers or backend.concurrency, trace=trace_sink,
+            **_given(args, dist="rs_distribution"))
     finally:
         if trace_fh:
             trace_fh.close()
-    return _finish(args, dialogues, report, out_path, "simulated", "dialogues")
+    return _finish(args, dialogues, report, "simulated", "dialogues")
 
 
 def cmd_augment_dst(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    simulate_only = [key for key in _SIMULATE_ONLY_KEYS if key in config]
-    if simulate_only:
-        raise ConfigError(f"--config: {', '.join(simulate_only)} only apply to simulate")
-    passes = int(_setting(args, config, "passes", 1))
-    if passes < 1:
-        raise ConfigError("--passes must be >= 1")
-    ontology = _load_ontology(args, config)
-    seeds = _load_seeds(args, config, ontology)
-    cfg = _gen_config(args, config)
-    backend = _build_backend(args, config)
-    out_path = _setting(args, config, "out")
-    if not out_path:
+    if not args.out:
         raise ConfigError("--out is required")
+    cfg = GenConfig(**_gen_fields(args))
+    ontology = _load_ontology(args)
+    seeds = _load_seeds(args, ontology)
+    backend = _build_backend(args)
     dialogues, report = augment_corpus(
-        seeds, backend, None, ontology, cfg, passes=passes)
-    return _finish(args, dialogues, report, out_path, "augmented", "turns")
+        seeds, backend, None, ontology, cfg, passes=args.passes)
+    return _finish(args, dialogues, report, "augmented", "turns")
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    ontology = _load_ontology(args, config)
-    dataset = _load_corpus("--corpus", _setting(args, config, "corpus"), ontology, strict=False)
+    ontology = _load_ontology(args)
+    dataset = _load_corpus("--corpus", args.corpus, ontology, strict=False)
     stats = compute_stats(dataset.dialogues)
     if args.json:
         print(json.dumps(stats.to_json()))
@@ -283,10 +225,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    ontology = _load_ontology(args, config)
-    max_turns = int(_setting(args, config, "max_turns", 12))
-    dataset = _load_corpus("--corpus", _setting(args, config, "corpus"), ontology, strict=False)
+    ontology = _load_ontology(args)
+    max_turns = GenConfig(**_gen_fields(args)).max_turns
+    dataset = _load_corpus("--corpus", args.corpus, ontology, strict=False)
     violations = list(dataset.issues)
     warnings: list[str] = []
     for dlg in dataset:
@@ -329,26 +270,51 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an int >= 1, got {text!r}")
+    return int(text)
+
+
+def _json_type(build):
+    """An argparse type that decodes JSON and hands it to `build`; errors are usage errors."""
+    def parse(text: str):
+        try:
+            return build(json.loads(text))
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
+
+
+def _rs_distribution(rows) -> RsDistribution:
+    return RsDistribution(rows=tuple((int(n), int(lo), int(hi), float(p)) for n, lo, hi, p in rows))
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
+    parser.add_argument("--config", help="JSON object of this command's flags; flags override it")
     parser.add_argument("--ontology", help="ontology JSON (defaults to the bundled one)")
     parser.add_argument("--json", action="store_true", help="machine-readable stdout")
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=["live", "replay", "mock"])
+    parser.add_argument("--backend", choices=["live", "replay", "mock"], default="replay")
     parser.add_argument("--transcript", help="transcript file for the replay backend")
     parser.add_argument("--mock-script", dest="mock_script",
                         help="JSON array of completions for the mock backend")
     parser.add_argument("--endpoint", help="completions endpoint URL (live backend)")
     parser.add_argument("--model", help="model name (live backend)")
+    parser.add_argument("--context-budget", dest="context_budget", type=int,
+                        help="prompt plus max_tokens limit of the live backend, in tokens")
     parser.add_argument("--record", help="record all completions to this transcript file")
     parser.add_argument("--rng-seed", dest="rng_seed", type=int)
     parser.add_argument("--retries", type=int)
     parser.add_argument("--n-shots", dest="n_shots", type=int)
     parser.add_argument("--select-temperature", dest="select_temperature", type=float)
+    parser.add_argument("--max-slots-per-domain", dest="max_slots_per_domain", type=int)
+    parser.add_argument("--decode", type=_json_type(lambda values: DecodeConfig(**values)),
+                        help='JSON object of DecodeConfig fields, e.g. \'{"temperature": 0.9}\'')
     parser.add_argument("--seed-corpus", dest="seed_corpus")
-    parser.add_argument("--lenient", action="store_const", const=True, default=None,
+    parser.add_argument("--lenient", action="store_true",
                         help="drop invalid seed triplets instead of rejecting the file")
     parser.add_argument("--out")
 
@@ -359,32 +325,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Expand a seed set of annotated dialogues with LLM-simulated ones.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="simulate full annotated dialogues")
-    _add_common(p)
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # allow_abbrev=False: a misspelt config key must not prefix-match a flag
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        _add_common(p)
+        return p
+
+    p = command("simulate", "simulate full annotated dialogues")
     _add_backend_flags(p)
-    p.add_argument("--num", type=int, help="number of dialogues to simulate")
+    p.add_argument("--num", type=_positive_int, default=1, help="number of dialogues to simulate")
     p.add_argument("--strategy", choices=list(STRATEGIES))
     p.add_argument("--n-source-dialogues", dest="n_source_dialogues", type=int)
     p.add_argument("--drop-probability", dest="drop_probability", type=float)
+    p.add_argument("--max-domains", dest="max_domains", type=int)
+    p.add_argument("--rs-distribution", dest="rs_distribution", type=_json_type(_rs_distribution),
+                   help="JSON rows [domains, min slots, max slots, probability] for random goals")
     p.add_argument("--db-dir", dest="db_dir")
     p.add_argument("--max-turns", dest="max_turns", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_positive_int)
     p.add_argument("--trace", help="write per-turn revision traces to this JSONL file")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("augment-dst", help="generate turn-level state-tracking samples")
-    _add_common(p)
+    p = command("augment-dst", "generate turn-level state-tracking samples")
     _add_backend_flags(p)
-    p.add_argument("--passes", type=int, help="augmentation passes over the seed corpus")
+    p.add_argument("--passes", type=_positive_int, default=1,
+                   help="augmentation passes over the seed corpus")
     p.set_defaults(func=cmd_augment_dst)
 
-    p = sub.add_parser("stats", help="print corpus statistics")
-    _add_common(p)
+    p = command("stats", "print corpus statistics")
     p.add_argument("--corpus")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("validate", help="re-check corpus invariants")
-    _add_common(p)
+    p = command("validate", "re-check corpus invariants")
     p.add_argument("--corpus")
     p.add_argument("--max-turns", dest="max_turns", type=int)
     p.set_defaults(func=cmd_validate)
@@ -392,13 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # the file's flags go before the command line's, so a flag overrides the file
+            args = parser.parse_args([args.command, *_config_flags(args.config), *argv[1:]])
+        return args.func(args)
     except SystemExit as exc:  # argparse reports usage errors with exit code 2
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ConfigError, OSError, ValueError) as exc:
         _progress(f"error: {exc}")
         return EXIT_CONFIG

@@ -277,8 +277,13 @@ class DecodeConfig:
     max_tokens: int = 256
 
     def __post_init__(self):
+        if any(type(v) not in (int, float)
+               for v in (self.temperature, self.top_p, self.frequency_penalty)):
+            raise ValidationError("decode temperature, top_p and frequency_penalty must be numbers")
         if not 0 <= self.temperature <= 2 or not 0 <= self.top_p <= 2:
             raise ValidationError("decode temperature and top_p must be in [0, 2]")
+        if type(self.max_tokens) is not int or self.max_tokens < 1:
+            raise ValidationError(f"decode max_tokens must be an int >= 1, got {self.max_tokens!r}")
 
     @classmethod
     def nucleus(cls) -> "DecodeConfig":
@@ -306,3 +311,7 @@ class GenConfig:
             raise ValidationError("n_shots must be >= 1")
         if self.max_turns < 1:
             raise ValidationError("max_turns must be >= 1")
+        if self.max_domains < 1 or self.max_slots_per_domain < 1:
+            raise ValidationError("max_domains and max_slots_per_domain must be >= 1")
+        if self.retries < 0:
+            raise ValidationError("retries must be >= 0")

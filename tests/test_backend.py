@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -14,6 +15,7 @@ from dialogic.backend import (
     ReplayBackend,
     ServerError,
     UnknownPromptError,
+    _TokenBucket,
     apply_stop,
     prompt_digest,
     record_transcript,
@@ -255,3 +257,21 @@ def test_record_of_live_pipeline_replays(tmp_path):
     assert recorded.complete(req("the prompt")) == "recorded"
     replay = ReplayBackend(sink)
     assert replay.complete(req("the prompt")) == "recorded"
+
+
+@pytest.mark.parametrize("bad", [{"concurrency": 0}, {"requests_per_second": 0},
+                                 {"requests_per_second": -1.0}])
+def test_http_config_rejects_hanging_limits(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        HttpBackendConfig(endpoint="http://localhost:9/v1", model="m", **bad)
+    # the defaults alone construct: the benchmark reads the default context budget
+    assert HttpBackendConfig(endpoint="", model="").context_budget > 0
+
+
+def test_token_bucket_below_one_per_second_lets_a_request_through():
+    bucket = _TokenBucket(0.5)
+    bucket.last -= 2.0  # two seconds' worth of refill at 0.5/s
+    thread = threading.Thread(target=bucket.acquire, daemon=True)
+    thread.start()
+    thread.join(5.0)
+    assert not thread.is_alive()

@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -282,7 +283,7 @@ def test_retries_flag_leaves_http_retries_alone():
     args = build_parser().parse_args([
         "simulate", "--backend", "live", "--endpoint", "http://localhost:9/v1",
         "--model", "m", "--retries", "0"])
-    backend = _build_backend(args, {})
+    backend = _build_backend(args)
     assert backend.config.retries == HttpBackendConfig(endpoint="", model="").retries > 0
 
 
@@ -291,6 +292,8 @@ def test_retries_flag_leaves_http_retries_alone():
     # the same settings from a --config file
     {"trace": "t.jsonl"}, {"workers": 3}, {"max_turns": 2},
     {"trace": "t.jsonl", "workers": 3, "max_turns": 2},
+    # goal settings mean nothing to augment-dst, and a misspelt key is no flag
+    {"max_domains": 2}, {"strategy": "random"}, {"n_shot": 5},
 ])
 def test_simulate_only_flags_rejected_by_augment_dst(tmp_path, mock_script_file, capsys,
                                                      flag):
@@ -303,5 +306,72 @@ def test_simulate_only_flags_rejected_by_augment_dst(tmp_path, mock_script_file,
                  "--mock-script", mock_script_file, *flag])
     assert code == 2
     err = capsys.readouterr().err
-    assert "unrecognized arguments" in err or "only apply to simulate" in err
+    assert "unrecognized arguments" in err
     assert not (tmp_path / "x.json").exists()
+
+
+def main_within(argv, seconds=30.0) -> int:
+    """main(argv), failing instead of hanging when it has not returned within `seconds`."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(main(argv))
+        except BaseException as exc:  # re-raised in the test's own thread
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert outcome, f"main did not return within {seconds}s"
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
+
+
+LIVE = {"backend": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
+
+
+@pytest.mark.parametrize("setting, named", [
+    ({"n_shot": 5}, "--n-shot"),  # misspelt, and no prefix of --n-shots either
+    ({"out=y.json": "z"}, "out=y.json"),
+    ({"decode": 5}, "--decode"),
+    ({"decode": {"max_tokens": None}}, "max_tokens"),
+    ({"decode": {"temp": 0.5}}, "--decode"),
+    ({"n_shots": [2]}, "--n-shots"),
+    ({"rs_distribution": [[1, 2]]}, "--rs-distribution"),
+    ({"max_domains": 0, "strategy": "random"}, "max_domains"),
+    ({"max_slots_per_domain": 0}, "max_slots_per_domain"),
+    ({**LIVE, "workers": 0}, "--workers"),
+    (["--retries", "-1"], "retries"),
+    ({"mock_script": "ints.json"}, "--mock-script"),
+])
+def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_file, capsys,
+                                          setting, named):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "ints.json", [1, 2])
+    config = {"seed_corpus": SEED_CORPUS_PATH, "out": "x.json",
+              "backend": "mock", "mock_script": mock_script_file}
+    flags = setting if isinstance(setting, list) else []
+    if isinstance(setting, dict):
+        config.update(setting)
+    code = main_within(["simulate", "--config", write_json(tmp_path / "c.json", config), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_config_file_and_flags_write_identical_corpora(tmp_path, mock_script_file, capsys):
+    assert main(simulate_args(tmp_path, out_name="flags.json", backend="mock",
+                              mock_script=mock_script_file, n_shots=1,
+                              select_temperature=0.5)) == 0
+    config = write_json(tmp_path / "run.json", {
+        "seed-corpus": SEED_CORPUS_PATH, "out": str(tmp_path / "config.json"),
+        "rng_seed": 7, "num": 3, "strategy": "combination", "backend": "mock",
+        "mock-script": mock_script_file, "n_shots": 1, "select-temperature": 0.5,
+        "lenient": False, "trace": None, "json": True,
+    })
+    assert main(["simulate", "--config", config]) == 0
+    assert (tmp_path / "config.json").read_bytes() == (tmp_path / "flags.json").read_bytes()

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialogic.model import (
+    DecodeConfig,
     DialogAct,
     DbResult,
     GenConfig,
@@ -108,6 +109,20 @@ def test_gen_config_invariants():
         GenConfig(n_shots=0)
     with pytest.raises(ValidationError):
         GenConfig(max_turns=0)
+    for bad in ({"retries": -1}, {"max_domains": 0}, {"max_slots_per_domain": 0}):
+        with pytest.raises(ValidationError):
+            GenConfig(**bad)
+    assert GenConfig(retries=0).retries == 0
     assert GenConfig().max_turns == 12
     assert GenConfig().decode.temperature == 0.7
     assert GenConfig().decode.frequency_penalty == 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_tokens", 0), ("max_tokens", -5), ("max_tokens", None), ("max_tokens", 1.5),
+    ("max_tokens", True), ("max_tokens", "256"),
+    ("temperature", True), ("top_p", None), ("frequency_penalty", "x"),
+])
+def test_decode_config_rejects_bad_values(field, value):
+    with pytest.raises(ValidationError, match=field):
+        DecodeConfig(**{field: value})
