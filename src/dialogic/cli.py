@@ -130,6 +130,8 @@ def _build_backend(args) -> CompletionBackend:
         backend = HttpCompletionBackend(HttpBackendConfig(
             endpoint=args.endpoint, model=args.model,
             **_given(args, concurrency="workers", context_budget="context_budget")))
+    if args.context_budget is not None:
+        backend.context_budget = args.context_budget
     if args.record:
         backend = record_transcript(backend, args.record)
     return backend
@@ -303,8 +305,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON array of completions for the mock backend")
     parser.add_argument("--endpoint", help="completions endpoint URL (live backend)")
     parser.add_argument("--model", help="model name (live backend)")
-    parser.add_argument("--context-budget", dest="context_budget", type=int,
-                        help="prompt plus max_tokens limit of the live backend, in tokens")
+    parser.add_argument("--context-budget", dest="context_budget", type=_positive_int,
+                        help="prompt plus max_tokens limit in tokens, for any backend")
     parser.add_argument("--record", help="record all completions to this transcript file")
     parser.add_argument("--rng-seed", dest="rng_seed", type=int)
     parser.add_argument("--retries", type=int)

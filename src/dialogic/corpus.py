@@ -23,7 +23,7 @@ from .model import (
     TurnBelief,
     UserGoal,
 )
-from .ontology import GENERAL_DOMAIN, NONE, Ontology
+from .ontology import NONE, Ontology
 from .textnorm import normalize_text
 
 
@@ -218,41 +218,22 @@ def _validate_dialogue(dlg: Dialogue, ontology: Ontology, strict: bool,
                        issues: list[str]) -> None:
     """Check every triple against the ontology; strict mode raises, lenient drops."""
 
-    def handle(problems: list[str], where: str) -> None:
-        for problem in problems:
-            message = f"{dlg.id} {where}: {problem}"
-            if strict:
-                raise CorpusError(message)
-            issues.append(message)
+    def admit(annotation, where: str):
+        problems = annotation.validate(ontology)
+        if not problems:
+            return annotation
+        if strict:
+            raise CorpusError(f"{dlg.id} {where}: {problems[0]}")
+        issues.extend(f"{dlg.id} {where}: {problem}" for problem in problems)
+        return annotation.admitted(ontology)
 
-    def drop_invalid(tmap) -> None:
-        for domain in list(tmap.entries):
-            if not ontology.has_domain(domain):
-                del tmap.entries[domain]
-                continue
-            slots = tmap.entries[domain]
-            for slot in list(slots):
-                if domain == GENERAL_DOMAIN or not ontology.is_informable(domain, slot):
-                    del slots[slot]
-
-    handle(dlg.final_goal.validate(ontology), "goal")
-    if dlg.initial_goal is not dlg.final_goal:
-        handle(dlg.initial_goal.validate(ontology), "initial_goal")
-    if not strict:
-        drop_invalid(dlg.final_goal)
-        drop_invalid(dlg.initial_goal)
+    shared_goal = dlg.initial_goal is dlg.final_goal
+    dlg.final_goal = admit(dlg.final_goal, "goal")
+    dlg.initial_goal = (dlg.final_goal if shared_goal
+                        else admit(dlg.initial_goal, "initial_goal"))
     for i, turn in enumerate(dlg.turns):
-        handle(turn.belief.validate(ontology), f"turns[{i}].belief")
-        handle(turn.act.validate(ontology), f"turns[{i}].act")
-        if not strict:
-            drop_invalid(turn.belief)
-            kept = tuple(
-                t for t in turn.act.triples
-                if ontology.has_domain(t[0])
-                and ontology.act_permitted(t[0], t[1])
-                and ontology.act_slot_permitted(t[0], t[2])
-            )
-            turn.act = DialogAct(kept)
+        turn.belief = admit(turn.belief, f"turns[{i}].belief")
+        turn.act = admit(turn.act, f"turns[{i}].act")
 
 
 def load_seed_corpus(path: str | Path, ontology: Ontology, *, strict: bool = True) -> SeedDataset:

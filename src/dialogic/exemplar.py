@@ -44,10 +44,6 @@ class ParseError(ValueError):
         self.column = column
 
 
-class PromptTooLong(ValueError):
-    """Estimated prompt length exceeds the backend context budget."""
-
-
 # ---------------------------------------------------------------------------
 # similarity and selection
 # ---------------------------------------------------------------------------
@@ -314,8 +310,7 @@ def estimate_tokens(text: str) -> int:
 
 
 def build_prompt(task_desc: str, examples: list[Dialogue], target_goal: UserGoal,
-                 *, ontology: Ontology | None = None,
-                 context_budget: int | None = None) -> str:
+                 *, ontology: Ontology | None = None) -> str:
     """Task description, numbered demonstrations, then the incomplete target entry."""
     if not examples:
         raise ValueError("at least one in-context example is required")
@@ -326,8 +321,4 @@ def build_prompt(task_desc: str, examples: list[Dialogue], target_goal: UserGoal
     blocks.append(
         f"Instruction{n}: {instruction_sentence(target_goal, ontology)}\nConversation{n}:"
     )
-    prompt = "\n\n".join(blocks) + "\n"
-    if context_budget is not None and estimate_tokens(prompt) > context_budget:
-        raise PromptTooLong(
-            f"prompt of ~{estimate_tokens(prompt)} tokens exceeds budget {context_budget}")
-    return prompt
+    return "\n\n".join(blocks) + "\n"

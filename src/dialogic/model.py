@@ -35,13 +35,6 @@ class TripletMap:
         }
 
     @classmethod
-    def from_triples(cls, triples: Iterable[Triple]):
-        obj = cls()
-        for domain, slot, value in triples:
-            obj.set(domain, slot, value)
-        return obj
-
-    @classmethod
     def from_dict(cls, data: dict[str, dict[str, str]]):
         """Build from plain JSON data, folding slot aliases to canonical names."""
         obj = cls()
@@ -91,19 +84,44 @@ class TripletMap:
     def copy(self):
         return type(self)(self.entries)
 
-    def validate(self, ontology: Ontology) -> list[str]:
-        """Return a list of violation messages (empty when ontology-valid)."""
-        problems = []
+    def _inadmissible(self, ontology: Ontology) -> Iterator[tuple[str, str | None, str]]:
+        """(domain, slot, why) per entry the ontology does not admit.
+
+        An unknown domain goes whole (slot None); so do a slot under `general`
+        and a non-informable slot. A known domain's domain-only mention stays.
+        """
         for domain, slots in self.entries.items():
             if not ontology.has_domain(domain):
-                problems.append(f"unknown domain {domain!r}")
+                yield domain, None, f"unknown domain {domain!r}"
                 continue
             for slot in slots:
                 if domain == GENERAL_DOMAIN:
-                    problems.append(f"general domain carries slot {slot!r}")
+                    yield domain, slot, f"general domain carries slot {slot!r}"
                 elif not ontology.is_informable(domain, slot):
-                    problems.append(f"{domain}.{slot} is not an informable slot")
-        return problems
+                    yield domain, slot, f"{domain}.{slot} is not an informable slot"
+
+    def validate(self, ontology: Ontology) -> list[str]:
+        """Return a list of violation messages (empty when ontology-valid)."""
+        return [why for _, _, why in self._inadmissible(ontology)]
+
+    def admitted(self, ontology: Ontology):
+        """A copy without the entries `validate` names."""
+        kept = self.copy()
+        for domain, slot, _ in self._inadmissible(ontology):
+            if slot is None:
+                del kept.entries[domain]
+            else:
+                del kept.entries[domain][slot]
+        return kept
+
+    def fold(self, belief: "TripletMap") -> None:
+        """Write `belief`'s slot values over this map's, in order.
+
+        Domain-only mentions and `general` entries contribute nothing.
+        """
+        for domain, slots in belief.entries.items():
+            if slots and domain != GENERAL_DOMAIN:
+                self.entries.setdefault(domain, {}).update(slots)
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self.triples())
@@ -137,10 +155,7 @@ def accumulate_state(turn_beliefs: Iterable[TurnBelief]) -> DialogueState:
     """
     state = DialogueState()
     for belief in turn_beliefs:
-        for domain, slot, value in belief.triples():
-            if domain == GENERAL_DOMAIN or slot == NONE:
-                continue
-            state.set(domain, slot, value)
+        state.fold(belief)
     return state
 
 
@@ -159,12 +174,6 @@ class DialogAct:
         )
         return cls(norm)
 
-    def domains(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for d, _, _ in self.triples:
-            seen.setdefault(d, None)
-        return list(seen)
-
     def has(self, act_type: str, domain: str | None = None) -> bool:
         return any(
             t == act_type and (domain is None or d == domain)
@@ -181,16 +190,24 @@ class DialogAct:
         return [[d, t, s] for d, t, s in self.triples]
 
     def validate(self, ontology: Ontology) -> list[str]:
-        problems = []
-        for domain, act_type, slot in self.triples:
-            if not ontology.has_domain(domain):
-                problems.append(f"unknown domain {domain!r}")
-                continue
-            if not ontology.act_permitted(domain, act_type):
-                problems.append(f"act {act_type!r} not permitted in domain {domain!r}")
-            if not ontology.act_slot_permitted(domain, slot):
-                problems.append(f"slot {slot!r} not permitted in acts of domain {domain!r}")
-        return problems
+        """Return a list of violation messages (empty when ontology-valid)."""
+        return [why for triple in self.triples for why in _act_problems(ontology, *triple)]
+
+    def admitted(self, ontology: Ontology) -> "DialogAct":
+        """A copy without the triples `validate` names."""
+        return DialogAct(tuple(t for t in self.triples if not _act_problems(ontology, *t)))
+
+
+def _act_problems(ontology: Ontology, domain: str, act_type: str, slot: str) -> list[str]:
+    """Why the ontology does not admit one act triple; empty when it does."""
+    if not ontology.has_domain(domain):
+        return [f"unknown domain {domain!r}"]
+    problems = []
+    if not ontology.act_permitted(domain, act_type):
+        problems.append(f"act {act_type!r} not permitted in domain {domain!r}")
+    if not ontology.act_slot_permitted(domain, slot):
+        problems.append(f"slot {slot!r} not permitted in acts of domain {domain!r}")
+    return problems
 
 
 DB_BUCKETS = ("db_0", "db_1", "db_2", "db_3", "db_nores")

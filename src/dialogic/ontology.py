@@ -110,7 +110,7 @@ class Ontology:
         return self.schema(domain).informable.get(slot, ())
 
     def is_informable(self, domain: str, slot: str) -> bool:
-        return slot in self.schema(domain).informable
+        return self.has_domain(domain) and slot in self.domains[domain].informable
 
     def act_permitted(self, domain: str, act_type: str) -> bool:
         return self.has_domain(domain) and act_type in self.domains[domain].acts

@@ -133,11 +133,7 @@ def revise_belief(gpt: TurnBelief, context: list[Turn], utterance: str,
     """B = filter(merge(B_llm, B_aux)); reports fixes and drops."""
     aux_belief = aux.predict_belief(context, utterance) if aux is not None else TurnBelief()
     if aux_belief.validate(ontology):
-        cleaned = TurnBelief()
-        for domain, slot, value in aux_belief.triples():
-            if slot != NONE and ontology.has_domain(domain) and ontology.is_informable(domain, slot):
-                cleaned.set(domain, slot, value)
-        aux_belief = cleaned
+        aux_belief = aux_belief.admitted(ontology)
     merged = merge_beliefs(gpt, aux_belief)
     final, dropped = _filter_with_drops(merged, utterance)
     fixes = tuple(
@@ -316,7 +312,7 @@ class LexicalAuxPredictor(AuxPredictor):
         if seeds is not None:
             values += [(domain, slot, value)
                        for (domain, slot), observed in seeds.observed_values().items()
-                       if ontology.has_domain(domain) and ontology.is_informable(domain, slot)
+                       if ontology.is_informable(domain, slot)
                        for value in observed]
         phrase_of = cache(_lexicon_phrase)  # values recur across slots and seeds: tokenise once
         self._lexicon: dict[tuple[str, ...], list[Triple]] = {}
@@ -351,7 +347,7 @@ class LexicalAuxPredictor(AuxPredictor):
 
     def _first_with_slot(self, domains: list[str], slot: str) -> str | None:
         for domain in domains:
-            if self.ontology.has_domain(domain) and self.ontology.is_informable(domain, slot):
+            if self.ontology.is_informable(domain, slot):
                 return domain
         return None
 
@@ -440,7 +436,7 @@ class LexicalAuxPredictor(AuxPredictor):
         # dontcare answers attach to the slots the system just requested
         if dontcare_expressed(view) and context:
             for domain, slot in context[-1].act.slots_of("request"):
-                if self.ontology.has_domain(domain) and self.ontology.is_informable(domain, slot):
+                if self.ontology.is_informable(domain, slot):
                     emit(domain, slot, "dontcare")
         return belief
 

@@ -19,7 +19,6 @@ from .database import EntityDb
 from .exemplar import (
     DEFAULT_TASK_DESCRIPTION,
     ParseError,
-    PromptTooLong,
     _article,
     build_prompt,
     estimate_tokens,
@@ -135,12 +134,7 @@ class SimulationRun:
         self._mentioned: set[str] = set()
         examples, self.selection = select_examples(
             goal, seeds, cfg.n_shots, cfg.select_temperature, rng)
-        try:
-            self.prompt = build_prompt(
-                task_description, examples, goal, ontology=ontology,
-                context_budget=backend.context_budget)
-        except PromptTooLong as exc:
-            raise SimulationError(str(exc), kind="prompt_too_long") from exc
+        self.prompt = build_prompt(task_description, examples, goal, ontology=ontology)
 
     def _complete_line(self, prefix: str, stop: tuple[str, ...], parser):
         last: Exception | None = None
@@ -164,13 +158,6 @@ class SimulationRun:
 
     # -- the turn loop -------------------------------------------------------
 
-    def _update_goal_drift(self, belief: TurnBelief) -> None:
-        for domain, slot, value in belief.triples():
-            if domain == GENERAL_DOMAIN or slot == NONE:
-                continue
-            if self.final_goal.get(domain, slot) != value:
-                self.final_goal.set(domain, slot, value)
-
     def _query_db(self, belief: TurnBelief, state) -> DbResult:
         task = belief.task_domains()
         if task:
@@ -186,7 +173,7 @@ class SimulationRun:
         raw_belief, utterance = self._complete_line("User(", USER_STOPS, parse_user_line)
         belief, report = revise_belief(raw_belief, self.turns, utterance, self.aux, self.ontology)
         self.prompt += format_user_line(belief, utterance) + "\n"
-        self._update_goal_drift(belief)
+        self.final_goal.fold(belief)
         self._mentioned.update(belief.domains())
         state = accumulate_state([t.belief for t in self.turns] + [belief])
         db_result = self._query_db(belief, state)
@@ -451,9 +438,7 @@ def augment_dst_turn(spec: DstAugSpec, seeds: SeedDataset, backend: CompletionBa
                 user_utterance=utterance, belief=spec.belief, db=NO_RESULT,
                 act=DialogAct(), system_response="")
             final_goal = spec.source.final_goal.copy()
-            for d, s, v in spec.belief.triples():
-                if s != NONE:
-                    final_goal.set(d, s, v)
+            final_goal.fold(spec.belief)
             return Dialogue(
                 id=dialogue_id or f"{spec.source.id}-dst{spec.turn_idx}",
                 initial_goal=spec.source.initial_goal,

@@ -84,6 +84,14 @@ def test_simulate_backend_failure_exit_code(tmp_path):
     assert code == 3
 
 
+def test_context_budget_applies_to_mock_backend(tmp_path, mock_script_file, capsys):
+    code = main(simulate_args(tmp_path, backend="mock", mock_script=mock_script_file,
+                              context_budget=10, num=2))
+    assert code == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == {"prompt_too_long": 2}
+
+
 def test_simulate_config_file_with_flag_override(tmp_path, mock_script_file, capsys):
     config = write_json(tmp_path / "cfg.json", {
         "seed_corpus": SEED_CORPUS_PATH,
@@ -343,6 +351,7 @@ LIVE = {"backend": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
     ({"max_domains": 0, "strategy": "random"}, "max_domains"),
     ({"max_slots_per_domain": 0}, "max_slots_per_domain"),
     ({**LIVE, "workers": 0}, "--workers"),
+    ({"context_budget": 0}, "--context-budget"),
     (["--retries", "-1"], "retries"),
     ({"mock_script": "ints.json"}, "--mock-script"),
 ])

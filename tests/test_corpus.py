@@ -69,6 +69,30 @@ def test_lenient_mode_drops_and_reports(tmp_path, ontology):
     assert any("hotel.color" in issue for issue in dataset.issues)
 
 
+def test_lenient_mode_admits_per_triple(tmp_path, ontology):
+    payload = {"dialogues": [{
+        "id": "mixed", "goal": {"spaceship": {"x": "y"}, "train": {}, "hotel": {"area": "south"}},
+        "turns": [{"user": "a hotel in the south",
+                   "belief": {"general": {"area": "south"}, "hotel": {}, "spaceship": {}},
+                   "act": [["spaceship", "inform", "none"], ["hotel", "request", "area"],
+                           ["hotel", "request", "color"]], "resp": "ok",
+                   "db": {"domain": "general", "count": 0, "bucket": "db_nores"}}],
+    }]}
+    dataset = load_seed_corpus(write_corpus(tmp_path, payload), ontology, strict=False)
+    dlg = dataset.dialogues[0]
+    assert dlg.final_goal.to_dict() == {"train": {}, "hotel": {"area": "south"}}
+    assert dlg.initial_goal is dlg.final_goal
+    assert dlg.turns[0].belief.to_dict() == {"general": {}, "hotel": {}}
+    assert dlg.turns[0].act.to_json() == [["hotel", "request", "area"]]
+    assert dataset.issues == [
+        "mixed goal: unknown domain 'spaceship'",
+        "mixed turns[0].belief: general domain carries slot 'area'",
+        "mixed turns[0].belief: unknown domain 'spaceship'",
+        "mixed turns[0].act: unknown domain 'spaceship'",
+        "mixed turns[0].act: slot 'color' not permitted in acts of domain 'hotel'",
+    ]
+
+
 def test_save_load_empty_round_trip(tmp_path, ontology):
     out = tmp_path / "empty.json"
     save_corpus([], out)

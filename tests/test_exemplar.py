@@ -10,7 +10,6 @@ from dialogic.exemplar import (
     BOOKING_REMINDER,
     DEFAULT_TASK_DESCRIPTION,
     ParseError,
-    PromptTooLong,
     build_prompt,
     goal_similarity,
     instruction_sentence,
@@ -523,12 +522,6 @@ def test_build_prompt_reference(ontology, seeds, trace_goal):
 def test_build_prompt_numbering_single_example(ontology, seeds, trace_goal):
     prompt = build_prompt("task", [seeds.get("SNG0955")], trace_goal, ontology=ontology)
     assert prompt.rstrip().endswith("Conversation2:")
-
-
-def test_build_prompt_budget(ontology, seeds, trace_goal):
-    with pytest.raises(PromptTooLong):
-        build_prompt("task", [seeds.get("PMUL1576")], trace_goal,
-                     ontology=ontology, context_budget=10)
 
 
 def test_build_prompt_needs_examples(trace_goal):

@@ -37,6 +37,7 @@ def test_default_ontology_shape(ontology):
     assert not ontology.queryable("taxi")
     assert ontology.is_informable("hotel", "stay")
     assert not ontology.is_informable("hotel", "reference")
+    assert not ontology.is_informable("spaceship", "area")
     assert ontology.act_permitted("hotel", "nobook")
     assert not ontology.act_permitted("taxi", "offerbook")
     assert ontology.act_permitted("general", "bye")

@@ -157,6 +157,29 @@ def test_revise_dontcare_degeneration(ontology, aux):
     assert report.de_generation_fixes == (("hotel", "area", "dontcare"),)
 
 
+class ReplyAux(revision.AuxPredictor):
+    """An external aux model's belief reply, read as the wire adapter reads it."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def predict_belief(self, context, utterance):
+        return TurnBelief.from_dict(self.reply)
+
+
+def test_revise_admits_aux_reply_per_triple(ontology):
+    utterance = "a hotel , and a restaurant in the south ."
+    valid = {"hotel": {}, "restaurant": {"area": "south"}}
+    for reply, admitted in [
+            (valid, valid),
+            ({**valid, "spaceship": {"x": "y"}}, valid),
+            ({**valid, "general": {"area": "south"}, "taxi": {"color": "red"}},
+             {**valid, "general": {}, "taxi": {}})]:
+        out, report = revise_belief(TurnBelief(), [], utterance, ReplyAux(reply), ontology)
+        assert report.aux_belief.to_dict() == admitted
+        assert out.to_dict() == admitted
+
+
 def test_revise_output_is_filter_fixpoint(ontology, aux):
     rng = make_rng(12)
     utterances = [

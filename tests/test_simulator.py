@@ -162,9 +162,10 @@ def test_simulation_error_on_exhausted_backend(seeds, aux, entity_db, ontology):
 def test_prompt_budget_enforced(seeds, aux, entity_db, ontology):
     backend = looping_mock()
     backend.context_budget = 50
+    run = SimulationRun(simple_goal(), seeds, backend, aux, entity_db, ontology,
+                        GenConfig(), make_rng(0))
     with pytest.raises(SimulationError) as err:
-        SimulationRun(simple_goal(), seeds, backend, aux, entity_db, ontology,
-                      GenConfig(), make_rng(0))
+        run.run()
     assert err.value.kind == "prompt_too_long"
 
 
