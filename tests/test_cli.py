@@ -351,9 +351,9 @@ LIVE = {"backend": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
     ({"max_domains": 0, "strategy": "random"}, "max_domains"),
     ({"max_slots_per_domain": 0}, "max_slots_per_domain"),
     ({**LIVE, "workers": 0}, "--workers"),
-    ({"context_budget": 0}, "--context-budget"),
     (["--retries", "-1"], "retries"),
     ({"mock_script": "ints.json"}, "--mock-script"),
+    ({"context_budget": 0}, "--context-budget"),
 ])
 def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_file, capsys,
                                           setting, named):
