@@ -207,30 +207,6 @@ def record_transcript(backend: CompletionBackend, sink: str | Path) -> Recording
     return RecordingBackend(backend, sink)
 
 
-class _TokenBucket:
-    """Thread-safe limiter: at most `rate` acquisitions per second, and at least
-    one token of capacity, so a rate below 1/s lets one through every 1/rate s."""
-
-    def __init__(self, rate: float):
-        self.rate = rate
-        self.capacity = max(rate, 1.0)
-        self.allowance = rate
-        self.last = time.monotonic()
-        self._lock = threading.Lock()
-
-    def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self.allowance = min(self.capacity, self.allowance + (now - self.last) * self.rate)
-                self.last = now
-                if self.allowance >= 1.0:
-                    self.allowance -= 1.0
-                    return
-                wait = (1.0 - self.allowance) / self.rate
-            time.sleep(wait)
-
-
 @dataclass
 class HttpBackendConfig:
     endpoint: str
@@ -239,15 +215,12 @@ class HttpBackendConfig:
     timeout: float = 60.0
     retries: int = 3
     concurrency: int = 4
-    requests_per_second: float = 4.0
     context_budget: int = 4096
     extra_headers: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
-        if self.requests_per_second <= 0:
-            raise ValueError(f"requests_per_second must be > 0, got {self.requests_per_second}")
 
 
 def _retry_after(response) -> int | None:
@@ -257,7 +230,11 @@ def _retry_after(response) -> int | None:
 
 
 class HttpCompletionBackend(CompletionBackend):
-    """POST to an OpenAI-compatible completions endpoint with retry/backoff."""
+    """POST to an OpenAI-compatible completions endpoint with retry/backoff.
+
+    `config.concurrency` requests are in flight at most; the server sets the
+    pace with 429/503 and `Retry-After`.
+    """
 
     name = "live"
 
@@ -266,7 +243,6 @@ class HttpCompletionBackend(CompletionBackend):
         self.concurrency = config.concurrency
         self.context_budget = config.context_budget
         self._session = session or requests.Session()
-        self._bucket = _TokenBucket(config.requests_per_second)
         self._slots = threading.Semaphore(config.concurrency)
 
     def _headers(self) -> dict[str, str]:
@@ -308,7 +284,6 @@ class HttpCompletionBackend(CompletionBackend):
         with self._slots:
             delay = 0.5
             for attempt in range(self.config.retries + 1):
-                self._bucket.acquire()
                 try:
                     return self._post_once(req)
                 except (RateLimitedError, ServerError, BackendTimeout) as exc:

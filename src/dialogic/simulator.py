@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .backend import BackendError, CompletionBackend, CompletionRequest
+from .backend import BackendError, CompletionBackend, CompletionRequest, ContextLengthExceeded
 from .corpus import SeedDataset
 from .database import EntityDb
 from .exemplar import (
@@ -106,6 +106,8 @@ def _request_completion(backend: CompletionBackend, cfg: GenConfig, prompt: str,
         top_p=decode.top_p, frequency_penalty=decode.frequency_penalty, stop=stop)
     try:
         return backend.complete(request)
+    except ContextLengthExceeded as exc:  # the server's own budget check
+        raise SimulationError(str(exc), kind="prompt_too_long") from exc
     except BackendError as exc:
         raise SimulationError(str(exc), kind="backend_error") from exc
 

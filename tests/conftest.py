@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
 
 import pytest
@@ -126,6 +129,62 @@ def trace_transcript(tmp_path_factory, seeds, aux, entity_db, ontology):
 @pytest.fixture()
 def trace_replay(trace_transcript):
     return ReplayBackend(trace_transcript)
+
+
+class _LoopbackServer(ThreadingHTTPServer):
+    daemon_threads = True
+    # the default backlog of 5 can drop a SYN when 16 clients connect at once,
+    # and the dropped client stalls about a second before it resends
+    request_queue_size = 64
+
+
+@pytest.fixture()
+def loopback():
+    """`loopback(answer)` serves JSON POSTs on 127.0.0.1 and returns the base URL.
+
+    `answer(body, headers)` gets each request's decoded JSON body and headers
+    and returns `(status, reply, extra_headers)`; the reply is sent as JSON over
+    a keep-alive connection. Every server started is shut down after the test.
+    """
+    servers = []
+
+    def serve(answer) -> str:
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                status, reply, extra_headers = answer(body, self.headers)
+                payload = json.dumps(reply).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                for name, value in extra_headers.items():
+                    self.send_header(name, value)
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        server = _LoopbackServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                                  daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return f"http://127.0.0.1:{server.server_port}"
+
+    yield serve
+    for server, thread in servers:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+
+
+def completion_reply(text: str) -> tuple[int, dict, dict]:
+    """A 200 answer in the OpenAI completions shape, for `loopback` handlers."""
+    return 200, {"choices": [{"text": text}]}, {}
 
 
 def make_rng(seed: int = 0) -> random.Random:

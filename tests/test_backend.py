@@ -1,9 +1,12 @@
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import requests
 
 from dialogic.backend import (
+    API_KEY_ENV,
     BackendError,
     BackendTimeout,
     CompletionRequest,
@@ -15,11 +18,12 @@ from dialogic.backend import (
     ReplayBackend,
     ServerError,
     UnknownPromptError,
-    _TokenBucket,
     apply_stop,
     prompt_digest,
     record_transcript,
 )
+
+from .conftest import completion_reply
 
 
 def req(prompt="hello", stop=()):
@@ -158,9 +162,8 @@ class _FakeSession:
 
 
 def _live(responses, retries=2):
-    config = HttpBackendConfig(
-        endpoint="https://api.example/v1/completions", model="m", api_key="k",
-        retries=retries, requests_per_second=10000.0)
+    config = HttpBackendConfig(endpoint="https://api.example/v1/completions", model="m",
+                               api_key="k", retries=retries)
     return HttpCompletionBackend(config, session=_FakeSession(responses)), responses
 
 
@@ -259,8 +262,7 @@ def test_record_of_live_pipeline_replays(tmp_path):
     assert replay.complete(req("the prompt")) == "recorded"
 
 
-@pytest.mark.parametrize("bad", [{"concurrency": 0}, {"requests_per_second": 0},
-                                 {"requests_per_second": -1.0}])
+@pytest.mark.parametrize("bad", [{"concurrency": 0}])
 def test_http_config_rejects_hanging_limits(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         HttpBackendConfig(endpoint="http://localhost:9/v1", model="m", **bad)
@@ -268,10 +270,56 @@ def test_http_config_rejects_hanging_limits(bad):
     assert HttpBackendConfig(endpoint="", model="").context_budget > 0
 
 
-def test_token_bucket_below_one_per_second_lets_a_request_through():
-    bucket = _TokenBucket(0.5)
-    bucket.last -= 2.0  # two seconds' worth of refill at 0.5/s
-    thread = threading.Thread(target=bucket.acquire, daemon=True)
-    thread.start()
-    thread.join(5.0)
-    assert not thread.is_alive()
+# -- the live backend through a loopback socket ---------------------------------
+
+def test_live_wire_format_over_socket(loopback, monkeypatch):
+    monkeypatch.setenv(API_KEY_ENV, "secret")
+    seen = []
+
+    def answer(body, headers):
+        seen.append((body, headers["Authorization"]))
+        return completion_reply(" done \nUser next")
+
+    url = loopback(answer)
+    with requests.Session() as session:
+        backend = HttpCompletionBackend(
+            HttpBackendConfig(endpoint=f"{url}/v1/completions", model="m"), session=session)
+        request = CompletionRequest(prompt="p", max_tokens=9, stop=("\nUser",))
+        assert backend.complete(request) == " done"
+    assert seen == [({"model": "m", "prompt": "p", **request.params()}, "Bearer secret")]
+
+
+def test_live_retry_after_over_socket(loopback):
+    answers = [(429, {"error": "slow down"}, {"Retry-After": "0"}), completion_reply("ok")]
+    seen = []
+
+    def answer(body, headers):
+        seen.append(body)
+        return answers[len(seen) - 1]
+
+    url = loopback(answer)
+    with requests.Session() as session:
+        backend = HttpCompletionBackend(
+            HttpBackendConfig(endpoint=f"{url}/v1/completions", model="m"), session=session)
+        assert backend.complete(req()) == "ok"
+    assert len(seen) == 2
+
+
+def test_live_concurrency_is_the_only_client_bound(loopback):
+    # every request is answered only once all 16 are in flight at the server
+    barrier = threading.Barrier(16, timeout=1.5)
+
+    def answer(body, headers):
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            return 400, {"error": "fewer than 16 requests in flight"}, {}
+        return completion_reply("ok")
+
+    url = loopback(answer)
+    with requests.Session() as session:
+        backend = HttpCompletionBackend(HttpBackendConfig(
+            endpoint=f"{url}/v1/completions", model="m", concurrency=16), session=session)
+        with ThreadPoolExecutor(16) as pool:
+            texts = list(pool.map(backend.complete, [req(f"p{i}") for i in range(16)]))
+    assert texts == ["ok"] * 16

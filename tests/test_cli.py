@@ -6,7 +6,7 @@ import pytest
 
 from dialogic.cli import main
 
-from .conftest import SEED_CORPUS_PATH
+from .conftest import SEED_CORPUS_PATH, completion_reply
 
 BYE_SCRIPT = [
     "[general]): hello , that is all .",
@@ -259,6 +259,23 @@ def test_no_network_under_replay_or_mock(tmp_path, monkeypatch, mock_script_file
                               record=str(transcript))) == 0
     assert main(simulate_args(tmp_path, out_name="r.json", backend="replay",
                               transcript=str(transcript))) == 0
+
+
+def test_simulate_live_backend_over_socket(tmp_path, loopback, capsys):
+    def answer(body, headers):
+        user_turn = "\nAssistant" in body["stop"]
+        return completion_reply(BYE_SCRIPT[0] if user_turn else BYE_SCRIPT[1])
+
+    url = loopback(answer)
+    out = tmp_path / "live.json"
+    code = main_within([
+        "simulate", "--seed-corpus", SEED_CORPUS_PATH, "--out", str(out),
+        "--backend", "live", "--endpoint", f"{url}/v1/completions", "--model", "m",
+        "--workers", "4", "--num", "4", "--rng-seed", "7"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["succeeded"] == 4
+    assert len(json.loads(out.read_text())["dialogues"]) == 4
+    assert main(["validate", "--corpus", str(out)]) == 0
 
 
 def test_trace_file_written(tmp_path, mock_script_file):

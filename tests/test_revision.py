@@ -471,42 +471,16 @@ def test_subprocess_adapter_read_deadline(monkeypatch):
         adapter.close()
 
 
-def test_http_adapter_round_trip():
-    import http.server
-    import threading
-
+def test_http_adapter_round_trip(loopback):
     from dialogic.revision import HttpAuxPredictor
 
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_POST(self):
-            import json as _json
+    def answer(request, headers):
+        if "belief" in request:
+            return 200, {"act": [["hotel", "nooffer", "none"]]}, {}
+        return 200, {"belief": {"hotel": {"area": "north"}}}, {}
 
-            length = int(self.headers["Content-Length"])
-            request = _json.loads(self.rfile.read(length))
-            if "belief" in request:
-                reply = {"act": [["hotel", "nooffer", "none"]]}
-            else:
-                reply = {"belief": {"hotel": {"area": "north"}}}
-            body = _json.dumps(reply).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        adapter = HttpAuxPredictor(f"http://127.0.0.1:{server.server_port}/aux")
-        out = adapter.predict_belief([], "somewhere in the north")
-        assert out.to_dict() == {"hotel": {"area": "north"}}
-        act = adapter.predict_act([], "x", belief({"hotel": {"area": "north"}}), NO_RESULT)
-        assert act.triples == (("hotel", "nooffer", "none"),)
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
+    adapter = HttpAuxPredictor(f"{loopback(answer)}/aux")
+    out = adapter.predict_belief([], "somewhere in the north")
+    assert out.to_dict() == {"hotel": {"area": "north"}}
+    act = adapter.predict_act([], "x", belief({"hotel": {"area": "north"}}), NO_RESULT)
+    assert act.triples == (("hotel", "nooffer", "none"),)

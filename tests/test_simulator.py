@@ -4,7 +4,7 @@ import time
 import pytest
 
 from dialogic import revision
-from dialogic.backend import MockBackend
+from dialogic.backend import ContextLengthExceeded, MockBackend
 from dialogic.exemplar import parse_system_line, parse_user_line
 from dialogic.goals import GoalStrategy
 from dialogic.model import DialogAct, GenConfig, NO_RESULT, Turn, TurnBelief, UserGoal
@@ -160,13 +160,23 @@ def test_simulation_error_on_exhausted_backend(seeds, aux, entity_db, ontology):
 
 
 def test_prompt_budget_enforced(seeds, aux, entity_db, ontology):
-    backend = looping_mock()
-    backend.context_budget = 50
-    run = SimulationRun(simple_goal(), seeds, backend, aux, entity_db, ontology,
-                        GenConfig(), make_rng(0))
-    with pytest.raises(SimulationError) as err:
-        run.run()
-    assert err.value.kind == "prompt_too_long"
+    over_budget = looping_mock()
+    over_budget.context_budget = 50
+
+    def server_rejects(req):
+        raise ContextLengthExceeded("This model's maximum context length is 50 tokens")
+
+    # the client-side budget and the server's own check are one failure kind
+    for backend in (over_budget, MockBackend(server_rejects)):
+        run = SimulationRun(simple_goal(), seeds, backend, aux, entity_db, ontology,
+                            GenConfig(), make_rng(0))
+        with pytest.raises(SimulationError) as err:
+            run.run()
+        assert err.value.kind == "prompt_too_long"
+        _, report = simulate_batch(
+            2, GoalStrategy(kind="combination"), seeds, backend, aux, entity_db, ontology,
+            GenConfig(rng_seed=11))
+        assert report.failures == {"prompt_too_long": 2}
 
 
 # -- batch -------------------------------------------------------------------
