@@ -102,6 +102,9 @@ class CompletionBackend:
     def complete(self, req: CompletionRequest) -> str:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the backend opened itself; it is not used afterwards."""
+
 
 class MockBackend(CompletionBackend):
     """Scripted backend for tests: a constant, a sequence, or a callable."""
@@ -202,6 +205,9 @@ class RecordingBackend(CompletionBackend):
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
         return completion
 
+    def close(self) -> None:
+        self.inner.close()
+
 
 def record_transcript(backend: CompletionBackend, sink: str | Path) -> RecordingBackend:
     return RecordingBackend(backend, sink)
@@ -243,7 +249,13 @@ class HttpCompletionBackend(CompletionBackend):
         self.concurrency = config.concurrency
         self.context_budget = config.context_budget
         self._session = session or requests.Session()
+        self._owns_session = session is None
         self._slots = threading.Semaphore(config.concurrency)
+
+    def close(self) -> None:
+        """Close the session this backend opened; a session passed in stays open."""
+        if self._owns_session:
+            self._session.close()
 
     def _headers(self) -> dict[str, str]:
         key = self.config.api_key or os.environ.get(API_KEY_ENV, "")

@@ -185,6 +185,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             workers=args.workers or backend.concurrency, trace=trace_sink,
             **_given(args, dist="rs_distribution"))
     finally:
+        backend.close()
         if trace_fh:
             trace_fh.close()
     return _finish(args, dialogues, report, "simulated", "dialogues")
@@ -197,8 +198,11 @@ def cmd_augment_dst(args: argparse.Namespace) -> int:
     ontology = _load_ontology(args)
     seeds = _load_seeds(args, ontology)
     backend = _build_backend(args)
-    dialogues, report = augment_corpus(
-        seeds, backend, None, ontology, cfg, passes=args.passes)
+    try:
+        dialogues, report = augment_corpus(
+            seeds, backend, None, ontology, cfg, passes=args.passes)
+    finally:
+        backend.close()
     return _finish(args, dialogues, report, "augmented", "turns")
 
 

@@ -8,7 +8,13 @@ to trace files, not the corpus.
 from __future__ import annotations
 
 import json
+import math
+import random
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -63,11 +69,41 @@ class _KeyedCandidates:
         distinct: dict[SimilarityKey, int] = {}
         self.key_of = [distinct.setdefault(similarity_key(m), len(distinct)) for m in maps]
         self.keys = list(distinct)
+        self.counts = list(Counter(self.key_of).values())  # keys are numbered as first seen
 
     def weights(self, target: SimilarityKey) -> list[float]:
         """key_similarity(target, candidate key) per candidate, one Jaccard per distinct key."""
         by_key = [key_similarity(target, key) for key in self.keys]
         return list(map(by_key.__getitem__, self.key_of))
+
+    def draw(self, target: SimilarityKey, k: int, tau: float, rng: random.Random,
+             skip: int | None = None) -> list[tuple]:
+        """Draw k candidates, all but position `skip`, by softmax without replacement.
+
+        Each draw weighs the candidates left by exp((w - peak) / tau), one exp
+        per distinct key. Returns (item, weight, probability at its draw) in
+        draw order.
+        """
+        by_key = [key_similarity(target, key) for key in self.keys]
+        items, key_of, counts = list(self.items), list(self.key_of), list(self.counts)
+        if skip is not None:
+            del items[skip]
+            counts[key_of.pop(skip)] -= 1
+        drawn, peak = [], None
+        for _ in range(k):
+            if peak is None:  # the first draw, or the last key at the peak was drawn out
+                peak = max(compress(by_key, counts))
+                # a key above the peak is out of the pool, and its exp could overflow
+                exp_of = [math.exp((w - peak) / tau) if w <= peak else 0.0 for w in by_key]
+            exps = itemgetter(*key_of)(exp_of) if len(key_of) > 1 else (exp_of[key_of[0]],)
+            total = sum(exps)
+            i = min(bisect_right(list(accumulate(exps)), rng.random() * total), len(exps) - 1)
+            j = key_of.pop(i)
+            drawn.append((items.pop(i), by_key[j], exps[i] / total))
+            counts[j] -= 1
+            if not counts[j] and by_key[j] == peak:
+                peak = None
+        return drawn
 
 
 class SimilarityIndex:
@@ -76,7 +112,7 @@ class SimilarityIndex:
     Example selection draws from the dialogues by final goal; DST turn
     demonstrations draw from the user turns with a nonempty belief, as
     (dialogue, turn index) pairs. Both lists are in pool order. A draw
-    computes one Jaccard per distinct key, not one per candidate.
+    computes one Jaccard and one exp per distinct key, not one per candidate.
     """
 
     def __init__(self, dialogues: list[Dialogue]):
@@ -87,15 +123,15 @@ class SimilarityIndex:
         self.turn_position = {(d.id, i): p for p, (d, i) in enumerate(turns)}
         self._empty_goal = any(d.final_goal.is_empty() for d in dialogues)
 
-    def goal_weights(self, target: UserGoal) -> list[float]:
-        """goal_similarity(target, d.final_goal) for each dialogue, in pool order."""
+    def goal_key(self, target: UserGoal) -> SimilarityKey:
+        """The key `target` is weighed by against the dialogues' final goals."""
         if self.goals.items and (target.is_empty() or self._empty_goal):
             raise ValueError("goal similarity is undefined for empty goals")
-        return self.goals.weights(similarity_key(target))
+        return similarity_key(target)
 
-    def turn_weights(self, target: TurnBelief) -> list[float]:
-        """Similarity of `target` to each candidate turn's belief; all 0.0 for an empty target."""
-        return self.turns.weights(similarity_key(target))
+    def goal_weights(self, target: UserGoal) -> list[float]:
+        """goal_similarity(target, d.final_goal) for each dialogue, in pool order."""
+        return self.goals.weights(self.goal_key(target))
 
 
 @dataclass

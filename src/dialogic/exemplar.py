@@ -55,13 +55,6 @@ def goal_similarity(g1: UserGoal, g2: UserGoal) -> float:
     return key_similarity(similarity_key(g1), similarity_key(g2))
 
 
-def _softmax_exps(weights: list[float], tau: float) -> tuple[list[float], float]:
-    """Unnormalised softmax terms exp((w - peak) / tau) and their sum."""
-    peak = max(weights)
-    exps = [math.exp((w - peak) / tau) for w in weights]
-    return exps, sum(exps)
-
-
 def selection_probabilities(target: UserGoal, pool: SeedDataset,
                             tau: float) -> dict[str, float]:
     """Softmax over goal similarities: p_j = exp(w_j / tau) / sum_k exp(w_k / tau)."""
@@ -69,29 +62,11 @@ def selection_probabilities(target: UserGoal, pool: SeedDataset,
         raise ValueError("temperature must be > 0")
     if len(pool) == 0:
         raise ValueError("candidate pool is empty")
-    exps, total = _softmax_exps(pool.similarity.goal_weights(target), tau)
+    weights = pool.similarity.goal_weights(target)
+    peak = max(weights)
+    exps = [math.exp((w - peak) / tau) for w in weights]
+    total = sum(exps)
     return {d.id: e / total for d, e in zip(pool, exps)}
-
-
-def softmax_draw(items: list, weights: list[float], k: int, tau: float,
-                 rng: random.Random) -> list[tuple]:
-    """Draw k of `items` without replacement, renormalizing after each draw.
-
-    Returns (item, weight, probability at its draw) in draw order.
-    """
-    items, weights = list(items), list(weights)
-    drawn = []
-    for _ in range(k):
-        exps, total = _softmax_exps(weights, tau)
-        x = rng.random() * total
-        acc, idx = 0.0, len(exps) - 1
-        for i, e in enumerate(exps):
-            acc += e
-            if x < acc:
-                idx = i
-                break
-        drawn.append((items.pop(idx), weights.pop(idx), exps[idx] / total))
-    return drawn
 
 
 @dataclass(frozen=True)
@@ -108,7 +83,8 @@ def select_examples(target: UserGoal, pool: SeedDataset, k: int, tau: float,
     """Draw k distinct dialogues without replacement, renormalizing after each draw."""
     if k > len(pool):
         raise ValueError(f"cannot sample {k} examples from a pool of {len(pool)}")
-    drawn = softmax_draw(pool.dialogues, pool.similarity.goal_weights(target), k, tau, rng)
+    index = pool.similarity
+    drawn = index.goals.draw(index.goal_key(target), k, tau, rng)
     record = tuple((d.id, w, p) for d, w, p in drawn)
     return [d for d, _, _ in drawn], ExampleSelection(target, record, tau)
 

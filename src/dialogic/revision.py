@@ -557,3 +557,7 @@ class HttpAuxPredictor(WireAuxPredictor):
         response = self._session.post(self.url, json=request, timeout=self.timeout)
         response.raise_for_status()
         return response.json()
+
+    def close(self) -> None:
+        """Close the adapter's HTTP session and its keep-alive connections."""
+        self._session.close()

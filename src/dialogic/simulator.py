@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .backend import BackendError, CompletionBackend, CompletionRequest, ContextLengthExceeded
-from .corpus import SeedDataset
+from .corpus import SeedDataset, similarity_key
 from .database import EntityDb
 from .exemplar import (
     DEFAULT_TASK_DESCRIPTION,
@@ -29,7 +29,6 @@ from .exemplar import (
     select_examples,
     serialize_act,
     serialize_goal,
-    softmax_draw,
 )
 from .goals import (
     GoalStrategy,
@@ -379,13 +378,12 @@ def _sample_turn_demos(target: TurnBelief, seeds: SeedDataset, k: int, tau: floa
                        rng: random.Random, exclude: tuple[str, int]
                        ) -> list[tuple[Dialogue, int]]:
     index = seeds.similarity
-    items, weights = list(index.turns.items), index.turn_weights(target)
     skip = index.turn_position.get(exclude)
-    if skip is not None:
-        del items[skip], weights[skip]
-    if not items:
+    available = len(index.turns.items) - (skip is not None)
+    if not available:
         raise UnaugmentableTurn("no seed user turns available as demonstrations")
-    return [item for item, _, _ in softmax_draw(items, weights, min(k, len(items)), tau, rng)]
+    drawn = index.turns.draw(similarity_key(target), min(k, available), tau, rng, skip)
+    return [item for item, _, _ in drawn]
 
 
 def build_dst_prompt(spec: DstAugSpec, demos: list[tuple[Dialogue, int]],
@@ -497,7 +495,9 @@ def _run_batch(ids: list[str], run: Callable[[int, random.Random], Dialogue],
                cfg: GenConfig, workers: int = 1) -> tuple[list[Dialogue], BatchReport]:
     """Run job i as `run(i, rng)` on its own rng substream and report in index order.
 
-    A failure counts under its exception's `kind`, any other ValueError as config_error.
+    One worker runs the jobs in the calling thread, more run them on a thread
+    pool. A failure counts under its exception's `kind`, any other ValueError
+    as config_error; any other exception propagates.
     """
     master = random.Random(cfg.rng_seed)
     run_seeds = [master.randrange(2 ** 63) for _ in ids]
@@ -509,11 +509,12 @@ def _run_batch(ids: list[str], run: Callable[[int, random.Random], Dialogue],
             # keep the kind and note only: a held traceback would pin the run's frames
             return getattr(exc, "kind", "config_error"), f"{ids[index]}: {exc}"
 
-    # wait once, at shutdown: waiting on each future in turn would wake this
-    # thread once per job and slow a one-worker batch measurably
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(job, i) for i in range(len(ids))]
-    outcomes = [future.result() for future in futures]  # re-raises what job does not classify
+    if workers <= 1:  # a one-worker pool would only contend with this thread for the GIL
+        outcomes = [job(i) for i in range(len(ids))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(job, i) for i in range(len(ids))]
+        outcomes = [future.result() for future in futures]  # re-raises what job does not classify
     dialogues = [outcome for outcome in outcomes if isinstance(outcome, Dialogue)]
     report = BatchReport(requested=len(ids), succeeded=len(dialogues))
     for outcome in outcomes:

@@ -323,3 +323,29 @@ def test_live_concurrency_is_the_only_client_bound(loopback):
         with ThreadPoolExecutor(16) as pool:
             texts = list(pool.map(backend.complete, [req(f"p{i}") for i in range(16)]))
     assert texts == ["ok"] * 16
+
+
+def test_live_close_ends_its_own_keep_alive_connection(loopback, tmp_path):
+    handlers = []
+
+    def answer(body, headers):
+        handlers.append(threading.current_thread())
+        return completion_reply("ok")
+
+    url = loopback(answer)
+    config = HttpBackendConfig(endpoint=f"{url}/v1/completions", model="m")
+    # a session passed in belongs to the caller: close() leaves it open
+    with requests.Session() as session:
+        backend = HttpCompletionBackend(config, session=session)
+        assert backend.complete(req()) == "ok"
+        backend.close()
+        handlers[-1].join(timeout=0.3)
+        assert handlers[-1].is_alive()
+    # a session the backend opened closes, also through the recording wrapper
+    backend = record_transcript(HttpCompletionBackend(config), tmp_path / "t.jsonl")
+    assert backend.complete(req()) == "ok"
+    handlers[-1].join(timeout=0.3)
+    assert handlers[-1].is_alive()  # keep-alive: the handler waits for the next request
+    backend.close()
+    handlers[-1].join(timeout=5)
+    assert not handlers[-1].is_alive()

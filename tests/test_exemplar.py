@@ -1,11 +1,12 @@
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialogic.corpus import SeedDataset
+from dialogic.corpus import SeedDataset, _KeyedCandidates, similarity_key
 from dialogic.exemplar import (
     BOOKING_REMINDER,
     DEFAULT_TASK_DESCRIPTION,
@@ -283,7 +284,7 @@ def test_similarity_index_weights_equal_pairwise_loops(ontology):
         belief = _random_target_belief(ontology, rng)
         exclude = _random_exclude(pool, rng)
         turns = _pairwise_turns(pool, exclude)
-        weights = index.turn_weights(belief)
+        weights = index.turns.weights(similarity_key(belief))
         skip = index.turn_position.get(exclude)
         if skip is not None:
             del weights[skip]
@@ -294,7 +295,8 @@ def test_similarity_index_weights_equal_pairwise_loops(ontology):
 
 def test_similarity_index_empty_targets(ontology):
     pool = _random_pool(ontology, make_rng(5))
-    assert pool.similarity.turn_weights(TurnBelief()) == [0.0] * len(pool.similarity.turns.items)
+    turns = pool.similarity.turns
+    assert turns.weights(similarity_key(TurnBelief())) == [0.0] * len(turns.items)
     with pytest.raises(ValueError):
         pool.similarity.goal_weights(UserGoal())
     with pytest.raises(ValueError):
@@ -335,6 +337,40 @@ def test_indexed_draws_equal_pairwise_draws(ontology):
             min(2, len(turns)), tau, reference_rng)
         assert demos == [item for item, _, _ in reference]
         assert demo_rng.random() == reference_rng.random()
+
+    # edge cases of the keyed draw; each candidate is named by its position
+    area, both, food, stars = (TurnBelief(entries) for entries in (
+        {"hotel": {"area": "north"}}, {"hotel": {"area": "north", "stars": "4"}},
+        {"restaurant": {"food": "thai"}}, {"hotel": {"stars": "4"}}))
+    cases = [  # (candidate beliefs, target, skip, k, tau)
+        ([both, area, both, food], area, 1, 2, 0.2),  # the skip holds the only top weight
+        ([food, area, both, both], area, None, 3, 0.05),  # the first draw empties the peak's key
+        ([area, both, food, stars], area, None, 4, 1.0),  # k == len(pool)
+        ([both], area, None, 1, 0.2),  # one candidate: itemgetter gives a scalar
+        ([area, both, both, food, area], area, None, 5, 1e-6),  # exps underflow, sums repeat
+        ([area, both, food], TurnBelief(), None, 2, 0.2),  # empty target: every weight 0.0
+    ]
+    first_draws = []
+    for beliefs, target, skip, k, tau in cases:
+        candidates = _KeyedCandidates(list(range(len(beliefs))), beliefs)
+        weighted = [(i, _pairwise_turn_weight(target, b))
+                    for i, b in enumerate(beliefs) if i != skip]
+        for seed in range(20):
+            rng, reference_rng = make_rng(seed), make_rng(seed)
+            drawn = candidates.draw(similarity_key(target), k, tau, rng, skip)
+            assert drawn == _pairwise_draw(weighted, k, tau, reference_rng)
+            assert rng.getstate() == reference_rng.getstate()
+            first_draws.append(drawn[0][0])
+    assert first_draws[20:40] == [1] * 20  # the second case did draw the peak out first
+    # draws that land exactly on a repeated cumulative sum: [0, 1, 1, 2] at tau=1e-6
+    beliefs = [food, area, both, area]
+    candidates = _KeyedCandidates(list(range(len(beliefs))), beliefs)
+    weighted = [(i, _pairwise_turn_weight(area, b)) for i, b in enumerate(beliefs)]
+    for landing in ([0.0], [0.5], [0.5, 0.0]):
+        drawn = candidates.draw(similarity_key(area), len(landing), 1e-6,
+                                SimpleNamespace(random=iter(landing).__next__))
+        assert drawn == _pairwise_draw(weighted, len(landing), 1e-6,
+                                       SimpleNamespace(random=iter(landing).__next__))
 
 
 # -- serialization -----------------------------------------------------------

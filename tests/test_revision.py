@@ -1,6 +1,7 @@
 import gc
 import sys
 import textwrap
+import threading
 import time
 import warnings
 
@@ -474,7 +475,10 @@ def test_subprocess_adapter_read_deadline(monkeypatch):
 def test_http_adapter_round_trip(loopback):
     from dialogic.revision import HttpAuxPredictor
 
+    handlers = []
+
     def answer(request, headers):
+        handlers.append(threading.current_thread())
         if "belief" in request:
             return 200, {"act": [["hotel", "nooffer", "none"]]}, {}
         return 200, {"belief": {"hotel": {"area": "north"}}}, {}
@@ -484,3 +488,7 @@ def test_http_adapter_round_trip(loopback):
     assert out.to_dict() == {"hotel": {"area": "north"}}
     act = adapter.predict_act([], "x", belief({"hotel": {"area": "north"}}), NO_RESULT)
     assert act.triples == (("hotel", "nooffer", "none"),)
+    # close() ends the keep-alive connection, and with it the server's handler thread
+    adapter.close()
+    handlers[-1].join(timeout=5)
+    assert not handlers[-1].is_alive()

@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 
 import pytest
@@ -221,6 +222,23 @@ def test_batch_records_aux_fault_and_continues(seeds, entity_db, ontology, monke
         assert dialogues == []
         assert report.requested == 3
         assert report.failures == {"aux_error": 3}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_propagates_unclassified_errors(workers, seeds, aux, entity_db, ontology):
+    # an error outside the failure taxonomy is a bug, not a failed dialogue;
+    # one worker runs the jobs in the calling thread
+    callers = set()
+
+    def broken(req):
+        callers.add(threading.get_ident())
+        raise RuntimeError("bug in the backend")
+
+    with pytest.raises(RuntimeError, match="bug in the backend"):
+        simulate_batch(3, GoalStrategy(kind="combination"), seeds, MockBackend(broken), aux,
+                       entity_db, ontology, GenConfig(rng_seed=5), workers=workers)
+    assert callers
+    assert (callers == {threading.get_ident()}) == (workers == 1)
 
 
 def test_batch_counts_every_failure_under_thread_switching(seeds, aux, entity_db, ontology):
