@@ -62,7 +62,13 @@ def key_similarity(a: SimilarityKey, b: SimilarityKey) -> float:
 
 
 class _KeyedCandidates:
-    """Candidates in pool order, each pointing at one of their distinct similarity keys."""
+    """Candidates in pool order, each pointing at one of their distinct similarity keys.
+
+    Each domain name and each qualified slot name among the distinct keys gets
+    one bit, and each distinct key is stored as (domain mask, domain count,
+    slot mask, slot count), so a Jaccard's shared count is a popcount. The bit
+    map is fixed at construction; worker threads only read it.
+    """
 
     def __init__(self, items: list, maps: Iterable[TripletMap]):
         self.items = items
@@ -70,21 +76,51 @@ class _KeyedCandidates:
         self.key_of = [distinct.setdefault(similarity_key(m), len(distinct)) for m in maps]
         self.keys = list(distinct)
         self.counts = list(Counter(self.key_of).values())  # keys are numbered as first seen
+        self._bit: dict[str, int] = {}
+        for domains, slots in self.keys:
+            for name in (*domains, *slots):
+                self._bit.setdefault(name, 1 << len(self._bit))
+        self._packed = [(self._mask(domains), len(domains), self._mask(slots), len(slots))
+                        for domains, slots in self.keys]
+
+    def _mask(self, names: frozenset[str]) -> int:
+        """The bits of `names`; a name the pool never saw sets none."""
+        mask = 0
+        for name in names:
+            mask |= self._bit.get(name, 0)
+        return mask
+
+    def _by_key(self, target: SimilarityKey) -> list[float]:
+        """key_similarity(target, key) per distinct key, bit for bit.
+
+        A name the pool never saw sets no bit but counts in the target's size,
+        so the integer operands, the divisions and the product are the same.
+        """
+        domains, slots = target
+        dmask, smask = self._mask(domains), self._mask(slots)
+        n_domains, n_slots = len(domains), len(slots)
+        return [
+            shared / (n_domains + key_domains - shared)
+            * (s / union if (union := n_slots + key_slots - (s := (smask & key_smask).bit_count()))
+               else 1.0)
+            if (shared := (dmask & key_dmask).bit_count()) else 0.0
+            for key_dmask, key_domains, key_smask, key_slots in self._packed
+        ]
 
     def weights(self, target: SimilarityKey) -> list[float]:
         """key_similarity(target, candidate key) per candidate, one Jaccard per distinct key."""
-        by_key = [key_similarity(target, key) for key in self.keys]
+        by_key = self._by_key(target)
         return list(map(by_key.__getitem__, self.key_of))
 
     def draw(self, target: SimilarityKey, k: int, tau: float, rng: random.Random,
              skip: int | None = None) -> list[tuple]:
         """Draw k candidates, all but position `skip`, by softmax without replacement.
 
-        Each draw weighs the candidates left by exp((w - peak) / tau), one exp
-        per distinct key. Returns (item, weight, probability at its draw) in
-        draw order.
+        Each draw weighs the candidates left by exp((w - peak) / tau): one exp
+        per distinct key with a nonzero weight, and one for all zero weights.
+        Returns (item, weight, probability at its draw) in draw order.
         """
-        by_key = [key_similarity(target, key) for key in self.keys]
+        by_key = self._by_key(target)
         items, key_of, counts = list(self.items), list(self.key_of), list(self.counts)
         if skip is not None:
             del items[skip]
@@ -93,8 +129,10 @@ class _KeyedCandidates:
         for _ in range(k):
             if peak is None:  # the first draw, or the last key at the peak was drawn out
                 peak = max(compress(by_key, counts))
+                zero = math.exp((0.0 - peak) / tau)  # 0.0 <= peak: no overflow guard needed
                 # a key above the peak is out of the pool, and its exp could overflow
-                exp_of = [math.exp((w - peak) / tau) if w <= peak else 0.0 for w in by_key]
+                exp_of = [(math.exp((w - peak) / tau) if w <= peak else 0.0) if w else zero
+                          for w in by_key]
             exps = itemgetter(*key_of)(exp_of) if len(key_of) > 1 else (exp_of[key_of[0]],)
             total = sum(exps)
             i = min(bisect_right(list(accumulate(exps)), rng.random() * total), len(exps) - 1)
@@ -112,7 +150,9 @@ class SimilarityIndex:
     Example selection draws from the dialogues by final goal; DST turn
     demonstrations draw from the user turns with a nonempty belief, as
     (dialogue, turn index) pairs. Both lists are in pool order. A draw
-    computes one Jaccard and one exp per distinct key, not one per candidate.
+    weighs each distinct key, not each candidate, with two popcounts on its
+    packed bitmasks, and takes one exp per key with a nonzero weight plus one
+    for all zero weights.
     """
 
     def __init__(self, dialogues: list[Dialogue]):

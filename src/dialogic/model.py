@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -322,8 +323,9 @@ class GenConfig:
     rng_seed: int | None = None
 
     def __post_init__(self):
-        if self.select_temperature <= 0:
-            raise ValidationError("select_temperature must be > 0")
+        if not 0 < self.select_temperature < math.inf:  # nan fails both comparisons
+            raise ValidationError(
+                f"select_temperature must be finite and > 0, got {self.select_temperature!r}")
         if self.n_shots < 1:
             raise ValidationError("n_shots must be >= 1")
         if self.max_turns < 1:

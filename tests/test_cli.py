@@ -371,6 +371,7 @@ LIVE = {"backend": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
     (["--retries", "-1"], "retries"),
     ({"mock_script": "ints.json"}, "--mock-script"),
     ({"context_budget": 0}, "--context-budget"),
+    (["--select-temperature", "nan"], "select_temperature"),
 ])
 def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_file, capsys,
                                           setting, named):

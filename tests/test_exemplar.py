@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialogic.corpus import SeedDataset, _KeyedCandidates, similarity_key
+from dialogic.corpus import SeedDataset, _KeyedCandidates, key_similarity, similarity_key
 from dialogic.exemplar import (
     BOOKING_REMINDER,
     DEFAULT_TASK_DESCRIPTION,
@@ -371,6 +371,47 @@ def test_indexed_draws_equal_pairwise_draws(ontology):
                                 SimpleNamespace(random=iter(landing).__next__))
         assert drawn == _pairwise_draw(weighted, len(landing), 1e-6,
                                        SimpleNamespace(random=iter(landing).__next__))
+
+
+def test_packed_key_weights_equal_key_similarity():
+    # up to 8 slots in each of 10 domains: over 64 qualified slots, so masks span two words
+    wide = [TurnBelief({f"d{d}": {f"s{s}": "x" for s in range(d % 8 + 1)}}) for d in range(10)]
+    wide += [TurnBelief({f"d{d}": {f"s{s}": "x" for s in range(8)},
+                         f"d{d + 1}": {f"s{s}": "x" for s in range(8 - d % 8)}})
+             for d in range(0, 10, 2)]
+    pools = [
+        wide,
+        [TurnBelief({"hotel": {"area": "north"}}), TurnBelief({"hotel": {}}),
+         TurnBelief({"general": {}}), TurnBelief({"hotel": {}, "restaurant": {"food": "thai"}}),
+         TurnBelief({"hotel": {"area": "north"}})],
+    ]
+    assert len(set().union(*(b.qualified_slots() for b in wide))) > 64
+    targets = [
+        TurnBelief(),
+        TurnBelief({"general": {}}),
+        TurnBelief({"hotel": {}}),
+        TurnBelief({"hotel": {}, "restaurant": {}}),
+        TurnBelief({"taxi": {"leave at": "10:00"}}),  # a domain the pools never saw
+        TurnBelief({"hotel": {"parking": "yes"}}),  # slots the pools never saw
+        TurnBelief({"hotel": {"area": "north", "parking": "yes"}}),
+        TurnBelief({"hotel": {"area": "north"}, "d3": {"s9": "x"}}),
+        TurnBelief({"d0": {"s0": "x"}}),
+        TurnBelief({"d9": {f"s{s}": "x" for s in range(8)}}),
+        TurnBelief({"d4": {"s0": "x", "s7": "x"}, "d5": {"s3": "x"}, "d6": {}}),
+    ]
+    for beliefs in pools:
+        candidates = _KeyedCandidates(list(range(len(beliefs))), beliefs)
+        for target in targets:
+            key = similarity_key(target)
+            expected = [key_similarity(key, similarity_key(b)) for b in beliefs]
+            assert candidates.weights(key) == expected
+            assert expected == [_pairwise_turn_weight(target, b) for b in beliefs]
+            weighted = list(enumerate(expected))
+            for seed in range(5):
+                rng, reference_rng = make_rng(seed), make_rng(seed)
+                k = min(3, len(beliefs))
+                assert candidates.draw(key, k, 0.2, rng) == _pairwise_draw(
+                    weighted, k, 0.2, reference_rng)
 
 
 # -- serialization -----------------------------------------------------------

@@ -109,7 +109,8 @@ def test_gen_config_invariants():
         GenConfig(n_shots=0)
     with pytest.raises(ValidationError):
         GenConfig(max_turns=0)
-    for bad in ({"retries": -1}, {"max_domains": 0}, {"max_slots_per_domain": 0}):
+    for bad in ({"retries": -1}, {"max_domains": 0}, {"max_slots_per_domain": 0},
+                {"select_temperature": float("nan")}, {"select_temperature": float("inf")}):
         with pytest.raises(ValidationError):
             GenConfig(**bad)
     assert GenConfig(retries=0).retries == 0
