@@ -20,6 +20,8 @@ from typing import Callable, Sequence
 
 import requests
 
+from .model import DecodeConfig
+
 API_KEY_ENV = "DIALOGIC_API_KEY"
 
 
@@ -58,22 +60,16 @@ class UnknownPromptError(BackendError):
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
-    max_tokens: int = 256
-    temperature: float = 0.7
-    top_p: float = 1.0
-    frequency_penalty: float = 1.0
+    decode: DecodeConfig = DecodeConfig()
     stop: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if not 0 <= self.temperature <= 2 or not 0 <= self.top_p <= 2:
-            raise ValueError("temperature and top_p must be in [0, 2]")
-
     def params(self) -> dict:
+        """The sampling parameters as recorded in a transcript and sent on the wire."""
         return {
-            "max_tokens": self.max_tokens,
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "frequency_penalty": self.frequency_penalty,
+            "max_tokens": self.decode.max_tokens,
+            "temperature": self.decode.temperature,
+            "top_p": self.decode.top_p,
+            "frequency_penalty": self.decode.frequency_penalty,
             "stop": list(self.stop),
         }
 
@@ -95,7 +91,6 @@ def apply_stop(text: str, stop: Sequence[str]) -> str:
 class CompletionBackend:
     """Interface: complete() is total — it returns text or raises a BackendError."""
 
-    name = "backend"
     concurrency = 1
     context_budget: int | None = None
 
@@ -108,8 +103,6 @@ class CompletionBackend:
 
 class MockBackend(CompletionBackend):
     """Scripted backend for tests: a constant, a sequence, or a callable."""
-
-    name = "mock"
 
     def __init__(self, script: str | Sequence[str] | Callable[[CompletionRequest], str]):
         self._lock = threading.Lock()
@@ -143,8 +136,6 @@ class ReplayBackend(CompletionBackend):
     replays the completions it got when recorded. A request past the last
     recorded occurrence gets the last one.
     """
-
-    name = "replay"
 
     def __init__(self, transcript: str | Path):
         self.transcript = Path(transcript)
@@ -188,7 +179,6 @@ class RecordingBackend(CompletionBackend):
     def __init__(self, inner: CompletionBackend, sink: str | Path):
         self.inner = inner
         self.sink = Path(sink)
-        self.name = f"record({inner.name})"
         self.concurrency = inner.concurrency
         self.context_budget = inner.context_budget
         self._lock = threading.Lock()
@@ -241,8 +231,6 @@ class HttpCompletionBackend(CompletionBackend):
     `config.concurrency` requests are in flight at most; the server sets the
     pace with 429/503 and `Retry-After`.
     """
-
-    name = "live"
 
     def __init__(self, config: HttpBackendConfig, session: requests.Session | None = None):
         self.config = config

@@ -14,7 +14,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -117,8 +116,9 @@ class _KeyedCandidates:
         """Draw k candidates, all but position `skip`, by softmax without replacement.
 
         Each draw weighs the candidates left by exp((w - peak) / tau): one exp
-        per distinct key with a nonzero weight, and one for all zero weights.
-        Returns (item, weight, probability at its draw) in draw order.
+        per distinct key with a nonzero weight, and one for all zero weights,
+        gathered per candidate again only when the peak changes. Returns
+        (item, weight, probability at its draw) in draw order.
         """
         by_key = self._by_key(target)
         items, key_of, counts = list(self.items), list(self.key_of), list(self.counts)
@@ -133,11 +133,11 @@ class _KeyedCandidates:
                 # a key above the peak is out of the pool, and its exp could overflow
                 exp_of = [(math.exp((w - peak) / tau) if w <= peak else 0.0) if w else zero
                           for w in by_key]
-            exps = itemgetter(*key_of)(exp_of) if len(key_of) > 1 else (exp_of[key_of[0]],)
+                exps = list(map(exp_of.__getitem__, key_of))  # one per candidate left
             total = sum(exps)
             i = min(bisect_right(list(accumulate(exps)), rng.random() * total), len(exps) - 1)
             j = key_of.pop(i)
-            drawn.append((items.pop(i), by_key[j], exps[i] / total))
+            drawn.append((items.pop(i), by_key[j], exps.pop(i) / total))
             counts[j] -= 1
             if not counts[j] and by_key[j] == peak:
                 peak = None

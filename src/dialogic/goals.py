@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,9 +48,11 @@ class RsDistribution:
         total = sum(r[3] for r in self.rows)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"row probabilities must sum to 1 (got {total})")
-        for n_domains, lo, hi, _ in self.rows:
+        for n_domains, lo, hi, p in self.rows:
             if n_domains < 1 or lo > hi or lo < 1:
                 raise ValueError(f"bad distribution row ({n_domains}, {lo}, {hi})")
+            if not 0 <= p < math.inf:  # nan fails both comparisons
+                raise ValueError(f"row probabilities must be finite and >= 0 (got {p})")
 
     def sample_row(self, rng: random.Random) -> tuple[int, int, int]:
         x = rng.random()

@@ -300,6 +300,9 @@ class DecodeConfig:
             raise ValidationError("decode temperature, top_p and frequency_penalty must be numbers")
         if not 0 <= self.temperature <= 2 or not 0 <= self.top_p <= 2:
             raise ValidationError("decode temperature and top_p must be in [0, 2]")
+        if not -2 <= self.frequency_penalty <= 2:  # nan fails both comparisons
+            raise ValidationError(
+                f"decode frequency_penalty must be in [-2, 2], got {self.frequency_penalty!r}")
         if type(self.max_tokens) is not int or self.max_tokens < 1:
             raise ValidationError(f"decode max_tokens must be an int >= 1, got {self.max_tokens!r}")
 

@@ -546,15 +546,14 @@ class SubprocessAuxPredictor(WireAuxPredictor):
 class HttpAuxPredictor(WireAuxPredictor):
     """Transport: one JSON POST per request to an HTTP endpoint."""
 
-    def __init__(self, url: str, timeout: float = AUX_TIMEOUT_S):
+    def __init__(self, url: str):
         import requests
 
         self.url = url
-        self.timeout = timeout
         self._session = requests.Session()
 
     def _roundtrip(self, request: dict) -> dict:
-        response = self._session.post(self.url, json=request, timeout=self.timeout)
+        response = self._session.post(self.url, json=request, timeout=AUX_TIMEOUT_S)
         response.raise_for_status()
         return response.json()
 

@@ -94,17 +94,13 @@ class RejectedSample(RuntimeError):
 def _request_completion(backend: CompletionBackend, cfg: GenConfig, prompt: str,
                         stop: tuple[str, ...]) -> str:
     """One completion within the context budget; faults become prompt_too_long/backend_error."""
-    decode = cfg.decode
     budget = backend.context_budget
-    if budget is not None and estimate_tokens(prompt) + decode.max_tokens > budget:
+    if budget is not None and estimate_tokens(prompt) + cfg.decode.max_tokens > budget:
         raise SimulationError(
             f"prompt plus max_tokens exceed the context budget of {budget} tokens",
             kind="prompt_too_long")
-    request = CompletionRequest(
-        prompt=prompt, max_tokens=decode.max_tokens, temperature=decode.temperature,
-        top_p=decode.top_p, frequency_penalty=decode.frequency_penalty, stop=stop)
     try:
-        return backend.complete(request)
+        return backend.complete(CompletionRequest(prompt, cfg.decode, stop))
     except ContextLengthExceeded as exc:  # the server's own budget check
         raise SimulationError(str(exc), kind="prompt_too_long") from exc
     except BackendError as exc:
@@ -117,7 +113,6 @@ class SimulationRun:
     def __init__(self, goal: UserGoal, seeds: SeedDataset, backend: CompletionBackend,
                  aux: AuxPredictor | None, db: EntityDb, ontology: Ontology,
                  cfg: GenConfig, rng: random.Random, *, dialogue_id: str = "sim_0000",
-                 task_description: str = DEFAULT_TASK_DESCRIPTION,
                  trace: TraceSink | None = None):
         self.goal = goal
         self.backend = backend
@@ -135,7 +130,7 @@ class SimulationRun:
         self._mentioned: set[str] = set()
         examples, self.selection = select_examples(
             goal, seeds, cfg.n_shots, cfg.select_temperature, rng)
-        self.prompt = build_prompt(task_description, examples, goal, ontology=ontology)
+        self.prompt = build_prompt(DEFAULT_TASK_DESCRIPTION, examples, goal, ontology=ontology)
 
     def _complete_line(self, prefix: str, stop: tuple[str, ...], parser):
         last: Exception | None = None
@@ -287,7 +282,6 @@ class DstAugSpec:
     turn_idx: int
     kind: str
     belief: TurnBelief
-    n_shots: int = 2
 
 
 def _sample_value(ontology: Ontology, domain: str, slot: str, rng: random.Random,
@@ -417,8 +411,8 @@ def build_dst_prompt(spec: DstAugSpec, demos: list[tuple[Dialogue, int]],
 
 
 def augment_dst_turn(spec: DstAugSpec, seeds: SeedDataset, backend: CompletionBackend,
-                     aux: AuxPredictor | None, ontology: Ontology, cfg: GenConfig,
-                     rng: random.Random, *, dialogue_id: str | None = None) -> Dialogue:
+                     ontology: Ontology, cfg: GenConfig, rng: random.Random, *,
+                     dialogue_id: str | None = None) -> Dialogue:
     """Generate one alternative user turn expressing a prescribed belief.
 
     The belief is fixed, so no auxiliary merge happens here: the filter only
@@ -426,7 +420,7 @@ def augment_dst_turn(spec: DstAugSpec, seeds: SeedDataset, backend: CompletionBa
     utterance fails that check are rejected after the retry budget.
     """
     demos = _sample_turn_demos(
-        spec.belief, seeds, spec.n_shots, cfg.select_temperature, rng,
+        spec.belief, seeds, cfg.n_shots, cfg.select_temperature, rng,
         exclude=(spec.source.id, spec.turn_idx))
     prompt = build_dst_prompt(spec, demos, ontology)
     for _ in range(cfg.retries + 1):
@@ -545,12 +539,14 @@ def simulate_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset,
 
 def augment_corpus(seeds: SeedDataset, backend: CompletionBackend,
                    aux: AuxPredictor | None, ontology: Ontology, cfg: GenConfig, *,
-                   passes: int = 1, observed: ObservedValues | None = None
-                   ) -> tuple[list[Dialogue], BatchReport]:
-    """Generate one augmented user turn per source turn per pass."""
+                   passes: int = 1) -> tuple[list[Dialogue], BatchReport]:
+    """Generate one augmented user turn per source turn per pass.
+
+    `aux` is ignored: a DST sample's belief is prescribed, so nothing is merged.
+    """
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    observed = observed if observed is not None else seeds.observed_values()
+    observed = seeds.observed_values()
     sources = [(dlg, turn_idx, pass_no) for pass_no in range(1, passes + 1)
                for dlg in seeds for turn_idx in range(len(dlg.turns))]
     ids = [f"{dlg.id}-dst{turn_idx}-p{pass_no}" for dlg, turn_idx, pass_no in sources]
@@ -559,8 +555,8 @@ def augment_corpus(seeds: SeedDataset, backend: CompletionBackend,
         dlg, turn_idx, _ = sources[index]
         belief, kind = generate_turn_belief(
             dlg, turn_idx, ontology, rng, cfg=cfg, observed_values=observed)
-        spec = DstAugSpec(dlg, turn_idx, kind, belief, n_shots=cfg.n_shots)
-        return augment_dst_turn(spec, seeds, backend, aux, ontology, cfg, rng,
+        spec = DstAugSpec(dlg, turn_idx, kind, belief)
+        return augment_dst_turn(spec, seeds, backend, ontology, cfg, rng,
                                 dialogue_id=ids[index])
 
     return _run_batch(ids, run, cfg)

@@ -85,11 +85,11 @@ def test_criterion_02_dst_replay(tmp_path, seeds, ontology):
     spec = DstAugSpec(seeds.get("SNG01856"), 2, KIND_OTHER, TurnBelief(DST_BELIEF))
     transcript = tmp_path / "dst.jsonl"
     recorded = record_transcript(MockBackend(DST_COMPLETION), transcript)
-    augment_dst_turn(spec, seeds, recorded, None, ontology, GenConfig(), make_rng(3))
+    augment_dst_turn(spec, seeds, recorded, ontology, GenConfig(), make_rng(3))
 
     backend = ReplayBackend(transcript)
     start = time.perf_counter()
-    dialogue = augment_dst_turn(spec, seeds, backend, None, ontology, GenConfig(), make_rng(3))
+    dialogue = augment_dst_turn(spec, seeds, backend, ontology, GenConfig(), make_rng(3))
     elapsed = time.perf_counter() - start
     new_turn = dialogue.turns[-1]
     assert new_turn.user_utterance == DST_COMPLETION.strip()

@@ -22,6 +22,7 @@ from dialogic.backend import (
     prompt_digest,
     record_transcript,
 )
+from dialogic.model import DecodeConfig
 
 from .conftest import completion_reply
 
@@ -45,7 +46,16 @@ def test_mock_sequence_exhausts():
 
 def test_request_param_bounds():
     with pytest.raises(ValueError):
-        CompletionRequest(prompt="x", temperature=3.0)
+        CompletionRequest("x", DecodeConfig(temperature=3.0))
+
+
+def test_request_params_keep_their_keys_and_order():
+    # the transcript, the HTTP body and the benchmark's scripted draws all read params()
+    decode = DecodeConfig(temperature=0.9, top_p=0.8, frequency_penalty=-0.5, max_tokens=17)
+    params = CompletionRequest("p", decode, ("\nUser",)).params()
+    assert list(params.items()) == [
+        ("max_tokens", 17), ("temperature", 0.9), ("top_p", 0.8),
+        ("frequency_penalty", -0.5), ("stop", ["\nUser"])]
 
 
 def test_apply_stop_truncates_and_trims():
@@ -284,7 +294,7 @@ def test_live_wire_format_over_socket(loopback, monkeypatch):
     with requests.Session() as session:
         backend = HttpCompletionBackend(
             HttpBackendConfig(endpoint=f"{url}/v1/completions", model="m"), session=session)
-        request = CompletionRequest(prompt="p", max_tokens=9, stop=("\nUser",))
+        request = CompletionRequest("p", DecodeConfig(max_tokens=9), ("\nUser",))
         assert backend.complete(request) == " done"
     assert seen == [({"model": "m", "prompt": "p", **request.params()}, "Bearer secret")]
 

@@ -372,6 +372,9 @@ LIVE = {"backend": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
     ({"mock_script": "ints.json"}, "--mock-script"),
     ({"context_budget": 0}, "--context-budget"),
     (["--select-temperature", "nan"], "select_temperature"),
+    (["--decode", '{"frequency_penalty": NaN}'], "frequency_penalty"),
+    (["--strategy", "random", "--rs-distribution", "[[1, 1, 2, NaN]]"], "--rs-distribution"),
+    ({"rs_distribution": [[1, 1, 2, 1.5], [2, 1, 2, -0.5]]}, "--rs-distribution"),
 ])
 def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_file, capsys,
                                           setting, named):

@@ -117,12 +117,16 @@ def test_gen_config_invariants():
     assert GenConfig().max_turns == 12
     assert GenConfig().decode.temperature == 0.7
     assert GenConfig().decode.frequency_penalty == 1.0
+    for edge in (-2, 2.0):  # the OpenAI completions range, ends included
+        assert DecodeConfig(frequency_penalty=edge).frequency_penalty == edge
 
 
 @pytest.mark.parametrize("field, value", [
     ("max_tokens", 0), ("max_tokens", -5), ("max_tokens", None), ("max_tokens", 1.5),
     ("max_tokens", True), ("max_tokens", "256"),
     ("temperature", True), ("top_p", None), ("frequency_penalty", "x"),
+    ("frequency_penalty", float("nan")), ("frequency_penalty", float("inf")),
+    ("frequency_penalty", -7), ("frequency_penalty", 9),
 ])
 def test_decode_config_rejects_bad_values(field, value):
     with pytest.raises(ValidationError, match=field):

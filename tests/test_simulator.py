@@ -408,7 +408,7 @@ def test_dst_prompt_contains_glossary_and_target(seeds, ontology):
 def test_augment_dst_turn_accepts_expressed_belief(seeds, ontology):
     spec = DstAugSpec(seeds.get("SNG01856"), 2, KIND_OTHER, TurnBelief(PRESCRIBED_BELIEF))
     backend = MockBackend(" " + PRESCRIBED_UTTERANCE)
-    dialogue = augment_dst_turn(spec, seeds, backend, None, ontology, GenConfig(), make_rng(3))
+    dialogue = augment_dst_turn(spec, seeds, backend, ontology, GenConfig(), make_rng(3))
     assert dialogue.source == "dst_augmented"
     assert len(dialogue.turns) == 3
     new_turn = dialogue.turns[-1]
@@ -422,8 +422,21 @@ def test_augment_dst_turn_rejects_unexpressed_belief(seeds, ontology):
     spec = DstAugSpec(seeds.get("SNG01856"), 2, KIND_OTHER, TurnBelief(PRESCRIBED_BELIEF))
     backend = MockBackend("i have no requirements at all .")
     with pytest.raises(RejectedSample):
-        augment_dst_turn(spec, seeds, backend, None, ontology,
+        augment_dst_turn(spec, seeds, backend, ontology,
                          GenConfig(retries=1), make_rng(3))
+
+
+def test_augment_dst_turn_takes_n_shots_from_gen_config(seeds, ontology):
+    spec = DstAugSpec(seeds.get("SNG01856"), 2, KIND_OTHER, TurnBelief(PRESCRIBED_BELIEF))
+    prompts = []
+
+    def answer(req):
+        prompts.append(req.prompt)
+        return " " + PRESCRIBED_UTTERANCE
+
+    augment_dst_turn(spec, seeds, MockBackend(answer), ontology, GenConfig(n_shots=1),
+                     make_rng(3))
+    assert prompts[0].count("Assistant: what is your requirement on") == 1
 
 
 def test_augment_batch_property(seeds, ontology):
