@@ -129,7 +129,7 @@ def _build_backend(args) -> CompletionBackend:
             raise ConfigError("--endpoint and --model are required for the live backend")
         backend = HttpCompletionBackend(HttpBackendConfig(
             endpoint=args.endpoint, model=args.model,
-            **_given(args, concurrency="workers", context_budget="context_budget")))
+            **_given(args, concurrency="workers")))
     if args.context_budget is not None:
         backend.context_budget = args.context_budget
     if args.record:

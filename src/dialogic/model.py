@@ -298,8 +298,9 @@ class DecodeConfig:
         if any(type(v) not in (int, float)
                for v in (self.temperature, self.top_p, self.frequency_penalty)):
             raise ValidationError("decode temperature, top_p and frequency_penalty must be numbers")
-        if not 0 <= self.temperature <= 2 or not 0 <= self.top_p <= 2:
-            raise ValidationError("decode temperature and top_p must be in [0, 2]")
+        if not 0 <= self.temperature <= 2 or not 0 <= self.top_p <= 1:
+            raise ValidationError(
+                "decode temperature and top_p must be in [0, 2] and [0, 1], respectively")
         if not -2 <= self.frequency_penalty <= 2:  # nan fails both comparisons
             raise ValidationError(
                 f"decode frequency_penalty must be in [-2, 2], got {self.frequency_penalty!r}")

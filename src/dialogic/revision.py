@@ -8,9 +8,6 @@ System acts pass through five fixed rules, applied in order to each triple.
 
 from __future__ import annotations
 
-import json
-import subprocess
-import threading
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
@@ -473,78 +470,14 @@ class AuxError(RuntimeError):
 AUX_TIMEOUT_S = 30.0  # how long an external aux model may take to answer one request
 
 
-class WireAuxPredictor(AuxPredictor):
-    """Adapter for an external model that answers one JSON request at a time.
+class HttpAuxPredictor(AuxPredictor):
+    """Adapter for an external aux model: one JSON POST per request.
 
     Belief requests carry {context, utterance}; act requests additionally carry
-    {belief, db}. Responses are {"belief": {...}} or {"act": [[...]]}.
-    Subclasses supply the transport in `_roundtrip`; a transport failure or a
-    reply that is not JSON is raised as AuxError.
+    {belief, db}. Replies are {"belief": {domain: {slot: value}}} or
+    {"act": [[domain, act_type, slot], ...]}. An HTTP or connection error, no
+    reply within AUX_TIMEOUT_S, or a reply of any other shape raises AuxError.
     """
-
-    def _ask(self, context: list[Turn], utterance: str, **extra) -> dict:
-        request = {"context": [_turn_wire(t) for t in context], "utterance": utterance, **extra}
-        try:
-            return self._roundtrip(request)
-        except (OSError, ValueError) as exc:  # requests.RequestException is an OSError
-            raise AuxError(f"{type(self).__name__}: {exc}") from exc
-
-    def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
-        return TurnBelief.from_dict(self._ask(context, utterance).get("belief", {}))
-
-    def predict_act(self, context, utterance, belief, db) -> DialogAct:
-        reply = self._ask(context, utterance, belief=belief.to_dict(), db=db.to_json())
-        return DialogAct.from_triples(reply.get("act", []))
-
-
-class SubprocessAuxPredictor(WireAuxPredictor):
-    """Transport: newline-delimited JSON over a child process's stdin/stdout."""
-
-    def __init__(self, argv: Sequence[str]):
-        self.argv = list(argv)
-        self._proc: subprocess.Popen | None = None
-        self._lock = threading.Lock()
-
-    def _ensure(self) -> subprocess.Popen:
-        if self._proc is not None and self._proc.poll() is not None:
-            self.close()
-        if self._proc is None:
-            self._proc = subprocess.Popen(
-                self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        return self._proc
-
-    def _roundtrip(self, request: dict) -> dict:
-        with self._lock:
-            proc = self._ensure()
-            proc.stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
-            proc.stdin.flush()
-            deadline = threading.Timer(AUX_TIMEOUT_S, proc.kill)  # the kill ends readline
-            deadline.start()
-            try:
-                line = proc.stdout.readline()
-            finally:
-                deadline.cancel()
-            if not line:
-                self.close()
-                raise AuxError(f"aux subprocess {self.argv[0]!r} closed its pipe "
-                               f"or sent no reply within {AUX_TIMEOUT_S} s")
-        return json.loads(line)
-
-    def close(self) -> None:
-        """Close both pipes and reap the child, whether it is still running or not."""
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        try:
-            proc.stdin.close()
-        except BrokenPipeError:  # unsent bytes for a child that has exited
-            pass
-        proc.stdout.close()
-        proc.wait(timeout=5)
-
-
-class HttpAuxPredictor(WireAuxPredictor):
-    """Transport: one JSON POST per request to an HTTP endpoint."""
 
     def __init__(self, url: str):
         import requests
@@ -552,10 +485,33 @@ class HttpAuxPredictor(WireAuxPredictor):
         self.url = url
         self._session = requests.Session()
 
-    def _roundtrip(self, request: dict) -> dict:
-        response = self._session.post(self.url, json=request, timeout=AUX_TIMEOUT_S)
-        response.raise_for_status()
-        return response.json()
+    def _ask(self, context: list[Turn], utterance: str, **extra) -> dict:
+        request = {"context": [_turn_wire(t) for t in context], "utterance": utterance, **extra}
+        try:
+            response = self._session.post(self.url, json=request, timeout=AUX_TIMEOUT_S)
+            response.raise_for_status()
+            reply = response.json()
+        except (OSError, ValueError) as exc:  # requests.RequestException is an OSError
+            raise AuxError(f"aux endpoint {self.url}: {exc}") from exc
+        if not isinstance(reply, dict):
+            raise AuxError(f"aux endpoint {self.url}: reply is not an object: {reply!r}")
+        return reply
+
+    def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
+        data = self._ask(context, utterance).get("belief", {})
+        if not isinstance(data, dict) or not all(isinstance(s, dict) for s in data.values()):
+            raise AuxError(f"aux endpoint {self.url}: belief is not domain -> slot -> value: "
+                           f"{data!r}")
+        return TurnBelief.from_dict(data)
+
+    def predict_act(self, context, utterance, belief, db) -> DialogAct:
+        reply = self._ask(context, utterance, belief=belief.to_dict(), db=db.to_json())
+        triples = reply.get("act", [])
+        if not isinstance(triples, list) or not all(
+                isinstance(t, list) and len(t) == 3 for t in triples):
+            raise AuxError(f"aux endpoint {self.url}: act is not a list of "
+                           f"[domain, act_type, slot] triples: {triples!r}")
+        return DialogAct.from_triples(triples)
 
     def close(self) -> None:
         """Close the adapter's HTTP session and its keep-alive connections."""

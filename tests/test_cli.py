@@ -289,7 +289,7 @@ def test_trace_file_written(tmp_path, mock_script_file):
 
 
 @pytest.mark.parametrize("command", ["simulate", "augment-dst"])
-@pytest.mark.parametrize("decode", [{"temperature": 3}, {"top_p": -0.1}])
+@pytest.mark.parametrize("decode", [{"temperature": 3}, {"top_p": -0.1}, {"top_p": 1.5}])
 def test_out_of_range_decode_is_config_error(tmp_path, mock_script_file, capsys,
                                              command, decode):
     config = write_json(tmp_path / "cfg.json", {"decode": decode})

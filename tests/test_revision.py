@@ -1,9 +1,4 @@
-import gc
-import sys
-import textwrap
 import threading
-import time
-import warnings
 
 import pytest
 
@@ -19,7 +14,7 @@ from dialogic import revision
 from dialogic.revision import (
     FALLBACK_ACT,
     AuxError,
-    SubprocessAuxPredictor,
+    HttpAuxPredictor,
     merge_beliefs,
     revise_act,
     revise_belief,
@@ -416,65 +411,7 @@ def test_aux_predict_act_nooffer(ontology, aux):
 
 # -- external adapter ------------------------------------------------------------
 
-ECHO_CHILD = textwrap.dedent("""
-    import json, sys
-    for line in sys.stdin:
-        request = json.loads(line)
-        if "belief" in request:
-            print(json.dumps({"act": [["general", "reqmore", "none"]]}))
-        else:
-            print(json.dumps({"belief": {"hotel": {"area": "south"}}}))
-        sys.stdout.flush()
-""")
-
-
-def test_subprocess_adapter_round_trip(tmp_path):
-    child = tmp_path / "aux_child.py"
-    child.write_text(ECHO_CHILD, encoding="utf-8")
-    adapter = SubprocessAuxPredictor([sys.executable, str(child)])
-    try:
-        out = adapter.predict_belief([], "in the south")
-        assert out.to_dict() == {"hotel": {"area": "south"}}
-        act = adapter.predict_act(
-            [turn("hi", {"hotel": {"area": "south"}})], "x",
-            belief({"hotel": {"area": "south"}}), NO_RESULT)
-        assert act.triples == (("general", "reqmore", "none"),)
-    finally:
-        adapter.close()
-
-
-def test_subprocess_adapter_reaps_dead_children():
-    # the child exits at once: every request fails and starts a fresh child
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        adapter = SubprocessAuxPredictor([sys.executable, "-c", "pass"])
-        for _ in range(3):
-            with pytest.raises(AuxError):
-                adapter.predict_belief([], "in the south")
-        adapter.close()
-        del adapter
-        gc.collect()
-    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
-
-
-def test_subprocess_adapter_read_deadline(monkeypatch):
-    # the child reads the request and never answers: the deadline kills and reaps it
-    monkeypatch.setattr(revision, "AUX_TIMEOUT_S", 0.5)
-    silent = "import sys, time\nsys.stdin.readline()\ntime.sleep(20)\n"
-    adapter = SubprocessAuxPredictor([sys.executable, "-c", silent])
-    started = time.monotonic()
-    try:
-        with pytest.raises(AuxError, match="no reply within 0.5 s"):
-            adapter.predict_belief([], "in the south")
-        assert time.monotonic() - started < 10
-        assert adapter._proc is None
-    finally:
-        adapter.close()
-
-
 def test_http_adapter_round_trip(loopback):
-    from dialogic.revision import HttpAuxPredictor
-
     handlers = []
 
     def answer(request, headers):
@@ -492,3 +429,28 @@ def test_http_adapter_round_trip(loopback):
     adapter.close()
     handlers[-1].join(timeout=5)
     assert not handlers[-1].is_alive()
+
+
+# replies that are JSON but not of the wire shape; each used to escape as an
+# AttributeError, TypeError or ValueError instead of failing as an aux error
+@pytest.mark.parametrize("ask, reply", [
+    ("belief", []),
+    ("belief", "x"),
+    ("belief", {"belief": None}),
+    ("belief", {"belief": [1]}),
+    ("belief", {"belief": {"hotel": "south"}}),
+    ("act", {"act": 5}),
+    ("act", {"act": [5]}),
+    ("act", {"act": [["a", "b"]]}),
+    ("act", {"act": ["abc"]}),
+])
+def test_http_adapter_rejects_malformed_reply(loopback, ask, reply):
+    adapter = HttpAuxPredictor(f"{loopback(lambda request, headers: (200, reply, {}))}/aux")
+    try:
+        with pytest.raises(AuxError, match="aux endpoint"):
+            if ask == "belief":
+                adapter.predict_belief([], "somewhere in the north")
+            else:
+                adapter.predict_act([], "x", belief({}), NO_RESULT)
+    finally:
+        adapter.close()

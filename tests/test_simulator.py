@@ -9,7 +9,7 @@ from dialogic.backend import ContextLengthExceeded, MockBackend
 from dialogic.exemplar import parse_system_line, parse_user_line
 from dialogic.goals import GoalStrategy
 from dialogic.model import DialogAct, GenConfig, NO_RESULT, Turn, TurnBelief, UserGoal
-from dialogic.revision import SubprocessAuxPredictor, slot_value_match_filter
+from dialogic.revision import HttpAuxPredictor, slot_value_match_filter
 from dialogic.simulator import (
     DstAugSpec,
     KIND_OTHER,
@@ -204,24 +204,38 @@ def test_batch_isolates_failures(seeds, aux, entity_db, ontology):
     assert report.failures.get("backend_error") == 2
 
 
-def test_batch_records_aux_fault_and_continues(seeds, entity_db, ontology, monkeypatch):
-    # a child that exits at once leaves every belief request a closed pipe; one that
-    # reads each request and never answers runs into the read deadline
+def test_batch_records_aux_fault_and_continues(seeds, entity_db, ontology, loopback,
+                                                monkeypatch):
+    # an HTTP error, a reply that is not an object, a belief that is not
+    # domain -> slot -> value, and an answer that comes after the read deadline
     monkeypatch.setattr(revision, "AUX_TIMEOUT_S", 0.3)
-    silent = "import sys, time\nsys.stdin.readline()\ntime.sleep(20)\n"
-    for child in ("pass", silent):
-        aux = SubprocessAuxPredictor([sys.executable, "-c", child])
-        started = time.monotonic()
-        try:
-            dialogues, report = simulate_batch(
-                3, GoalStrategy(kind="combination"), seeds, MockBackend(list(BYE_SCRIPT) * 3),
-                aux, entity_db, ontology, GenConfig(rng_seed=11))
-        finally:
-            aux.close()
-        assert time.monotonic() - started < 10
-        assert dialogues == []
-        assert report.requested == 3
-        assert report.failures == {"aux_error": 3}
+    released = threading.Event()
+
+    def late(request, headers):
+        released.wait()
+        return 200, {"belief": {}}, {}
+
+    answers = [lambda request, headers: (500, {}, {}),
+               lambda request, headers: (200, [], {}),
+               lambda request, headers: (200, {"belief": {"hotel": "south"}}, {}),
+               late]
+    try:
+        for answer in answers:
+            aux = HttpAuxPredictor(loopback(answer))
+            started = time.monotonic()
+            try:
+                dialogues, report = simulate_batch(
+                    3, GoalStrategy(kind="combination"), seeds,
+                    MockBackend(list(BYE_SCRIPT) * 3), aux, entity_db, ontology,
+                    GenConfig(rng_seed=11))
+            finally:
+                aux.close()
+            assert time.monotonic() - started < 10
+            assert dialogues == []
+            assert report.requested == 3
+            assert report.failures == {"aux_error": 3}
+    finally:
+        released.set()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
