@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .model import DbResult
 from .ontology import GENERAL_DOMAIN, Ontology
-from .textnorm import match_tokens, parse_time
+from .textnorm import match_tokens, parse_time, value_tokens
 
 # booking attributes carried by goals but absent from entity tables
 BOOKING_SLOTS: dict[str, frozenset[str]] = {
@@ -58,7 +58,9 @@ class EntityDb:
     def __post_init__(self):
         self._index: dict[str, dict[tuple[str, tuple[str, ...]], set[int]]] = {}
         self._columns: dict[str, set[str]] = {}
-        norm = cache(_norm_value)  # cells repeat: tokenise each distinct value once
+        # cells repeat: tokenise each distinct value once, in a memo of this
+        # construction's own, so that the cells do not crowd `value_tokens`
+        norm = cache(_norm_value)
         for domain, records in self.tables.items():
             index: dict[tuple[str, tuple[str, ...]], set[int]] = {}
             columns: set[str] = set()
@@ -89,10 +91,11 @@ class EntityDb:
         are ignored unless strict mode is on.
 
         Each constraint selects its rows by index: an exact value from the
-        (slot, normalized value) index built at construction, a train time
-        bound by bisection in that column's presorted times. Only the selected
-        row sets are intersected, so with no active constraint the count is
-        the table size and no per-row work is done.
+        (slot, normalized value) index built at construction, normalized by the
+        memoised `value_tokens`, a train time bound by bisection in that
+        column's presorted times. Only the selected row sets are intersected,
+        so with no active constraint the count is the table size and no
+        per-row work is done.
         """
         if not self.ontology.has_domain(domain):
             raise DatabaseError(f"unknown domain {domain!r}")
@@ -117,7 +120,7 @@ class EntityDb:
                 else:
                     matched = rows[:bisect_right(minutes, wanted)]
             else:
-                matched = self._index[domain].get((slot, _norm_value(value)), ())
+                matched = self._index[domain].get((slot, value_tokens(str(value))), ())
             # index sets are shared between calls: build a new set, never update one
             candidates = set(matched) if candidates is None else candidates.intersection(matched)
             if not candidates:

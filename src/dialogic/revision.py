@@ -23,7 +23,7 @@ from .model import (
     current_domain,
 )
 from .ontology import GENERAL_DOMAIN, NONE, Ontology
-from .textnorm import TokenView, match_tokens, parse_time, token_pairs
+from .textnorm import TokenView, match_tokens, parse_time, utterance_view, value_tokens
 
 BOOLEAN_SLOTS = ("parking", "internet")
 
@@ -40,6 +40,9 @@ _DONTCARE_CUES: tuple[tuple[str, ...], ...] = (
     ("not", "matter"), ("no", "preference"), ("any",), ("either",),
     ("not", "picky"), ("not", "important"), ("whatever",),
 )
+# a cue can be found only where its first token, or its spelling as one token,
+# is a token or a joined pair of the view
+_DONTCARE_KEYS = frozenset(key for cue in _DONTCARE_CUES for key in (cue[0], "".join(cue)))
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +63,8 @@ def _boolean_match(slot: str, value: str, view: TokenView) -> bool:
 
 
 def dontcare_expressed(view: TokenView) -> bool:
+    if _DONTCARE_KEYS.isdisjoint(view.at) and _DONTCARE_KEYS.isdisjoint(view.joined):
+        return False
     return any(view.find(cue) is not None for cue in _DONTCARE_CUES)
 
 
@@ -69,7 +74,7 @@ def value_expressed(slot: str, value: str, view: TokenView) -> bool:
         return dontcare_expressed(view)
     if slot in _BOOLEAN_CUES and value in ("yes", "no"):
         return _boolean_match(slot, value, view)
-    return view.find(match_tokens(value)) is not None
+    return view.find(value_tokens(value)) is not None
 
 
 def slot_value_match_filter(belief: TurnBelief, utterance: str,
@@ -82,7 +87,7 @@ def slot_value_match_filter(belief: TurnBelief, utterance: str,
 
 
 def _filter_with_drops(belief: TurnBelief, utterance: str) -> tuple[TurnBelief, list[Triple]]:
-    view = TokenView(match_tokens(utterance))
+    view = utterance_view(utterance)
     kept = TurnBelief()
     dropped: list[Triple] = []
     for domain, slot, value in belief.triples():
@@ -118,10 +123,6 @@ class RevisionReport:
     de_generation_fixes: tuple[Triple, ...] = ()   # aux-only triples that survived
     over_generation_drops: tuple[Triple, ...] = ()  # filtered-out triples
     aux_belief: TurnBelief | None = None
-
-    @property
-    def unchanged(self) -> bool:
-        return not self.de_generation_fixes and not self.over_generation_drops
 
 
 def revise_belief(gpt: TurnBelief, context: list[Turn], utterance: str,
@@ -257,6 +258,8 @@ _DOMAIN_KEYWORDS: dict[str, tuple[str, ...]] = {
     "hospital": ("hospital",),
     "police": ("police",),
 }
+_KEYWORD_DOMAIN = {kw: domain for domain, keywords in _DOMAIN_KEYWORDS.items()
+                   for kw in keywords}
 
 _DAY_NAMES = ("monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday")
 
@@ -327,13 +330,11 @@ class LexicalAuxPredictor(AuxPredictor):
                 self._keyed.setdefault(key, set()).add(phrase)
 
     def _active_domains(self, view: TokenView, context: list[Turn]) -> list[str]:
-        found: dict[str, int] = {}
-        for domain, keywords in _DOMAIN_KEYWORDS.items():
-            for kw in keywords:
-                if kw in view.at:
-                    pos = view.at[kw][0]
-                    if domain not in found or pos < found[domain]:
-                        found[domain] = pos
+        found: dict[str, int] = {}  # domain -> first position of one of its keywords
+        for token, positions in view.at.items():
+            domain = _KEYWORD_DOMAIN.get(token)
+            if domain is not None and positions[0] < found.get(domain, len(view.tokens)):
+                found[domain] = positions[0]
         ordered = [d for d, _ in sorted(found.items(), key=lambda kv: kv[1])]
         for turn in reversed(context):
             for domain in reversed(turn.belief.task_domains()):
@@ -356,9 +357,8 @@ class LexicalAuxPredictor(AuxPredictor):
         return sorted((hit for hit in hits if hit[1] is not None), key=lambda h: self._rank[h[0]])
 
     def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
-        pairs = token_pairs(utterance)
-        tokens = [norm for _, norm in pairs]
-        view = TokenView(tokens)
+        view = utterance_view(utterance)
+        tokens = view.tokens
         domains = self._active_domains(view, context)
         belief = TurnBelief()
 
@@ -418,7 +418,7 @@ class LexicalAuxPredictor(AuxPredictor):
             if slot:
                 domain = self._first_with_slot(domains, slot)
                 if domain:
-                    emit(domain, slot, pairs[i][0])
+                    emit(domain, slot, view.surface[i])
 
         # boolean slots via cue phrases
         for slot in BOOLEAN_SLOTS:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from .backend import BackendError, CompletionBackend, CompletionRequest, ContextLengthExceeded
@@ -265,11 +266,21 @@ _SLOT_GLOSSARY: dict[str, str] = {
     "time": "time of the {domain} booking",
     "department": "hospital department you need",
 }
+_LISTS_OPTIONS = frozenset(slot for slot, text in _SLOT_GLOSSARY.items() if "{options}" in text)
 
 
 def _glossary_line(domain: str, slot: str, ontology: Ontology) -> str:
+    # only a line that lists the options reads the candidates, which can run to
+    # thousands of values; every other line is keyed on ()
+    return _glossary_text(
+        domain, slot, ontology.candidates(domain, slot) if slot in _LISTS_OPTIONS else ())
+
+
+@lru_cache(maxsize=1024)
+def _glossary_text(domain: str, slot: str, candidates: tuple[str, ...]) -> str:
+    """One glossary line, built once per (domain, slot, candidates); an Ontology is unhashable."""
     template = _SLOT_GLOSSARY.get(slot, "the {slot} of the {domain}")
-    options = ", ".join(ontology.candidates(domain, slot))
+    options = ", ".join(candidates)
     text = template.format(domain=domain, slot=slot, options=options or "any value")
     return f"{slot}: {text};"
 

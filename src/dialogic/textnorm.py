@@ -7,6 +7,7 @@ counts as "the same value", so all token-level normalization lives here.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 # number words mapped to digits for value matching ("three nights" == 3)
 NUMBER_WORDS: dict[str, str] = {
@@ -46,8 +47,7 @@ def normalize_text(text: str) -> str:
 def norm_token(token: str) -> str:
     """Canonical form of one token: number words to digits, times without a leading zero."""
     token = NUMBER_WORDS.get(token, token)
-    m = _TIME_RE.match(token)
-    if m:
+    if ":" in token and (m := _TIME_RE.match(token)):
         return f"{int(m.group(1))}:{m.group(2)}"
     return token
 
@@ -63,17 +63,30 @@ def match_tokens(text: str) -> list[str]:
     return [norm for _, norm in token_pairs(text)]
 
 
+@lru_cache(maxsize=4096)
+def value_tokens(value: str) -> tuple[str, ...]:
+    """`match_tokens(value)` as a tuple.
+
+    Slot values recur across turns and samples, so the most recent 4,096 are
+    kept; a value the LLM made up cannot grow the memo past that.
+    """
+    return tuple(match_tokens(value))
+
+
 class TokenView:
     """One utterance's match tokens, indexed once for every phrase looked up in it.
 
     `at` maps each token to its positions; `joined` maps each adjacent pair,
-    written as one token, to the position of its first half.
+    written as one token, to the position of its first half. `surface` holds
+    each token as written, before `norm_token` (the tokens themselves when not
+    given). A view is read-only once built.
     """
 
-    __slots__ = ("tokens", "at", "joined")
+    __slots__ = ("tokens", "surface", "at", "joined")
 
-    def __init__(self, tokens: list[str]):
+    def __init__(self, tokens: list[str], surface: list[str] | None = None):
         self.tokens = tuple(tokens)
+        self.surface = self.tokens if surface is None else tuple(surface)
         self.at: dict[str, list[int]] = {}
         self.joined: dict[str, list[int]] = {}
         for i, tok in enumerate(self.tokens):
@@ -100,9 +113,15 @@ class TokenView:
         return hits[0] if hits else None
 
 
-def find_phrase(haystack: list[str], needle: list[str]) -> int | None:
-    """Index of the first occurrence of needle as a contiguous token run."""
-    return TokenView(haystack).find(needle)
+@lru_cache(maxsize=1)
+def utterance_view(text: str) -> TokenView:
+    """The TokenView of `text`'s match tokens, with their surface forms.
+
+    The last view is kept for the next call, so that the aux predictor and the
+    match filter, which read one user turn in turn, tokenise it once.
+    """
+    pairs = token_pairs(text)
+    return TokenView([norm for _, norm in pairs], [surface for surface, _ in pairs])
 
 
 def parse_time(value: str) -> int | None:

@@ -130,7 +130,7 @@ def test_revise_identity_when_correct(ontology, aux):
     gpt = belief({"hotel": {"area": "south"}})
     out, report = revise_belief(gpt, [], "somewhere in the south please .", aux, ontology)
     assert out == gpt
-    assert report.unchanged
+    assert report.de_generation_fixes == () and report.over_generation_drops == ()
 
 
 def test_revise_reference_turn(ontology, aux):
@@ -401,6 +401,78 @@ def test_aux_lexicon_index_matches_linear_scan(aux):
         assert hits == _linear_lexicon_hits(aux._lexicon, tokens), tokens
         spacing_variants += sum(tokens[pos : pos + len(p)] != list(p) for p, pos in hits)
     assert spacing_variants > 100
+
+
+def test_dontcare_guard_agrees_with_every_cue_search():
+    """The early return must not miss a cue written split or joined ("donotcare")."""
+    cues = revision._DONTCARE_CUES
+    spellings = [list(cue) for cue in cues] + [["".join(cue)] for cue in cues]
+    spellings += [[cue[0][:cut], cue[0][cut:]] for cue in cues if len(cue) == 1
+                  for cut in range(1, len(cue[0]))]  # "what ever", "d ontcare"
+    spellings += [["".join(cue[:2]), *cue[2:]] for cue in cues if len(cue) > 2]  # "donot care"
+    filler = ["i", "do", "not", "need", "it", "care", "no", "matter", "any", "more", "n't"]
+    rng = make_rng(29)
+    found = 0
+    for _ in range(6000):
+        tokens = rng.choices(filler, k=rng.randint(0, 6))
+        if rng.random() < 0.5:
+            spelling = rng.choice(spellings)
+            at = rng.randint(0, len(tokens))
+            tokens[at:at] = spelling
+        view = TokenView(tokens)
+        unguarded = any(view.find(cue) is not None for cue in cues)
+        assert revision.dontcare_expressed(view) == unguarded, tokens
+        found += unguarded
+    for spelling in spellings:
+        view = TokenView(["well", *spelling, "thanks"])
+        assert revision.dontcare_expressed(view) == any(
+            view.find(cue) is not None for cue in cues), spelling
+    assert revision.dontcare_expressed(TokenView(["donotcare"]))
+    assert 1000 < found < 5000
+
+
+def _reference_active_domains(view, context):
+    """Each domain's keywords in turn, as `_active_domains` looked them up before its map."""
+    found = {}
+    for domain, keywords in revision._DOMAIN_KEYWORDS.items():
+        for kw in keywords:
+            if kw in view.at:
+                pos = view.at[kw][0]
+                if domain not in found or pos < found[domain]:
+                    found[domain] = pos
+    ordered = [d for d, _ in sorted(found.items(), key=lambda kv: kv[1])]
+    for past in reversed(context):
+        for domain in reversed(past.belief.task_domains()):
+            if domain not in ordered:
+                ordered.append(domain)
+            break
+    return ordered
+
+
+def test_active_domains_keyword_map_equals_per_domain_scan(aux):
+    keywords = [kw for kws in revision._DOMAIN_KEYWORDS.values() for kw in kws]
+    assert len(revision._KEYWORD_DOMAIN) == len(keywords)  # no keyword names two domains
+    rng = make_rng(31)
+    contexts = [[], [turn("a hotel", {"hotel": {"area": "north"}})],
+                [turn("x", {"train": {}}), turn("y", {"restaurant": {"food": "thai"}})]]
+    for _ in range(3000):
+        tokens = rng.choices(keywords + ["i", "need", "a", "the"], k=rng.randint(0, 8))
+        view, context = TokenView(tokens), rng.choice(contexts)
+        assert aux._active_domains(view, context) == _reference_active_domains(view, context)
+
+
+def test_revise_belief_tokenises_the_utterance_once(ontology, aux, monkeypatch):
+    from dialogic import textnorm
+
+    calls = []
+    token_pairs = textnorm.token_pairs
+    monkeypatch.setattr(textnorm, "token_pairs", lambda text: calls.append(text) or
+                        token_pairs(text))
+    textnorm.utterance_view.cache_clear()
+    utterance = "a cheap hotel in the north , leaving at 08:45 , i do n't care about parking ."
+    out, _ = revise_belief(belief({"hotel": {"area": "north"}}), [], utterance, aux, ontology)
+    assert calls == [utterance]  # the aux and the filter share one view
+    assert out.get("hotel", "area") == "north"
 
 
 def test_aux_predict_act_nooffer(ontology, aux):

@@ -2,11 +2,14 @@ import json
 from importlib import resources
 
 from dialogic.textnorm import (
+    NUMBER_WORDS,
     TokenView,
-    find_phrase,
     match_tokens,
+    norm_token,
     normalize_text,
     parse_time,
+    utterance_view,
+    value_tokens,
 )
 
 from .conftest import make_rng
@@ -69,22 +72,63 @@ def test_match_tokens_maps_number_words_and_times():
 
 
 def test_contains_phrase_token_boundaries():
-    tokens = match_tokens("i need a train to birmingham new street station")
-    assert find_phrase(tokens, ["birmingham", "new", "street"]) == 5
-    assert find_phrase(tokens, ["birmingham", "street"]) is None
-    assert find_phrase(match_tokens("anything else"), ["any"]) is None
+    view = TokenView(match_tokens("i need a train to birmingham new street station"))
+    assert view.find(["birmingham", "new", "street"]) == 5
+    assert view.find(["birmingham", "street"]) is None
+    assert TokenView(match_tokens("anything else")).find(["any"]) is None
 
 
 def test_contains_phrase_spacing_variants():
-    assert find_phrase(match_tokens("a nice guest house"), ["guesthouse"]) == 2
-    assert find_phrase(match_tokens("a guesthouse in town"), ["guest", "house"]) == 1
+    assert TokenView(match_tokens("a nice guest house")).find(["guesthouse"]) == 2
+    assert TokenView(match_tokens("a guesthouse in town")).find(["guest", "house"]) == 1
 
 
 def test_find_phrase_positions():
-    tokens = ["a", "train", "to", "leicester"]
-    assert find_phrase(tokens, ["leicester"]) == 3
-    assert find_phrase(tokens, ["bus"]) is None
-    assert find_phrase(tokens, []) is None
+    view = TokenView(["a", "train", "to", "leicester"])
+    for needle in (["leicester"], ["bus"], [], ["train", "to"], ["trainto"]):
+        assert view.find(needle) == reference_find_phrase(list(view.tokens), needle)
+    assert view.find(["leicester"]) == 3
+    assert view.find(["bus"]) is None
+    assert view.find([]) is None
+
+
+def _reference_norm_token(token: str) -> str:
+    """`norm_token` without its `:` guard in front of the time regex."""
+    import re
+    token = NUMBER_WORDS.get(token, token)
+    m = re.match(r"^(\d{1,2}):(\d{2})$", token)
+    return f"{int(m.group(1))}:{m.group(2)}" if m else token
+
+
+def test_norm_token_guard_equals_unguarded():
+    tokens = ["08:45", "8:45", "12:30", "123:45", "8:5", "8:456", ":", "a:b", "08:45:00",
+              "three", "twenty", "0845", "٣:٤٥", "²:30", "", "x"]
+    rng = make_rng(4)
+    tokens += ["".join(rng.choices("0123456789:ab", k=rng.randint(0, 6))) for _ in range(5000)]
+    assert [norm_token(t) for t in tokens] == [_reference_norm_token(t) for t in tokens]
+
+
+def test_value_tokens_equal_match_tokens():
+    from dialogic.ontology import default_ontology
+
+    ontology = default_ontology()
+    values = [value for domain in ontology.goal_domains()
+              for slot in ontology.informable_slots(domain)
+              for value in ontology.candidates(domain, slot)]
+    values += ["08:45", "a 3-star hotel", "Guest House", "three nights", "", " . ", "75.10"]
+    for _ in range(2):  # the second pass reads the memo
+        for value in values:
+            assert value_tokens(value) == tuple(match_tokens(value)), value
+    assert value_tokens.cache_info().hits >= len(values)
+
+
+def test_utterance_view_carries_surface_forms():
+    text = "I leave at 08:45 , three people ."
+    view = utterance_view(text)
+    assert view.tokens == tuple(match_tokens(text)) == ("i", "leave", "at", "8:45", "3", "people")
+    assert view.surface == ("i", "leave", "at", "08:45", "three", "people")
+    assert utterance_view(text) is view  # kept for the next call on the same turn
+    assert TokenView(["a", "b"]).surface == ("a", "b")
 
 
 # join/split collisions: "a b" and "ab", "ab c" and "a bc", "wi fi" and "wifi"
