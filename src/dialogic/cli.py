@@ -14,6 +14,7 @@ import sys
 import threading
 from dataclasses import fields
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .backend import (
     CompletionBackend,
@@ -28,7 +29,7 @@ from .database import EntityDb, bucketize, default_entity_db, load_entity_db
 from .goals import GoalStrategy, RsDistribution, STRATEGIES
 from .model import DecodeConfig, GenConfig
 from .ontology import Ontology, default_ontology, load_ontology
-from .revision import LexicalAuxPredictor, slot_value_match_filter
+from .revision import HttpAuxPredictor, LexicalAuxPredictor, slot_value_match_filter
 from .simulator import BatchReport, augment_corpus, simulate_batch
 from .stats import compute_stats
 
@@ -177,7 +178,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seeds = _load_seeds(args, ontology)
     db = _load_db(args, ontology)
     backend = _build_backend(args)
-    aux = LexicalAuxPredictor(ontology, seeds)
+    remote = HttpAuxPredictor(args.aux_url) if args.aux_url else None
+    aux = LexicalAuxPredictor(ontology, seeds) if remote is None else remote
     trace_sink, trace_fh = _open_trace(args)
     try:
         dialogues, report = simulate_batch(
@@ -186,6 +188,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             **_given(args, dist="rs_distribution"))
     finally:
         backend.close()
+        if remote is not None:
+            remote.close()
         if trace_fh:
             trace_fh.close()
     return _finish(args, dialogues, report, "simulated", "dialogues")
@@ -282,6 +286,18 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _http_url(text: str) -> str:
+    """An http(s) URL with a host; anything else is a usage error."""
+    try:
+        parts = urlsplit(text)
+        parts.port  # a port that is not a number raises ValueError
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise argparse.ArgumentTypeError(f"expected an http(s) URL with a host, got {text!r}")
+    return text
+
+
 def _json_type(build):
     """An argparse type that decodes JSON and hands it to `build`; errors are usage errors."""
     def parse(text: str):
@@ -350,6 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-turns", dest="max_turns", type=int)
     p.add_argument("--workers", type=_positive_int)
     p.add_argument("--trace", help="write per-turn revision traces to this JSONL file")
+    p.add_argument("--aux-url", dest="aux_url", type=_http_url,
+                   help="external aux model endpoint (HttpAuxPredictor) instead of the lexical one")
     p.set_defaults(func=cmd_simulate)
 
     p = command("augment-dst", "generate turn-level state-tracking samples")

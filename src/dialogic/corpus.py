@@ -285,8 +285,10 @@ def _require(condition: bool, where: str, message: str) -> None:
 
 def turn_from_json(data: dict, where: str) -> Turn:
     _require(isinstance(data, dict), where, "turn must be an object")
+    # each message is built only on failure: a load checks every turn and triple
     for key in ("user", "belief", "act", "resp"):
-        _require(key in data, where, f"missing key {key!r}")
+        if key not in data:
+            raise CorpusError(f"{where}: missing key {key!r}")
     try:
         db = DbResult.from_json(data["db"]) if "db" in data else NO_RESULT
     except (KeyError, ValueError) as exc:
@@ -294,8 +296,8 @@ def turn_from_json(data: dict, where: str) -> Turn:
     _require(isinstance(data["belief"], dict), where, "belief must be an object")
     _require(isinstance(data["act"], list), where, "act must be a list of triples")
     for triple in data["act"]:
-        _require(isinstance(triple, list) and len(triple) == 3, f"{where}.act",
-                 f"bad act triple {triple!r}")
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise CorpusError(f"{where}.act: bad act triple {triple!r}")
     return Turn(
         user_utterance=normalize_text(str(data["user"])),
         belief=TurnBelief.from_dict(data["belief"]),

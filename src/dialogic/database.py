@@ -48,9 +48,53 @@ def _norm_value(value: str) -> tuple[str, ...]:
     return tuple(match_tokens(str(value)))
 
 
+_ABSENT = object()
+
+
+def _rows_by_cell(records: list[dict[str, str]], slot: str) -> dict[str, list[int]]:
+    """The rows of each distinct cell of one column, rows without it left out."""
+    rows_of: dict[str, list[int]] = {}
+    for i, record in enumerate(records):
+        cell = record.get(slot, _ABSENT)
+        rows = rows_of.get(cell)
+        if rows is None:
+            rows_of[cell] = [i]
+        else:
+            rows.append(i)
+    rows_of.pop(_ABSENT, None)
+    return rows_of
+
+
+def _sorted_times(rows_of: dict[str, list[int]]) -> tuple[list[int], list[int]]:
+    """Minutes and rows of a time column in ascending (minutes, row) order,
+    each distinct cell parsed once; cells that are not a time are left out."""
+    by_minute: dict[int, list[int]] = {}
+    for cell, rows in rows_of.items():
+        if (minutes := parse_time(str(cell))) is not None:
+            by_minute.setdefault(minutes, []).extend(rows)
+    times: list[int] = []
+    order: list[int] = []
+    for minutes in sorted(by_minute):
+        rows = sorted(by_minute[minutes])  # several spellings of one time interleave
+        times += [minutes] * len(rows)
+        order += rows
+    return times, order
+
+
+def _scan(records: list[dict[str, str]], slot: str, wanted: tuple[str, ...]) -> list[int]:
+    """Rows whose cell in an unindexed column has the wanted match tokens.
+
+    Each distinct cell is tokenised once, and nothing is memoised: a scan
+    adds nothing to the index or to `value_tokens`.
+    """
+    return [i for cell, rows in _rows_by_cell(records, slot).items()
+            if _norm_value(cell) == wanted for i in rows]
+
+
 @dataclass
 class EntityDb:
-    """Entity records per domain with a (slot, value) index for exact matches."""
+    """Entity records per domain, with a (slot, value) index of the columns a
+    belief can constrain: the domain's informable slots that its table holds."""
 
     ontology: Ontology
     tables: dict[str, list[dict[str, str]]] = field(default_factory=dict)
@@ -58,27 +102,33 @@ class EntityDb:
     def __post_init__(self):
         self._index: dict[str, dict[tuple[str, tuple[str, ...]], set[int]]] = {}
         self._columns: dict[str, set[str]] = {}
+        self._indexed: dict[str, frozenset[str]] = {}
+        # inequality-matched time columns: parsed minutes in ascending order,
+        # and the row of each, so a bound selects a contiguous run of rows
+        self._times: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
         # cells repeat: tokenise each distinct value once, in a memo of this
         # construction's own, so that the cells do not crowd `value_tokens`
         norm = cache(_norm_value)
         for domain, records in self.tables.items():
+            columns = set().union(*records)
+            schema = self.ontology.domains.get(domain)
+            indexed = frozenset(schema.informable if schema else ()) & columns
+            timed = {slot for d, slot in _TIME_INEQUALITIES if d == domain} & columns
             index: dict[tuple[str, tuple[str, ...]], set[int]] = {}
-            columns: set[str] = set()
-            for i, record in enumerate(records):
-                for slot, value in record.items():
-                    columns.add(slot)
-                    index.setdefault((slot, norm(value)), set()).add(i)
+            for slot in sorted(indexed | timed):
+                rows_of = _rows_by_cell(records, slot)
+                if slot in indexed:
+                    for cell, rows in rows_of.items():
+                        key = (slot, norm(cell))
+                        if key in index:
+                            index[key].update(rows)
+                        else:
+                            index[key] = set(rows)
+                if slot in timed:
+                    self._times[(domain, slot)] = _sorted_times(rows_of)
             self._index[domain] = index
             self._columns[domain] = columns
-        # inequality-matched time columns: parsed minutes in ascending order,
-        # and the row of each, so a bound selects a contiguous run of rows
-        self._times: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
-        parse = cache(parse_time)  # rows share times: parse each distinct one once
-        for domain, slot in _TIME_INEQUALITIES:
-            timed = sorted(
-                (minutes, i) for i, record in enumerate(self.tables.get(domain, []))
-                if (minutes := parse(str(record.get(slot, "")))) is not None)
-            self._times[(domain, slot)] = ([m for m, _ in timed], [i for _, i in timed])
+            self._indexed[domain] = indexed
 
     def size(self, domain: str) -> int:
         return len(self.tables.get(domain, []))
@@ -90,12 +140,13 @@ class EntityDb:
         `dontcare` matches everything; booking slots are ignored; unknown slots
         are ignored unless strict mode is on.
 
-        Each constraint selects its rows by index: an exact value from the
-        (slot, normalized value) index built at construction, normalized by the
-        memoised `value_tokens`, a train time bound by bisection in that
-        column's presorted times. Only the selected row sets are intersected,
-        so with no active constraint the count is the table size and no
-        per-row work is done.
+        Each constraint on an indexed column selects its rows by index: an
+        exact value from the (slot, normalized value) index built at
+        construction, normalized by the memoised `value_tokens`, a train time
+        bound by bisection in that column's presorted times. A constraint on
+        any other column (train id or price, a phone number) scans it. Only
+        the selected row sets are intersected, so with no active constraint
+        the count is the table size and no per-row work is done.
         """
         if not self.ontology.has_domain(domain):
             raise DatabaseError(f"unknown domain {domain!r}")
@@ -119,8 +170,10 @@ class EntityDb:
                     matched = rows[bisect_left(minutes, wanted):]
                 else:
                     matched = rows[:bisect_right(minutes, wanted)]
-            else:
+            elif slot in self._indexed[domain]:
                 matched = self._index[domain].get((slot, value_tokens(str(value))), ())
+            else:
+                matched = _scan(records, slot, _norm_value(value))
             # index sets are shared between calls: build a new set, never update one
             candidates = set(matched) if candidates is None else candidates.intersection(matched)
             if not candidates:

@@ -6,7 +6,7 @@ import pytest
 
 from dialogic.cli import main
 
-from .conftest import SEED_CORPUS_PATH, completion_reply
+from .conftest import SEED_CORPUS_PATH, TRACE_SCRIPT, completion_reply
 
 BYE_SCRIPT = [
     "[general]): hello , that is all .",
@@ -375,6 +375,14 @@ LIVE = {"backend": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
     (["--decode", '{"frequency_penalty": NaN}'], "frequency_penalty"),
     (["--strategy", "random", "--rs-distribution", "[[1, 1, 2, NaN]]"], "--rs-distribution"),
     ({"rs_distribution": [[1, 1, 2, 1.5], [2, 1, 2, -0.5]]}, "--rs-distribution"),
+    # an aux endpoint must be an http(s) URL with a host
+    ({"aux_url": "ftp://127.0.0.1/aux"}, "--aux-url"),
+    ({"aux_url": "localhost:8080/aux"}, "--aux-url"),
+    ({"aux_url": ""}, "--aux-url"),
+    (["--aux-url", "http://"], "--aux-url"),
+    (["--aux-url", "https:///aux"], "--aux-url"),
+    (["--aux-url", "http://[::1/aux"], "--aux-url"),
+    (["--aux-url", "http://127.0.0.1:port/aux"], "--aux-url"),
 ])
 def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_file, capsys,
                                           setting, named):
@@ -405,3 +413,61 @@ def test_config_file_and_flags_write_identical_corpora(tmp_path, mock_script_fil
     })
     assert main(["simulate", "--config", config]) == 0
     assert (tmp_path / "config.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
+
+
+# -- external aux model --------------------------------------------------------
+
+def lexical_aux_server(loopback, asked):
+    """A loopback aux endpoint that answers as the in-process LexicalAuxPredictor."""
+    from dialogic.corpus import load_seed_corpus
+    from dialogic.model import NO_RESULT, DbResult, DialogAct, Turn, TurnBelief
+    from dialogic.ontology import default_ontology
+    from dialogic.revision import LexicalAuxPredictor
+
+    ontology = default_ontology()
+    lexical = LexicalAuxPredictor(ontology, load_seed_corpus(SEED_CORPUS_PATH, ontology))
+
+    def answer(request, headers):
+        # the wire carries no DB result for a context turn, and the lexical aux reads none
+        context = [Turn(t["user"], TurnBelief.from_dict(t["belief"]), NO_RESULT,
+                        DialogAct.from_triples(t["act"]), t["resp"])
+                   for t in request["context"]]
+        if "belief" in request:
+            asked.append("act")
+            act = lexical.predict_act(context, request["utterance"],
+                                      TurnBelief.from_dict(request["belief"]),
+                                      DbResult.from_json(request["db"]))
+            return 200, {"act": act.to_json()}, {}
+        asked.append("belief")
+        belief = lexical.predict_belief(context, request["utterance"])
+        return 200, {"belief": belief.to_dict()}, {}
+
+    return loopback(answer)
+
+
+def test_simulate_aux_url_matches_in_process_aux(tmp_path, loopback):
+    # the reference dialogue's lines, whose revisions take slots from the aux
+    script = write_json(tmp_path / "script.json", TRACE_SCRIPT * 3)
+    asked = []
+    url = lexical_aux_server(loopback, asked)
+    for name, extra in (("local", {}), ("remote", {"aux_url": f"{url}/aux"})):
+        assert main_within(simulate_args(tmp_path, f"{name}.json", backend="mock",
+                                         mock_script=script, num=2,
+                                         trace=str(tmp_path / f"{name}.jsonl"), **extra)) == 0
+        assert bool(asked) == (name == "remote")
+    assert asked.count("belief") >= 2
+    assert (tmp_path / "remote.json").read_bytes() == (tmp_path / "local.json").read_bytes()
+    trace = (tmp_path / "local.jsonl").read_text()
+    assert (tmp_path / "remote.jsonl").read_text() == trace
+    # the aux is what added the hotel type on the first turn
+    assert '"aux_belief": {"hotel": {"area": "south", "type": "hotel"}}' in trace
+
+
+def test_simulate_aux_url_server_error_is_aux_error(tmp_path, loopback, mock_script_file, capsys):
+    url = loopback(lambda request, headers: (500, {}, {}))
+    code = main_within(simulate_args(tmp_path, backend="mock", mock_script=mock_script_file,
+                                     aux_url=url))
+    report = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert report["requested"] == 3
+    assert report["failures"] == {"aux_error": 3}

@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from dialogic.corpus import load_seed_corpus
 from dialogic.database import (
     BOOKING_SLOTS,
     DatabaseError,
@@ -14,9 +15,10 @@ from dialogic.database import (
     load_entity_db,
 )
 from dialogic.model import DbResult
-from dialogic.textnorm import match_tokens, parse_time
+from dialogic.revision import LexicalAuxPredictor
+from dialogic.textnorm import match_tokens, parse_time, value_tokens
 
-from .conftest import make_rng
+from .conftest import SEED_CORPUS_PATH, make_rng
 
 
 def brute_force_count(records, constraints, *, booking=(), time_rules=()):
@@ -267,14 +269,16 @@ def test_default_db_included_domains(entity_db):
     assert set(entity_db.tables) == {"restaurant", "hotel", "attraction", "train"}
 
 
-def per_cell_index(tables):
-    """Reference for `EntityDb._index`: every cell tokenised on its own."""
+def per_cell_index(tables, ontology):
+    """Reference for `EntityDb._index`: every cell of an informable column tokenised on its own."""
     index = {}
     for domain, records in tables.items():
+        informable = ontology.schema(domain).informable
         by_value = index.setdefault(domain, {})
         for i, record in enumerate(records):
             for slot, value in record.items():
-                by_value.setdefault((slot, _norm_value(value)), set()).add(i)
+                if slot in informable:
+                    by_value.setdefault((slot, _norm_value(value)), set()).add(i)
     return index
 
 
@@ -289,13 +293,83 @@ def _random_repetitive_table(rng, n):
 
 def test_index_equals_per_cell_reference(entity_db, ontology):
     rng = make_rng(31)
-    random_db = EntityDb(ontology=ontology, tables={
-        "hotel": _random_repetitive_table(rng, 400), "train": _random_trains(rng, 300)})
+    hotels = _random_repetitive_table(rng, 400)
+    for row in hotels:
+        row["phone"] = f"01223 {rng.randint(0, 50):06d}"
+    random_db = EntityDb(ontology=ontology, tables={"hotel": hotels,
+                                                    "train": _random_trains(rng, 300)})
     for db in (entity_db, random_db):
-        assert db._index == per_cell_index(db.tables)
+        assert db._index == per_cell_index(db.tables, ontology)
+    # only what a belief can constrain is indexed: no phone, address, train id or price
+    assert {slot for slot, _ in entity_db._index["hotel"]} == {
+        "area", "internet", "name", "parking", "pricerange", "stars", "type"}
+    assert {slot for slot, _ in entity_db._index["train"]} == {
+        "arrive", "day", "departure", "destination", "leave"}
     # several spellings share one key, so the index has fewer keys than spellings
     assert len(random_db._index["hotel"]) < len({(s, v) for r in random_db.tables["hotel"]
-                                                  for s, v in r.items()})
+                                                  for s, v in r.items() if s != "phone"})
+
+
+def _scanned_column_constraints(rng, records, slots, spell):
+    """Constraints on unindexed columns: stored values, other spellings of them, misses."""
+    constraints = {}
+    for slot in rng.sample(slots, rng.randint(1, len(slots))):
+        value = rng.choice(records)[slot]
+        roll = rng.random()
+        if roll < 0.1:
+            constraints[slot] = "dontcare"
+        elif roll < 0.5:
+            constraints[slot] = spell(value)
+        elif roll < 0.9:
+            constraints[slot] = value
+        else:
+            constraints[slot] = rng.choice(["none", "12", "tr9999", "?"])
+    return constraints
+
+
+def test_unindexed_columns_are_scanned(entity_db, ontology):
+    rng = make_rng(37)
+    trains = _random_trains(rng, 2800)
+    for row in trains:
+        row["price"] = f"{rng.randint(1, 40)}.{rng.choice(['00', '10', '60'])} pounds"
+        row["time"] = f"{rng.choice(['0', ''])}{rng.randint(1, 3)}:{rng.randint(0, 59):02d}"
+    big = EntityDb(ontology=ontology, tables={"train": trains})
+    assert big._index["train"] and not {"id", "price", "time"} & {s for s, _ in big._index["train"]}
+
+    def spell(value):  # same match tokens, other characters
+        return rng.choice([value.upper(), value + " .", value.replace(" ", "-")])
+
+    cases = [(big, "train", trains, ["id", "price", "time"]),
+             (entity_db, "hotel", entity_db.tables["hotel"], ["phone"])]
+    value_tokens.cache_clear()
+    for db, domain, records, slots in cases:
+        def index_snapshot():
+            return {d: {k: frozenset(v) for k, v in index.items()} for d, index in db._index.items()}
+
+        shared = index_snapshot()
+        matched = 0
+        for _ in range(30):
+            constraints = _scanned_column_constraints(rng, records, slots, spell)
+            for strict in (False, True):
+                expected = linear_scan_query(db, domain, constraints, strict=strict)
+                assert db.query(domain, constraints, strict=strict) == expected, constraints
+                matched += expected.count > 0
+        assert matched >= 10
+        # a scan builds no index entry and leaves the value memo alone
+        assert index_snapshot() == shared
+        assert value_tokens.cache_info() == (0, 0, value_tokens.cache_info().maxsize, 0)
+
+
+def test_loaders_leave_value_memo_alone(ontology):
+    db_dir = resources.files("dialogic").joinpath("data/db")
+    value_tokens.cache_clear()
+    before = value_tokens.cache_info()
+    with resources.as_file(db_dir) as path:
+        db = load_entity_db(path, ontology)
+    seeds = load_seed_corpus(SEED_CORPUS_PATH, ontology)
+    LexicalAuxPredictor(ontology, seeds)
+    assert db._index and len(seeds) > 0
+    assert value_tokens.cache_info() == before
 
 
 def reference_default_tables():
