@@ -16,11 +16,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .model import DecodeConfig
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "DIALOGIC_API_KEY"
 
@@ -220,19 +221,27 @@ class HttpBackendConfig:
 
 
 def _retry_after(response) -> int | None:
-    """The wait a `Retry-After: <seconds>` header asks for; None for a date or no header."""
+    """The wait a `Retry-After: <seconds>` header asks for; None for anything else.
+
+    Only ASCII digits count, as in RFC 9110's delay-seconds: `str.isdigit()`
+    also accepts superscripts, which `int()` rejects, and other scripts'
+    digits, which `int()` reads as seconds.
+    """
     value = str(response.headers.get("Retry-After", "")).strip()
-    return int(value) if value.isdigit() else None
+    return int(value) if value.isascii() and value.isdigit() else None
 
 
 class HttpCompletionBackend(CompletionBackend):
     """POST to an OpenAI-compatible completions endpoint with retry/backoff.
 
     `config.concurrency` requests are in flight at most; the server sets the
-    pace with 429/503 and `Retry-After`.
+    pace with 429/503 and `Retry-After`. `requests` is imported here, not with
+    the module, so offline runs never load the HTTP stack.
     """
 
     def __init__(self, config: HttpBackendConfig, session: requests.Session | None = None):
+        import requests
+
         self.config = config
         self.concurrency = config.concurrency
         self.context_budget = config.context_budget
@@ -254,6 +263,8 @@ class HttpCompletionBackend(CompletionBackend):
         return headers
 
     def _post_once(self, req: CompletionRequest) -> str:
+        import requests
+
         body = {"model": self.config.model, "prompt": req.prompt, **req.params()}
         try:
             response = self._session.post(

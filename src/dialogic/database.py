@@ -182,12 +182,30 @@ class EntityDb:
         return DbResult(domain, count, bucketize(count, True))
 
 
+class _Lowered(dict):
+    """`lowered[text]` is `text.lower()`, one string for all texts with that result.
+
+    A lowered text is stored under itself (lowering it again changes
+    nothing), so "North" and "north" share the first "north" made.
+    """
+
+    def __missing__(self, text: str) -> str:
+        lowered = text.lower()
+        self[text] = lowered = self.setdefault(lowered, lowered)
+        return lowered
+
+
 def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
-    """Load `<domain>_db.json` files (one JSON array of flat objects each)."""
+    """Load `<domain>_db.json` files (one JSON array of flat objects each).
+
+    Keys and cells are stored as lower-cased text. Cells repeat across rows,
+    so equal texts share one string, through a memo of this call's own.
+    """
     db_dir = Path(db_dir)
     if not db_dir.is_dir():
         raise DatabaseError(f"database directory not found: {db_dir}")
     tables: dict[str, list[dict[str, str]]] = {}
+    lowered = _Lowered()
     for path in sorted(db_dir.glob("*_db.json")):
         domain = path.name[: -len("_db.json")]
         if not ontology.has_domain(domain) or domain == GENERAL_DOMAIN:
@@ -196,9 +214,11 @@ def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
             records = json.load(fh)
         if not isinstance(records, list):
             raise DatabaseError(f"{path}: expected a JSON array of entities")
-        tables[domain] = [
-            {str(k).lower(): str(v).lower() for k, v in record.items()} for record in records
-        ]
+        table = tables[domain] = []
+        for i, record in enumerate(records):
+            if not isinstance(record, dict):
+                raise DatabaseError(f"{path}: entry {i} is not an object: {record!r:.60}")
+            table.append({lowered[str(k)]: lowered[str(v)] for k, v in record.items()})
     return EntityDb(ontology=ontology, tables=tables)
 
 

@@ -307,11 +307,6 @@ class DecodeConfig:
         if type(self.max_tokens) is not int or self.max_tokens < 1:
             raise ValidationError(f"decode max_tokens must be an int >= 1, got {self.max_tokens!r}")
 
-    @classmethod
-    def nucleus(cls) -> "DecodeConfig":
-        """Alternative preset: pure top-p decoding with p=0.7."""
-        return cls(temperature=1.0, top_p=0.7, frequency_penalty=1.0)
-
 
 @dataclass(frozen=True)
 class GenConfig:

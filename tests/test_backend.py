@@ -227,6 +227,19 @@ def test_live_honours_retry_after(monkeypatch, status):
     assert 1.0 <= slept[1] <= 1.5  # a date is not a delay: the second computed backoff
 
 
+@pytest.mark.parametrize("value", ["²", "١٢", "-1", "1.5", ""])
+def test_live_retry_after_counts_ascii_digits_only(monkeypatch, value):
+    """Only RFC 9110 delay-seconds is a wait; any other value falls back to backoff."""
+    slept = []
+    monkeypatch.setattr("time.sleep", slept.append)
+    backend, _ = _live([
+        _FakeResponse(status_code=429, headers={"Retry-After": value}),
+        _FakeResponse(payload={"choices": [{"text": "ok"}]}),
+    ])
+    assert backend.complete(req()) == "ok"
+    assert len(slept) == 1 and 0.5 <= slept[0] <= 0.75  # the first computed backoff
+
+
 def test_live_context_length_not_retried():
     backend, responses = _live([
         _FakeResponse(status_code=400, text="This model's maximum context length ..."),

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 from pathlib import Path
 
 import pytest
 
+import dialogic
 from dialogic.cli import main
 
 from .conftest import SEED_CORPUS_PATH, TRACE_SCRIPT, completion_reply
@@ -261,6 +266,48 @@ def test_no_network_under_replay_or_mock(tmp_path, monkeypatch, mock_script_file
                               transcript=str(transcript))) == 0
 
 
+OFFLINE_IMPORTS = textwrap.dedent("""
+    import sys
+
+    def offline(step):
+        assert "requests" not in sys.modules, f"{step} loaded requests"
+
+    import dialogic
+    offline("import dialogic")
+    from dialogic import cli
+    from dialogic.backend import HttpBackendConfig, HttpCompletionBackend
+    offline("import dialogic.cli")
+    tmp, seeds, script, dst_script = sys.argv[1:]
+    corpus = f"{tmp}/corpus.json"
+    assert cli.main(["simulate", "--seed-corpus", seeds, "--out", corpus, "--num", "2",
+                     "--backend", "mock", "--mock-script", script, "--rng-seed", "7"]) == 0
+    offline("simulate --backend mock")
+    assert cli.main(["augment-dst", "--seed-corpus", seeds, "--out", f"{tmp}/aug.json",
+                     "--backend", "mock", "--mock-script", dst_script, "--rng-seed", "5"]) in (0, 4)
+    offline("augment-dst --backend mock")
+    assert cli.main(["validate", "--corpus", corpus]) == 0
+    offline("validate")
+    assert cli.main(["stats", "--corpus", corpus, "--json"]) == 0
+    offline("stats")
+    HttpCompletionBackend(HttpBackendConfig(endpoint="http://127.0.0.1:9/v1", model="m")).close()
+    assert "requests" in sys.modules, "the live backend did not load requests"
+""")
+
+
+def test_offline_runs_never_import_requests(tmp_path, mock_script_file):
+    """A fresh interpreter loads the HTTP stack only when it builds a live backend."""
+    dst_script = write_json(tmp_path / "dst_script.json",
+                            ["i want a cheap hotel in the south for 2 nights ."] * 200)
+    src = str(Path(dialogic.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", OFFLINE_IMPORTS, str(tmp_path), SEED_CORPUS_PATH,
+         mock_script_file, dst_script],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_simulate_live_backend_over_socket(tmp_path, loopback, capsys):
     def answer(body, headers):
         user_turn = "\nAssistant" in body["stop"]
@@ -383,11 +430,15 @@ LIVE = {"backend": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
     (["--aux-url", "https:///aux"], "--aux-url"),
     (["--aux-url", "http://[::1/aux"], "--aux-url"),
     (["--aux-url", "http://127.0.0.1:port/aux"], "--aux-url"),
+    # a database file whose array holds a non-object entry
+    ({"db_dir": "db"}, "hotel_db.json: entry 1 is not an object"),
 ])
 def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_file, capsys,
                                           setting, named):
     monkeypatch.chdir(tmp_path)
     write_json(tmp_path / "ints.json", [1, 2])
+    (tmp_path / "db").mkdir()
+    write_json(tmp_path / "db" / "hotel_db.json", [{"name": "x"}, "oops"])
     config = {"seed_corpus": SEED_CORPUS_PATH, "out": "x.json",
               "backend": "mock", "mock_script": mock_script_file}
     flags = setting if isinstance(setting, list) else []

@@ -265,6 +265,31 @@ def test_load_entity_db_rejects_non_array(tmp_path, ontology):
         load_entity_db(tmp_path, ontology)
 
 
+def test_load_entity_db_lowers_like_reference_and_shares_strings(tmp_path, ontology):
+    """Tables equal the per-cell `str(v).lower()` copy; equal lowered texts are one string."""
+    cells = ["North", "north", "NORTH", 1, 1.0, True, False, 0, None, "None", "TRUE",
+             [1, "A"], {"Area": "North"}, "", "Guest House"]
+    rng = make_rng(7)
+    files = {
+        "hotel": [{"Area": rng.choice(cells), "area": rng.choice(cells), "Name": f"H{i}",
+                   "stars": rng.choice(cells)} for i in range(60)],
+        "train": [{"DAY": rng.choice(cells), "leave": rng.choice(cells)} for i in range(60)],
+    }
+    for domain, records in files.items():
+        (tmp_path / f"{domain}_db.json").write_text(json.dumps(records), encoding="utf-8")
+    tables = load_entity_db(tmp_path, ontology).tables
+    reference = {domain: [{str(k).lower(): str(v).lower() for k, v in r.items()}
+                          for r in json.loads((tmp_path / f"{domain}_db.json").read_text("utf-8"))]
+                 for domain in files}
+    assert tables == reference
+    shared = {}
+    for records in tables.values():
+        for record in records:
+            for text in (*record, *record.values()):
+                assert shared.setdefault(text, text) is text
+    assert {"north", "1", "1.0", "true", "none", "[1, 'a']"} <= set(shared)
+
+
 def test_default_db_included_domains(entity_db):
     assert set(entity_db.tables) == {"restaurant", "hotel", "attraction", "train"}
 
