@@ -235,8 +235,10 @@ class HttpCompletionBackend(CompletionBackend):
     """POST to an OpenAI-compatible completions endpoint with retry/backoff.
 
     `config.concurrency` requests are in flight at most; the server sets the
-    pace with 429/503 and `Retry-After`. `requests` is imported here, not with
-    the module, so offline runs never load the HTTP stack.
+    pace with 429/503 and `Retry-After`, up to `config.timeout` seconds: a
+    longer wait fails the request at once rather than hold its slot.
+    `requests` is imported here, not with the module, so offline runs never
+    load the HTTP stack.
     """
 
     def __init__(self, config: HttpBackendConfig, session: requests.Session | None = None):
@@ -301,6 +303,12 @@ class HttpCompletionBackend(CompletionBackend):
                     if attempt == self.config.retries:
                         raise
                     if exc.retry_after is not None:
+                        if exc.retry_after > self.config.timeout:
+                            # a wait past the timeout would hold this slot that long
+                            raise type(exc)(
+                                f"{exc}; Retry-After {exc.retry_after}s is longer than the "
+                                f"{self.config.timeout}s timeout",
+                                retry_after=exc.retry_after) from exc
                         time.sleep(exc.retry_after)
                     else:
                         time.sleep(delay + random.uniform(0, delay / 2))

@@ -29,8 +29,8 @@ from .model import (
     TurnBelief,
     UserGoal,
 )
-from .ontology import NONE, Ontology
-from .textnorm import normalize_text
+from .ontology import NONE, Ontology, canonical_slot
+from .textnorm import SharedTexts, normalize_text
 
 
 class CorpusError(ValueError):
@@ -283,38 +283,80 @@ def _require(condition: bool, where: str, message: str) -> None:
         raise CorpusError(f"{where}: {message}")
 
 
-def turn_from_json(data: dict, where: str) -> Turn:
+class _LoadMemos:
+    """What one corpus load shares: each distinct utterance or response, value,
+    slot name and DB result is kept once, however often the file repeats it.
+
+    `text`, `lowered` and `slot` stand in for `normalize_text`, `str.lower`
+    and `canonical_slot`; `db` maps a DB result to the first one equal to it,
+    `NO_RESULT` (what a turn without "db" gets) for a result equal to that.
+    """
+
+    __slots__ = ("text", "lowered", "slot", "db")
+
+    def __init__(self):
+        self.text = SharedTexts(normalize_text).__getitem__
+        self.lowered = SharedTexts(str.lower).__getitem__
+        self.slot = SharedTexts(canonical_slot).__getitem__
+        self.db: dict[DbResult, DbResult] = {NO_RESULT: NO_RESULT}
+
+
+def _triplet_map(cls, data: dict, where: str, memos: _LoadMemos):
+    """`cls.from_dict(data)` through the load's memos; each domain must map to an object."""
+    for domain, slots in data.items():
+        _require(isinstance(slots, dict), where, f"domain {domain!r} must be an object")
+    return cls.from_dict(data, slot_name=memos.slot, lowered=memos.lowered)
+
+
+def _db_result(data: dict, where: str, memos: _LoadMemos) -> DbResult:
+    if "db" not in data:
+        return NO_RESULT
+    _require(isinstance(data["db"], dict), where, "db must be an object")
+    try:
+        db = DbResult.from_json(data["db"])
+        return memos.db.setdefault(db, db)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusError(f"{where}.db: {exc}") from exc
+
+
+def turn_from_json(data: dict, where: str, memos: _LoadMemos | None = None) -> Turn:
+    """One turn; equal texts share one string with the rest of the load `memos` serve."""
+    memos = memos or _LoadMemos()
     _require(isinstance(data, dict), where, "turn must be an object")
     # each message is built only on failure: a load checks every turn and triple
     for key in ("user", "belief", "act", "resp"):
         if key not in data:
             raise CorpusError(f"{where}: missing key {key!r}")
-    try:
-        db = DbResult.from_json(data["db"]) if "db" in data else NO_RESULT
-    except (KeyError, ValueError) as exc:
-        raise CorpusError(f"{where}.db: {exc}") from exc
+    db = _db_result(data, where, memos)
     _require(isinstance(data["belief"], dict), where, "belief must be an object")
     _require(isinstance(data["act"], list), where, "act must be a list of triples")
     for triple in data["act"]:
         if not isinstance(triple, list) or len(triple) != 3:
             raise CorpusError(f"{where}.act: bad act triple {triple!r}")
     return Turn(
-        user_utterance=normalize_text(str(data["user"])),
-        belief=TurnBelief.from_dict(data["belief"]),
+        user_utterance=memos.text(str(data["user"])),
+        belief=_triplet_map(TurnBelief, data["belief"], f"{where}.belief", memos),
         db=db,
-        act=DialogAct.from_triples(data["act"]),
-        system_response=normalize_text(str(data["resp"])),
+        act=DialogAct.from_triples(data["act"], slot_name=memos.slot),
+        system_response=memos.text(str(data["resp"])),
     )
 
 
-def dialogue_from_json(data: dict, where: str) -> Dialogue:
+def dialogue_from_json(data: dict, where: str, memos: _LoadMemos | None = None) -> Dialogue:
+    """One dialogue; equal texts share one string with the rest of the load `memos` serve."""
+    memos = memos or _LoadMemos()
     _require(isinstance(data, dict), where, "dialogue must be an object")
     for key in ("id", "goal", "turns"):
         _require(key in data, where, f"missing key {key!r}")
-    goal = UserGoal.from_dict(data["goal"])
-    initial = UserGoal.from_dict(data["initial_goal"]) if "initial_goal" in data else goal
+    _require(isinstance(data["goal"], dict), where, "goal must be an object")
+    goal = _triplet_map(UserGoal, data["goal"], f"{where}.goal", memos)
+    initial = goal
+    if "initial_goal" in data:
+        _require(isinstance(data["initial_goal"], dict), where, "initial_goal must be an object")
+        initial = _triplet_map(UserGoal, data["initial_goal"], f"{where}.initial_goal", memos)
+    _require(isinstance(data["turns"], list), where, "turns must be a list")
     turns = [
-        turn_from_json(t, f"{where}.turns[{i}]") for i, t in enumerate(data["turns"])
+        turn_from_json(t, f"{where}.turns[{i}]", memos) for i, t in enumerate(data["turns"])
     ]
     _require(len(turns) >= 1, where, "dialogue has no turns")
     return Dialogue(
@@ -353,6 +395,12 @@ def load_seed_corpus(path: str | Path, ontology: Ontology, *, strict: bool = Tru
 
     Strict mode rejects the file on the first invalid triple; lenient mode drops
     invalid triplets and records them in `SeedDataset.issues`.
+
+    Each entry of the parsed `"dialogues"` list is dropped once its dialogue
+    is built, so the file's JSON is freed as the corpus grows. Within one
+    load, equal utterances and responses, values, slot names and DB results
+    are one object each: files repeat them (a DST-augmented sample repeats its
+    source dialogue's turns). The memos that share them end with the call.
     """
     path = Path(path)
     if not path.exists():
@@ -362,12 +410,15 @@ def load_seed_corpus(path: str | Path, ontology: Ontology, *, strict: bool = Tru
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: not valid JSON ({exc})") from exc
-    _require(isinstance(data, dict) and "dialogues" in data, str(path),
+    _require(isinstance(data, dict) and isinstance(data.get("dialogues"), list), str(path),
              'top level must be {"dialogues": [...]}')
+    entries = data["dialogues"]
+    memos = _LoadMemos()
     issues: list[str] = []
     dialogues = []
-    for i, entry in enumerate(data["dialogues"]):
-        dlg = dialogue_from_json(entry, f"dialogues[{i}]")
+    for i in range(len(entries)):
+        dlg = dialogue_from_json(entries[i], f"dialogues[{i}]", memos)
+        entries[i] = None  # free this entry's JSON
         _validate_dialogue(dlg, ontology, strict, issues)
         dialogues.append(dlg)
     return SeedDataset(dialogues=dialogues, issues=issues)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .model import DbResult
 from .ontology import GENERAL_DOMAIN, Ontology
-from .textnorm import match_tokens, parse_time, value_tokens
+from .textnorm import SharedTexts, match_tokens, parse_time, value_tokens
 
 # booking attributes carried by goals but absent from entity tables
 BOOKING_SLOTS: dict[str, frozenset[str]] = {
@@ -182,30 +182,28 @@ class EntityDb:
         return DbResult(domain, count, bucketize(count, True))
 
 
-class _Lowered(dict):
-    """`lowered[text]` is `text.lower()`, one string for all texts with that result.
-
-    A lowered text is stored under itself (lowering it again changes
-    nothing), so "North" and "north" share the first "north" made.
-    """
-
-    def __missing__(self, text: str) -> str:
-        lowered = text.lower()
-        self[text] = lowered = self.setdefault(lowered, lowered)
-        return lowered
+def _case_variant_keys(record: dict) -> tuple[str, str]:
+    """The first two keys of `record` that lower to one text; it must have two."""
+    seen: dict[str, str] = {}
+    for key in record:
+        if (first := seen.setdefault(key.lower(), key)) is not key:
+            break
+    return first, key
 
 
 def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
     """Load `<domain>_db.json` files (one JSON array of flat objects each).
 
     Keys and cells are stored as lower-cased text. Cells repeat across rows,
-    so equal texts share one string, through a memo of this call's own.
+    so equal texts share one string, through a memo of this call's own. Two
+    keys of one entry that differ only in case are an error: lowering would
+    keep one column and lose the other.
     """
     db_dir = Path(db_dir)
     if not db_dir.is_dir():
         raise DatabaseError(f"database directory not found: {db_dir}")
     tables: dict[str, list[dict[str, str]]] = {}
-    lowered = _Lowered()
+    lowered = SharedTexts(str.lower)
     for path in sorted(db_dir.glob("*_db.json")):
         domain = path.name[: -len("_db.json")]
         if not ontology.has_domain(domain) or domain == GENERAL_DOMAIN:
@@ -218,7 +216,12 @@ def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
         for i, record in enumerate(records):
             if not isinstance(record, dict):
                 raise DatabaseError(f"{path}: entry {i} is not an object: {record!r:.60}")
-            table.append({lowered[str(k)]: lowered[str(v)] for k, v in record.items()})
+            row = {lowered[str(k)]: lowered[str(v)] for k, v in record.items()}
+            if len(row) < len(record):
+                first, second = _case_variant_keys(record)
+                raise DatabaseError(f"{path}: entry {i} has keys {first!r} and {second!r}, "
+                                    "which differ only in case")
+            table.append(row)
     return EntityDb(ontology=ontology, tables=tables)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .ontology import GENERAL_DOMAIN, NONE, Ontology, canonical_slot
 
@@ -36,13 +36,19 @@ class TripletMap:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, dict[str, str]]):
-        """Build from plain JSON data, folding slot aliases to canonical names."""
+    def from_dict(cls, data: dict[str, dict[str, str]], *,
+                  slot_name: Callable[[str], str] = canonical_slot,
+                  lowered: Callable[[str], str] = str.lower):
+        """Build from plain JSON data, folding slot aliases to canonical names.
+
+        `slot_name` and `lowered` name each slot and lower each `str(value)`;
+        a corpus load passes memos of its own, so that equal texts share one string.
+        """
         obj = cls()
         for domain, slots in data.items():
             obj.entries.setdefault(domain, {})
             for slot, value in slots.items():
-                obj.set(domain, canonical_slot(slot), str(value).lower())
+                obj.set(domain, slot_name(slot), lowered(str(value)))
         return obj
 
     def set(self, domain: str, slot: str, value: str) -> None:
@@ -167,9 +173,11 @@ class DialogAct:
     triples: tuple[Triple, ...] = ()
 
     @classmethod
-    def from_triples(cls, triples: Iterable[Iterable[str]]) -> "DialogAct":
+    def from_triples(cls, triples: Iterable[Iterable[str]], *,
+                     slot_name: Callable[[str], str] = canonical_slot) -> "DialogAct":
+        """Build from (domain, act type, slot) triples; `slot_name` names each slot."""
         norm = tuple(
-            (d, t, canonical_slot(s) if s and s != NONE else NONE)
+            (d, t, slot_name(s) if s and s != NONE else NONE)
             for d, t, s in ((str(a), str(b), str(c) if c is not None else NONE)
                             for a, b, c in triples)
         )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from typing import Callable
 
 # number words mapped to digits for value matching ("three nights" == 3)
 NUMBER_WORDS: dict[str, str] = {
@@ -42,6 +43,27 @@ def normalize_text(text: str) -> str:
     if _PUNCT_RE.search(text) is not None:
         text = _PUNCT_RE.sub(_detach, text)
     return " ".join(text.split())
+
+
+class SharedTexts(dict):
+    """`shared[text]` is `make(text)`, made once per distinct text; equal results are one string.
+
+    A result is stored under itself, so `make` must map each of its results
+    to itself, as `str.lower`, `normalize_text` and `canonical_slot` do. Then
+    "North" and "north" share the first "north" made. A loader makes one for
+    the call, so that texts that repeat in a file are kept once.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[str], str]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, text: str) -> str:
+        made = self.make(text)
+        self[text] = made = self.setdefault(made, made)
+        return made
 
 
 def norm_token(token: str) -> str:

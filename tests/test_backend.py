@@ -22,7 +22,7 @@ from dialogic.backend import (
     prompt_digest,
     record_transcript,
 )
-from dialogic.model import DecodeConfig
+from dialogic.model import DecodeConfig, GenConfig
 
 from .conftest import completion_reply
 
@@ -238,6 +238,43 @@ def test_live_retry_after_counts_ascii_digits_only(monkeypatch, value):
     ])
     assert backend.complete(req()) == "ok"
     assert len(slept) == 1 and 0.5 <= slept[0] <= 0.75  # the first computed backoff
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_live_retry_after_past_timeout_fails_at_once(monkeypatch, status):
+    """A wait longer than the timeout is not slept: the request fails with its slot freed."""
+    slept = []
+    monkeypatch.setattr("time.sleep", slept.append)
+    backend, responses = _live([
+        _FakeResponse(status_code=status, headers={"Retry-After": "86400"}),
+        _FakeResponse(payload={"choices": [{"text": "never"}]}),
+    ])
+    with pytest.raises(RateLimitedError if status == 429 else ServerError,
+                       match="Retry-After 86400s is longer than the 60.0s timeout"):
+        backend.complete(req())
+    assert slept == []
+    assert len(responses) == 1  # not retried
+    # every slot was given back
+    assert all(backend._slots.acquire(blocking=False) for _ in range(backend.concurrency))
+    # a wait of exactly the timeout is still honoured
+    backend, _ = _live([
+        _FakeResponse(status_code=status, headers={"Retry-After": "60"}),
+        _FakeResponse(payload={"choices": [{"text": "ok"}]}),
+    ])
+    assert backend.complete(req()) == "ok"
+    assert slept == [60]
+
+
+def test_live_retry_after_past_timeout_is_backend_error(monkeypatch, seeds, ontology):
+    from dialogic.simulator import augment_corpus
+
+    slept = []
+    monkeypatch.setattr("time.sleep", slept.append)
+    backend, _ = _live([_FakeResponse(status_code=429, headers={"Retry-After": "86400"})] * 64)
+    _, report = augment_corpus(seeds, backend, None, ontology, GenConfig(rng_seed=17))
+    assert slept == []
+    assert report.failures["backend_error"] >= 1
+    assert set(report.failures) <= {"backend_error", "unaugmentable"}
 
 
 def test_live_context_length_not_retried():

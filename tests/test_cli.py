@@ -452,6 +452,28 @@ def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_fil
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("payload,place", [
+    ({"dialogues": None}, "top level must be"),
+    ({"dialogues": [{"id": "d", "goal": 5, "turns": []}]}, "dialogues[0]: goal"),
+    ({"dialogues": [{"id": "d", "goal": {}, "turns": [
+        {"user": "hi", "belief": {"hotel": [1]}, "act": [], "resp": "ok"}]}]},
+     "dialogues[0].turns[0].belief: domain 'hotel'"),
+])
+@pytest.mark.parametrize("command", ["stats", "validate", "simulate"])
+def test_malformed_corpus_shape_exits_2(tmp_path, mock_script_file, capsys, payload, place,
+                                        command):
+    path = write_json(tmp_path / "bad.json", payload)
+    if command == "simulate":
+        argv = simulate_args(tmp_path, backend="mock", mock_script=mock_script_file)
+        argv[argv.index("--seed-corpus") + 1] = path
+    else:
+        argv = [command, "--corpus", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert place in err
+    assert "Traceback" not in err
+
+
 def test_config_file_and_flags_write_identical_corpora(tmp_path, mock_script_file, capsys):
     assert main(simulate_args(tmp_path, out_name="flags.json", backend="mock",
                               mock_script=mock_script_file, n_shots=1,

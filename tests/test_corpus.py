@@ -1,14 +1,32 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from dialogic.backend import MockBackend
 from dialogic.corpus import (
     CorpusError,
+    _validate_dialogue,
     dialogue_to_json,
     load_seed_corpus,
     save_corpus,
 )
-from dialogic.model import SOURCE_SIMULATED
+from dialogic.exemplar import parse_belief
+from dialogic.model import (
+    NO_RESULT,
+    SOURCE_SEED,
+    SOURCE_SIMULATED,
+    DbResult,
+    DialogAct,
+    Dialogue,
+    GenConfig,
+    Turn,
+    TurnBelief,
+    UserGoal,
+)
+from dialogic.ontology import NONE
+from dialogic.simulator import augment_corpus
+from dialogic.textnorm import normalize_text
 
 from .conftest import SEED_CORPUS_PATH, make_rng, random_goal
 
@@ -194,3 +212,188 @@ def test_indented_bundled_corpus_still_loads(ontology):
     with open(SEED_CORPUS_PATH, encoding="utf-8") as fh:
         assert fh.read().startswith('{\n  "dialogues": [\n')
     assert len(load_seed_corpus(SEED_CORPUS_PATH, ontology)) == 3
+
+
+# -- malformed shapes -----------------------------------------------------------
+
+def _one_dialogue(**changes):
+    turn = {"user": "hi", "belief": {"hotel": {"area": "north"}}, "act": [], "resp": "hello",
+            "db": {"domain": "general", "count": 0, "bucket": "db_nores"}}
+    turn.update(changes.pop("turn", {}))
+    dialogue = {"id": "d0", "goal": {"hotel": {"area": "north"}}, "turns": [turn]}
+    dialogue.update(changes)
+    return {"dialogues": [dialogue]}
+
+
+MALFORMED = [
+    pytest.param({"dialogues": None}, r"c\.json: top level must be", id="dialogues-null"),
+    pytest.param({"dialogues": 5}, r"c\.json: top level must be", id="dialogues-int"),
+    pytest.param(_one_dialogue(goal=5), r"dialogues\[0\]: goal must be an object",
+                 id="goal-int"),
+    pytest.param(_one_dialogue(goal={"hotel": "x"}),
+                 r"dialogues\[0\]\.goal: domain 'hotel' must be an object", id="goal-domain-str"),
+    pytest.param(_one_dialogue(initial_goal=[]),
+                 r"dialogues\[0\]: initial_goal must be an object", id="initial-goal-list"),
+    pytest.param(_one_dialogue(initial_goal={"hotel": None}),
+                 r"dialogues\[0\]\.initial_goal: domain 'hotel' must be an object",
+                 id="initial-goal-domain-null"),
+    pytest.param(_one_dialogue(turns=5), r"dialogues\[0\]: turns must be a list", id="turns-int"),
+    pytest.param(_one_dialogue(turn={"db": 5}),
+                 r"dialogues\[0\]\.turns\[0\]: db must be an object", id="db-int"),
+    pytest.param(_one_dialogue(turn={"db": {"domain": "hotel", "count": None, "bucket": "db_0"}}),
+                 r"dialogues\[0\]\.turns\[0\]\.db: ", id="db-count-null"),
+    pytest.param(_one_dialogue(turn={"belief": {"hotel": [1]}}),
+                 r"dialogues\[0\]\.turns\[0\]\.belief: domain 'hotel' must be an object",
+                 id="belief-domain-list"),
+]
+
+
+@pytest.mark.parametrize("payload,message", MALFORMED)
+def test_malformed_shape_is_corpus_error_naming_its_place(tmp_path, ontology, payload, message):
+    path = write_corpus(tmp_path, payload)
+    for strict in (True, False):
+        with pytest.raises(CorpusError, match=message):
+            load_seed_corpus(path, ontology, strict=strict)
+
+
+# -- the loader against the per-entry builder it replaced -----------------------
+
+def _reference_turn(data, where):
+    if not isinstance(data, dict):
+        raise CorpusError(f"{where}: turn must be an object")
+    for key in ("user", "belief", "act", "resp"):
+        if key not in data:
+            raise CorpusError(f"{where}: missing key {key!r}")
+    db = DbResult.from_json(data["db"]) if "db" in data else NO_RESULT
+    return Turn(
+        user_utterance=normalize_text(str(data["user"])),
+        belief=TurnBelief.from_dict(data["belief"]),
+        db=db,
+        act=DialogAct.from_triples(data["act"]),
+        system_response=normalize_text(str(data["resp"])),
+    )
+
+
+def _reference_dialogue(data, where):
+    goal = UserGoal.from_dict(data["goal"])
+    initial = UserGoal.from_dict(data["initial_goal"]) if "initial_goal" in data else goal
+    turns = [_reference_turn(t, f"{where}.turns[{i}]") for i, t in enumerate(data["turns"])]
+    return Dialogue(id=str(data["id"]), initial_goal=initial, final_goal=goal, turns=turns,
+                    source=data.get("source", SOURCE_SEED))
+
+
+def _reference_load(path, ontology, strict):
+    """Every entry built and validated on its own, the parsed JSON kept to the end."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    issues = []
+    dialogues = []
+    for i, entry in enumerate(data["dialogues"]):
+        dlg = _reference_dialogue(entry, f"dialogues[{i}]")
+        _validate_dialogue(dlg, ontology, strict, issues)
+        dialogues.append(dlg)
+    return dialogues, issues
+
+
+def _verbalize(req):
+    """A DST completion that states the belief the prompt prescribes."""
+    tail = req.prompt.rsplit("User(", 1)[1]
+    belief = parse_belief(tail[: tail.rfind("):")])
+    words = ["no preference" if value == "dontcare" else f"{slot} {value}"
+             for _, slot, value in belief.triples() if slot != NONE]
+    return " i want " + " and ".join(words) + " ."
+
+
+def _lenient_payload(seeds):
+    """Bundled dialogues with mixed-case, aliased and invalid triples added."""
+    dialogues = []
+    for n, dlg in enumerate(seeds):
+        data = dialogue_to_json(dlg)
+        data["id"] = f"lenient{n}"
+        data["initial_goal"] = {"Hotel": {"Area": "NORTH"}, "spaceship": {"x": "y"}}
+        data["goal"]["hotel"] = {"price range": "Cheap", "color": "red", "Book Stay": 3}
+        for i, turn in enumerate(data["turns"]):
+            turn["user"] = turn["user"].upper() + " ?!"
+            turn["belief"].setdefault("hotel", {})["book people"] = i
+            turn["belief"]["general"] = {"area": "south"}
+            turn["act"] += [["hotel", "request", "Price Range"], ["taxi", "frob", None],
+                            ["hotel", "inform", "color"]]
+            if i % 2:
+                del turn["db"]
+        dialogues.append(data)
+    return {"dialogues": dialogues}
+
+
+@pytest.fixture(scope="module")
+def reference_inputs(tmp_path_factory, ontology, seeds):
+    """(path, strict) per input: the bundled seeds, an augment_corpus output, a lenient corpus."""
+    root = tmp_path_factory.mktemp("reference")
+    samples, report = augment_corpus(seeds, MockBackend(_verbalize), None, ontology,
+                                     GenConfig(rng_seed=17, retries=0), passes=2)
+    assert samples and report.succeeded == len(samples)
+    save_corpus(samples, root / "dst.json")
+    write_corpus(root, _lenient_payload(seeds), name="lenient.json")
+    return {"seeds": (Path(SEED_CORPUS_PATH), True), "dst": (root / "dst.json", True),
+            "lenient": (root / "lenient.json", False)}
+
+
+@pytest.mark.parametrize("name", ["seeds", "dst", "lenient"])
+def test_load_equals_per_entry_reference(reference_inputs, ontology, name):
+    path, strict = reference_inputs[name]
+    expected, expected_issues = _reference_load(path, ontology, strict)
+    loaded = load_seed_corpus(path, ontology, strict=strict)
+    assert loaded.issues == expected_issues
+    assert (len(loaded.issues) > 0) == (name == "lenient")
+    assert len(loaded.dialogues) == len(expected) > 0
+    for got, want in zip(loaded.dialogues, expected):
+        assert got == want  # field for field, the goal and belief types included
+        assert (got.initial_goal is got.final_goal) == (want.initial_goal is want.final_goal)
+        assert [type(t.belief) for t in got.turns] == [TurnBelief] * len(want.turns)
+        assert all(t.gpt_belief is t.aux_belief is t.gpt_act is None for t in got.turns)
+
+
+def _loaded_objects(dataset):
+    """(memo, object) per text, value, slot name and DB result of a loaded corpus."""
+    for dlg in dataset:
+        for tmap in (dlg.final_goal, dlg.initial_goal, *(t.belief for t in dlg.turns)):
+            for _, slot, value in tmap.triples():
+                yield "slot", slot
+                yield "value", value
+        for turn in dlg.turns:
+            yield "text", turn.user_utterance
+            yield "text", turn.system_response
+            yield "db", turn.db
+            for _, _, slot in turn.act.triples:
+                yield "slot", slot
+
+
+def test_load_shares_equal_texts_within_one_load(reference_inputs, ontology):
+    for path, strict in reference_inputs.values():
+        first = {}
+        for memo, obj in _loaded_objects(load_seed_corpus(path, ontology, strict=strict)):
+            assert first.setdefault((memo, obj), obj) is obj
+    # the DST samples repeat their source dialogues' turns
+    dataset = load_seed_corpus(reference_inputs["dst"][0], ontology)
+    utterances = [t.user_utterance for d in dataset for t in d.turns]
+    assert len(set(map(id, utterances))) == len(set(utterances)) < len(utterances)
+    # texts that only lower, normalize or alias to one text share it too
+    path, strict = reference_inputs["lenient"]
+    dataset = load_seed_corpus(path, ontology, strict=strict)
+    cheap = {id(d.final_goal.get("hotel", "pricerange")) for d in dataset}
+    cheap |= {id(value) for d in dataset for t in d.turns
+              for _, slot, value in t.belief.triples() if value == "cheap"}
+    assert len(cheap) == 1
+    slots = {id(slot) for d in dataset for t in d.turns
+             for _, _, slot in t.act.triples if slot == "pricerange"}
+    assert len(slots) == 1
+
+
+def test_two_loads_share_no_memo(reference_inputs, ontology):
+    path, strict = reference_inputs["dst"]
+    first = load_seed_corpus(path, ontology, strict=strict)
+    second = load_seed_corpus(path, ontology, strict=strict)
+    assert first.dialogues == second.dialogues
+    ids = {id(obj) for _, obj in _loaded_objects(first)}
+    # interpreter-wide constants are shared by any two loads: NO_RESULT, NONE
+    # and the one-character strings CPython keeps
+    assert not any(id(obj) in ids for _, obj in _loaded_objects(second)
+                   if obj is not NO_RESULT and obj is not NONE and len(str(obj)) > 1)

@@ -1,4 +1,5 @@
 import json
+import re
 from functools import partial
 from importlib import resources
 
@@ -271,7 +272,8 @@ def test_load_entity_db_lowers_like_reference_and_shares_strings(tmp_path, ontol
              [1, "A"], {"Area": "North"}, "", "Guest House"]
     rng = make_rng(7)
     files = {
-        "hotel": [{"Area": rng.choice(cells), "area": rng.choice(cells), "Name": f"H{i}",
+        # case-variant keys across entries; within one entry they are an error (below)
+        "hotel": [{rng.choice(["Area", "area", "AREA"]): rng.choice(cells), "Name": f"H{i}",
                    "stars": rng.choice(cells)} for i in range(60)],
         "train": [{"DAY": rng.choice(cells), "leave": rng.choice(cells)} for i in range(60)],
     }
@@ -288,6 +290,17 @@ def test_load_entity_db_lowers_like_reference_and_shares_strings(tmp_path, ontol
             for text in (*record, *record.values()):
                 assert shared.setdefault(text, text) is text
     assert {"north", "1", "1.0", "true", "none", "[1, 'a']"} <= set(shared)
+
+
+def test_load_entity_db_rejects_case_variant_keys(tmp_path, ontology):
+    """Lowering would merge the two columns and lose one; the error names both keys."""
+    path = tmp_path / "hotel_db.json"
+    path.write_text(json.dumps([{"name": "a", "area": "east"},
+                                {"name": "b", "Area": "north", "type": "x", "area": "south"}]),
+                    encoding="utf-8")
+    with pytest.raises(DatabaseError, match=re.escape(
+            f"{path}: entry 1 has keys 'Area' and 'area', which differ only in case")):
+        load_entity_db(tmp_path, ontology)
 
 
 def test_default_db_included_domains(entity_db):

@@ -1,8 +1,14 @@
 import json
 from importlib import resources
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dialogic.ontology import SLOT_ALIASES, canonical_slot
 from dialogic.textnorm import (
     NUMBER_WORDS,
+    SharedTexts,
     TokenView,
     match_tokens,
     norm_token,
@@ -211,3 +217,19 @@ def test_normalize_equals_reference_on_random_strings():
         if normalize_text(text) != reference_normalize(text):
             mismatches.append(text)
     assert mismatches == []
+
+
+_TEXTS = st.text(st.sampled_from("aAİΣς1 2.,:?-\t") | st.characters(), max_size=12)
+
+
+@pytest.mark.parametrize("make", [normalize_text, str.lower, canonical_slot])
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(_TEXTS | st.sampled_from([*SLOT_ALIASES, " Book Stay "]), max_size=8))
+def test_shared_texts_equal_make_and_share_equal_results(make, texts):
+    """What a memo serves equals `make(text)`; equal results are the first one made."""
+    shared = SharedTexts(make)
+    first = {}
+    for text in texts:
+        made = shared[text]
+        assert made == make(text)
+        assert first.setdefault(made, made) is made
