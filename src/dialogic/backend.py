@@ -135,7 +135,7 @@ class ReplayBackend(CompletionBackend):
     prompt gets the n-th completion recorded for it, counting records in file
     order. So a prompt that recurs, such as a parse retry that re-sends it,
     replays the completions it got when recorded. A request past the last
-    recorded occurrence gets the last one.
+    recorded occurrence gets the last one. Every record is checked when read.
     """
 
     def __init__(self, transcript: str | Path):
@@ -152,11 +152,15 @@ class ReplayBackend(CompletionBackend):
                     continue
                 try:
                     record = json.loads(line)
-                    self._completions.setdefault(record["sha256"], []).append(
-                        record["completion"])
-                except (json.JSONDecodeError, KeyError) as exc:
+                    if not isinstance(record, dict):
+                        raise TypeError("not a JSON object")
+                    digest, completion = record["sha256"], record["completion"]
+                    if not (isinstance(digest, str) and isinstance(completion, str)):
+                        raise TypeError("sha256 and completion must be strings")
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise BackendError(
                         f"{self.transcript}:{lineno}: bad transcript record ({exc})") from exc
+                self._completions.setdefault(digest, []).append(completion)
 
     def __len__(self) -> int:
         return sum(len(recorded) for recorded in self._completions.values())

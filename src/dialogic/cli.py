@@ -17,6 +17,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from .backend import (
+    BackendError,
     CompletionBackend,
     HttpBackendConfig,
     HttpCompletionBackend,
@@ -119,9 +120,16 @@ def _load_db(args, ontology: Ontology) -> EntityDb:
 
 def _build_backend(args) -> CompletionBackend:
     if args.backend == "replay":
-        backend: CompletionBackend = ReplayBackend(_require_path("--transcript", args.transcript))
+        try:
+            backend: CompletionBackend = ReplayBackend(
+                _require_path("--transcript", args.transcript))
+        except BackendError as exc:
+            raise ConfigError(f"--transcript: {exc}") from exc
     elif args.backend == "mock":
-        script = json.loads(_require_path("--mock-script", args.mock_script).read_text("utf-8"))
+        try:
+            script = json.loads(_require_path("--mock-script", args.mock_script).read_text("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--mock-script: not valid JSON ({exc})") from exc
         if not isinstance(script, list) or not all(isinstance(item, str) for item in script):
             raise ConfigError("--mock-script: expected a JSON array of completion strings")
         backend = MockBackend(script)

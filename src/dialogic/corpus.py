@@ -24,6 +24,7 @@ from .model import (
     DbResult,
     NO_RESULT,
     SOURCE_SEED,
+    SOURCES,
     TripletMap,
     Turn,
     TurnBelief,
@@ -283,124 +284,112 @@ def _require(condition: bool, where: str, message: str) -> None:
         raise CorpusError(f"{where}: {message}")
 
 
-class _LoadMemos:
-    """What one corpus load shares: each distinct utterance or response, value,
-    slot name and DB result is kept once, however often the file repeats it.
+class _Load:
+    """One corpus load: what it shares, and how it admits each annotation it builds.
 
-    `text`, `lowered` and `slot` stand in for `normalize_text`, `str.lower`
-    and `canonical_slot`; `db` maps a DB result to the first one equal to it,
-    `NO_RESULT` (what a turn without "db" gets) for a result equal to that.
+    Each distinct utterance or response, value, slot name and DB result is kept
+    once, however often the file repeats it: `text`, `lowered` and `slot` stand in
+    for `normalize_text`, `str.lower` and `canonical_slot`, and `db` maps a DB
+    result to the first equal one (`NO_RESULT` for what a turn without "db" gets).
     """
 
-    __slots__ = ("text", "lowered", "slot", "db")
-
-    def __init__(self):
+    def __init__(self, ontology: Ontology, strict: bool):
+        self.ontology = ontology
+        self.strict = strict
+        self.issues: list[str] = []
         self.text = SharedTexts(normalize_text).__getitem__
         self.lowered = SharedTexts(str.lower).__getitem__
         self.slot = SharedTexts(canonical_slot).__getitem__
         self.db: dict[DbResult, DbResult] = {NO_RESULT: NO_RESULT}
 
-
-def _triplet_map(cls, data: dict, where: str, memos: _LoadMemos):
-    """`cls.from_dict(data)` through the load's memos; each domain must map to an object."""
-    for domain, slots in data.items():
-        _require(isinstance(slots, dict), where, f"domain {domain!r} must be an object")
-    return cls.from_dict(data, slot_name=memos.slot, lowered=memos.lowered)
-
-
-def _db_result(data: dict, where: str, memos: _LoadMemos) -> DbResult:
-    if "db" not in data:
-        return NO_RESULT
-    _require(isinstance(data["db"], dict), where, "db must be an object")
-    try:
-        db = DbResult.from_json(data["db"])
-        return memos.db.setdefault(db, db)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusError(f"{where}.db: {exc}") from exc
-
-
-def turn_from_json(data: dict, where: str, memos: _LoadMemos | None = None) -> Turn:
-    """One turn; equal texts share one string with the rest of the load `memos` serve."""
-    memos = memos or _LoadMemos()
-    _require(isinstance(data, dict), where, "turn must be an object")
-    # each message is built only on failure: a load checks every turn and triple
-    for key in ("user", "belief", "act", "resp"):
-        if key not in data:
-            raise CorpusError(f"{where}: missing key {key!r}")
-    db = _db_result(data, where, memos)
-    _require(isinstance(data["belief"], dict), where, "belief must be an object")
-    _require(isinstance(data["act"], list), where, "act must be a list of triples")
-    for triple in data["act"]:
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise CorpusError(f"{where}.act: bad act triple {triple!r}")
-    return Turn(
-        user_utterance=memos.text(str(data["user"])),
-        belief=_triplet_map(TurnBelief, data["belief"], f"{where}.belief", memos),
-        db=db,
-        act=DialogAct.from_triples(data["act"], slot_name=memos.slot),
-        system_response=memos.text(str(data["resp"])),
-    )
-
-
-def dialogue_from_json(data: dict, where: str, memos: _LoadMemos | None = None) -> Dialogue:
-    """One dialogue; equal texts share one string with the rest of the load `memos` serve."""
-    memos = memos or _LoadMemos()
-    _require(isinstance(data, dict), where, "dialogue must be an object")
-    for key in ("id", "goal", "turns"):
-        _require(key in data, where, f"missing key {key!r}")
-    _require(isinstance(data["goal"], dict), where, "goal must be an object")
-    goal = _triplet_map(UserGoal, data["goal"], f"{where}.goal", memos)
-    initial = goal
-    if "initial_goal" in data:
-        _require(isinstance(data["initial_goal"], dict), where, "initial_goal must be an object")
-        initial = _triplet_map(UserGoal, data["initial_goal"], f"{where}.initial_goal", memos)
-    _require(isinstance(data["turns"], list), where, "turns must be a list")
-    turns = [
-        turn_from_json(t, f"{where}.turns[{i}]", memos) for i, t in enumerate(data["turns"])
-    ]
-    _require(len(turns) >= 1, where, "dialogue has no turns")
-    return Dialogue(
-        id=str(data["id"]),
-        initial_goal=initial,
-        final_goal=goal,
-        turns=turns,
-        source=data.get("source", SOURCE_SEED),
-    )
-
-
-def _validate_dialogue(dlg: Dialogue, ontology: Ontology, strict: bool,
-                       issues: list[str]) -> None:
-    """Check every triple against the ontology; strict mode raises, lenient drops."""
-
-    def admit(annotation, where: str):
-        problems = annotation.validate(ontology)
+    def admit(self, annotation, dialogue_id: str, where: str):
+        """Strict mode raises on the first problem; lenient records each in `issues`, drops it."""
+        problems = annotation.validate(self.ontology)
         if not problems:
             return annotation
-        if strict:
-            raise CorpusError(f"{dlg.id} {where}: {problems[0]}")
-        issues.extend(f"{dlg.id} {where}: {problem}" for problem in problems)
-        return annotation.admitted(ontology)
+        if self.strict:
+            raise CorpusError(f"{dialogue_id} {where}: {problems[0]}")
+        self.issues.extend(f"{dialogue_id} {where}: {problem}" for problem in problems)
+        return annotation.admitted(self.ontology)
 
-    shared_goal = dlg.initial_goal is dlg.final_goal
-    dlg.final_goal = admit(dlg.final_goal, "goal")
-    dlg.initial_goal = (dlg.final_goal if shared_goal
-                        else admit(dlg.initial_goal, "initial_goal"))
-    for i, turn in enumerate(dlg.turns):
-        turn.belief = admit(turn.belief, f"turns[{i}].belief")
-        turn.act = admit(turn.act, f"turns[{i}].act")
+    def triplet_map(self, cls, data: dict, where: str, dialogue_id: str, place: str):
+        """`cls.from_dict(data)` via the load's memos, admitted; domains must map to objects."""
+        for domain, slots in data.items():
+            _require(isinstance(slots, dict), where, f"domain {domain!r} must be an object")
+        tmap = cls.from_dict(data, slot_name=self.slot, lowered=self.lowered)
+        return self.admit(tmap, dialogue_id, place)
+
+    def goal(self, data: dict, key: str, where: str, dialogue_id: str) -> UserGoal:
+        _require(isinstance(data[key], dict), where, f"{key} must be an object")
+        return self.triplet_map(UserGoal, data[key], f"{where}.{key}", dialogue_id, key)
+
+    def db_result(self, data: dict, where: str) -> DbResult:
+        if "db" not in data:
+            return NO_RESULT
+        _require(isinstance(data["db"], dict), where, "db must be an object")
+        try:
+            db = DbResult.from_json(data["db"])
+            return self.db.setdefault(db, db)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{where}.db: {exc}") from exc
+
+    def turn(self, data: dict, where: str, dialogue_id: str, i: int) -> Turn:
+        """Turn `i` of a dialogue; its shape is checked whole before its belief is built."""
+        _require(isinstance(data, dict), where, "turn must be an object")
+        # each message is built only on failure: a load checks every turn and triple
+        for key in ("user", "belief", "act", "resp"):
+            if key not in data:
+                raise CorpusError(f"{where}: missing key {key!r}")
+        for key in ("user", "resp"):
+            if not isinstance(data[key], str):
+                raise CorpusError(f"{where}: {key} must be a string")
+        db = self.db_result(data, where)
+        _require(isinstance(data["belief"], dict), where, "belief must be an object")
+        _require(isinstance(data["act"], list), where, "act must be a list of triples")
+        for triple in data["act"]:
+            if not isinstance(triple, list) or len(triple) != 3:
+                raise CorpusError(f"{where}.act: bad act triple {triple!r}")
+        return Turn(
+            user_utterance=self.text(data["user"]),
+            belief=self.triplet_map(TurnBelief, data["belief"], f"{where}.belief",
+                                    dialogue_id, f"turns[{i}].belief"),
+            db=db,
+            act=self.admit(DialogAct.from_triples(data["act"], slot_name=self.slot),
+                           dialogue_id, f"turns[{i}].act"),
+            system_response=self.text(data["resp"]),
+        )
+
+    def dialogue(self, data: dict, where: str) -> Dialogue:
+        """One dialogue, each annotation admitted as it is built, in file order."""
+        _require(isinstance(data, dict), where, "dialogue must be an object")
+        for key in ("id", "goal", "turns"):
+            _require(key in data, where, f"missing key {key!r}")
+        dialogue_id = str(data["id"])
+        goal = self.goal(data, "goal", where, dialogue_id)
+        initial = (self.goal(data, "initial_goal", where, dialogue_id)
+                   if "initial_goal" in data else goal)
+        _require(isinstance(data["turns"], list), where, "turns must be a list")
+        turns = [self.turn(t, f"{where}.turns[{i}]", dialogue_id, i)
+                 for i, t in enumerate(data["turns"])]
+        _require(len(turns) >= 1, where, "dialogue has no turns")
+        source = data.get("source", SOURCE_SEED)
+        _require(source in SOURCES, where, f"unknown dialogue source {source!r}")
+        return Dialogue(id=dialogue_id, initial_goal=initial, final_goal=goal, turns=turns,
+                        source=source)
 
 
 def load_seed_corpus(path: str | Path, ontology: Ontology, *, strict: bool = True) -> SeedDataset:
     """Read a corpus JSON file, validating every dialogue against the ontology.
 
-    Strict mode rejects the file on the first invalid triple; lenient mode drops
-    invalid triplets and records them in `SeedDataset.issues`.
+    Strict mode rejects the file on its first fault, of shape or ontology, in
+    file order; lenient mode drops invalid triplets and records them in
+    `SeedDataset.issues`, and rejects the file only on a fault of shape.
 
     Each entry of the parsed `"dialogues"` list is dropped once its dialogue
     is built, so the file's JSON is freed as the corpus grows. Within one
     load, equal utterances and responses, values, slot names and DB results
     are one object each: files repeat them (a DST-augmented sample repeats its
-    source dialogue's turns). The memos that share them end with the call.
+    source dialogue's turns). The `_Load` that shares them ends with the call.
     """
     path = Path(path)
     if not path.exists():
@@ -413,15 +402,12 @@ def load_seed_corpus(path: str | Path, ontology: Ontology, *, strict: bool = Tru
     _require(isinstance(data, dict) and isinstance(data.get("dialogues"), list), str(path),
              'top level must be {"dialogues": [...]}')
     entries = data["dialogues"]
-    memos = _LoadMemos()
-    issues: list[str] = []
+    load = _Load(ontology, strict)
     dialogues = []
     for i in range(len(entries)):
-        dlg = dialogue_from_json(entries[i], f"dialogues[{i}]", memos)
+        dialogues.append(load.dialogue(entries[i], f"dialogues[{i}]"))
         entries[i] = None  # free this entry's JSON
-        _validate_dialogue(dlg, ontology, strict, issues)
-        dialogues.append(dlg)
-    return SeedDataset(dialogues=dialogues, issues=issues)
+    return SeedDataset(dialogues=dialogues, issues=load.issues)
 
 
 def save_corpus(dialogues: Iterable[Dialogue], path: str | Path) -> None:

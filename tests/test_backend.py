@@ -100,6 +100,20 @@ def test_replay_missing_file(tmp_path):
         ReplayBackend(tmp_path / "nope.jsonl")
 
 
+@pytest.mark.parametrize("record", [
+    [1],
+    {"sha256": "x"},
+    {"sha256": "x", "completion": None},
+    {"sha256": 5, "completion": "ok"},
+], ids=["list", "no-completion", "null-completion", "int-sha256"])
+def test_replay_rejects_a_bad_record_when_read(tmp_path, record):
+    sink = tmp_path / "t.jsonl"
+    good = {"sha256": prompt_digest("p"), "completion": "ok"}
+    sink.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(BackendError, match=r"t\.jsonl:2: bad transcript record"):
+        ReplayBackend(sink)
+
+
 def test_replay_serves_repeated_prompt_in_recorded_order(tmp_path):
     sink = tmp_path / "t.jsonl"
     recorder = record_transcript(MockBackend(["a", "x", "b", "c"]), sink)

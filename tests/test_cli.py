@@ -452,6 +452,21 @@ def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_fil
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("flags,text,named", [
+    (["--backend", "replay", "--transcript"], '{"sha256": "x"}\n', "--transcript"),
+    (["--backend", "replay", "--transcript"], "[1]\n", "--transcript"),
+    (["--backend", "mock", "--mock-script"], "not json\n", "--mock-script"),
+], ids=["transcript-no-completion", "transcript-list", "mock-script-not-json"])
+def test_malformed_backend_file_is_usage_error(tmp_path, capsys, flags, text, named):
+    (tmp_path / "bad.txt").write_text(text, encoding="utf-8")
+    argv = simulate_args(tmp_path) + flags + [str(tmp_path / "bad.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "corpus.json").exists()
+
+
 @pytest.mark.parametrize("payload,place", [
     ({"dialogues": None}, "top level must be"),
     ({"dialogues": [{"id": "d", "goal": 5, "turns": []}]}, "dialogues[0]: goal"),

@@ -6,7 +6,6 @@ import pytest
 from dialogic.backend import MockBackend
 from dialogic.corpus import (
     CorpusError,
-    _validate_dialogue,
     dialogue_to_json,
     load_seed_corpus,
     save_corpus,
@@ -24,7 +23,7 @@ from dialogic.model import (
     TurnBelief,
     UserGoal,
 )
-from dialogic.ontology import NONE
+from dialogic.ontology import NONE, Ontology
 from dialogic.simulator import augment_corpus
 from dialogic.textnorm import normalize_text
 
@@ -245,6 +244,12 @@ MALFORMED = [
     pytest.param(_one_dialogue(turn={"belief": {"hotel": [1]}}),
                  r"dialogues\[0\]\.turns\[0\]\.belief: domain 'hotel' must be an object",
                  id="belief-domain-list"),
+    pytest.param(_one_dialogue(source="bogus"),
+                 r"dialogues\[0\]: unknown dialogue source 'bogus'", id="source-unknown"),
+    pytest.param(_one_dialogue(turn={"user": None}),
+                 r"dialogues\[0\]\.turns\[0\]: user must be a string", id="user-null"),
+    pytest.param(_one_dialogue(turn={"resp": 5}),
+                 r"dialogues\[0\]\.turns\[0\]: resp must be a string", id="resp-int"),
 ]
 
 
@@ -254,6 +259,17 @@ def test_malformed_shape_is_corpus_error_naming_its_place(tmp_path, ontology, pa
     for strict in (True, False):
         with pytest.raises(CorpusError, match=message):
             load_seed_corpus(path, ontology, strict=strict)
+
+
+def test_strict_load_reports_the_first_fault_in_file_order(tmp_path, ontology):
+    """An ontology fault in the goal comes before a shape fault in a later turn."""
+    payload = _one_dialogue(goal={"spaceship": {"x": "y"}})
+    payload["dialogues"][0]["turns"].append({"user": "hi", "belief": {}, "act": []})
+    path = write_corpus(tmp_path, payload)
+    with pytest.raises(CorpusError, match=r"^d0 goal: unknown domain 'spaceship'$"):
+        load_seed_corpus(path, ontology)
+    with pytest.raises(CorpusError, match=r"dialogues\[0\]\.turns\[1\]: missing key 'resp'"):
+        load_seed_corpus(path, ontology, strict=False)
 
 
 # -- the loader against the per-entry builder it replaced -----------------------
@@ -280,6 +296,28 @@ def _reference_dialogue(data, where):
     turns = [_reference_turn(t, f"{where}.turns[{i}]") for i, t in enumerate(data["turns"])]
     return Dialogue(id=str(data["id"]), initial_goal=initial, final_goal=goal, turns=turns,
                     source=data.get("source", SOURCE_SEED))
+
+
+def _validate_dialogue(dlg: Dialogue, ontology: Ontology, strict: bool,
+                       issues: list[str]) -> None:
+    """Check every triple against the ontology; strict mode raises, lenient drops."""
+
+    def admit(annotation, where: str):
+        problems = annotation.validate(ontology)
+        if not problems:
+            return annotation
+        if strict:
+            raise CorpusError(f"{dlg.id} {where}: {problems[0]}")
+        issues.extend(f"{dlg.id} {where}: {problem}" for problem in problems)
+        return annotation.admitted(ontology)
+
+    shared_goal = dlg.initial_goal is dlg.final_goal
+    dlg.final_goal = admit(dlg.final_goal, "goal")
+    dlg.initial_goal = (dlg.final_goal if shared_goal
+                        else admit(dlg.initial_goal, "initial_goal"))
+    for i, turn in enumerate(dlg.turns):
+        turn.belief = admit(turn.belief, f"turns[{i}].belief")
+        turn.act = admit(turn.act, f"turns[{i}].act")
 
 
 def _reference_load(path, ontology, strict):
