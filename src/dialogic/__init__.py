@@ -23,7 +23,6 @@ from .exemplar import (
     parse_goal,
     parse_system_line,
     parse_user_line,
-    sample_examples,
     selection_probabilities,
     serialize_act,
     serialize_goal,

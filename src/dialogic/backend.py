@@ -293,8 +293,10 @@ class HttpCompletionBackend(CompletionBackend):
             raise BackendError(f"HTTP {status}: {excerpt}")
         try:
             text = response.json()["choices"][0]["text"]
-        except (ValueError, KeyError, IndexError) as exc:
-            raise BackendError(f"malformed completion response: {response.text[:200]}") from exc
+        except (ValueError, LookupError, TypeError):  # TypeError: not an object where one belongs
+            text = None
+        if not isinstance(text, str):
+            raise BackendError(f"malformed completion response: {response.text[:200]}")
         return apply_stop(text, req.stop)
 
     def complete(self, req: CompletionRequest) -> str:

@@ -89,11 +89,6 @@ def select_examples(target: UserGoal, pool: SeedDataset, k: int, tau: float,
     return [d for d, _, _ in drawn], ExampleSelection(target, record, tau)
 
 
-def sample_examples(target: UserGoal, pool: SeedDataset, k: int, tau: float,
-                    rng: random.Random) -> list[Dialogue]:
-    return select_examples(target, pool, k, tau, rng)[0]
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

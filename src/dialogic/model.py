@@ -21,6 +21,14 @@ class ValidationError(ValueError):
     """A triple or dialogue violates the ontology or a structural invariant."""
 
 
+class SimulationError(RuntimeError):
+    """A simulate or DST job failed; its batch report counts it under `kind`."""
+
+    def __init__(self, message: str, kind: str):
+        super().__init__(message)
+        self.kind = kind
+
+
 class TripletMap:
     """Ordered domain -> slot -> value map; the shared shape of goals and beliefs.
 

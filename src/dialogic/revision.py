@@ -17,6 +17,7 @@ from .model import (
     DialogAct,
     DialogueState,
     DbResult,
+    SimulationError,
     Triple,
     Turn,
     TurnBelief,
@@ -463,10 +464,6 @@ def _turn_wire(turn: Turn) -> dict:
     }
 
 
-class AuxError(RuntimeError):
-    """An external aux model could not be reached or sent an unreadable reply."""
-
-
 AUX_TIMEOUT_S = 30.0  # how long an external aux model may take to answer one request
 
 
@@ -476,7 +473,8 @@ class HttpAuxPredictor(AuxPredictor):
     Belief requests carry {context, utterance}; act requests additionally carry
     {belief, db}. Replies are {"belief": {domain: {slot: value}}} or
     {"act": [[domain, act_type, slot], ...]}. An HTTP or connection error, no
-    reply within AUX_TIMEOUT_S, or a reply of any other shape raises AuxError.
+    reply within AUX_TIMEOUT_S, or a reply of any other shape raises
+    SimulationError of kind aux_error, which fails only its own dialogue.
     """
 
     def __init__(self, url: str):
@@ -492,16 +490,17 @@ class HttpAuxPredictor(AuxPredictor):
             response.raise_for_status()
             reply = response.json()
         except (OSError, ValueError) as exc:  # requests.RequestException is an OSError
-            raise AuxError(f"aux endpoint {self.url}: {exc}") from exc
+            raise SimulationError(f"aux endpoint {self.url}: {exc}", kind="aux_error") from exc
         if not isinstance(reply, dict):
-            raise AuxError(f"aux endpoint {self.url}: reply is not an object: {reply!r}")
+            raise SimulationError(f"aux endpoint {self.url}: reply is not an object: {reply!r}",
+                                  kind="aux_error")
         return reply
 
     def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
         data = self._ask(context, utterance).get("belief", {})
         if not isinstance(data, dict) or not all(isinstance(s, dict) for s in data.values()):
-            raise AuxError(f"aux endpoint {self.url}: belief is not domain -> slot -> value: "
-                           f"{data!r}")
+            raise SimulationError(f"aux endpoint {self.url}: belief is not domain -> slot -> "
+                                  f"value: {data!r}", kind="aux_error")
         return TurnBelief.from_dict(data)
 
     def predict_act(self, context, utterance, belief, db) -> DialogAct:
@@ -509,8 +508,8 @@ class HttpAuxPredictor(AuxPredictor):
         triples = reply.get("act", [])
         if not isinstance(triples, list) or not all(
                 isinstance(t, list) and len(t) == 3 for t in triples):
-            raise AuxError(f"aux endpoint {self.url}: act is not a list of "
-                           f"[domain, act_type, slot] triples: {triples!r}")
+            raise SimulationError(f"aux endpoint {self.url}: act is not a list of [domain, "
+                                  f"act_type, slot] triples: {triples!r}", kind="aux_error")
         return DialogAct.from_triples(triples)
 
     def close(self) -> None:

@@ -35,6 +35,7 @@ from .goals import (
     GoalStrategy,
     ObservedValues,
     RsDistribution,
+    STRATEGY_COMBINATION,
     STRATEGY_RANDOM,
     STRATEGY_SUBSTITUTION,
     generate_goal_combination,
@@ -51,6 +52,7 @@ from .model import (
     NO_RESULT,
     SOURCE_DST_AUGMENTED,
     SOURCE_SIMULATED,
+    SimulationError,
     Turn,
     TurnBelief,
     UserGoal,
@@ -58,7 +60,7 @@ from .model import (
     current_domain,
 )
 from .ontology import GENERAL_DOMAIN, NONE, Ontology
-from .revision import AuxError, AuxPredictor, revise_act, revise_belief, slot_value_match_filter
+from .revision import AuxPredictor, revise_act, revise_belief, slot_value_match_filter
 from .textnorm import normalize_text
 
 USER_STOPS = ("\nAssistant",)
@@ -70,26 +72,6 @@ STATUS_FINISHED_MAX_TURNS = "finished_max_turns"
 STATUS_FAILED = "failed"
 
 TraceSink = Callable[[dict], None]
-
-
-class SimulationError(RuntimeError):
-    """A run failed; `kind` is one of parse_error/backend_error/prompt_too_long/aux_error."""
-
-    def __init__(self, message: str, kind: str):
-        super().__init__(message)
-        self.kind = kind
-
-
-class UnaugmentableTurn(ValueError):
-    """No unmentioned slots or domains are available for this source turn."""
-
-    kind = "unaugmentable"
-
-
-class RejectedSample(RuntimeError):
-    """The prescribed belief never survived the filter within the retry budget."""
-
-    kind = "rejected"
 
 
 def _request_completion(backend: CompletionBackend, cfg: GenConfig, prompt: str,
@@ -106,6 +88,17 @@ def _request_completion(backend: CompletionBackend, cfg: GenConfig, prompt: str,
         raise SimulationError(str(exc), kind="prompt_too_long") from exc
     except BackendError as exc:
         raise SimulationError(str(exc), kind="backend_error") from exc
+
+
+def _first_accepted(backend: CompletionBackend, cfg: GenConfig, prompt: str,
+                    stop: tuple[str, ...], read: Callable, kind: str, failure: Callable):
+    """What `read` returns for the first completion it does not refuse with ParseError."""
+    for _ in range(cfg.retries + 1):
+        try:
+            return read(_request_completion(backend, cfg, prompt, stop))
+        except ParseError as exc:
+            refusal = exc
+    raise SimulationError(failure(cfg.retries + 1, refusal), kind=kind)
 
 
 class SimulationRun:
@@ -134,24 +127,17 @@ class SimulationRun:
         self.prompt = build_prompt(DEFAULT_TASK_DESCRIPTION, examples, goal, ontology=ontology)
 
     def _complete_line(self, prefix: str, stop: tuple[str, ...], parser):
-        last: Exception | None = None
-        for _ in range(self.cfg.retries + 1):
-            completion = _request_completion(self.backend, self.cfg, self.prompt + prefix, stop)
-            line = prefix + completion.lstrip()
-            try:
-                annotation, text = parser(line)
-            except ParseError as exc:
-                last = exc
-                continue
+        def read(completion: str):
+            annotation, text = parser(prefix + completion.lstrip())
             if isinstance(annotation, TurnBelief):
                 problems = annotation.validate(self.ontology)
                 if problems:
-                    last = ParseError("; ".join(problems))
-                    continue
+                    raise ParseError("; ".join(problems))
             return annotation, normalize_text(text)
-        raise SimulationError(
-            f"unparseable completion after {self.cfg.retries + 1} attempts: {last}",
-            kind="parse_error")
+
+        return _first_accepted(
+            self.backend, self.cfg, self.prompt + prefix, stop, read, "parse_error",
+            lambda n, last: f"unparseable completion after {n} attempts: {last}")
 
     # -- the turn loop -------------------------------------------------------
 
@@ -219,9 +205,6 @@ class SimulationRun:
                     break
             else:
                 self.status = STATUS_FINISHED_MAX_TURNS
-        except AuxError as exc:
-            self.status = STATUS_FAILED
-            raise SimulationError(str(exc), kind="aux_error") from exc
         except SimulationError:
             self.status = STATUS_FAILED
             raise
@@ -301,7 +284,7 @@ def _sample_value(ontology: Ontology, domain: str, slot: str, rng: random.Random
     if candidates:
         return rng.choice(candidates)
     if fallback is None:
-        raise UnaugmentableTurn(f"no values available for {domain}.{slot}")
+        raise SimulationError(f"no values available for {domain}.{slot}", kind="unaugmentable")
     return fallback
 
 
@@ -316,7 +299,8 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
     >=1 original slot and add >=1 unmentioned slot in the current domain.
     """
     if not 0 <= turn_idx < len(source.turns):
-        raise UnaugmentableTurn(f"turn index {turn_idx} out of range for {source.id}")
+        raise SimulationError(f"turn index {turn_idx} out of range for {source.id}",
+                              kind="unaugmentable")
     context = source.turns[:turn_idx]
     original = source.turns[turn_idx].belief
     last_act = context[-1].act if context else DialogAct()
@@ -337,8 +321,8 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
         pool = slot_pool(ontology, domain, observed_values, set(chosen) | set(req_slots)
                          | {s for d, s in mentioned if d == domain})
         if len(pool) < 2:
-            raise UnaugmentableTurn(f"{source.id} turn {turn_idx}: fewer than two "
-                                    f"unmentioned slots left in {domain}")
+            raise SimulationError(f"{source.id} turn {turn_idx}: fewer than two "
+                                  f"unmentioned slots left in {domain}", kind="unaugmentable")
         n_extra = rng.randint(2, min(len(pool), max(2, cfg.max_slots_per_domain - len(chosen))))
         for slot in chosen + rng.sample(pool, n_extra):
             belief.set(domain, slot, _sample_value(ontology, domain, slot, rng, observed_values))
@@ -348,7 +332,8 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
                  if d not in mentioned_domains
                  and slot_pool(ontology, d, observed_values)]
         if not fresh:
-            raise UnaugmentableTurn(f"{source.id} turn {turn_idx}: no unmentioned domain left")
+            raise SimulationError(f"{source.id} turn {turn_idx}: no unmentioned domain left",
+                                  kind="unaugmentable")
         domain = rng.choice(fresh)
         pool = slot_pool(ontology, domain, observed_values)
         for slot in rng.sample(pool, rng.randint(1, min(4, len(pool)))):
@@ -357,7 +342,8 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
         kind = KIND_OTHER
         domain = current_domain(original, context)
         if domain is None:
-            raise UnaugmentableTurn(f"{source.id} turn {turn_idx}: no current domain")
+            raise SimulationError(f"{source.id} turn {turn_idx}: no current domain",
+                                  kind="unaugmentable")
         original_slots = list(original.entries.get(domain, {}))
         kept: list[str] = []
         if original_slots:
@@ -366,8 +352,8 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
         pool = slot_pool(ontology, domain, observed_values,
                          set(original_slots) | {s for d, s in mentioned if d == domain})
         if not pool:
-            raise UnaugmentableTurn(f"{source.id} turn {turn_idx}: no unmentioned slot "
-                                    f"left in {domain}")
+            raise SimulationError(f"{source.id} turn {turn_idx}: no unmentioned slot "
+                                  f"left in {domain}", kind="unaugmentable")
         n_add = rng.randint(1, min(len(pool), max(1, cfg.max_slots_per_domain - len(kept))))
         added = rng.sample(pool, n_add)
         for slot in kept:
@@ -386,7 +372,8 @@ def _sample_turn_demos(target: TurnBelief, seeds: SeedDataset, k: int, tau: floa
     skip = index.turn_position.get(exclude)
     available = len(index.turns.items) - (skip is not None)
     if not available:
-        raise UnaugmentableTurn("no seed user turns available as demonstrations")
+        raise SimulationError("no seed user turns available as demonstrations",
+                              kind="unaugmentable")
     drawn = index.turns.draw(similarity_key(target), min(k, available), tau, rng, skip)
     return [item for item, _, _ in drawn]
 
@@ -433,27 +420,28 @@ def augment_dst_turn(spec: DstAugSpec, seeds: SeedDataset, backend: CompletionBa
     demos = _sample_turn_demos(
         spec.belief, seeds, cfg.n_shots, cfg.select_temperature, rng,
         exclude=(spec.source.id, spec.turn_idx))
-    prompt = build_dst_prompt(spec, demos, ontology)
-    for _ in range(cfg.retries + 1):
-        utterance = normalize_text(_request_completion(backend, cfg, prompt, DST_STOPS))
-        if not utterance:
-            continue
-        if slot_value_match_filter(spec.belief, utterance, ontology) == spec.belief:
-            new_turn = Turn(
-                user_utterance=utterance, belief=spec.belief, db=NO_RESULT,
-                act=DialogAct(), system_response="")
-            final_goal = spec.source.final_goal.copy()
-            final_goal.fold(spec.belief)
-            return Dialogue(
-                id=dialogue_id or f"{spec.source.id}-dst{spec.turn_idx}",
-                initial_goal=spec.source.initial_goal,
-                final_goal=final_goal,
-                turns=list(spec.source.turns[: spec.turn_idx]) + [new_turn],
-                source=SOURCE_DST_AUGMENTED)
-    raise RejectedSample(
-        f"{spec.source.id} turn {spec.turn_idx}: prescribed belief "
-        f"{serialize_goal(spec.belief)!r} not expressed within "
-        f"{cfg.retries + 1} attempts")
+
+    def read(completion: str) -> str:
+        utterance = normalize_text(completion)
+        if utterance and slot_value_match_filter(spec.belief, utterance, ontology) == spec.belief:
+            return utterance
+        raise ParseError("prescribed belief not expressed")
+
+    utterance = _first_accepted(
+        backend, cfg, build_dst_prompt(spec, demos, ontology), DST_STOPS, read, "rejected",
+        lambda n, _: f"{spec.source.id} turn {spec.turn_idx}: prescribed belief "
+                     f"{serialize_goal(spec.belief)!r} not expressed within {n} attempts")
+    new_turn = Turn(
+        user_utterance=utterance, belief=spec.belief, db=NO_RESULT,
+        act=DialogAct(), system_response="")
+    final_goal = spec.source.final_goal.copy()
+    final_goal.fold(spec.belief)
+    return Dialogue(
+        id=dialogue_id or f"{spec.source.id}-dst{spec.turn_idx}",
+        initial_goal=spec.source.initial_goal,
+        final_goal=final_goal,
+        turns=list(spec.source.turns[: spec.turn_idx]) + [new_turn],
+        source=SOURCE_DST_AUGMENTED)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +489,8 @@ def _run_batch(ids: list[str], run: Callable[[int, random.Random], Dialogue],
     """Run job i as `run(i, rng)` on its own rng substream and report in index order.
 
     One worker runs the jobs in the calling thread, more run them on a thread
-    pool. A failure counts under its exception's `kind`, any other ValueError
-    as config_error; any other exception propagates.
+    pool. A SimulationError counts under its `kind`, any other ValueError as
+    config_error; any other exception propagates.
     """
     master = random.Random(cfg.rng_seed)
     run_seeds = [master.randrange(2 ** 63) for _ in ids]
@@ -510,9 +498,11 @@ def _run_batch(ids: list[str], run: Callable[[int, random.Random], Dialogue],
     def job(index: int) -> Dialogue | tuple[str, str]:
         try:
             return run(index, random.Random(run_seeds[index]))
-        except (SimulationError, RejectedSample, ValueError) as exc:
-            # keep the kind and note only: a held traceback would pin the run's frames
-            return getattr(exc, "kind", "config_error"), f"{ids[index]}: {exc}"
+        # keep the kind and note only: a held traceback would pin the run's frames
+        except SimulationError as exc:
+            return exc.kind, f"{ids[index]}: {exc}"
+        except ValueError as exc:
+            return "config_error", f"{ids[index]}: {exc}"
 
     if workers <= 1:  # a one-worker pool would only contend with this thread for the GIL
         outcomes = [job(i) for i in range(len(ids))]
@@ -536,6 +526,11 @@ def simulate_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset,
     """Run n independent simulations on per-dialogue rng substreams."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if cfg.n_shots > len(seeds):
+        raise ValueError(f"n_shots={cfg.n_shots} exceeds the seed pool of {len(seeds)} dialogues")
+    if strategy.kind == STRATEGY_COMBINATION and strategy.n_source_dialogues > len(seeds):
+        raise ValueError(f"n_source_dialogues={strategy.n_source_dialogues} exceeds the seed "
+                         f"pool of {len(seeds)} dialogues")
     observed = seeds.observed_values()
     ids = [f"sim_{index:04d}" for index in range(n)]
 

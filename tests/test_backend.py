@@ -22,6 +22,7 @@ from dialogic.backend import (
     prompt_digest,
     record_transcript,
 )
+from dialogic.goals import GoalStrategy
 from dialogic.model import DecodeConfig, GenConfig
 
 from .conftest import completion_reply
@@ -289,6 +290,29 @@ def test_live_retry_after_past_timeout_is_backend_error(monkeypatch, seeds, onto
     assert slept == []
     assert report.failures["backend_error"] >= 1
     assert set(report.failures) <= {"backend_error", "unaugmentable"}
+
+
+MALFORMED_BODIES = [{"choices": None}, [1], {"choices": [1]}, {"choices": [{"text": None}]},
+                    {"choices": [{"text": 5}]}]
+
+
+@pytest.mark.parametrize("payload", MALFORMED_BODIES)
+def test_live_malformed_body_is_backend_error(payload):
+    backend, responses = _live([_FakeResponse(payload=payload)])
+    with pytest.raises(BackendError, match="malformed completion response: "):
+        backend.complete(req())
+    assert responses == []  # not retried
+
+
+def test_live_malformed_bodies_counted_as_backend_error(seeds, aux, entity_db, ontology):
+    from dialogic.simulator import simulate_batch
+
+    backend, _ = _live([_FakeResponse(payload=payload) for payload in MALFORMED_BODIES])
+    dialogues, report = simulate_batch(
+        len(MALFORMED_BODIES), GoalStrategy(kind="combination"), seeds, backend, aux,
+        entity_db, ontology, GenConfig(rng_seed=3))
+    assert dialogues == []
+    assert report.failures == {"backend_error": len(MALFORMED_BODIES)}
 
 
 def test_live_context_length_not_retried():

@@ -432,6 +432,10 @@ LIVE = {"backend": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
     (["--aux-url", "http://127.0.0.1:port/aux"], "--aux-url"),
     # a database file whose array holds a non-object entry
     ({"db_dir": "db"}, "hotel_db.json: entry 1 is not an object"),
+    # settings the three bundled seeds are too few for
+    ({"n_shots": 5}, "n_shots=5 exceeds the seed pool of 3 dialogues"),
+    ({"strategy": "combination", "n_source_dialogues": 9},
+     "n_source_dialogues=9 exceeds the seed pool of 3 dialogues"),
 ])
 def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_file, capsys,
                                           setting, named):

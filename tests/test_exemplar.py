@@ -20,7 +20,6 @@ from dialogic.exemplar import (
     parse_system_line,
     parse_user_line,
     render_demonstration,
-    sample_examples,
     select_examples,
     selection_probabilities,
     serialize_act,
@@ -124,7 +123,7 @@ def test_probabilities_uniform_on_equal_similarity():
 def test_sample_exhaustive_draw_is_permutation():
     target = goal_of({"hotel": {"stay": "2"}})
     pool = mini_pool(*[goal_of({"hotel": {"stay": str(i)}}) for i in range(4)])
-    drawn = sample_examples(target, pool, 4, 0.2, make_rng(0))
+    drawn = select_examples(target, pool, 4, 0.2, make_rng(0))[0]
     assert sorted(d.id for d in drawn) == ["d0", "d1", "d2", "d3"]
 
 
@@ -137,7 +136,7 @@ def test_sample_low_temperature_picks_argmax():
     other = goal_of({"hotel": {"stay": "1", "people": "2"}})
     pool = mini_pool(other, best)
     for seed in range(25):
-        drawn = sample_examples(target, pool, 1, 1e-6, make_rng(seed))
+        drawn = select_examples(target, pool, 1, 1e-6, make_rng(seed))[0]
         assert drawn[0].id == "d1"
 
 
@@ -166,7 +165,7 @@ def test_selection_record_probabilities_renormalize_after_each_draw():
 def test_sample_too_many_rejected():
     pool = mini_pool(goal_of({"hotel": {"stay": "2"}}))
     with pytest.raises(ValueError):
-        sample_examples(goal_of({"hotel": {"stay": "1"}}), pool, 2, 0.2, make_rng(0))
+        select_examples(goal_of({"hotel": {"stay": "1"}}), pool, 2, 0.2, make_rng(0))
 
 
 def test_sample_frequency_matches_probabilities():
@@ -182,7 +181,7 @@ def test_sample_frequency_matches_probabilities():
     trials = 20000
     hits = sum(
         1 for _ in range(trials)
-        if sample_examples(target, pool, 1, 0.2, rng)[0].id == "d0")
+        if select_examples(target, pool, 1, 0.2, rng)[0][0].id == "d0")
     assert abs(hits / trials - probs["d0"]) < 0.01
 
 
@@ -306,7 +305,7 @@ def test_similarity_index_empty_targets(ontology):
 
 
 def test_indexed_draws_equal_pairwise_draws(ontology):
-    from dialogic.simulator import UnaugmentableTurn, _sample_turn_demos
+    from dialogic.simulator import SimulationError, _sample_turn_demos
 
     for seed in range(500):
         rng = make_rng(seed)
@@ -327,8 +326,9 @@ def test_indexed_draws_equal_pairwise_draws(ontology):
         turns = _pairwise_turns(pool, exclude)
         demo_rng = make_rng(seed)
         if not turns:
-            with pytest.raises(UnaugmentableTurn):
+            with pytest.raises(SimulationError) as err:
                 _sample_turn_demos(belief, pool, 2, tau, demo_rng, exclude)
+            assert err.value.kind == "unaugmentable"
             continue
         demos = _sample_turn_demos(belief, pool, 2, tau, demo_rng, exclude)
         reference_rng = make_rng(seed)

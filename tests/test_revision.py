@@ -7,13 +7,13 @@ from dialogic.model import (
     DialogueState,
     DbResult,
     NO_RESULT,
+    SimulationError,
     Turn,
     TurnBelief,
 )
 from dialogic import revision
 from dialogic.revision import (
     FALLBACK_ACT,
-    AuxError,
     HttpAuxPredictor,
     merge_beliefs,
     revise_act,
@@ -519,10 +519,11 @@ def test_http_adapter_round_trip(loopback):
 def test_http_adapter_rejects_malformed_reply(loopback, ask, reply):
     adapter = HttpAuxPredictor(f"{loopback(lambda request, headers: (200, reply, {}))}/aux")
     try:
-        with pytest.raises(AuxError, match="aux endpoint"):
+        with pytest.raises(SimulationError, match="aux endpoint") as err:
             if ask == "belief":
                 adapter.predict_belief([], "somewhere in the north")
             else:
                 adapter.predict_act([], "x", belief({}), NO_RESULT)
+        assert err.value.kind == "aux_error"
     finally:
         adapter.close()

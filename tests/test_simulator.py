@@ -15,12 +15,10 @@ from dialogic.simulator import (
     KIND_OTHER,
     KIND_REQMORE,
     KIND_REQUEST,
-    RejectedSample,
     STATUS_FINISHED_BYE,
     STATUS_FINISHED_MAX_TURNS,
     SimulationError,
     SimulationRun,
-    UnaugmentableTurn,
     augment_dst_turn,
     build_dst_prompt,
     generate_turn_belief,
@@ -384,8 +382,9 @@ def test_turn_belief_unaugmentable(ontology, seeds):
     rigged = type(source)(
         id="rig", initial_goal=source.initial_goal, final_goal=source.final_goal,
         turns=mention_turns + [reqmore_turn, reqmore_turn], source="seed")
-    with pytest.raises(UnaugmentableTurn):
+    with pytest.raises(SimulationError) as err:
         generate_turn_belief(rigged, len(rigged.turns) - 1, ontology, make_rng(1))
+    assert err.value.kind == "unaugmentable"
 
 
 def test_turn_belief_rule_conformance_bulk(seeds, ontology):
@@ -435,9 +434,10 @@ def test_augment_dst_turn_accepts_expressed_belief(seeds, ontology):
 def test_augment_dst_turn_rejects_unexpressed_belief(seeds, ontology):
     spec = DstAugSpec(seeds.get("SNG01856"), 2, KIND_OTHER, TurnBelief(PRESCRIBED_BELIEF))
     backend = MockBackend("i have no requirements at all .")
-    with pytest.raises(RejectedSample):
+    with pytest.raises(SimulationError) as err:
         augment_dst_turn(spec, seeds, backend, ontology,
                          GenConfig(retries=1), make_rng(3))
+    assert err.value.kind == "rejected"
 
 
 def test_augment_dst_turn_takes_n_shots_from_gen_config(seeds, ontology):
@@ -520,3 +520,20 @@ def test_augment_classifies_failures_like_simulate(seeds, ontology):
     assert set(report.failures) <= {"config_error", "unaugmentable"}
     assert report.failures["config_error"] >= 1
     assert report.notes[0].startswith(f"{seeds.dialogues[0].id}-dst0-p1: ")
+
+
+def test_failure_notes_keep_their_kind_and_text(seeds, aux, entity_db, ontology):
+    from dialogic.simulator import augment_corpus
+
+    _, report = simulate_batch(1, GoalStrategy(kind="combination"), seeds, MockBackend("garbage"),
+                               aux, entity_db, ontology, GenConfig(rng_seed=3))
+    assert report.failures == {"parse_error": 1}
+    assert report.notes == [
+        "sim_0000: unparseable completion after 3 attempts: unbalanced parentheses (column 12)"]
+    _, report = augment_corpus(seeds, MockBackend("i have no requirements at all ."), None,
+                               ontology, GenConfig(rng_seed=17))
+    assert report.failures == {"rejected": 17, "unaugmentable": 1}
+    assert report.notes[0] == ("SNG01856-dst0-p1: SNG01856 turn 0: prescribed belief "
+                               "'[hotel] area is south' not expressed within 3 attempts")
+    assert report.notes[7] == ("PMUL1576-dst2-p1: PMUL1576 turn 2: fewer than two "
+                               "unmentioned slots left in train")
