@@ -31,7 +31,7 @@ from .goals import GoalStrategy, RsDistribution, STRATEGIES
 from .model import DecodeConfig, GenConfig
 from .ontology import Ontology, default_ontology, load_ontology
 from .revision import HttpAuxPredictor, LexicalAuxPredictor, slot_value_match_filter
-from .simulator import BatchReport, augment_corpus, simulate_batch
+from .simulator import BatchReport, augment_corpus, check_batch, simulate_batch
 from .stats import compute_stats
 
 EXIT_OK = 0
@@ -184,6 +184,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                      drop_probability="drop_probability"))
     ontology = _load_ontology(args)
     seeds = _load_seeds(args, ontology)
+    check_batch(args.num, strategy, seeds, cfg)  # before the trace file is opened
     db = _load_db(args, ontology)
     backend = _build_backend(args)
     remote = HttpAuxPredictor(args.aux_url) if args.aux_url else None

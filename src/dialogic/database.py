@@ -133,12 +133,10 @@ class EntityDb:
     def size(self, domain: str) -> int:
         return len(self.tables.get(domain, []))
 
-    def query(self, domain: str, constraints: dict[str, str], *,
-              strict: bool = False) -> DbResult:
+    def query(self, domain: str, constraints: dict[str, str]) -> DbResult:
         """Count entities matching all constraints and bucketize the count.
 
-        `dontcare` matches everything; booking slots are ignored; unknown slots
-        are ignored unless strict mode is on.
+        `dontcare` matches everything; booking slots and unknown slots are ignored.
 
         Each constraint on an indexed column selects its rows by index: an
         exact value from the (slot, normalized value) index built at
@@ -156,11 +154,7 @@ class EntityDb:
         booking = BOOKING_SLOTS.get(domain, frozenset())
         candidates: set[int] | None = None  # None: every row
         for slot, value in constraints.items():
-            if slot in booking or value == "dontcare":
-                continue
-            if slot not in self._columns[domain]:
-                if strict:
-                    raise DatabaseError(f"unknown slot {domain}.{slot}")
+            if slot in booking or value == "dontcare" or slot not in self._columns[domain]:
                 continue
             mode = _TIME_INEQUALITIES.get((domain, slot))
             wanted = parse_time(value) if mode else None

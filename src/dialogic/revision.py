@@ -210,25 +210,26 @@ def validate_act(act: DialogAct, belief_state: DialogueState, db: DbResult,
     return DialogAct(tuple(kept)), firings
 
 
-def revise_act(gpt_act: DialogAct, *, belief_state: DialogueState, db: DbResult,
-               ontology: Ontology, prior_acts: Sequence[DialogAct] = (),
-               mentioned_domains: frozenset[str] | None = None,
-               aux: "AuxPredictor | None" = None,
-               context: list[Turn] | None = None,
-               utterance: str = "",
-               belief: TurnBelief | None = None
-               ) -> tuple[DialogAct, list[str], bool]:
-    """Rule-validate the LLM act; consult the auxiliary act only on outright failure."""
-    revised, firings = validate_act(
-        gpt_act, belief_state, db, ontology,
-        prior_acts=prior_acts, mentioned_domains=mentioned_domains)
+def revise_act(gpt_act: DialogAct, context: list[Turn], belief: TurnBelief, utterance: str,
+               belief_state: DialogueState, db: DbResult, ontology: Ontology,
+               aux: "AuxPredictor | None") -> tuple[DialogAct, list[str], bool]:
+    """Rule-validate the LLM act; consult the auxiliary act only on outright failure.
+
+    The rules read the dialogue so far: the prior acts are the acts of `context`,
+    and the mentioned domains are every domain of its beliefs and of `belief`.
+    """
+    prior_acts = [t.act for t in context]
+    mentioned = frozenset(d for b in [*(t.belief for t in context), belief] for d in b.domains())
+
+    def rules(act: DialogAct) -> tuple[DialogAct, list[str]]:
+        return validate_act(act, belief_state, db, ontology,
+                            prior_acts=prior_acts, mentioned_domains=mentioned)
+
+    revised, firings = rules(gpt_act)
     # the rules kept no triple; a valid LLM [general] [reqmore] is no failure
     outright_failure = not gpt_act.is_empty() and firings[-1:] == [_FALLBACK_FIRING]
     if outright_failure and aux is not None:
-        aux_act = aux.predict_act(context or [], utterance, belief or TurnBelief(), db)
-        revised, aux_firings = validate_act(
-            aux_act, belief_state, db, ontology,
-            prior_acts=prior_acts, mentioned_domains=mentioned_domains)
+        revised, aux_firings = rules(aux.predict_act(context, utterance, belief, db))
         firings.extend("aux " + f for f in aux_firings)
         return revised, firings, True
     return revised, firings, False

@@ -66,11 +66,6 @@ from .textnorm import normalize_text
 USER_STOPS = ("\nAssistant",)
 SYSTEM_STOPS = ("\nUser", "\nInstruction")
 
-STATUS_ACTIVE = "active"
-STATUS_FINISHED_BYE = "finished_bye"
-STATUS_FINISHED_MAX_TURNS = "finished_max_turns"
-STATUS_FAILED = "failed"
-
 TraceSink = Callable[[dict], None]
 
 
@@ -102,7 +97,7 @@ def _first_accepted(backend: CompletionBackend, cfg: GenConfig, prompt: str,
 
 
 class SimulationRun:
-    """One dialogue simulation: prompt state, revised turns, and status."""
+    """One dialogue simulation: its prompt and its revised turns."""
 
     def __init__(self, goal: UserGoal, seeds: SeedDataset, backend: CompletionBackend,
                  aux: AuxPredictor | None, db: EntityDb, ontology: Ontology,
@@ -118,10 +113,8 @@ class SimulationRun:
         self.dialogue_id = dialogue_id
         self.trace = trace
         self.turns: list[Turn] = []
-        self.status = STATUS_ACTIVE
         self.final_goal = goal.copy()
         self.active_domain: str | None = None
-        self._mentioned: set[str] = set()
         examples, self.selection = select_examples(
             goal, seeds, cfg.n_shots, cfg.select_temperature, rng)
         self.prompt = build_prompt(DEFAULT_TASK_DESCRIPTION, examples, goal, ontology=ontology)
@@ -157,15 +150,12 @@ class SimulationRun:
         belief, report = revise_belief(raw_belief, self.turns, utterance, self.aux, self.ontology)
         self.prompt += format_user_line(belief, utterance) + "\n"
         self.final_goal.fold(belief)
-        self._mentioned.update(belief.domains())
         state = accumulate_state([t.belief for t in self.turns] + [belief])
         db_result = self._query_db(belief, state)
 
         raw_act, response = self._complete_line("Assistant(", SYSTEM_STOPS, parse_system_line)
         act, firings, used_aux = revise_act(
-            raw_act, belief_state=state, db=db_result, ontology=self.ontology,
-            prior_acts=[t.act for t in self.turns], mentioned_domains=frozenset(self._mentioned),
-            aux=self.aux, context=self.turns, utterance=utterance, belief=belief)
+            raw_act, self.turns, belief, utterance, state, db_result, self.ontology, self.aux)
         if act != raw_act:
             regenerated = _request_completion(
                 self.backend, self.cfg, self.prompt + f"Assistant({serialize_act(act)}): ",
@@ -197,17 +187,9 @@ class SimulationRun:
         return turn
 
     def run(self) -> Dialogue:
-        try:
-            while len(self.turns) < self.cfg.max_turns:
-                turn = self.step()
-                if turn.act.has("bye"):
-                    self.status = STATUS_FINISHED_BYE
-                    break
-            else:
-                self.status = STATUS_FINISHED_MAX_TURNS
-        except SimulationError:
-            self.status = STATUS_FAILED
-            raise
+        while len(self.turns) < self.cfg.max_turns:
+            if self.step().act.has("bye"):
+                break
         return Dialogue(
             id=self.dialogue_id, initial_goal=self.goal, final_goal=self.final_goal,
             turns=self.turns, source=SOURCE_SIMULATED)
@@ -518,12 +500,8 @@ def _run_batch(ids: list[str], run: Callable[[int, random.Random], Dialogue],
     return dialogues, report
 
 
-def simulate_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset,
-                   backend: CompletionBackend, aux: AuxPredictor | None, db: EntityDb,
-                   ontology: Ontology, cfg: GenConfig, *,
-                   dist: RsDistribution = RsDistribution(), workers: int = 1,
-                   trace: TraceSink | None = None) -> tuple[list[Dialogue], BatchReport]:
-    """Run n independent simulations on per-dialogue rng substreams."""
+def check_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset, cfg: GenConfig) -> None:
+    """Raise ValueError for batch settings that no dialogue could run with."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if cfg.n_shots > len(seeds):
@@ -531,6 +509,15 @@ def simulate_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset,
     if strategy.kind == STRATEGY_COMBINATION and strategy.n_source_dialogues > len(seeds):
         raise ValueError(f"n_source_dialogues={strategy.n_source_dialogues} exceeds the seed "
                          f"pool of {len(seeds)} dialogues")
+
+
+def simulate_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset,
+                   backend: CompletionBackend, aux: AuxPredictor | None, db: EntityDb,
+                   ontology: Ontology, cfg: GenConfig, *,
+                   dist: RsDistribution = RsDistribution(), workers: int = 1,
+                   trace: TraceSink | None = None) -> tuple[list[Dialogue], BatchReport]:
+    """Run n independent simulations on per-dialogue rng substreams."""
+    check_batch(n, strategy, seeds, cfg)
     observed = seeds.observed_values()
     ids = [f"sim_{index:04d}" for index in range(n)]
 

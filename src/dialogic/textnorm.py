@@ -7,6 +7,7 @@ counts as "the same value", so all token-level normalization lives here.
 from __future__ import annotations
 
 import re
+import threading
 from functools import lru_cache
 from typing import Callable
 
@@ -135,15 +136,21 @@ class TokenView:
         return hits[0] if hits else None
 
 
-@lru_cache(maxsize=1)
+_last_view = threading.local()
+
+
 def utterance_view(text: str) -> TokenView:
     """The TokenView of `text`'s match tokens, with their surface forms.
 
-    The last view is kept for the next call, so that the aux predictor and the
-    match filter, which read one user turn in turn, tokenise it once.
+    Each thread keeps its last view for its next call, so that the aux
+    predictor and the match filter, which read one user turn in turn,
+    tokenise it once, whatever other threads read meanwhile.
     """
-    pairs = token_pairs(text)
-    return TokenView([norm for _, norm in pairs], [surface for surface, _ in pairs])
+    if getattr(_last_view, "text", None) != text:
+        pairs = token_pairs(text)
+        _last_view.view = TokenView([norm for _, norm in pairs], [surface for surface, _ in pairs])
+        _last_view.text = text
+    return _last_view.view
 
 
 def parse_time(value: str) -> int | None:

@@ -335,6 +335,19 @@ def test_trace_file_written(tmp_path, mock_script_file):
             "rule_firings"} <= set(events[0])
 
 
+def test_trace_file_written_only_by_a_run_that_starts(tmp_path, mock_script_file):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("kept\n", encoding="utf-8")
+    # more shots than seeds: rejected before any dialogue, the trace left as it was
+    assert main(simulate_args(tmp_path, backend="mock", mock_script=mock_script_file,
+                              n_shots=5, trace=str(trace))) == 2
+    assert trace.read_text(encoding="utf-8") == "kept\n"
+    # every dialogue fails before its first turn: the run starts, its trace is empty
+    assert main(simulate_args(tmp_path, backend="mock", mock_script=mock_script_file,
+                              context_budget=10, trace=str(trace))) == 4
+    assert trace.read_text(encoding="utf-8") == ""
+
+
 @pytest.mark.parametrize("command", ["simulate", "augment-dst"])
 @pytest.mark.parametrize("decode", [{"temperature": 3}, {"top_p": -0.1}, {"top_p": 1.5}])
 def test_out_of_range_decode_is_config_error(tmp_path, mock_script_file, capsys,
@@ -443,7 +456,7 @@ def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_fil
     write_json(tmp_path / "ints.json", [1, 2])
     (tmp_path / "db").mkdir()
     write_json(tmp_path / "db" / "hotel_db.json", [{"name": "x"}, "oops"])
-    config = {"seed_corpus": SEED_CORPUS_PATH, "out": "x.json",
+    config = {"seed_corpus": SEED_CORPUS_PATH, "out": "x.json", "trace": "t.jsonl",
               "backend": "mock", "mock_script": mock_script_file}
     flags = setting if isinstance(setting, list) else []
     if isinstance(setting, dict):
@@ -454,6 +467,7 @@ def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_fil
     assert named in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.json").exists()
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 @pytest.mark.parametrize("flags,text,named", [

@@ -1,6 +1,5 @@
 import json
 import re
-from functools import partial
 from importlib import resources
 
 import pytest
@@ -93,7 +92,7 @@ def test_query_random_constraints_match_oracle(entity_db, ontology):
         assert result.count == brute_force_count(entity_db.tables[domain], constraints)
 
 
-def linear_scan_query(db, domain, constraints, *, strict=False):
+def linear_scan_query(db, domain, constraints):
     """Reference for `EntityDb.query`: test every row against each constraint in turn."""
     if not db.ontology.has_domain(domain):
         raise DatabaseError(f"unknown domain {domain!r}")
@@ -105,11 +104,7 @@ def linear_scan_query(db, domain, constraints, *, strict=False):
     time_rule = {"leave": "ge", "arrive": "le"} if domain == "train" else {}
     rows = list(records)
     for slot, value in constraints.items():
-        if slot in booking or value == "dontcare":
-            continue
-        if slot not in columns:
-            if strict:
-                raise DatabaseError(f"unknown slot {domain}.{slot}")
+        if slot in booking or value == "dontcare" or slot not in columns:
             continue
         wanted = parse_time(value) if slot in time_rule else None
         kept = []
@@ -177,14 +172,8 @@ def test_query_matches_linear_scan_reference(entity_db, ontology):
         for _ in range(1000):
             domain = rng.choice(sorted(db.tables))
             constraints = _random_constraints(rng, db, domain)
-            strict = rng.random() < 0.2
-            outcomes = []
-            for query in (db.query, partial(linear_scan_query, db)):
-                try:
-                    outcomes.append(query(domain, constraints, strict=strict))
-                except DatabaseError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1], (domain, constraints, strict)
+            assert db.query(domain, constraints) == linear_scan_query(db, domain, constraints), (
+                domain, constraints)
             timed += domain == "train" and any(parse_time(constraints.get(s, "")) is not None
                                                for s in ("leave", "arrive"))
         assert timed > 40
@@ -202,9 +191,7 @@ def test_unknown_domain(entity_db):
         entity_db.query("zoo", {})
 
 
-def test_unknown_slot_strict(entity_db):
-    with pytest.raises(DatabaseError):
-        entity_db.query("hotel", {"color": "red"}, strict=True)
+def test_unknown_slot_ignored(entity_db):
     assert entity_db.query("hotel", {"color": "red"}).count == entity_db.size("hotel")
 
 
@@ -388,10 +375,9 @@ def test_unindexed_columns_are_scanned(entity_db, ontology):
         matched = 0
         for _ in range(30):
             constraints = _scanned_column_constraints(rng, records, slots, spell)
-            for strict in (False, True):
-                expected = linear_scan_query(db, domain, constraints, strict=strict)
-                assert db.query(domain, constraints, strict=strict) == expected, constraints
-                matched += expected.count > 0
+            expected = linear_scan_query(db, domain, constraints)
+            assert db.query(domain, constraints) == expected, constraints
+            matched += expected.count > 0
         assert matched >= 10
         # a scan builds no index entry and leaves the value memo alone
         assert index_snapshot() == shared

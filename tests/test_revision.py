@@ -10,6 +10,7 @@ from dialogic.model import (
     SimulationError,
     Turn,
     TurnBelief,
+    accumulate_state,
 )
 from dialogic import revision
 from dialogic.revision import (
@@ -320,6 +321,20 @@ def test_revise_act_keeps_valid_llm_act(ontology, aux):
         assert firings == []
 
 
+def test_revise_act_reads_mentioned_domains_from_context(ontology):
+    # a domain-only mention adds nothing to the state, yet the domain is discussed
+    earlier = turn("any attractions nearby ?", {"attraction": {}})
+    now = belief({"hotel": {"area": "south"}})
+    act = DialogAct((("attraction", "inform", "address"),))
+    for context, kept in (([earlier], True), ([], False)):
+        state = accumulate_state([t.belief for t in context] + [now])
+        out, firings, _ = revise_act(
+            act, belief_state=state, db=DbResult("hotel", 5, "db_3"), ontology=ontology,
+            aux=None, context=context, utterance="i want the south .", belief=now)
+        assert (out == act) is kept
+        assert any(f.startswith("drop-undiscussed-domains") for f in firings) is not kept
+
+
 # -- lexical aux predictor -------------------------------------------------------
 
 def test_aux_detects_values_in_active_domain(ontology, aux):
@@ -464,11 +479,11 @@ def test_active_domains_keyword_map_equals_per_domain_scan(aux):
 def test_revise_belief_tokenises_the_utterance_once(ontology, aux, monkeypatch):
     from dialogic import textnorm
 
+    textnorm.utterance_view("")  # forget this thread's view of any earlier turn
     calls = []
     token_pairs = textnorm.token_pairs
     monkeypatch.setattr(textnorm, "token_pairs", lambda text: calls.append(text) or
                         token_pairs(text))
-    textnorm.utterance_view.cache_clear()
     utterance = "a cheap hotel in the north , leaving at 08:45 , i do n't care about parking ."
     out, _ = revise_belief(belief({"hotel": {"area": "north"}}), [], utterance, aux, ontology)
     assert calls == [utterance]  # the aux and the filter share one view

@@ -15,8 +15,6 @@ from dialogic.simulator import (
     KIND_OTHER,
     KIND_REQMORE,
     KIND_REQUEST,
-    STATUS_FINISHED_BYE,
-    STATUS_FINISHED_MAX_TURNS,
     SimulationError,
     SimulationRun,
     augment_dst_turn,
@@ -56,8 +54,8 @@ def simple_goal():
 
 def test_trace_replay_reproduces_revised_rows(trace_replay, trace_pool, aux,
                                               entity_db, ontology):
-    run, dialogue = run_trace_simulation(trace_replay, trace_pool, aux, entity_db, ontology)
-    assert run.status == STATUS_FINISHED_BYE
+    _, dialogue = run_trace_simulation(trace_replay, trace_pool, aux, entity_db, ontology)
+    assert dialogue.turns[-1].act.has("bye")
     assert [t.belief.to_dict() for t in dialogue.turns] == TRACE_REVISED_BELIEFS
     assert [t.db.bucket for t in dialogue.turns] == TRACE_DB_BUCKETS
     assert [t.act.to_json() for t in dialogue.turns] == TRACE_REVISED_ACTS
@@ -101,7 +99,7 @@ def test_immediate_bye_gives_one_turn(seeds, aux, entity_db, ontology):
         simple_goal(), seeds, MockBackend(list(BYE_SCRIPT)), aux, entity_db, ontology,
         GenConfig(), make_rng(0))
     dialogue = run.run()
-    assert run.status == STATUS_FINISHED_BYE
+    assert dialogue.turns[-1].act.has("bye")
     assert len(dialogue.turns) == 1
 
 
@@ -110,7 +108,7 @@ def test_never_bye_hits_turn_cap(seeds, aux, entity_db, ontology):
         simple_goal(), seeds, looping_mock(), aux, entity_db, ontology,
         GenConfig(), make_rng(0))
     dialogue = run.run()
-    assert run.status == STATUS_FINISHED_MAX_TURNS
+    assert not any(t.act.has("bye") for t in dialogue.turns)
     assert len(dialogue.turns) == 12
 
 

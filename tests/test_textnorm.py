@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import pytest
@@ -135,6 +136,14 @@ def test_utterance_view_carries_surface_forms():
     assert view.surface == ("i", "leave", "at", "08:45", "three", "people")
     assert utterance_view(text) is view  # kept for the next call on the same turn
     assert TokenView(["a", "b"]).surface == ("a", "b")
+
+
+def test_utterance_view_is_kept_per_thread():
+    # another thread's turn does not evict this thread's view
+    with ThreadPoolExecutor(1) as first, ThreadPoolExecutor(1) as second:
+        view = first.submit(utterance_view, "a hotel .").result()
+        assert second.submit(utterance_view, "a taxi .").result() is not view
+        assert first.submit(utterance_view, "a hotel .").result() is view
 
 
 # join/split collisions: "a b" and "ab", "ab c" and "a bc", "wi fi" and "wifi"
