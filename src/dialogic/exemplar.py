@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 
 from .corpus import SeedDataset, key_similarity, similarity_key
 from .model import DialogAct, Dialogue, TripletMap, TurnBelief, UserGoal
-from .ontology import ACT_TYPES, NONE, Ontology, canonical_slot, default_ontology
+from .ontology import ACT_TYPES, NONE, Ontology, canonical_slot
 
 DEFAULT_TASK_DESCRIPTION = (
     "The following are conversations between a user and an assistant. "
@@ -69,24 +68,13 @@ def selection_probabilities(target: UserGoal, pool: SeedDataset,
     return {d.id: e / total for d, e in zip(pool, exps)}
 
 
-@dataclass(frozen=True)
-class ExampleSelection:
-    """Record of one example-selection draw for tracing."""
-
-    target_goal: UserGoal
-    chosen: tuple[tuple[str, float, float], ...]  # (dialogue id, similarity, probability)
-    tau: float
-
-
 def select_examples(target: UserGoal, pool: SeedDataset, k: int, tau: float,
-                    rng: random.Random) -> tuple[list[Dialogue], ExampleSelection]:
+                    rng: random.Random) -> list[Dialogue]:
     """Draw k distinct dialogues without replacement, renormalizing after each draw."""
     if k > len(pool):
         raise ValueError(f"cannot sample {k} examples from a pool of {len(pool)}")
     index = pool.similarity
-    drawn = index.goals.draw(index.goal_key(target), k, tau, rng)
-    record = tuple((d.id, w, p) for d, w, p in drawn)
-    return [d for d, _, _ in drawn], ExampleSelection(target, record, tau)
+    return [d for d, _, _ in index.goals.draw(index.goal_key(target), k, tau, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +230,8 @@ def _article(noun: str) -> str:
     return "an" if noun[:1] in "aeiou" else "a"
 
 
-def instruction_sentence(goal: UserGoal, ontology: Ontology | None = None) -> str:
+def instruction_sentence(goal: UserGoal, ontology: Ontology) -> str:
     """One requirement sentence per goal domain plus the booking reminder."""
-    ontology = ontology or default_ontology()
     sentences = []
     for i, domain in enumerate(goal.entries):
         segment = serialize_goal(UserGoal({domain: goal.entries[domain]}))
@@ -262,8 +249,7 @@ def instruction_sentence(goal: UserGoal, ontology: Ontology | None = None) -> st
     return " ".join(sentences)
 
 
-def render_demonstration(dialogue: Dialogue, index: int,
-                         ontology: Ontology | None = None) -> str:
+def render_demonstration(dialogue: Dialogue, index: int, ontology: Ontology) -> str:
     """A full in-context example: instruction, conversation header, turn lines."""
     lines = [
         f"Instruction{index}: {instruction_sentence(dialogue.final_goal, ontology)}",
@@ -281,7 +267,7 @@ def estimate_tokens(text: str) -> int:
 
 
 def build_prompt(task_desc: str, examples: list[Dialogue], target_goal: UserGoal,
-                 *, ontology: Ontology | None = None) -> str:
+                 *, ontology: Ontology) -> str:
     """Task description, numbered demonstrations, then the incomplete target entry."""
     if not examples:
         raise ValueError("at least one in-context example is required")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
 
 from .database import BOOKING_SLOTS
 from .model import (
@@ -157,25 +156,24 @@ _OFFER_ACTS = ("inform", "recommend", "select", "offerbook")
 _OTHER_BOOKING_SLOTS = frozenset({"stay", "day", "people", "time"})  # domains not in BOOKING_SLOTS
 
 
-def validate_act(act: DialogAct, belief_state: DialogueState, db: DbResult,
-                 ontology: Ontology, *, prior_acts: Sequence[DialogAct] = (),
-                 mentioned_domains: frozenset[str] | None = None
+def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief,
+                 belief_state: DialogueState, db: DbResult, ontology: Ontology
                  ) -> tuple[DialogAct, list[str]]:
     """Apply the act rules to each triple in turn; always returns a valid act (never empty).
 
-    The rules, in order; each firing starts with its rule's name:
+    The rules read the dialogue so far: the turns of `context`, then `belief`.
+    In order; each firing starts with its rule's name:
     1. permitted-acts: drop a triple whose act or slot its domain does not permit.
     2. nooffer-on-empty-db: on a db_0 result, an inform, recommend, select or
        offerbook in the queried domain becomes (domain, nooffer, none).
-    3. offerbooked-needs-booking: offerbooked becomes inform unless an earlier act
-       offered a booking in the domain or the state holds one of its booking slots.
-    4. drop-undiscussed-domains: drop a triple in a task domain that is neither in
-       the state nor among the mentioned domains (default: the state's domains).
+    3. offerbooked-needs-booking: offerbooked becomes inform unless an act of
+       `context` offered a booking in the domain or the state holds one of its
+       booking slots.
+    4. drop-undiscussed-domains: drop a triple in a task domain that neither the
+       state nor any belief of `context` or `belief` mentions.
     5. dedupe: drop a repeat of a triple already kept.
     An act left empty maps to FALLBACK_ACT.
     """
-    if mentioned_domains is None:
-        mentioned_domains = frozenset(belief_state.domains())
     kept: list[Triple] = []
     firings: list[str] = []
     for d, t, s in act.triples:
@@ -190,13 +188,14 @@ def validate_act(act: DialogAct, belief_state: DialogueState, db: DbResult,
                            "empty db result")
             t, s = "nooffer", NONE
         if t == "offerbooked" and not (
-                any(pa.has("offerbook", d) for pa in prior_acts)
+                any(turn.act.has("offerbook", d) for turn in context)
                 or not BOOKING_SLOTS.get(d, _OTHER_BOOKING_SLOTS).isdisjoint(
                     belief_state.entries.get(d, {}))):
             firings.append(f"offerbooked-needs-booking: downgraded ({d}, offerbooked, {s}) "
                            "to inform; no booking context")
             t = "inform"
-        if d != GENERAL_DOMAIN and d not in belief_state.entries and d not in mentioned_domains:
+        if d != GENERAL_DOMAIN and d not in belief_state.entries and d not in belief.entries \
+                and not any(d in turn.belief.entries for turn in context):
             firings.append(f"drop-undiscussed-domains: dropped ({d}, {t}, {s}); "
                            "domain never discussed")
             continue
@@ -213,23 +212,13 @@ def validate_act(act: DialogAct, belief_state: DialogueState, db: DbResult,
 def revise_act(gpt_act: DialogAct, context: list[Turn], belief: TurnBelief, utterance: str,
                belief_state: DialogueState, db: DbResult, ontology: Ontology,
                aux: "AuxPredictor | None") -> tuple[DialogAct, list[str], bool]:
-    """Rule-validate the LLM act; consult the auxiliary act only on outright failure.
-
-    The rules read the dialogue so far: the prior acts are the acts of `context`,
-    and the mentioned domains are every domain of its beliefs and of `belief`.
-    """
-    prior_acts = [t.act for t in context]
-    mentioned = frozenset(d for b in [*(t.belief for t in context), belief] for d in b.domains())
-
-    def rules(act: DialogAct) -> tuple[DialogAct, list[str]]:
-        return validate_act(act, belief_state, db, ontology,
-                            prior_acts=prior_acts, mentioned_domains=mentioned)
-
-    revised, firings = rules(gpt_act)
+    """Rule-validate the LLM act; consult the auxiliary act only on outright failure."""
+    revised, firings = validate_act(gpt_act, context, belief, belief_state, db, ontology)
     # the rules kept no triple; a valid LLM [general] [reqmore] is no failure
     outright_failure = not gpt_act.is_empty() and firings[-1:] == [_FALLBACK_FIRING]
     if outright_failure and aux is not None:
-        revised, aux_firings = rules(aux.predict_act(context, utterance, belief, db))
+        aux_act = aux.predict_act(context, utterance, belief, db)
+        revised, aux_firings = validate_act(aux_act, context, belief, belief_state, db, ontology)
         firings.extend("aux " + f for f in aux_firings)
         return revised, firings, True
     return revised, firings, False

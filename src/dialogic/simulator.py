@@ -113,10 +113,7 @@ class SimulationRun:
         self.dialogue_id = dialogue_id
         self.trace = trace
         self.turns: list[Turn] = []
-        self.final_goal = goal.copy()
-        self.active_domain: str | None = None
-        examples, self.selection = select_examples(
-            goal, seeds, cfg.n_shots, cfg.select_temperature, rng)
+        examples = select_examples(goal, seeds, cfg.n_shots, cfg.select_temperature, rng)
         self.prompt = build_prompt(DEFAULT_TASK_DESCRIPTION, examples, goal, ontology=ontology)
 
     def _complete_line(self, prefix: str, stop: tuple[str, ...], parser):
@@ -135,21 +132,25 @@ class SimulationRun:
     # -- the turn loop -------------------------------------------------------
 
     def _query_db(self, belief: TurnBelief, state) -> DbResult:
+        """Query the belief's last task domain, or the previous turn's if it names no domain.
+
+        A general-only belief, and a first turn that names no domain, query nothing.
+        """
         task = belief.task_domains()
         if task:
-            self.active_domain = task[-1]
-        elif belief.domains():
-            # a general-only mention has no task domain to query
-            self.active_domain = GENERAL_DOMAIN
-        if self.active_domain is None or self.active_domain == GENERAL_DOMAIN:
+            domain = task[-1]
+        elif not belief.domains() and self.turns:
+            domain = self.turns[-1].db.domain  # NO_RESULT's domain is general
+        else:
             return NO_RESULT
-        return self.db.query(self.active_domain, state.entries.get(self.active_domain, {}))
+        if domain == GENERAL_DOMAIN:
+            return NO_RESULT
+        return self.db.query(domain, state.entries.get(domain, {}))
 
     def step(self) -> Turn:
         raw_belief, utterance = self._complete_line("User(", USER_STOPS, parse_user_line)
         belief, report = revise_belief(raw_belief, self.turns, utterance, self.aux, self.ontology)
         self.prompt += format_user_line(belief, utterance) + "\n"
-        self.final_goal.fold(belief)
         state = accumulate_state([t.belief for t in self.turns] + [belief])
         db_result = self._query_db(belief, state)
 
@@ -190,8 +191,11 @@ class SimulationRun:
         while len(self.turns) < self.cfg.max_turns:
             if self.step().act.has("bye"):
                 break
+        final_goal = self.goal.copy()
+        for turn in self.turns:
+            final_goal.fold(turn.belief)
         return Dialogue(
-            id=self.dialogue_id, initial_goal=self.goal, final_goal=self.final_goal,
+            id=self.dialogue_id, initial_goal=self.goal, final_goal=final_goal,
             turns=self.turns, source=SOURCE_SIMULATED)
 
 

@@ -360,7 +360,9 @@ def test_record_of_live_pipeline_replays(tmp_path):
     assert replay.complete(req("the prompt")) == "recorded"
 
 
-@pytest.mark.parametrize("bad", [{"concurrency": 0}])
+@pytest.mark.parametrize("bad", [
+    {"concurrency": 0}, {"retries": -1}, {"timeout": 0}, {"timeout": -1.0},
+    {"timeout": float("nan")}, {"timeout": float("inf")}])
 def test_http_config_rejects_hanging_limits(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         HttpBackendConfig(endpoint="http://localhost:9/v1", model="m", **bad)

@@ -485,6 +485,21 @@ def test_malformed_backend_file_is_usage_error(tmp_path, capsys, flags, text, na
     assert not (tmp_path / "corpus.json").exists()
 
 
+@pytest.mark.parametrize("text", [None, "{not json\n", "[1]\n"],
+                         ids=["missing", "not-json", "array"])
+def test_config_file_fault_is_usage_error(tmp_path, mock_script_file, capsys, text):
+    config = tmp_path / "run.json"
+    if text is not None:
+        config.write_text(text, encoding="utf-8")
+    argv = ["simulate", "--config", str(config)] + simulate_args(
+        tmp_path, backend="mock", mock_script=mock_script_file)[1:]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--config" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "corpus.json").exists()
+
+
 @pytest.mark.parametrize("payload,place", [
     ({"dialogues": None}, "top level must be"),
     ({"dialogues": [{"id": "d", "goal": 5, "turns": []}]}, "dialogues[0]: goal"),

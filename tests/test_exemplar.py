@@ -123,7 +123,7 @@ def test_probabilities_uniform_on_equal_similarity():
 def test_sample_exhaustive_draw_is_permutation():
     target = goal_of({"hotel": {"stay": "2"}})
     pool = mini_pool(*[goal_of({"hotel": {"stay": str(i)}}) for i in range(4)])
-    drawn = select_examples(target, pool, 4, 0.2, make_rng(0))[0]
+    drawn = select_examples(target, pool, 4, 0.2, make_rng(0))
     assert sorted(d.id for d in drawn) == ["d0", "d1", "d2", "d3"]
 
 
@@ -136,7 +136,7 @@ def test_sample_low_temperature_picks_argmax():
     other = goal_of({"hotel": {"stay": "1", "people": "2"}})
     pool = mini_pool(other, best)
     for seed in range(25):
-        drawn = select_examples(target, pool, 1, 1e-6, make_rng(seed))[0]
+        drawn = select_examples(target, pool, 1, 1e-6, make_rng(seed))
         assert drawn[0].id == "d1"
 
 
@@ -149,17 +149,17 @@ def test_selection_record_probabilities_renormalize_after_each_draw():
         goal_of({"train": {"day": "monday"}, "hotel": {"area": "east"}}),
     )
     tau = 0.3
-    chosen, selection = select_examples(target, pool, 3, tau, make_rng(8))
-    assert [d.id for d in chosen] == [dlg_id for dlg_id, _, _ in selection.chosen]
-    assert selection.target_goal is target and selection.tau == tau
+    index = pool.similarity
+    drawn = index.goals.draw(index.goal_key(target), 3, tau, make_rng(8))
+    assert select_examples(target, pool, 3, tau, make_rng(8)) == [d for d, _, _ in drawn]
     probs = selection_probabilities(target, pool, tau)
-    first_id, _, first_p = selection.chosen[0]
-    assert first_p == pytest.approx(probs[first_id], abs=1e-12)
+    first, _, first_p = drawn[0]
+    assert first_p == pytest.approx(probs[first.id], abs=1e-12)
     remaining = dict(probs)
-    for dlg_id, similarity, p in selection.chosen:
-        assert similarity == goal_similarity(target, pool.get(dlg_id).final_goal)
-        assert p == pytest.approx(remaining[dlg_id] / sum(remaining.values()), abs=1e-12)
-        del remaining[dlg_id]
+    for dlg, similarity, p in drawn:
+        assert similarity == goal_similarity(target, dlg.final_goal)
+        assert p == pytest.approx(remaining[dlg.id] / sum(remaining.values()), abs=1e-12)
+        del remaining[dlg.id]
 
 
 def test_sample_too_many_rejected():
@@ -181,7 +181,7 @@ def test_sample_frequency_matches_probabilities():
     trials = 20000
     hits = sum(
         1 for _ in range(trials)
-        if select_examples(target, pool, 1, 0.2, rng)[0][0].id == "d0")
+        if select_examples(target, pool, 1, 0.2, rng)[0].id == "d0")
     assert abs(hits / trials - probs["d0"]) < 0.01
 
 
@@ -313,13 +313,15 @@ def test_indexed_draws_equal_pairwise_draws(ontology):
         target = _random_target_goal(ontology, rng)
         k = rng.randint(1, len(pool))
         tau = rng.choice([0.05, 0.2, 1.0])
-        chosen, selection = select_examples(target, pool, k, tau, make_rng(seed))
+        index = pool.similarity
+        drawn = index.goals.draw(index.goal_key(target), k, tau, make_rng(seed))
         reference_rng = make_rng(seed)
         reference = _pairwise_draw(
             [(d, _pairwise_similarity(target, d.final_goal)) for d in pool], k, tau,
             reference_rng)
-        assert selection.chosen == tuple((d.id, w, p) for d, w, p in reference)
-        assert chosen == [d for d, _, _ in reference]
+        assert [(d.id, w, p) for d, w, p in drawn] == [(d.id, w, p) for d, w, p in reference]
+        assert select_examples(target, pool, k, tau, make_rng(seed)) == [
+            d for d, _, _ in reference]
 
         belief = _random_target_belief(ontology, rng)
         exclude = _random_exclude(pool, rng)
@@ -694,9 +696,9 @@ def test_build_prompt_numbering_single_example(ontology, seeds, trace_goal):
     assert prompt.rstrip().endswith("Conversation2:")
 
 
-def test_build_prompt_needs_examples(trace_goal):
+def test_build_prompt_needs_examples(ontology, trace_goal):
     with pytest.raises(ValueError):
-        build_prompt("task", [], trace_goal)
+        build_prompt("task", [], trace_goal, ontology=ontology)
 
 
 @settings(max_examples=60, deadline=None)

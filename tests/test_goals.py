@@ -7,8 +7,8 @@ from dialogic.goals import (
     generate_goal_random,
     generate_goal_substitution,
 )
-from dialogic.model import GenConfig
-from dialogic.ontology import DomainSchema, Ontology
+from dialogic.model import GenConfig, UserGoal
+from dialogic.ontology import NONE, DomainSchema, Ontology
 
 from .conftest import make_rng
 
@@ -145,6 +145,21 @@ def test_combination_membership(ontology, seeds):
         for sid in sources:
             source_triples.update(seeds.get(sid).final_goal.triples())
         assert set(goal.triples()) <= source_triples
+
+
+def test_combination_refills_a_goal_the_drop_step_empties(ontology, seeds):
+    strategy = GoalStrategy(kind="combination", n_source_dialogues=2, drop_probability=0.999)
+    goal, sources = generate_goal_combination(seeds, ontology, strategy, make_rng(3))
+    union = UserGoal()
+    for sid in sources:
+        for d, s, v in seeds.get(sid).final_goal.triples():
+            union.set(d, s, v)
+    survivors = [t for t in union.triples() if t[1] != NONE]
+    replay = make_rng(3)
+    replay.sample(list(seeds), 2)
+    # every slot drew below drop_probability, so the refill drew one survivor
+    assert all(replay.random() < strategy.drop_probability for _ in survivors)
+    assert list(goal.triples()) == [replay.choice(survivors)]
 
 
 def test_combination_caps(ontology, seeds):

@@ -201,24 +201,29 @@ def ctx_state(entries):
 def test_validate_act_no_rule_fires(ontology):
     act = DialogAct((("hotel", "request", "area"),))
     out, firings = validate_act(
-        act, ctx_state({"hotel": {"area": "south"}}), DbResult("hotel", 5, "db_3"), ontology)
+        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
+        DbResult("hotel", 5, "db_3"), ontology)
     assert out == act
     assert firings == []
 
 
 def test_rule_drops_unpermitted_act(ontology):
-    act = DialogAct((("taxi", "offerbook", "none"), ("taxi", "inform", "car")))
+    act = DialogAct((("taxi", "offerbook", "none"), ("taxi", "inform", "car"),
+                     ("taxi", "inform", "food")))
     out, firings = validate_act(
-        act, ctx_state({"taxi": {"destination": "airport"}}),
+        act, [], TurnBelief(), ctx_state({"taxi": {"destination": "airport"}}),
         DbResult("taxi", 0, "db_nores"), ontology)
     assert out.triples == (("taxi", "inform", "car"),)
-    assert any("offerbook" in f for f in firings)
+    assert firings == [
+        "permitted-acts: dropped (taxi, offerbook, none); act not permitted for domain",
+        "permitted-acts: dropped (taxi, inform, food); slot not permitted for domain"]
 
 
 def test_rule_nooffer_on_empty_db(ontology):
     act = DialogAct((("hotel", "offerbook", "none"),))
     out, _ = validate_act(
-        act, ctx_state({"hotel": {"area": "south"}}), DbResult("hotel", 0, "db_0"), ontology)
+        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
+        DbResult("hotel", 0, "db_0"), ontology)
     assert out.triples == (("hotel", "nooffer", "none"),)
 
 
@@ -227,14 +232,16 @@ def test_rule_nooffer_collapses_duplicates(ontology):
         ("hotel", "inform", "name"), ("hotel", "recommend", "name"),
         ("hotel", "offerbook", "none"), ("hotel", "request", "area")))
     out, _ = validate_act(
-        act, ctx_state({"hotel": {"area": "south"}}), DbResult("hotel", 0, "db_0"), ontology)
+        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
+        DbResult("hotel", 0, "db_0"), ontology)
     assert out.triples == (("hotel", "nooffer", "none"), ("hotel", "request", "area"))
 
 
 def test_rule_offerbooked_downgraded_without_booking(ontology):
     act = DialogAct((("hotel", "offerbooked", "reference"),))
     out, firings = validate_act(
-        act, ctx_state({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), ontology)
+        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
+        DbResult("hotel", 1, "db_1"), ontology)
     assert out.triples == (("hotel", "inform", "reference"),)
     assert any("downgraded" in f for f in firings)
 
@@ -242,7 +249,7 @@ def test_rule_offerbooked_downgraded_without_booking(ontology):
 def test_rule_offerbooked_kept_with_booking_slots(ontology):
     act = DialogAct((("hotel", "offerbooked", "reference"),))
     out, _ = validate_act(
-        act, ctx_state({"hotel": {"area": "south", "stay": "2"}}),
+        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south", "stay": "2"}}),
         DbResult("hotel", 1, "db_1"), ontology)
     assert out.triples == (("hotel", "offerbooked", "reference"),)
 
@@ -251,15 +258,16 @@ def test_rule_offerbooked_kept_after_offerbook(ontology):
     act = DialogAct((("hotel", "offerbooked", "reference"),))
     prior = DialogAct((("hotel", "offerbook", "none"),))
     out, _ = validate_act(
-        act, ctx_state({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"),
-        ontology, prior_acts=[prior])
+        act, [turn("", {}, prior.triples)], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
+        DbResult("hotel", 1, "db_1"), ontology)
     assert out.triples == (("hotel", "offerbooked", "reference"),)
 
 
 def test_rule_drops_undiscussed_domain(ontology):
     act = DialogAct((("attraction", "inform", "name"), ("hotel", "request", "area")))
     out, firings = validate_act(
-        act, ctx_state({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), ontology)
+        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
+        DbResult("hotel", 1, "db_1"), ontology)
     assert out.triples == (("hotel", "request", "area"),)
     assert any("never discussed" in f for f in firings)
 
@@ -267,12 +275,13 @@ def test_rule_drops_undiscussed_domain(ontology):
 def test_rule_dedupe(ontology):
     act = DialogAct((("hotel", "request", "area"), ("hotel", "request", "area")))
     out, _ = validate_act(
-        act, ctx_state({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), ontology)
+        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
+        DbResult("hotel", 1, "db_1"), ontology)
     assert out.triples == (("hotel", "request", "area"),)
 
 
 def test_empty_act_maps_to_reqmore(ontology):
-    out, _ = validate_act(DialogAct(), ctx_state({}), NO_RESULT, ontology)
+    out, _ = validate_act(DialogAct(), [], TurnBelief(), ctx_state({}), NO_RESULT, ontology)
     assert out == FALLBACK_ACT
 
 
@@ -290,8 +299,8 @@ def test_validate_act_idempotent(ontology):
     for _ in range(300):
         act = random_act(ontology, rng)
         db = DbResult("hotel", *rng.choice([(0, "db_0"), (1, "db_1"), (5, "db_3")]))
-        once, firings = validate_act(act, state, db, ontology)
-        twice, _ = validate_act(once, state, db, ontology)
+        once, firings = validate_act(act, [], TurnBelief(), state, db, ontology)
+        twice, _ = validate_act(once, [], TurnBelief(), state, db, ontology)
         assert twice == once
         assert all(f.startswith(rule_names) for f in firings)
         assert once.validate(ontology) == []
@@ -336,6 +345,19 @@ def test_revise_act_reads_mentioned_domains_from_context(ontology):
 
 
 # -- lexical aux predictor -------------------------------------------------------
+
+def test_aux_act_domain_falls_back_to_earlier_turns(ontology, aux):
+    # an empty belief takes the last task domain of the latest turn that names one
+    hotel = turn("a hotel in the south .",
+                 {"train": {"day": "monday"}, "hotel": {"area": "south"}})
+    general = turn("thanks .", {"general": {}})
+    db = DbResult("hotel", 5, "db_3")
+    assert aux.predict_act([hotel, general], "ok .", TurnBelief(), db) == DialogAct((
+        ("hotel", "inform", "choice"), ("hotel", "offerbook", "none")))
+    # no turn names a task domain
+    assert aux.predict_act([general], "ok .", TurnBelief(), NO_RESULT) == FALLBACK_ACT
+    assert aux.predict_act([], "ok .", TurnBelief(), NO_RESULT) == FALLBACK_ACT
+
 
 def test_aux_detects_values_in_active_domain(ontology, aux):
     out = aux.predict_belief([], "i need a cheap hotel in the south .")

@@ -40,11 +40,12 @@ LOOP_USER = "[hotel] area is south): i want the south ."
 LOOP_SYSTEM = "[hotel] [request] area): which area do you want ?"
 
 
-def looping_mock():
+def looping_mock(user=LOOP_USER, system=LOOP_SYSTEM):
+    """Answer every `User(` prompt with `user` and any other with `system`, in any order."""
     def script(req):
         if req.prompt.endswith("User("):
-            return LOOP_USER
-        return LOOP_SYSTEM
+            return user
+        return system
     return MockBackend(script)
 
 
@@ -147,6 +148,28 @@ def test_revised_act_triggers_response_regeneration(seeds, aux, entity_db, ontol
     assert first.system_response == "regenerated response text ."
 
 
+def test_db_queries_the_previous_turns_domain_for_a_domain_less_turn(seeds, entity_db,
+                                                                     ontology):
+    def simulate(script):
+        return SimulationRun(simple_goal(), seeds, MockBackend(script), None, entity_db,
+                             ontology, GenConfig(), make_rng(0)).run()
+
+    # a domain-less turn after a hotel turn queries hotel against the state;
+    # [general] queries nothing, and neither does a domain-less turn after it
+    dialogue = simulate([
+        "[hotel] area is south): i want the south .", "[hotel] [request] stay): how long ?",
+        "): two nights .", "[hotel] [request] people): for how many ?",
+        "[general]): thanks .", "[general] [reqmore]): anything else ?",
+        "): no .", "[general] [bye]): goodbye .",
+    ])
+    south = entity_db.query("hotel", {"area": "south"})
+    assert south.domain == "hotel" and south != NO_RESULT
+    assert [t.db for t in dialogue.turns] == [south, south, NO_RESULT, NO_RESULT]
+    # a domain-less first turn has nothing to carry over
+    first = simulate(["): hello .", "[general] [bye]): goodbye ."])
+    assert [t.db for t in first.turns] == [NO_RESULT]
+
+
 def test_simulation_error_on_exhausted_backend(seeds, aux, entity_db, ontology):
     run = SimulationRun(
         simple_goal(), seeds, MockBackend([LOOP_USER]), aux, entity_db, ontology,
@@ -187,6 +210,22 @@ def test_batch_runs_and_reports(seeds, aux, entity_db, ontology):
     assert report.succeeded == 3 and report.failed == 0
     assert [d.id for d in dialogues] == ["sim_0000", "sim_0001", "sim_0002"]
     assert all(d.source == "simulated" for d in dialogues)
+
+
+@pytest.mark.parametrize("kind", ["random", "substitution"])
+def test_batch_runs_random_and_substitution_goals(kind, seeds, aux, entity_db, ontology):
+    from dialogic.corpus import dialogue_to_json
+
+    def corpus(workers):
+        dialogues, report = simulate_batch(
+            4, GoalStrategy(kind=kind), seeds, looping_mock(*BYE_SCRIPT), aux, entity_db, ontology,
+            GenConfig(rng_seed=3), workers=workers)
+        assert report.succeeded == 4
+        assert all(d.initial_goal.slot_count() > 0 for d in dialogues)
+        assert all(d.initial_goal.validate(ontology) == [] for d in dialogues)
+        return [dialogue_to_json(d) for d in dialogues]
+
+    assert corpus(1) == corpus(2)
 
 
 def test_batch_isolates_failures(seeds, aux, entity_db, ontology):
