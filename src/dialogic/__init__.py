@@ -57,7 +57,6 @@ from .revision import (
 )
 from .simulator import (
     DstAugSpec,
-    SimulationRun,
     augment_dst_turn,
     generate_turn_belief,
     simulate_batch,

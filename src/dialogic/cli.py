@@ -95,6 +95,17 @@ def _require_path(flag: str, value: str | None) -> Path:
     return path
 
 
+def _check_output_dirs(args, *dests: str) -> None:
+    """Each output file named by `--<dest>` must go in an existing directory.
+
+    Checked before any backend call, so no paid-for work is lost at save time.
+    """
+    for dest in dests:
+        value = getattr(args, dest)
+        if value and not Path(value).parent.is_dir():
+            raise ConfigError(f"--{dest}: directory does not exist: {Path(value).parent}")
+
+
 def _load_ontology(args) -> Ontology:
     if args.ontology is None:
         return default_ontology()
@@ -184,7 +195,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                      drop_probability="drop_probability"))
     ontology = _load_ontology(args)
     seeds = _load_seeds(args, ontology)
-    check_batch(args.num, strategy, seeds, cfg)  # before the trace file is opened
+    # before the trace file is opened and before any backend call
+    check_batch(args.num, strategy, seeds, cfg)
+    _check_output_dirs(args, "out", "record", "trace")
     db = _load_db(args, ontology)
     backend = _build_backend(args)
     remote = HttpAuxPredictor(args.aux_url) if args.aux_url else None
@@ -210,6 +223,7 @@ def cmd_augment_dst(args: argparse.Namespace) -> int:
     cfg = GenConfig(**_gen_fields(args))
     ontology = _load_ontology(args)
     seeds = _load_seeds(args, ontology)
+    _check_output_dirs(args, "out", "record")
     backend = _build_backend(args)
     try:
         dialogues, report = augment_corpus(

@@ -40,7 +40,6 @@ class ParseError(ValueError):
         if column is not None:
             message = f"{message} (column {column})"
         super().__init__(message)
-        self.column = column
 
 
 # ---------------------------------------------------------------------------

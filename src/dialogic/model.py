@@ -249,7 +249,13 @@ class DbResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "DbResult":
-        return cls(domain=data["domain"], count=int(data["count"]), bucket=data["bucket"])
+        """Read as written: a string domain and an int count, neither one coerced."""
+        domain, count = data["domain"], data["count"]
+        if not isinstance(domain, str):
+            raise ValidationError(f"domain must be a string, got {domain!r}")
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise ValidationError(f"count must be an int, got {count!r}")
+        return cls(domain=domain, count=count, bucket=data["bucket"])
 
 
 NO_RESULT = DbResult(GENERAL_DOMAIN, 0, "db_nores")
@@ -257,11 +263,9 @@ NO_RESULT = DbResult(GENERAL_DOMAIN, 0, "db_nores")
 
 @dataclass
 class Turn:
-    """One user/system exchange with raw and revised annotations.
+    """One user/system exchange with its revised annotations.
 
-    `gpt_belief`/`gpt_act`/`aux_belief` hold the unrevised annotations when the
-    turn was produced by the simulator; they are None for loaded corpora, which
-    persist only revised annotations.
+    The simulator's trace holds the raw LLM and aux annotations of each turn.
     """
 
     user_utterance: str
@@ -269,9 +273,6 @@ class Turn:
     db: DbResult
     act: DialogAct
     system_response: str
-    gpt_belief: TurnBelief | None = None
-    aux_belief: TurnBelief | None = None
-    gpt_act: DialogAct | None = None
 
 
 def current_domain(belief: TurnBelief, context: list[Turn]) -> str | None:

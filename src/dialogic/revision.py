@@ -120,9 +120,9 @@ def merge_beliefs(gpt: TurnBelief, aux: TurnBelief) -> TurnBelief:
 class RevisionReport:
     """What the revision step changed for one user turn."""
 
-    de_generation_fixes: tuple[Triple, ...] = ()   # aux-only triples that survived
-    over_generation_drops: tuple[Triple, ...] = ()  # filtered-out triples
-    aux_belief: TurnBelief | None = None
+    de_generation_fixes: tuple[Triple, ...]   # aux-only triples that survived
+    over_generation_drops: tuple[Triple, ...]  # filtered-out triples
+    aux_belief: TurnBelief  # admitted; empty without an aux predictor
 
 
 def revise_belief(gpt: TurnBelief, context: list[Turn], utterance: str,

@@ -96,86 +96,73 @@ def _first_accepted(backend: CompletionBackend, cfg: GenConfig, prompt: str,
     raise SimulationError(failure(cfg.retries + 1, refusal), kind=kind)
 
 
-class SimulationRun:
-    """One dialogue simulation: its prompt and its revised turns."""
+def _query_db(db: EntityDb, belief: TurnBelief, state, turns: list[Turn]) -> DbResult:
+    """Query the belief's last task domain, or the previous turn's if it names no domain.
 
-    def __init__(self, goal: UserGoal, seeds: SeedDataset, backend: CompletionBackend,
-                 aux: AuxPredictor | None, db: EntityDb, ontology: Ontology,
-                 cfg: GenConfig, rng: random.Random, *, dialogue_id: str = "sim_0000",
-                 trace: TraceSink | None = None):
-        self.goal = goal
-        self.backend = backend
-        self.aux = aux
-        self.db = db
-        self.ontology = ontology
-        self.cfg = cfg
-        self.rng = rng
-        self.dialogue_id = dialogue_id
-        self.trace = trace
-        self.turns: list[Turn] = []
-        examples = select_examples(goal, seeds, cfg.n_shots, cfg.select_temperature, rng)
-        self.prompt = build_prompt(DEFAULT_TASK_DESCRIPTION, examples, goal, ontology=ontology)
+    A general-only belief, and a first turn that names no domain, query nothing.
+    """
+    task = belief.task_domains()
+    if task:
+        domain = task[-1]
+    elif not belief.domains() and turns:
+        domain = turns[-1].db.domain  # NO_RESULT's domain is general
+    else:
+        return NO_RESULT
+    if domain == GENERAL_DOMAIN:
+        return NO_RESULT
+    return db.query(domain, state.entries.get(domain, {}))
 
-    def _complete_line(self, prefix: str, stop: tuple[str, ...], parser):
+
+def simulate_dialogue(goal: UserGoal, seeds: SeedDataset, backend: CompletionBackend,
+                      aux: AuxPredictor | None, db: EntityDb, ontology: Ontology,
+                      cfg: GenConfig, rng: random.Random, *, dialogue_id: str = "sim_0000",
+                      trace: TraceSink | None = None) -> Dialogue:
+    """Simulate turns until a bye or `cfg.max_turns`; each revised turn extends the prompt.
+
+    Raw annotations are not kept on the turns: `trace` gets them, one event per turn.
+    """
+    examples = select_examples(goal, seeds, cfg.n_shots, cfg.select_temperature, rng)
+    prompt = build_prompt(DEFAULT_TASK_DESCRIPTION, examples, goal, ontology=ontology)
+    turns: list[Turn] = []
+
+    def complete_line(prefix: str, stop: tuple[str, ...], parser):
         def read(completion: str):
             annotation, text = parser(prefix + completion.lstrip())
             if isinstance(annotation, TurnBelief):
-                problems = annotation.validate(self.ontology)
+                problems = annotation.validate(ontology)
                 if problems:
                     raise ParseError("; ".join(problems))
             return annotation, normalize_text(text)
 
         return _first_accepted(
-            self.backend, self.cfg, self.prompt + prefix, stop, read, "parse_error",
+            backend, cfg, prompt + prefix, stop, read, "parse_error",
             lambda n, last: f"unparseable completion after {n} attempts: {last}")
 
-    # -- the turn loop -------------------------------------------------------
+    while len(turns) < cfg.max_turns:
+        raw_belief, utterance = complete_line("User(", USER_STOPS, parse_user_line)
+        belief, report = revise_belief(raw_belief, turns, utterance, aux, ontology)
+        prompt += format_user_line(belief, utterance) + "\n"
+        state = accumulate_state([t.belief for t in turns] + [belief])
+        db_result = _query_db(db, belief, state, turns)
 
-    def _query_db(self, belief: TurnBelief, state) -> DbResult:
-        """Query the belief's last task domain, or the previous turn's if it names no domain.
-
-        A general-only belief, and a first turn that names no domain, query nothing.
-        """
-        task = belief.task_domains()
-        if task:
-            domain = task[-1]
-        elif not belief.domains() and self.turns:
-            domain = self.turns[-1].db.domain  # NO_RESULT's domain is general
-        else:
-            return NO_RESULT
-        if domain == GENERAL_DOMAIN:
-            return NO_RESULT
-        return self.db.query(domain, state.entries.get(domain, {}))
-
-    def step(self) -> Turn:
-        raw_belief, utterance = self._complete_line("User(", USER_STOPS, parse_user_line)
-        belief, report = revise_belief(raw_belief, self.turns, utterance, self.aux, self.ontology)
-        self.prompt += format_user_line(belief, utterance) + "\n"
-        state = accumulate_state([t.belief for t in self.turns] + [belief])
-        db_result = self._query_db(belief, state)
-
-        raw_act, response = self._complete_line("Assistant(", SYSTEM_STOPS, parse_system_line)
+        raw_act, response = complete_line("Assistant(", SYSTEM_STOPS, parse_system_line)
         act, firings, used_aux = revise_act(
-            raw_act, self.turns, belief, utterance, state, db_result, self.ontology, self.aux)
+            raw_act, turns, belief, utterance, state, db_result, ontology, aux)
         if act != raw_act:
             regenerated = _request_completion(
-                self.backend, self.cfg, self.prompt + f"Assistant({serialize_act(act)}): ",
-                SYSTEM_STOPS)
+                backend, cfg, prompt + f"Assistant({serialize_act(act)}): ", SYSTEM_STOPS)
             if regenerated.strip():
                 response = normalize_text(regenerated)
-        self.prompt += format_system_line(act, response) + "\n"
+        prompt += format_system_line(act, response) + "\n"
 
-        turn = Turn(
-            user_utterance=utterance, belief=belief, db=db_result, act=act,
-            system_response=response, gpt_belief=raw_belief,
-            aux_belief=report.aux_belief, gpt_act=raw_act)
-        self.turns.append(turn)
-        if self.trace is not None:
-            self.trace({
-                "dialogue": self.dialogue_id,
-                "turn": len(self.turns),
+        turns.append(Turn(user_utterance=utterance, belief=belief, db=db_result, act=act,
+                          system_response=response))
+        if trace is not None:
+            trace({
+                "dialogue": dialogue_id,
+                "turn": len(turns),
                 "raw_belief": raw_belief.to_dict(),
-                "aux_belief": report.aux_belief.to_dict() if report.aux_belief else {},
+                "aux_belief": report.aux_belief.to_dict(),
                 "belief": belief.to_dict(),
                 "over_generation_drops": [list(t) for t in report.over_generation_drops],
                 "de_generation_fixes": [list(t) for t in report.de_generation_fixes],
@@ -185,24 +172,13 @@ class SimulationRun:
                 "rule_firings": firings,
                 "aux_act_used": used_aux,
             })
-        return turn
-
-    def run(self) -> Dialogue:
-        while len(self.turns) < self.cfg.max_turns:
-            if self.step().act.has("bye"):
-                break
-        final_goal = self.goal.copy()
-        for turn in self.turns:
-            final_goal.fold(turn.belief)
-        return Dialogue(
-            id=self.dialogue_id, initial_goal=self.goal, final_goal=final_goal,
-            turns=self.turns, source=SOURCE_SIMULATED)
-
-
-def simulate_dialogue(goal: UserGoal, seeds: SeedDataset, backend: CompletionBackend,
-                      aux: AuxPredictor | None, db: EntityDb, ontology: Ontology,
-                      cfg: GenConfig, rng: random.Random, **kwargs) -> Dialogue:
-    return SimulationRun(goal, seeds, backend, aux, db, ontology, cfg, rng, **kwargs).run()
+        if act.has("bye"):
+            break
+    final_goal = goal.copy()
+    for turn in turns:
+        final_goal.fold(turn.belief)
+    return Dialogue(id=dialogue_id, initial_goal=goal, final_goal=final_goal, turns=turns,
+                    source=SOURCE_SIMULATED)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +236,6 @@ class DstAugSpec:
 
     source: Dialogue
     turn_idx: int
-    kind: str
     belief: TurnBelief
 
 
@@ -550,9 +525,9 @@ def augment_corpus(seeds: SeedDataset, backend: CompletionBackend,
 
     def run(index: int, rng: random.Random) -> Dialogue:
         dlg, turn_idx, _ = sources[index]
-        belief, kind = generate_turn_belief(
+        belief, _ = generate_turn_belief(
             dlg, turn_idx, ontology, rng, cfg=cfg, observed_values=observed)
-        spec = DstAugSpec(dlg, turn_idx, kind, belief)
+        spec = DstAugSpec(dlg, turn_idx, belief)
         return augment_dst_turn(spec, seeds, backend, ontology, cfg, rng,
                                 dialogue_id=ids[index])
 

@@ -17,7 +17,7 @@ from dialogic.database import default_entity_db
 from dialogic.model import DialogAct, GenConfig, TurnBelief, UserGoal
 from dialogic.ontology import default_ontology
 from dialogic.revision import LexicalAuxPredictor
-from dialogic.simulator import SimulationRun
+from dialogic.simulator import simulate_dialogue
 
 SEED_CORPUS_PATH = str(resources.files("dialogic").joinpath("data/seed_corpus.json"))
 
@@ -108,13 +108,11 @@ def trace_pool(seeds):
     return SeedDataset(dialogues=[seeds.get("PMUL1576"), seeds.get("SNG0955")])
 
 
-def run_trace_simulation(backend, pool, aux, entity_db, ontology):
-    run = SimulationRun(
+def run_trace_simulation(backend, pool, aux, entity_db, ontology, trace=None):
+    return simulate_dialogue(
         UserGoal(TRACE_GOAL), pool, backend, aux, entity_db, ontology,
         GenConfig(rng_seed=TRACE_RNG_SEED), random.Random(TRACE_RNG_SEED),
-        dialogue_id="trace")
-    dialogue = run.run()
-    return run, dialogue
+        dialogue_id="trace", trace=trace)
 
 
 @pytest.fixture(scope="session")

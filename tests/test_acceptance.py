@@ -33,9 +33,9 @@ from dialogic.simulator import (
     KIND_OTHER,
     KIND_REQMORE,
     KIND_REQUEST,
-    SimulationRun,
     augment_dst_turn,
     generate_turn_belief,
+    simulate_dialogue,
 )
 from dialogic.stats import combined_score, compute_stats
 
@@ -61,7 +61,7 @@ def report(n: int, message: str) -> None:
 def test_criterion_01_trace_replay(trace_transcript, trace_pool, aux, entity_db, ontology):
     backend = ReplayBackend(trace_transcript)
     start = time.perf_counter()
-    run, dialogue = run_trace_simulation(backend, trace_pool, aux, entity_db, ontology)
+    dialogue = run_trace_simulation(backend, trace_pool, aux, entity_db, ontology)
     elapsed = time.perf_counter() - start
     assert [t.belief.to_dict() for t in dialogue.turns] == TRACE_REVISED_BELIEFS
     assert [t.db.bucket for t in dialogue.turns] == TRACE_DB_BUCKETS
@@ -81,7 +81,7 @@ DST_COMPLETION = (" please book me a room for 8 people on tuesday . we will be s
 
 
 def test_criterion_02_dst_replay(tmp_path, seeds, ontology):
-    spec = DstAugSpec(seeds.get("SNG01856"), 2, KIND_OTHER, TurnBelief(DST_BELIEF))
+    spec = DstAugSpec(seeds.get("SNG01856"), 2, TurnBelief(DST_BELIEF))
     transcript = tmp_path / "dst.jsonl"
     recorded = record_transcript(MockBackend(DST_COMPLETION), transcript)
     augment_dst_turn(spec, seeds, recorded, ontology, GenConfig(), make_rng(3))
@@ -477,9 +477,8 @@ def test_criterion_11_turn_cap(seeds, entity_db, ontology):
 
     goal = UserGoal({"hotel": {"area": "south", "stay": "2"}})
     for i in range(100):
-        run = SimulationRun(goal, seeds, MockBackend(looping), None, entity_db,
-                            ontology, GenConfig(), make_rng(i))
-        dialogue = run.run()
+        dialogue = simulate_dialogue(goal, seeds, MockBackend(looping), None, entity_db,
+                                     ontology, GenConfig(), make_rng(i))
         assert len(dialogue.turns) == 12
         assert not any(t.act.has("bye") for t in dialogue.turns)
     report(11, "100/100 non-terminating runs stop at exactly 12 turns")

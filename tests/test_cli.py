@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dialogic
+from dialogic.backend import MockBackend
 from dialogic.cli import main
 
 from .conftest import SEED_CORPUS_PATH, TRACE_SCRIPT, completion_reply
@@ -195,6 +196,28 @@ def test_augment_dst_passes_upper_bound(tmp_path, capsys):
     assert len(corpus["dialogues"]) <= 36
 
 
+@pytest.mark.parametrize("flag", ["--out", "--record"])
+@pytest.mark.parametrize("command", ["simulate", "augment-dst"])
+def test_output_in_a_missing_directory_is_usage_error_before_any_call(
+        tmp_path, monkeypatch, mock_script_file, capsys, command, flag):
+    calls = []
+    complete = MockBackend.complete
+    monkeypatch.setattr(MockBackend, "complete",
+                        lambda self, req: calls.append(req) or complete(self, req))
+    argv = [command, "--seed-corpus", SEED_CORPUS_PATH, "--out", str(tmp_path / "out.json"),
+            "--backend", "mock", "--mock-script", mock_script_file]
+    if command == "simulate":
+        argv += ["--trace", str(tmp_path / "t.jsonl")]
+    argv += [flag, str(tmp_path / "nodir" / "x.json")]  # a later --out overrides the first
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert calls == []
+    assert not (tmp_path / "t.jsonl").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_augment_dst_backend_failure_exit_code(tmp_path, capsys):
     empty_script = write_json(tmp_path / "empty.json", [])
     code = main([
@@ -325,14 +348,19 @@ def test_simulate_live_backend_over_socket(tmp_path, loopback, capsys):
     assert main(["validate", "--corpus", str(out)]) == 0
 
 
+TRACE_EVENT_KEYS = [
+    "dialogue", "turn", "raw_belief", "aux_belief", "belief", "over_generation_drops",
+    "de_generation_fixes", "db", "raw_act", "act", "rule_firings", "aux_act_used"]
+
+
 def test_trace_file_written(tmp_path, mock_script_file):
     trace = tmp_path / "trace.jsonl"
     assert main(simulate_args(tmp_path, backend="mock", mock_script=mock_script_file,
                               trace=str(trace))) == 0
     events = [json.loads(line) for line in trace.read_text().splitlines()]
     assert len(events) == 3  # one event per turn, one turn per dialogue
-    assert {"dialogue", "turn", "raw_belief", "belief", "db", "act",
-            "rule_firings"} <= set(events[0])
+    for event in events:
+        assert list(event) == TRACE_EVENT_KEYS
 
 
 def test_trace_file_written_only_by_a_run_that_starts(tmp_path, mock_script_file):

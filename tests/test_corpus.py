@@ -241,6 +241,24 @@ MALFORMED = [
                  r"dialogues\[0\]\.turns\[0\]: db must be an object", id="db-int"),
     pytest.param(_one_dialogue(turn={"db": {"domain": "hotel", "count": None, "bucket": "db_0"}}),
                  r"dialogues\[0\]\.turns\[0\]\.db: ", id="db-count-null"),
+    pytest.param(_one_dialogue(turn={"db": {"domain": "hotel", "count": float("inf"),
+                                            "bucket": "db_3"}}),
+                 r"dialogues\[0\]\.turns\[0\]\.db: count must be an int", id="db-count-inf"),
+    pytest.param(_one_dialogue(turn={"db": {"domain": "hotel", "count": 1.5, "bucket": "db_1"}}),
+                 r"dialogues\[0\]\.turns\[0\]\.db: count must be an int",
+                 id="db-count-float"),
+    pytest.param(_one_dialogue(turn={"db": {"domain": "hotel", "count": True, "bucket": "db_1"}}),
+                 r"dialogues\[0\]\.turns\[0\]\.db: count must be an int", id="db-count-bool"),
+    pytest.param(_one_dialogue(turn={"db": {"domain": "hotel", "count": "3", "bucket": "db_1"}}),
+                 r"dialogues\[0\]\.turns\[0\]\.db: count must be an int", id="db-count-str"),
+    pytest.param(_one_dialogue(turn={"db": {"domain": "hotel", "count": -1, "bucket": "db_0"}}),
+                 r"dialogues\[0\]\.turns\[0\]\.db: db count must be nonnegative",
+                 id="db-count-negative"),
+    pytest.param(_one_dialogue(turn={"db": {"domain": 5, "count": 0, "bucket": "db_0"}}),
+                 r"dialogues\[0\]\.turns\[0\]\.db: domain must be a string",
+                 id="db-domain-int"),
+    pytest.param(_one_dialogue(turn={"db": {"domain": "hotel", "count": 0, "bucket": "db_9"}}),
+                 r"dialogues\[0\]\.turns\[0\]\.db: unknown db bucket", id="db-bucket-unknown"),
     pytest.param(_one_dialogue(turn={"belief": {"hotel": [1]}}),
                  r"dialogues\[0\]\.turns\[0\]\.belief: domain 'hotel' must be an object",
                  id="belief-domain-list"),
@@ -386,7 +404,6 @@ def test_load_equals_per_entry_reference(reference_inputs, ontology, name):
         assert got == want  # field for field, the goal and belief types included
         assert (got.initial_goal is got.final_goal) == (want.initial_goal is want.final_goal)
         assert [type(t.belief) for t in got.turns] == [TurnBelief] * len(want.turns)
-        assert all(t.gpt_belief is t.aux_belief is t.gpt_act is None for t in got.turns)
 
 
 def _loaded_objects(dataset):

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import time
@@ -5,7 +6,7 @@ import time
 import pytest
 
 from dialogic import revision
-from dialogic.backend import ContextLengthExceeded, MockBackend
+from dialogic.backend import ContextLengthExceeded, MockBackend, record_transcript
 from dialogic.exemplar import parse_system_line, parse_user_line
 from dialogic.goals import GoalStrategy
 from dialogic.model import DialogAct, GenConfig, NO_RESULT, Turn, TurnBelief, UserGoal
@@ -16,11 +17,11 @@ from dialogic.simulator import (
     KIND_REQMORE,
     KIND_REQUEST,
     SimulationError,
-    SimulationRun,
     augment_dst_turn,
     build_dst_prompt,
     generate_turn_belief,
     simulate_batch,
+    simulate_dialogue,
 )
 
 from .conftest import (
@@ -55,7 +56,7 @@ def simple_goal():
 
 def test_trace_replay_reproduces_revised_rows(trace_replay, trace_pool, aux,
                                               entity_db, ontology):
-    _, dialogue = run_trace_simulation(trace_replay, trace_pool, aux, entity_db, ontology)
+    dialogue = run_trace_simulation(trace_replay, trace_pool, aux, entity_db, ontology)
     assert dialogue.turns[-1].act.has("bye")
     assert [t.belief.to_dict() for t in dialogue.turns] == TRACE_REVISED_BELIEFS
     assert [t.db.bucket for t in dialogue.turns] == TRACE_DB_BUCKETS
@@ -64,7 +65,7 @@ def test_trace_replay_reproduces_revised_rows(trace_replay, trace_pool, aux,
 
 def test_trace_goal_drift_updates_final_goal(trace_replay, trace_pool, aux,
                                              entity_db, ontology):
-    _, dialogue = run_trace_simulation(trace_replay, trace_pool, aux, entity_db, ontology)
+    dialogue = run_trace_simulation(trace_replay, trace_pool, aux, entity_db, ontology)
     assert dialogue.initial_goal.to_dict() == {
         "hotel": {"area": "south", "stay": "5", "people": "4"},
         "train": {"destination": "birmingham new street", "arrive": "13:06"}}
@@ -73,42 +74,48 @@ def test_trace_goal_drift_updates_final_goal(trace_replay, trace_pool, aux,
     assert dialogue.final_goal.get("train", "departure") == "cambridge"
 
 
-def test_trace_prompt_coherence(trace_replay, trace_pool, aux, entity_db, ontology):
-    run, dialogue = run_trace_simulation(trace_replay, trace_pool, aux, entity_db, ontology)
-    tail = run.prompt.split("Conversation3:\n", 1)[1]
-    lines = tail.strip().split("\n")
+def test_trace_prompt_coherence(tmp_path, trace_replay, trace_pool, aux, entity_db, ontology):
+    transcript = tmp_path / "prompts.jsonl"
+    dialogue = run_trace_simulation(record_transcript(trace_replay, transcript), trace_pool,
+                                    aux, entity_db, ontology)
+    # the last request asks for the last system line, after every earlier revised line
+    last_prompt = json.loads(transcript.read_text().splitlines()[-1])["prompt"]
+    lines = last_prompt.split("Conversation3:\n", 1)[1].split("\n")
+    assert lines[-1] == "Assistant("
     assert len(lines) == 2 * len(dialogue.turns)
     for i, turn in enumerate(dialogue.turns):
         belief, utterance = parse_user_line(lines[2 * i])
-        act, resp = parse_system_line(lines[2 * i + 1])
         assert belief == turn.belief
         assert utterance == turn.user_utterance
-        assert act == turn.act
-        assert resp == turn.system_response
+        if i + 1 < len(dialogue.turns):
+            act, resp = parse_system_line(lines[2 * i + 1])
+            assert act == turn.act
+            assert resp == turn.system_response
 
 
 def test_raw_annotations_recorded(trace_replay, trace_pool, aux, entity_db, ontology):
-    _, dialogue = run_trace_simulation(trace_replay, trace_pool, aux, entity_db, ontology)
-    first = dialogue.turns[0]
-    assert first.gpt_belief.to_dict() == {
-        "hotel": {"area": "south", "stay": "5", "people": "4"}}
-    assert first.gpt_act == first.act
+    events = []
+    dialogue = run_trace_simulation(trace_replay, trace_pool, aux, entity_db, ontology,
+                                    trace=events.append)
+    assert [e["turn"] for e in events] == list(range(1, len(dialogue.turns) + 1))
+    first = events[0]
+    assert first["raw_belief"] == {"hotel": {"area": "south", "stay": "5", "people": "4"}}
+    assert first["belief"] == dialogue.turns[0].belief.to_dict() != first["raw_belief"]
+    assert first["raw_act"] == first["act"] == dialogue.turns[0].act.to_json()
 
 
 def test_immediate_bye_gives_one_turn(seeds, aux, entity_db, ontology):
-    run = SimulationRun(
+    dialogue = simulate_dialogue(
         simple_goal(), seeds, MockBackend(list(BYE_SCRIPT)), aux, entity_db, ontology,
         GenConfig(), make_rng(0))
-    dialogue = run.run()
     assert dialogue.turns[-1].act.has("bye")
     assert len(dialogue.turns) == 1
 
 
 def test_never_bye_hits_turn_cap(seeds, aux, entity_db, ontology):
-    run = SimulationRun(
+    dialogue = simulate_dialogue(
         simple_goal(), seeds, looping_mock(), aux, entity_db, ontology,
         GenConfig(), make_rng(0))
-    dialogue = run.run()
     assert not any(t.act.has("bye") for t in dialogue.turns)
     assert len(dialogue.turns) == 12
 
@@ -118,11 +125,9 @@ def test_unparseable_completion_fails_after_retries(seeds, aux, entity_db, ontol
     def bad(req):
         calls.append(1)
         return "complete garbage without a close paren"
-    run = SimulationRun(
-        simple_goal(), seeds, MockBackend(bad), aux, entity_db, ontology,
-        GenConfig(retries=2), make_rng(0))
     with pytest.raises(SimulationError) as err:
-        run.run()
+        simulate_dialogue(simple_goal(), seeds, MockBackend(bad), aux, entity_db, ontology,
+                          GenConfig(retries=2), make_rng(0))
     assert err.value.kind == "parse_error"
     assert len(calls) == 3
 
@@ -138,21 +143,21 @@ def test_revised_act_triggers_response_regeneration(seeds, aux, entity_db, ontol
     ]
     # continue to a bye turn after the regenerated one
     script += ["[general]): thanks , bye .", "[general] [bye]): goodbye ."]
-    run = SimulationRun(
+    events = []
+    dialogue = simulate_dialogue(
         simple_goal(), seeds, MockBackend(list(script)), aux, entity_db, ontology,
-        GenConfig(), make_rng(0))
-    dialogue = run.run()
+        GenConfig(), make_rng(0), trace=events.append)
     first = dialogue.turns[0]
-    assert first.gpt_act.to_json() == [["attraction", "inform", "name"]]
-    assert first.act != first.gpt_act
+    assert events[0]["raw_act"] == [["attraction", "inform", "name"]]
+    assert events[0]["act"] == first.act.to_json() != events[0]["raw_act"]
     assert first.system_response == "regenerated response text ."
 
 
 def test_db_queries_the_previous_turns_domain_for_a_domain_less_turn(seeds, entity_db,
                                                                      ontology):
     def simulate(script):
-        return SimulationRun(simple_goal(), seeds, MockBackend(script), None, entity_db,
-                             ontology, GenConfig(), make_rng(0)).run()
+        return simulate_dialogue(simple_goal(), seeds, MockBackend(script), None, entity_db,
+                                 ontology, GenConfig(), make_rng(0))
 
     # a domain-less turn after a hotel turn queries hotel against the state;
     # [general] queries nothing, and neither does a domain-less turn after it
@@ -171,11 +176,9 @@ def test_db_queries_the_previous_turns_domain_for_a_domain_less_turn(seeds, enti
 
 
 def test_simulation_error_on_exhausted_backend(seeds, aux, entity_db, ontology):
-    run = SimulationRun(
-        simple_goal(), seeds, MockBackend([LOOP_USER]), aux, entity_db, ontology,
-        GenConfig(), make_rng(0))
     with pytest.raises(SimulationError) as err:
-        run.run()
+        simulate_dialogue(simple_goal(), seeds, MockBackend([LOOP_USER]), aux, entity_db,
+                          ontology, GenConfig(), make_rng(0))
     assert err.value.kind == "backend_error"
 
 
@@ -188,10 +191,9 @@ def test_prompt_budget_enforced(seeds, aux, entity_db, ontology):
 
     # the client-side budget and the server's own check are one failure kind
     for backend in (over_budget, MockBackend(server_rejects)):
-        run = SimulationRun(simple_goal(), seeds, backend, aux, entity_db, ontology,
-                            GenConfig(), make_rng(0))
         with pytest.raises(SimulationError) as err:
-            run.run()
+            simulate_dialogue(simple_goal(), seeds, backend, aux, entity_db, ontology,
+                              GenConfig(), make_rng(0))
         assert err.value.kind == "prompt_too_long"
         _, report = simulate_batch(
             2, GoalStrategy(kind="combination"), seeds, backend, aux, entity_db, ontology,
@@ -342,8 +344,8 @@ def test_replay_reproduces_retried_and_repeated_prompts(tmp_path, seeds, aux, en
 
     def two_runs(backend, out):
         dialogues = [
-            SimulationRun(simple_goal(), seeds, backend, aux, entity_db, ontology,
-                          GenConfig(retries=1), make_rng(3), dialogue_id=f"sim_{i}").run()
+            simulate_dialogue(simple_goal(), seeds, backend, aux, entity_db, ontology,
+                              GenConfig(retries=1), make_rng(3), dialogue_id=f"sim_{i}")
             for i in range(2)]
         save_corpus(dialogues, out)
         return out.read_bytes()
@@ -442,7 +444,7 @@ PRESCRIBED_UTTERANCE = ("please book me a room for 8 people on tuesday . we will
 
 
 def test_dst_prompt_contains_glossary_and_target(seeds, ontology):
-    spec = DstAugSpec(seeds.get("SNG01856"), 2, KIND_OTHER, TurnBelief(PRESCRIBED_BELIEF))
+    spec = DstAugSpec(seeds.get("SNG01856"), 2, TurnBelief(PRESCRIBED_BELIEF))
     demos = [(seeds.get("PMUL1576"), 6)]
     prompt = build_dst_prompt(spec, demos, ontology)
     assert prompt.startswith("Answer the assistant's question on each feature "
@@ -456,7 +458,7 @@ def test_dst_prompt_contains_glossary_and_target(seeds, ontology):
 
 
 def test_augment_dst_turn_accepts_expressed_belief(seeds, ontology):
-    spec = DstAugSpec(seeds.get("SNG01856"), 2, KIND_OTHER, TurnBelief(PRESCRIBED_BELIEF))
+    spec = DstAugSpec(seeds.get("SNG01856"), 2, TurnBelief(PRESCRIBED_BELIEF))
     backend = MockBackend(" " + PRESCRIBED_UTTERANCE)
     dialogue = augment_dst_turn(spec, seeds, backend, ontology, GenConfig(), make_rng(3))
     assert dialogue.source == "dst_augmented"
@@ -469,7 +471,7 @@ def test_augment_dst_turn_accepts_expressed_belief(seeds, ontology):
 
 
 def test_augment_dst_turn_rejects_unexpressed_belief(seeds, ontology):
-    spec = DstAugSpec(seeds.get("SNG01856"), 2, KIND_OTHER, TurnBelief(PRESCRIBED_BELIEF))
+    spec = DstAugSpec(seeds.get("SNG01856"), 2, TurnBelief(PRESCRIBED_BELIEF))
     backend = MockBackend("i have no requirements at all .")
     with pytest.raises(SimulationError) as err:
         augment_dst_turn(spec, seeds, backend, ontology,
@@ -478,7 +480,7 @@ def test_augment_dst_turn_rejects_unexpressed_belief(seeds, ontology):
 
 
 def test_augment_dst_turn_takes_n_shots_from_gen_config(seeds, ontology):
-    spec = DstAugSpec(seeds.get("SNG01856"), 2, KIND_OTHER, TurnBelief(PRESCRIBED_BELIEF))
+    spec = DstAugSpec(seeds.get("SNG01856"), 2, TurnBelief(PRESCRIBED_BELIEF))
     prompts = []
 
     def answer(req):
