@@ -56,7 +56,6 @@ from .revision import (
     validate_act,
 )
 from .simulator import (
-    DstAugSpec,
     augment_dst_turn,
     generate_turn_belief,
     simulate_batch,

@@ -109,7 +109,10 @@ def _check_output_dirs(args, *dests: str) -> None:
 def _load_ontology(args) -> Ontology:
     if args.ontology is None:
         return default_ontology()
-    return load_ontology(_require_path("--ontology", args.ontology))
+    try:
+        return load_ontology(_require_path("--ontology", args.ontology))
+    except ValueError as exc:  # an OntologyError, or a file that is not JSON
+        raise ConfigError(f"--ontology: {exc}") from exc
 
 
 def _load_corpus(flag: str, value: str | None, ontology: Ontology, strict: bool) -> SeedDataset:
@@ -326,7 +329,7 @@ def _json_type(build):
     def parse(text: str):
         try:
             return build(json.loads(text))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return parse
 

@@ -146,19 +146,29 @@ class Ontology:
         for name, spec in data.items():
             try:
                 informable = {
-                    canonical_slot(slot): tuple(str(v).lower() for v in values)
+                    canonical_slot(slot): tuple(
+                        str(v).lower() for v in _typed(name, f"informable.{slot}", values, list))
                     for slot, values in spec.get("informable", {}).items()
                 }
+                requestable = _typed(name, "requestable", spec.get("requestable", []), list)
                 schema = DomainSchema(
                     informable=informable,
-                    requestable=frozenset(canonical_slot(s) for s in spec.get("requestable", [])),
-                    acts=frozenset(spec.get("acts", [])),
-                    queryable=bool(spec.get("queryable", False)),
+                    requestable=frozenset(canonical_slot(s) for s in requestable),
+                    acts=frozenset(_typed(name, "acts", spec.get("acts", []), list)),
+                    queryable=_typed(name, "queryable", spec.get("queryable", False), bool),
                 )
             except (TypeError, AttributeError) as exc:
                 raise OntologyError(f"domain {name!r}: malformed schema ({exc})") from exc
             domains[str(name)] = schema
         return cls(domains=domains)
+
+
+def _typed(domain: str, key: str, value, kind: type):
+    """`value` if it is a JSON array (`list`) or boolean (`bool`); nothing is coerced."""
+    if not isinstance(value, kind):
+        raise OntologyError(f"domain {domain!r}: {key} must be a JSON "
+                            f"{'array' if kind is list else 'boolean'}, got {value!r}")
+    return value
 
 
 def load_ontology(path: str | Path) -> Ontology:

@@ -81,7 +81,7 @@ def slot_value_match_filter(belief: TurnBelief, utterance: str,
                             ontology: Ontology) -> TurnBelief:
     """Keep only triples whose value is matched in the utterance.
 
-    Sentinel `none` slots and `general` entries are exempt and pass through.
+    Domain-only mentions (slot `none`) and `general` entries are exempt and pass through.
     """
     return _filter_with_drops(belief, utterance)[0]
 
@@ -91,9 +91,7 @@ def _filter_with_drops(belief: TurnBelief, utterance: str) -> tuple[TurnBelief, 
     kept = TurnBelief()
     dropped: list[Triple] = []
     for domain, slot, value in belief.triples():
-        if domain == GENERAL_DOMAIN or slot == NONE or value == NONE:
-            kept.set(domain, slot, value)
-        elif value_expressed(slot, value, view):
+        if domain == GENERAL_DOMAIN or slot == NONE or value_expressed(slot, value, view):
             kept.set(domain, slot, value)
         else:
             dropped.append((domain, slot, value))

@@ -230,15 +230,6 @@ def _glossary_text(domain: str, slot: str, candidates: tuple[str, ...]) -> str:
     return f"{slot}: {text};"
 
 
-@dataclass(frozen=True)
-class DstAugSpec:
-    """A prescribed turn-level belief to verbalize in place of a source turn."""
-
-    source: Dialogue
-    turn_idx: int
-    belief: TurnBelief
-
-
 def _sample_value(ontology: Ontology, domain: str, slot: str, rng: random.Random,
                   observed: ObservedValues | None, fallback: str | None = None) -> str:
     candidates = value_pool(ontology, domain, slot, observed)
@@ -339,12 +330,12 @@ def _sample_turn_demos(target: TurnBelief, seeds: SeedDataset, k: int, tau: floa
     return [item for item, _, _ in drawn]
 
 
-def build_dst_prompt(spec: DstAugSpec, demos: list[tuple[Dialogue, int]],
+def build_dst_prompt(belief: TurnBelief, demos: list[tuple[Dialogue, int]],
                      ontology: Ontology) -> str:
     """Task description with a slot glossary, turn demonstrations, target prefix."""
-    domain = next(iter(spec.belief.task_domains()), GENERAL_DOMAIN)
+    domain = next(iter(belief.task_domains()), GENERAL_DOMAIN)
     slots: dict[tuple[str, str], None] = {}
-    for d, s, _ in spec.belief.triples():
+    for d, s, _ in belief.triples():
         if s != NONE:
             slots.setdefault((d, s), None)
     for dlg, i in demos:
@@ -365,43 +356,42 @@ def build_dst_prompt(spec: DstAugSpec, demos: list[tuple[Dialogue, int]],
         blocks.append(
             f"Assistant: what is your requirement on {', '.join(asked)}?\n"
             f"{format_user_line(turn.belief, turn.user_utterance)}")
-    blocks.append(f"User({serialize_goal(spec.belief)}):")
+    blocks.append(f"User({serialize_goal(belief)}):")
     return "\n\n".join(blocks)
 
 
-def augment_dst_turn(spec: DstAugSpec, seeds: SeedDataset, backend: CompletionBackend,
-                     ontology: Ontology, cfg: GenConfig, rng: random.Random, *,
-                     dialogue_id: str | None = None) -> Dialogue:
-    """Generate one alternative user turn expressing a prescribed belief.
+def augment_dst_turn(source: Dialogue, turn_idx: int, belief: TurnBelief, seeds: SeedDataset,
+                     backend: CompletionBackend, ontology: Ontology, cfg: GenConfig,
+                     rng: random.Random, *, dialogue_id: str) -> Dialogue:
+    """The source's turns before `turn_idx`, then a new user turn expressing `belief`.
 
     The belief is fixed, so no auxiliary merge happens here: the filter only
     verifies that every prescribed value was actually expressed. Samples whose
     utterance fails that check are rejected after the retry budget.
     """
     demos = _sample_turn_demos(
-        spec.belief, seeds, cfg.n_shots, cfg.select_temperature, rng,
-        exclude=(spec.source.id, spec.turn_idx))
+        belief, seeds, cfg.n_shots, cfg.select_temperature, rng, exclude=(source.id, turn_idx))
 
     def read(completion: str) -> str:
         utterance = normalize_text(completion)
-        if utterance and slot_value_match_filter(spec.belief, utterance, ontology) == spec.belief:
+        if utterance and slot_value_match_filter(belief, utterance, ontology) == belief:
             return utterance
         raise ParseError("prescribed belief not expressed")
 
     utterance = _first_accepted(
-        backend, cfg, build_dst_prompt(spec, demos, ontology), DST_STOPS, read, "rejected",
-        lambda n, _: f"{spec.source.id} turn {spec.turn_idx}: prescribed belief "
-                     f"{serialize_goal(spec.belief)!r} not expressed within {n} attempts")
+        backend, cfg, build_dst_prompt(belief, demos, ontology), DST_STOPS, read, "rejected",
+        lambda n, _: f"{source.id} turn {turn_idx}: prescribed belief "
+                     f"{serialize_goal(belief)!r} not expressed within {n} attempts")
     new_turn = Turn(
-        user_utterance=utterance, belief=spec.belief, db=NO_RESULT,
+        user_utterance=utterance, belief=belief, db=NO_RESULT,
         act=DialogAct(), system_response="")
-    final_goal = spec.source.final_goal.copy()
-    final_goal.fold(spec.belief)
+    final_goal = source.final_goal.copy()
+    final_goal.fold(belief)
     return Dialogue(
-        id=dialogue_id or f"{spec.source.id}-dst{spec.turn_idx}",
-        initial_goal=spec.source.initial_goal,
+        id=dialogue_id,
+        initial_goal=source.initial_goal,
         final_goal=final_goal,
-        turns=list(spec.source.turns[: spec.turn_idx]) + [new_turn],
+        turns=list(source.turns[:turn_idx]) + [new_turn],
         source=SOURCE_DST_AUGMENTED)
 
 
@@ -527,8 +517,7 @@ def augment_corpus(seeds: SeedDataset, backend: CompletionBackend,
         dlg, turn_idx, _ = sources[index]
         belief, _ = generate_turn_belief(
             dlg, turn_idx, ontology, rng, cfg=cfg, observed_values=observed)
-        spec = DstAugSpec(dlg, turn_idx, belief)
-        return augment_dst_turn(spec, seeds, backend, ontology, cfg, rng,
+        return augment_dst_turn(dlg, turn_idx, belief, seeds, backend, ontology, cfg, rng,
                                 dialogue_id=ids[index])
 
     return _run_batch(ids, run, cfg)

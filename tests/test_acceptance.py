@@ -29,7 +29,6 @@ from dialogic.goals import RsDistribution, generate_goal_random
 from dialogic.model import Dialogue, GenConfig, NO_RESULT, Turn, TurnBelief, UserGoal
 from dialogic.revision import slot_value_match_filter
 from dialogic.simulator import (
-    DstAugSpec,
     KIND_OTHER,
     KIND_REQMORE,
     KIND_REQUEST,
@@ -81,14 +80,16 @@ DST_COMPLETION = (" please book me a room for 8 people on tuesday . we will be s
 
 
 def test_criterion_02_dst_replay(tmp_path, seeds, ontology):
-    spec = DstAugSpec(seeds.get("SNG01856"), 2, TurnBelief(DST_BELIEF))
+    source, belief = seeds.get("SNG01856"), TurnBelief(DST_BELIEF)
     transcript = tmp_path / "dst.jsonl"
     recorded = record_transcript(MockBackend(DST_COMPLETION), transcript)
-    augment_dst_turn(spec, seeds, recorded, ontology, GenConfig(), make_rng(3))
+    augment_dst_turn(source, 2, belief, seeds, recorded, ontology, GenConfig(), make_rng(3),
+                     dialogue_id="SNG01856-dst2-p1")
 
     backend = ReplayBackend(transcript)
     start = time.perf_counter()
-    dialogue = augment_dst_turn(spec, seeds, backend, ontology, GenConfig(), make_rng(3))
+    dialogue = augment_dst_turn(source, 2, belief, seeds, backend, ontology, GenConfig(),
+                                make_rng(3), dialogue_id="SNG01856-dst2-p1")
     elapsed = time.perf_counter() - start
     new_turn = dialogue.turns[-1]
     assert new_turn.user_utterance == DST_COMPLETION.strip()

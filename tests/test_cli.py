@@ -477,6 +477,10 @@ LIVE = {"backend": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
     ({"n_shots": 5}, "n_shots=5 exceeds the seed pool of 3 dialogues"),
     ({"strategy": "combination", "n_source_dialogues": 9},
      "n_source_dialogues=9 exceeds the seed pool of 3 dialogues"),
+    # a count too large for an int, and an ontology whose informable values are a string
+    (["--rs-distribution", "[[1e400, 4, 6, 1.0]]"], "--rs-distribution"),
+    ({"rs_distribution": [[1e400, 4, 6, 1.0]]}, "--rs-distribution"),
+    ({"ontology": "onto.json"}, "--ontology: domain 'hotel': informable.area"),
 ])
 def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_file, capsys,
                                           setting, named):
@@ -484,6 +488,7 @@ def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_fil
     write_json(tmp_path / "ints.json", [1, 2])
     (tmp_path / "db").mkdir()
     write_json(tmp_path / "db" / "hotel_db.json", [{"name": "x"}, "oops"])
+    write_json(tmp_path / "onto.json", {"hotel": {"informable": {"area": "north"}}})
     config = {"seed_corpus": SEED_CORPUS_PATH, "out": "x.json", "trace": "t.jsonl",
               "backend": "mock", "mock_script": mock_script_file}
     flags = setting if isinstance(setting, list) else []

@@ -91,5 +91,23 @@ def test_ontology_loads_aliased_slot_names(tmp_path):
     assert ont.is_informable("hotel", "stay")
 
 
+@pytest.mark.parametrize("spec, named", [
+    ({"informable": {"area": "north"}}, "informable.area"),
+    ({"informable": {"area": None}}, "informable.area"),
+    ({"requestable": "phone"}, "requestable"),
+    ({"acts": "inform"}, "acts"),
+    ({"queryable": "no"}, "queryable"),
+    ({"queryable": 1}, "queryable"),
+])
+def test_malformed_schema_value_is_ontology_error(spec, named):
+    with pytest.raises(OntologyError, match=f"domain 'hotel': {named} must be a JSON"):
+        Ontology.from_json({"hotel": spec})
+
+
+def test_missing_schema_keys_keep_their_defaults():
+    assert Ontology.from_json({"hotel": {}}).schema("hotel") == DomainSchema(
+        informable={}, requestable=frozenset(), acts=frozenset(), queryable=False)
+
+
 def test_default_ontology_cached():
     assert default_ontology() is default_ontology()

@@ -144,6 +144,14 @@ def test_revise_reference_turn(ontology, aux):
     assert ("hotel", "people", "4") in report.over_generation_drops
 
 
+def test_revise_drops_unexpressed_none_value(ontology, aux):
+    gpt = belief({"hotel": {"area": "none", "pricerange": "cheap"}})
+    out, report = revise_belief(gpt, [], "i want a cheap hotel .", aux, ontology)
+    assert out.get("hotel", "area") is None
+    assert out.get("hotel", "pricerange") == "cheap"
+    assert ("hotel", "area", "none") in report.over_generation_drops
+
+
 def test_revise_dontcare_degeneration(ontology, aux):
     context = [turn(
         "i am looking for a place to stay .", {"hotel": {"type": "hotel"}},

@@ -12,7 +12,6 @@ from dialogic.goals import GoalStrategy
 from dialogic.model import DialogAct, GenConfig, NO_RESULT, Turn, TurnBelief, UserGoal
 from dialogic.revision import HttpAuxPredictor, slot_value_match_filter
 from dialogic.simulator import (
-    DstAugSpec,
     KIND_OTHER,
     KIND_REQMORE,
     KIND_REQUEST,
@@ -444,9 +443,8 @@ PRESCRIBED_UTTERANCE = ("please book me a room for 8 people on tuesday . we will
 
 
 def test_dst_prompt_contains_glossary_and_target(seeds, ontology):
-    spec = DstAugSpec(seeds.get("SNG01856"), 2, TurnBelief(PRESCRIBED_BELIEF))
     demos = [(seeds.get("PMUL1576"), 6)]
-    prompt = build_dst_prompt(spec, demos, ontology)
+    prompt = build_dst_prompt(TurnBelief(PRESCRIBED_BELIEF), demos, ontology)
     assert prompt.startswith("Answer the assistant's question on each feature "
                              "you require when booking a hotel.")
     assert '"dontcare"' in prompt
@@ -458,9 +456,11 @@ def test_dst_prompt_contains_glossary_and_target(seeds, ontology):
 
 
 def test_augment_dst_turn_accepts_expressed_belief(seeds, ontology):
-    spec = DstAugSpec(seeds.get("SNG01856"), 2, TurnBelief(PRESCRIBED_BELIEF))
     backend = MockBackend(" " + PRESCRIBED_UTTERANCE)
-    dialogue = augment_dst_turn(spec, seeds, backend, ontology, GenConfig(), make_rng(3))
+    dialogue = augment_dst_turn(seeds.get("SNG01856"), 2, TurnBelief(PRESCRIBED_BELIEF), seeds,
+                                backend, ontology, GenConfig(), make_rng(3),
+                                dialogue_id="SNG01856-dst2-p1")
+    assert dialogue.id == "SNG01856-dst2-p1"
     assert dialogue.source == "dst_augmented"
     assert len(dialogue.turns) == 3
     new_turn = dialogue.turns[-1]
@@ -471,24 +471,24 @@ def test_augment_dst_turn_accepts_expressed_belief(seeds, ontology):
 
 
 def test_augment_dst_turn_rejects_unexpressed_belief(seeds, ontology):
-    spec = DstAugSpec(seeds.get("SNG01856"), 2, TurnBelief(PRESCRIBED_BELIEF))
     backend = MockBackend("i have no requirements at all .")
     with pytest.raises(SimulationError) as err:
-        augment_dst_turn(spec, seeds, backend, ontology,
-                         GenConfig(retries=1), make_rng(3))
+        augment_dst_turn(seeds.get("SNG01856"), 2, TurnBelief(PRESCRIBED_BELIEF), seeds,
+                         backend, ontology, GenConfig(retries=1), make_rng(3),
+                         dialogue_id="SNG01856-dst2-p1")
     assert err.value.kind == "rejected"
 
 
 def test_augment_dst_turn_takes_n_shots_from_gen_config(seeds, ontology):
-    spec = DstAugSpec(seeds.get("SNG01856"), 2, TurnBelief(PRESCRIBED_BELIEF))
     prompts = []
 
     def answer(req):
         prompts.append(req.prompt)
         return " " + PRESCRIBED_UTTERANCE
 
-    augment_dst_turn(spec, seeds, MockBackend(answer), ontology, GenConfig(n_shots=1),
-                     make_rng(3))
+    augment_dst_turn(seeds.get("SNG01856"), 2, TurnBelief(PRESCRIBED_BELIEF), seeds,
+                     MockBackend(answer), ontology, GenConfig(n_shots=1), make_rng(3),
+                     dialogue_id="SNG01856-dst2-p1")
     assert prompts[0].count("Assistant: what is your requirement on") == 1
 
 
