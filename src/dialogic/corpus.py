@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -62,10 +61,6 @@ def key_similarity(a: SimilarityKey, b: SimilarityKey) -> float:
     return domain_jaccard * slot_jaccard
 
 
-# memoised similarity rows per index hold at most this many weights (8 MB)
-_ROW_MEMO_WEIGHTS = 1 << 20
-
-
 class _KeyedCandidates:
     """Candidates in pool order, each pointing at one of their distinct similarity keys.
 
@@ -73,16 +68,9 @@ class _KeyedCandidates:
     one bit, and each distinct key is stored as (domain mask, domain count,
     slot mask, slot count), so a Jaccard's shared count is a popcount. The bit
     map is fixed at construction; worker threads only read it.
-
-    With `memoise`, the row of weights `_by_key` computes for a target key is
-    kept, as an `array('d')`, until the rows hold _ROW_MEMO_WEIGHTS weights;
-    later targets are computed and not kept. Worker threads read and write the
-    memo without a lock: a row is a pure function of the target and the fixed
-    bit map, a single dict store is atomic, and a stored row is never changed.
-    So two threads that race on one target store equal rows, and either serves.
     """
 
-    def __init__(self, items: list, maps: Iterable[TripletMap], *, memoise: bool = False):
+    def __init__(self, items: list, maps: Iterable[TripletMap]):
         self.items = items
         distinct: dict[SimilarityKey, int] = {}
         self.key_of = [distinct.setdefault(similarity_key(m), len(distinct)) for m in maps]
@@ -94,8 +82,6 @@ class _KeyedCandidates:
                 self._bit.setdefault(name, 1 << len(self._bit))
         self._packed = [(self._mask(domains), len(domains), self._mask(slots), len(slots))
                         for domains, slots in self.keys]
-        self._rows: dict[SimilarityKey, array] | None = {} if memoise else None
-        self._row_limit = _ROW_MEMO_WEIGHTS // max(1, len(self.keys))
 
     def _mask(self, names: frozenset[str]) -> int:
         """The bits of `names`; a name the pool never saw sets none."""
@@ -121,21 +107,9 @@ class _KeyedCandidates:
             for key_dmask, key_domains, key_smask, key_slots in self._packed
         ]
 
-    def _row(self, target: SimilarityKey) -> array | list[float]:
-        """`_by_key(target)`, from the memo when the index keeps one."""
-        rows = self._rows
-        if rows is None:
-            return self._by_key(target)
-        row = rows.get(target)
-        if row is None:
-            row = array("d", self._by_key(target))
-            if len(rows) < self._row_limit:
-                rows[target] = row
-        return row
-
     def weights(self, target: SimilarityKey) -> list[float]:
         """key_similarity(target, candidate key) per candidate, one Jaccard per distinct key."""
-        by_key = self._row(target)
+        by_key = self._by_key(target)
         return list(map(by_key.__getitem__, self.key_of))
 
     def draw(self, target: SimilarityKey, k: int, tau: float, rng: random.Random,
@@ -147,7 +121,7 @@ class _KeyedCandidates:
         gathered per candidate again only when the peak changes. Returns
         (item, weight, probability at its draw) in draw order.
         """
-        by_key = self._row(target)
+        by_key = self._by_key(target)
         items, key_of, counts = list(self.items), list(self.key_of), list(self.counts)
         if skip is not None:
             del items[skip]
@@ -180,19 +154,13 @@ class SimilarityIndex:
     weighs each distinct key, not each candidate, with two popcounts on its
     packed bitmasks, and takes one exp per key with a nonzero weight plus one
     for all zero weights.
-
-    The turn index keeps each target's row of weights (`_KeyedCandidates`'s
-    memo), which worker threads share: a DST target's belief has one domain
-    and a few slots, so targets repeat within a pass. Goal targets mostly
-    differ, so the goal index keeps no rows.
     """
 
     def __init__(self, dialogues: list[Dialogue]):
         self.goals = _KeyedCandidates(dialogues, (d.final_goal for d in dialogues))
         turns = [(d, i) for d in dialogues
                  for i, turn in enumerate(d.turns) if turn.belief.slot_count() > 0]
-        self.turns = _KeyedCandidates(turns, (d.turns[i].belief for d, i in turns),
-                                      memoise=True)
+        self.turns = _KeyedCandidates(turns, (d.turns[i].belief for d, i in turns))
         self.turn_position = {(d.id, i): p for p, (d, i) in enumerate(turns)}
         self._empty_goal = any(d.final_goal.is_empty() for d in dialogues)
 
@@ -214,9 +182,7 @@ class SeedDataset:
     The dataset is read-only once constructed: the id map, `observed_values()`
     and `similarity` are built from the dialogues at construction, so neither
     the dialogues nor what those return may be changed afterwards. Being
-    read-only, one dataset can be shared by worker threads without a lock;
-    the one thing written later, the similarity rows the turn index memoises,
-    needs none either (see `_KeyedCandidates`).
+    read-only, one dataset can be shared by worker threads without a lock.
     """
 
     dialogues: list[Dialogue] = field(default_factory=list)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .model import DbResult
 from .ontology import GENERAL_DOMAIN, Ontology
-from .textnorm import SharedTexts, match_tokens, parse_time, value_tokens
+from .textnorm import SharedTexts, parse_time, value_tokens
 
 # booking attributes carried by goals but absent from entity tables
 BOOKING_SLOTS: dict[str, frozenset[str]] = {
@@ -42,10 +42,6 @@ def bucketize(count: int, queryable: bool) -> str:
     if count <= 3:
         return "db_2"
     return "db_3"
-
-
-def _norm_value(value: str) -> tuple[str, ...]:
-    return tuple(match_tokens(str(value)))
 
 
 _ABSENT = object()
@@ -84,11 +80,10 @@ def _sorted_times(rows_of: dict[str, list[int]]) -> tuple[list[int], list[int]]:
 def _scan(records: list[dict[str, str]], slot: str, wanted: tuple[str, ...]) -> list[int]:
     """Rows whose cell in an unindexed column has the wanted match tokens.
 
-    Each distinct cell is tokenised once, and nothing is memoised: a scan
-    adds nothing to the index or to `value_tokens`.
+    Each distinct cell is tokenised once; a scan adds nothing to the index.
     """
     return [i for cell, rows in _rows_by_cell(records, slot).items()
-            if _norm_value(cell) == wanted for i in rows]
+            if value_tokens(cell) == wanted for i in rows]
 
 
 @dataclass
@@ -106,9 +101,7 @@ class EntityDb:
         # inequality-matched time columns: parsed minutes in ascending order,
         # and the row of each, so a bound selects a contiguous run of rows
         self._times: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
-        # cells repeat: tokenise each distinct value once, in a memo of this
-        # construction's own, so that the cells do not crowd `value_tokens`
-        norm = cache(_norm_value)
+        norm = cache(value_tokens)  # cells repeat: tokenise each distinct value once
         for domain, records in self.tables.items():
             columns = set().union(*records)
             schema = self.ontology.domains.get(domain)
@@ -140,7 +133,7 @@ class EntityDb:
 
         Each constraint on an indexed column selects its rows by index: an
         exact value from the (slot, normalized value) index built at
-        construction, normalized by the memoised `value_tokens`, a train time
+        construction, normalized by `value_tokens`, a train time
         bound by bisection in that column's presorted times. A constraint on
         any other column (train id or price, a phone number) scans it. Only
         the selected row sets are intersected, so with no active constraint
@@ -165,9 +158,9 @@ class EntityDb:
                 else:
                     matched = rows[:bisect_right(minutes, wanted)]
             elif slot in self._indexed[domain]:
-                matched = self._index[domain].get((slot, value_tokens(str(value))), ())
+                matched = self._index[domain].get((slot, value_tokens(value)), ())
             else:
-                matched = _scan(records, slot, _norm_value(value))
+                matched = _scan(records, slot, value_tokens(value))
             # index sets are shared between calls: build a new set, never update one
             candidates = set(matched) if candidates is None else candidates.intersection(matched)
             if not candidates:

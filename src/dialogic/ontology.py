@@ -147,7 +147,7 @@ class Ontology:
             try:
                 informable = {
                     canonical_slot(slot): tuple(
-                        str(v).lower() for v in _typed(name, f"informable.{slot}", values, list))
+                        v.lower() for v in _strings(name, f"informable.{slot}", values))
                     for slot, values in spec.get("informable", {}).items()
                 }
                 requestable = _typed(name, "requestable", spec.get("requestable", []), list)
@@ -171,6 +171,14 @@ def _typed(domain: str, key: str, value, kind: type):
     return value
 
 
+def _strings(domain: str, key: str, value) -> list[str]:
+    """`value` if it is a JSON array of strings; `null`, numbers and the like are not coerced."""
+    if not all(isinstance(v, str) for v in _typed(domain, key, value, list)):
+        raise OntologyError(f"domain {domain!r}: {key} must be a JSON array of strings, "
+                            f"got {value!r}")
+    return value
+
+
 def load_ontology(path: str | Path) -> Ontology:
     """Load an ontology JSON file ({domain: {informable, requestable, acts, queryable}})."""
     with open(path, encoding="utf-8") as fh:
@@ -183,13 +191,7 @@ def save_ontology(ontology: Ontology, path: str | Path) -> None:
         fh.write("\n")
 
 
-_DEFAULT: Ontology | None = None
-
-
 def default_ontology() -> Ontology:
-    """The bundled MultiWOZ-style ontology (7 task domains + general)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        text = resources.files("dialogic").joinpath("data/ontology.json").read_text("utf-8")
-        _DEFAULT = Ontology.from_json(json.loads(text))
-    return _DEFAULT
+    """The bundled MultiWOZ-style ontology (7 task domains + general), parsed on each call."""
+    text = resources.files("dialogic").joinpath("data/ontology.json").read_text("utf-8")
+    return Ontology.from_json(json.loads(text))

@@ -83,11 +83,10 @@ def slot_value_match_filter(belief: TurnBelief, utterance: str,
 
     Domain-only mentions (slot `none`) and `general` entries are exempt and pass through.
     """
-    return _filter_with_drops(belief, utterance)[0]
+    return _filter_with_drops(belief, utterance_view(utterance))[0]
 
 
-def _filter_with_drops(belief: TurnBelief, utterance: str) -> tuple[TurnBelief, list[Triple]]:
-    view = utterance_view(utterance)
+def _filter_with_drops(belief: TurnBelief, view: TokenView) -> tuple[TurnBelief, list[Triple]]:
     kept = TurnBelief()
     dropped: list[Triple] = []
     for domain, slot, value in belief.triples():
@@ -126,12 +125,16 @@ class RevisionReport:
 def revise_belief(gpt: TurnBelief, context: list[Turn], utterance: str,
                   aux: "AuxPredictor | None", ontology: Ontology
                   ) -> tuple[TurnBelief, RevisionReport]:
-    """B = filter(merge(B_llm, B_aux)); reports fixes and drops."""
-    aux_belief = aux.predict_belief(context, utterance) if aux is not None else TurnBelief()
+    """B = filter(merge(B_llm, B_aux)); reports fixes and drops.
+
+    The utterance is tokenised once: the aux and the filter read one view of it.
+    """
+    view = utterance_view(utterance)
+    aux_belief = aux.predict_belief(context, view) if aux is not None else TurnBelief()
     if aux_belief.validate(ontology):
         aux_belief = aux_belief.admitted(ontology)
     merged = merge_beliefs(gpt, aux_belief)
-    final, dropped = _filter_with_drops(merged, utterance)
+    final, dropped = _filter_with_drops(merged, view)
     fixes = tuple(
         (d, s, v) for d, s, v in final.triples()
         if s != NONE and gpt.get(d, s) is None
@@ -227,9 +230,13 @@ def revise_act(gpt_act: DialogAct, context: list[Turn], belief: TurnBelief, utte
 # ---------------------------------------------------------------------------
 
 class AuxPredictor:
-    """Interface for the auxiliary annotation model."""
+    """Interface for the auxiliary annotation model.
 
-    def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
+    `predict_belief` reads the user turn as the `TokenView` the match filter
+    reads too (`view.text` is the utterance); `predict_act` reads the utterance.
+    """
+
+    def predict_belief(self, context: list[Turn], view: TokenView) -> TurnBelief:
         raise NotImplementedError
 
     def predict_act(self, context: list[Turn], utterance: str, belief: TurnBelief,
@@ -345,8 +352,7 @@ class LexicalAuxPredictor(AuxPredictor):
         hits = [(phrase, view.find(phrase)) for phrase in candidates]
         return sorted((hit for hit in hits if hit[1] is not None), key=lambda h: self._rank[h[0]])
 
-    def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
-        view = utterance_view(utterance)
+    def predict_belief(self, context: list[Turn], view: TokenView) -> TurnBelief:
         tokens = view.tokens
         domains = self._active_domains(view, context)
         belief = TurnBelief()
@@ -484,8 +490,8 @@ class HttpAuxPredictor(AuxPredictor):
                                   kind="aux_error")
         return reply
 
-    def predict_belief(self, context: list[Turn], utterance: str) -> TurnBelief:
-        data = self._ask(context, utterance).get("belief", {})
+    def predict_belief(self, context: list[Turn], view: TokenView) -> TurnBelief:
+        data = self._ask(context, view.text).get("belief", {})
         if not isinstance(data, dict) or not all(isinstance(s, dict) for s in data.values()):
             raise SimulationError(f"aux endpoint {self.url}: belief is not domain -> slot -> "
                                   f"value: {data!r}", kind="aux_error")

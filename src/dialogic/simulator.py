@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 from .backend import BackendError, CompletionBackend, CompletionRequest, ContextLengthExceeded
@@ -211,21 +210,12 @@ _SLOT_GLOSSARY: dict[str, str] = {
     "time": "time of the {domain} booking",
     "department": "hospital department you need",
 }
-_LISTS_OPTIONS = frozenset(slot for slot, text in _SLOT_GLOSSARY.items() if "{options}" in text)
 
 
 def _glossary_line(domain: str, slot: str, ontology: Ontology) -> str:
-    # only a line that lists the options reads the candidates, which can run to
-    # thousands of values; every other line is keyed on ()
-    return _glossary_text(
-        domain, slot, ontology.candidates(domain, slot) if slot in _LISTS_OPTIONS else ())
-
-
-@lru_cache(maxsize=1024)
-def _glossary_text(domain: str, slot: str, candidates: tuple[str, ...]) -> str:
-    """One glossary line, built once per (domain, slot, candidates); an Ontology is unhashable."""
+    """One glossary line; only a line that lists the options reads the candidates."""
     template = _SLOT_GLOSSARY.get(slot, "the {slot} of the {domain}")
-    options = ", ".join(candidates)
+    options = ", ".join(ontology.candidates(domain, slot)) if "{options}" in template else ""
     text = template.format(domain=domain, slot=slot, options=options or "any value")
     return f"{slot}: {text};"
 
@@ -475,6 +465,10 @@ def check_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset, cfg: GenConf
         raise ValueError("n must be >= 1")
     if cfg.n_shots > len(seeds):
         raise ValueError(f"n_shots={cfg.n_shots} exceeds the seed pool of {len(seeds)} dialogues")
+    for dlg in seeds:  # every dialogue's examples are drawn by goal similarity
+        if dlg.final_goal.is_empty():
+            raise ValueError(f"seed dialogue {dlg.id!r} has an empty goal; goal similarity "
+                             "is undefined for empty goals")
     if strategy.kind == STRATEGY_COMBINATION and strategy.n_source_dialogues > len(seeds):
         raise ValueError(f"n_source_dialogues={strategy.n_source_dialogues} exceeds the seed "
                          f"pool of {len(seeds)} dialogues")

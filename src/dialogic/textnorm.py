@@ -7,8 +7,6 @@ counts as "the same value", so all token-level normalization lives here.
 from __future__ import annotations
 
 import re
-import threading
-from functools import lru_cache
 from typing import Callable
 
 # number words mapped to digits for value matching ("three nights" == 3)
@@ -86,13 +84,8 @@ def match_tokens(text: str) -> list[str]:
     return [norm for _, norm in token_pairs(text)]
 
 
-@lru_cache(maxsize=4096)
 def value_tokens(value: str) -> tuple[str, ...]:
-    """`match_tokens(value)` as a tuple.
-
-    Slot values recur across turns and samples, so the most recent 4,096 are
-    kept; a value the LLM made up cannot grow the memo past that.
-    """
+    """`match_tokens(value)` as a tuple."""
     return tuple(match_tokens(value))
 
 
@@ -102,14 +95,16 @@ class TokenView:
     `at` maps each token to its positions; `joined` maps each adjacent pair,
     written as one token, to the position of its first half. `surface` holds
     each token as written, before `norm_token` (the tokens themselves when not
-    given). A view is read-only once built.
+    given), and `text` the utterance the view was built from. A view is
+    read-only once built.
     """
 
-    __slots__ = ("tokens", "surface", "at", "joined")
+    __slots__ = ("tokens", "surface", "text", "at", "joined")
 
-    def __init__(self, tokens: list[str], surface: list[str] | None = None):
+    def __init__(self, tokens: list[str], surface: list[str] | None = None, text: str = ""):
         self.tokens = tuple(tokens)
         self.surface = self.tokens if surface is None else tuple(surface)
+        self.text = text
         self.at: dict[str, list[int]] = {}
         self.joined: dict[str, list[int]] = {}
         for i, tok in enumerate(self.tokens):
@@ -136,21 +131,10 @@ class TokenView:
         return hits[0] if hits else None
 
 
-_last_view = threading.local()
-
-
 def utterance_view(text: str) -> TokenView:
-    """The TokenView of `text`'s match tokens, with their surface forms.
-
-    Each thread keeps its last view for its next call, so that the aux
-    predictor and the match filter, which read one user turn in turn,
-    tokenise it once, whatever other threads read meanwhile.
-    """
-    if getattr(_last_view, "text", None) != text:
-        pairs = token_pairs(text)
-        _last_view.view = TokenView([norm for _, norm in pairs], [surface for surface, _ in pairs])
-        _last_view.text = text
-    return _last_view.view
+    """The TokenView of `text`'s match tokens, with their surface forms."""
+    pairs = token_pairs(text)
+    return TokenView([norm for _, norm in pairs], [surface for surface, _ in pairs], text)
 
 
 def parse_time(value: str) -> int | None:

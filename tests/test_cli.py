@@ -481,6 +481,8 @@ LIVE = {"backend": "live", "endpoint": "http://localhost:9/v1", "model": "m"}
     (["--rs-distribution", "[[1e400, 4, 6, 1.0]]"], "--rs-distribution"),
     ({"rs_distribution": [[1e400, 4, 6, 1.0]]}, "--rs-distribution"),
     ({"ontology": "onto.json"}, "--ontology: domain 'hotel': informable.area"),
+    # a seed with an empty goal, whose goal similarity is undefined
+    ({"seed_corpus": "empty_goal.json"}, "seed dialogue 'EMPTY01' has an empty goal"),
 ])
 def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_file, capsys,
                                           setting, named):
@@ -489,6 +491,11 @@ def test_malformed_setting_is_usage_error(tmp_path, monkeypatch, mock_script_fil
     (tmp_path / "db").mkdir()
     write_json(tmp_path / "db" / "hotel_db.json", [{"name": "x"}, "oops"])
     write_json(tmp_path / "onto.json", {"hotel": {"informable": {"area": "north"}}})
+    with open(SEED_CORPUS_PATH, encoding="utf-8") as fh:
+        corpus = json.load(fh)
+    corpus["dialogues"].append({"id": "EMPTY01", "goal": {}, "turns": [
+        {"user": "hello .", "belief": {}, "act": [["general", "bye", "none"]], "resp": "bye ."}]})
+    write_json(tmp_path / "empty_goal.json", corpus)
     config = {"seed_corpus": SEED_CORPUS_PATH, "out": "x.json", "trace": "t.jsonl",
               "backend": "mock", "mock_script": mock_script_file}
     flags = setting if isinstance(setting, list) else []
@@ -577,6 +584,7 @@ def lexical_aux_server(loopback, asked):
     from dialogic.model import NO_RESULT, DbResult, DialogAct, Turn, TurnBelief
     from dialogic.ontology import default_ontology
     from dialogic.revision import LexicalAuxPredictor
+    from dialogic.textnorm import utterance_view
 
     ontology = default_ontology()
     lexical = LexicalAuxPredictor(ontology, load_seed_corpus(SEED_CORPUS_PATH, ontology))
@@ -593,7 +601,7 @@ def lexical_aux_server(loopback, asked):
                                       DbResult.from_json(request["db"]))
             return 200, {"act": act.to_json()}, {}
         asked.append("belief")
-        belief = lexical.predict_belief(context, request["utterance"])
+        belief = lexical.predict_belief(context, utterance_view(request["utterance"]))
         return 200, {"belief": belief.to_dict()}, {}
 
     return loopback(answer)

@@ -4,21 +4,18 @@ from importlib import resources
 
 import pytest
 
-from dialogic.corpus import load_seed_corpus
 from dialogic.database import (
     BOOKING_SLOTS,
     DatabaseError,
     EntityDb,
-    _norm_value,
     bucketize,
     default_entity_db,
     load_entity_db,
 )
 from dialogic.model import DbResult
-from dialogic.revision import LexicalAuxPredictor
 from dialogic.textnorm import match_tokens, parse_time, value_tokens
 
-from .conftest import SEED_CORPUS_PATH, make_rng
+from .conftest import make_rng
 
 
 def brute_force_count(records, constraints, *, booking=(), time_rules=()):
@@ -303,7 +300,7 @@ def per_cell_index(tables, ontology):
         for i, record in enumerate(records):
             for slot, value in record.items():
                 if slot in informable:
-                    by_value.setdefault((slot, _norm_value(value)), set()).add(i)
+                    by_value.setdefault((slot, value_tokens(value)), set()).add(i)
     return index
 
 
@@ -366,7 +363,6 @@ def test_unindexed_columns_are_scanned(entity_db, ontology):
 
     cases = [(big, "train", trains, ["id", "price", "time"]),
              (entity_db, "hotel", entity_db.tables["hotel"], ["phone"])]
-    value_tokens.cache_clear()
     for db, domain, records, slots in cases:
         def index_snapshot():
             return {d: {k: frozenset(v) for k, v in index.items()} for d, index in db._index.items()}
@@ -379,21 +375,8 @@ def test_unindexed_columns_are_scanned(entity_db, ontology):
             assert db.query(domain, constraints) == expected, constraints
             matched += expected.count > 0
         assert matched >= 10
-        # a scan builds no index entry and leaves the value memo alone
+        # a scan builds no index entry
         assert index_snapshot() == shared
-        assert value_tokens.cache_info() == (0, 0, value_tokens.cache_info().maxsize, 0)
-
-
-def test_loaders_leave_value_memo_alone(ontology):
-    db_dir = resources.files("dialogic").joinpath("data/db")
-    value_tokens.cache_clear()
-    before = value_tokens.cache_info()
-    with resources.as_file(db_dir) as path:
-        db = load_entity_db(path, ontology)
-    seeds = load_seed_corpus(SEED_CORPUS_PATH, ontology)
-    LexicalAuxPredictor(ontology, seeds)
-    assert db._index and len(seeds) > 0
-    assert value_tokens.cache_info() == before
 
 
 def reference_default_tables():

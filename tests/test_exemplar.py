@@ -416,7 +416,7 @@ def test_packed_key_weights_equal_key_similarity():
                     weighted, k, 0.2, reference_rng)
 
 
-def _random_memo_target(ontology, rng):
+def _random_dst_target(ontology, rng):
     """A DST-like target; sometimes empty, slotless, or with names no pool saw."""
     roll = rng.random()
     if roll < 0.1:
@@ -428,57 +428,13 @@ def _random_memo_target(ontology, rng):
     return random_belief(ontology, rng)
 
 
-def test_warm_memo_draws_equal_fresh_draws(ontology):
-    """A row read back from the turn index's memo draws what a fresh index computes."""
-    rng = make_rng(37)
-    peak_skips = 0
-    for _ in range(80):
-        turns = _random_pool(ontology, rng).similarity.turns
-        n = len(turns.items)
-        if n < 2:
-            continue
-        beliefs = [d.turns[i].belief for d, i in turns.items]
-        targets = [_random_memo_target(ontology, rng) for _ in range(10)]
-        for target in targets + targets:  # the first pass computes each row, the second reads it
-            turns.draw(similarity_key(target), 1, 0.2, make_rng(0))
-        assert set(turns._rows) == {similarity_key(t) for t in targets}
-        for target in targets:
-            key = similarity_key(target)
-            fresh = _KeyedCandidates(turns.items, beliefs)
-            weights = fresh.weights(key)
-            assert turns.weights(key) == weights
-            peaks = [i for i, w in enumerate(weights) if w == max(weights)]
-            skips = [None, rng.randrange(n)] + (peaks if len(peaks) == 1 else [])
-            peak_skips += len(peaks) == 1
-            for skip in skips:  # the last: the only candidate of the peak key is skipped
-                k, tau, seed = rng.randint(1, n - 1), rng.choice([0.05, 0.2, 1.0]), rng.random()
-                warm_rng, fresh_rng = make_rng(seed), make_rng(seed)
-                assert (turns.draw(key, k, tau, warm_rng, skip)
-                        == fresh.draw(key, k, tau, fresh_rng, skip))
-                assert warm_rng.getstate() == fresh_rng.getstate()
-    assert peak_skips > 50
-
-    area, both, food = (TurnBelief(entries) for entries in (
-        {"hotel": {"area": "north"}}, {"hotel": {"area": "north", "stars": "4"}},
-        {"restaurant": {"food": "thai"}}))
-    beliefs = [both, area, both, food]
-    warm = _KeyedCandidates(list(range(4)), beliefs, memoise=True)
-    fresh = _KeyedCandidates(list(range(4)), beliefs)
-    warm.draw(similarity_key(area), 1, 0.2, make_rng(0))
-    for seed in range(20):  # position 1 is the only candidate at the peak
-        warm_rng, fresh_rng = make_rng(seed), make_rng(seed)
-        assert (warm.draw(similarity_key(area), 3, 0.2, warm_rng, 1)
-                == fresh.draw(similarity_key(area), 3, 0.2, fresh_rng, 1))
-        assert warm_rng.getstate() == fresh_rng.getstate()
-
-
 def test_shared_index_draws_from_threads_equal_one_thread(ontology, seeds):
-    """Threads that fill one index's memo at once draw what one thread draws."""
+    """Threads that draw from one index at once draw what one thread draws."""
     import sys
     import threading
 
     rng = make_rng(43)
-    targets = [_random_memo_target(ontology, rng) for _ in range(40)]
+    targets = [_random_dst_target(ontology, rng) for _ in range(40)]
     jobs = [(similarity_key(rng.choice(targets)), rng.random(), rng.choice([None, 0, 5]))
             for _ in range(400)]
 
@@ -506,7 +462,6 @@ def test_shared_index_draws_from_threads_equal_one_thread(ontology, seeds):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected] * n_threads
-    assert len(shared._rows) == len({key for key, _, _ in jobs})
 
 
 # -- serialization -----------------------------------------------------------

@@ -6,7 +6,6 @@ from dialogic.ontology import (
     Ontology,
     OntologyError,
     canonical_slot,
-    default_ontology,
     load_ontology,
     save_ontology,
 )
@@ -98,6 +97,11 @@ def test_ontology_loads_aliased_slot_names(tmp_path):
     ({"acts": "inform"}, "acts"),
     ({"queryable": "no"}, "queryable"),
     ({"queryable": 1}, "queryable"),
+    # values are strings: null is not the sentinel "none", and nothing is coerced
+    ({"informable": {"area": ["north", None]}}, "informable.area"),
+    ({"informable": {"area": [3]}}, "informable.area"),
+    ({"informable": {"area": [True]}}, "informable.area"),
+    ({"informable": {"area": [{}]}}, "informable.area"),
 ])
 def test_malformed_schema_value_is_ontology_error(spec, named):
     with pytest.raises(OntologyError, match=f"domain 'hotel': {named} must be a JSON"):
@@ -107,7 +111,3 @@ def test_malformed_schema_value_is_ontology_error(spec, named):
 def test_missing_schema_keys_keep_their_defaults():
     assert Ontology.from_json({"hotel": {}}).schema("hotel") == DomainSchema(
         informable={}, requestable=frozenset(), acts=frozenset(), queryable=False)
-
-
-def test_default_ontology_cached():
-    assert default_ontology() is default_ontology()

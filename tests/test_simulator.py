@@ -535,6 +535,56 @@ def test_batch_parallel_workers_match_serial(tmp_path, seeds, aux, entity_db, on
     assert [dialogue_to_json(d) for d in parallel] == [dialogue_to_json(d) for d in serial]
 
 
+# user lines the aux adds to and the filter drops from, and system lines the rules revise
+VARIED_USER = [
+    "[hotel] area is south , pricerange is cheap): i want a cheap hotel in the south .",
+    "[hotel] area is north): a guesthouse with free wifi for 4 people , 2 nights .",
+    "[train] destination is cambridge): a train to cambridge leaving after 08:45 on friday .",
+    "[restaurant] food is thai): it does not matter , any area is fine .",
+    "[hotel] stars is 4): i do n't need parking , 3 stars please .",
+]
+VARIED_SYSTEM = [
+    "[hotel] [request] area): which area ?",
+    "[hotel] [inform] choice [offerbook]): there are some , shall i book one ?",
+    "[train] [offerbooked] reference): booked .",
+    "[restaurant] [inform] food): they serve thai food .",
+    "[general] [bye]): goodbye .",
+]
+
+
+def test_batch_workers_share_no_turn_state(seeds, aux, entity_db, ontology):
+    """A dialogue's turns and trace events do not depend on what other workers run."""
+    import hashlib
+
+    from dialogic.corpus import dialogue_to_json
+
+    def reply(req):  # a function of the prompt alone, whatever the interleaving
+        lines = VARIED_USER if req.prompt.endswith("User(") else VARIED_SYSTEM
+        return lines[hashlib.sha256(req.prompt.encode()).digest()[0] % len(lines)]
+
+    def run(workers):
+        events = []
+        dialogues, report = simulate_batch(
+            24, GoalStrategy(kind="combination"), seeds, MockBackend(reply), aux, entity_db,
+            ontology, GenConfig(rng_seed=11, max_turns=6), workers=workers, trace=events.append)
+        events.sort(key=lambda e: (e["dialogue"], e["turn"]))
+        return [dialogue_to_json(d) for d in dialogues], events, report.to_json()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run(4)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = run(1)
+    assert parallel == serial
+    _, events, report = serial
+    assert report["succeeded"] == 24
+    assert len(events) > 48
+    assert any(e["over_generation_drops"] for e in events)
+    assert any(e["de_generation_fixes"] for e in events)
+
+
 def test_augment_over_budget_prompt_is_prompt_too_long(seeds, ontology):
     from dialogic.simulator import augment_corpus
 

@@ -1,5 +1,4 @@
 import json
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import pytest
@@ -123,10 +122,8 @@ def test_value_tokens_equal_match_tokens():
               for slot in ontology.informable_slots(domain)
               for value in ontology.candidates(domain, slot)]
     values += ["08:45", "a 3-star hotel", "Guest House", "three nights", "", " . ", "75.10"]
-    for _ in range(2):  # the second pass reads the memo
-        for value in values:
-            assert value_tokens(value) == tuple(match_tokens(value)), value
-    assert value_tokens.cache_info().hits >= len(values)
+    for value in values:
+        assert value_tokens(value) == tuple(match_tokens(value)), value
 
 
 def test_utterance_view_carries_surface_forms():
@@ -134,16 +131,8 @@ def test_utterance_view_carries_surface_forms():
     view = utterance_view(text)
     assert view.tokens == tuple(match_tokens(text)) == ("i", "leave", "at", "8:45", "3", "people")
     assert view.surface == ("i", "leave", "at", "08:45", "three", "people")
-    assert utterance_view(text) is view  # kept for the next call on the same turn
+    assert view.text == text
     assert TokenView(["a", "b"]).surface == ("a", "b")
-
-
-def test_utterance_view_is_kept_per_thread():
-    # another thread's turn does not evict this thread's view
-    with ThreadPoolExecutor(1) as first, ThreadPoolExecutor(1) as second:
-        view = first.submit(utterance_view, "a hotel .").result()
-        assert second.submit(utterance_view, "a taxi .").result() is not view
-        assert first.submit(utterance_view, "a hotel .").result() is view
 
 
 # join/split collisions: "a b" and "ab", "ab c" and "a bc", "wi fi" and "wifi"
