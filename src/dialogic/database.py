@@ -13,13 +13,6 @@ from .model import DbResult
 from .ontology import GENERAL_DOMAIN, Ontology
 from .textnorm import SharedTexts, parse_time, value_tokens
 
-# booking attributes carried by goals but absent from entity tables
-BOOKING_SLOTS: dict[str, frozenset[str]] = {
-    "hotel": frozenset({"stay", "day", "people"}),
-    "restaurant": frozenset({"time", "day", "people"}),
-    "train": frozenset({"people"}),
-}
-
 # train times match by inequality: a requested leave is the earliest departure,
 # a requested arrive the latest arrival
 _TIME_INEQUALITIES = {("train", "leave"): "ge", ("train", "arrive"): "le"}
@@ -77,15 +70,6 @@ def _sorted_times(rows_of: dict[str, list[int]]) -> tuple[list[int], list[int]]:
     return times, order
 
 
-def _scan(records: list[dict[str, str]], slot: str, wanted: tuple[str, ...]) -> list[int]:
-    """Rows whose cell in an unindexed column has the wanted match tokens.
-
-    Each distinct cell is tokenised once; a scan adds nothing to the index.
-    """
-    return [i for cell, rows in _rows_by_cell(records, slot).items()
-            if value_tokens(cell) == wanted for i in rows]
-
-
 @dataclass
 class EntityDb:
     """Entity records per domain, with a (slot, value) index of the columns a
@@ -96,31 +80,26 @@ class EntityDb:
 
     def __post_init__(self):
         self._index: dict[str, dict[tuple[str, tuple[str, ...]], set[int]]] = {}
-        self._columns: dict[str, set[str]] = {}
         self._indexed: dict[str, frozenset[str]] = {}
         # inequality-matched time columns: parsed minutes in ascending order,
         # and the row of each, so a bound selects a contiguous run of rows
         self._times: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
         norm = cache(value_tokens)  # cells repeat: tokenise each distinct value once
         for domain, records in self.tables.items():
-            columns = set().union(*records)
             schema = self.ontology.domains.get(domain)
-            indexed = frozenset(schema.informable if schema else ()) & columns
-            timed = {slot for d, slot in _TIME_INEQUALITIES if d == domain} & columns
+            indexed = frozenset(schema.informable if schema else ()) & set().union(*records)
             index: dict[tuple[str, tuple[str, ...]], set[int]] = {}
-            for slot in sorted(indexed | timed):
+            for slot in sorted(indexed):
                 rows_of = _rows_by_cell(records, slot)
-                if slot in indexed:
-                    for cell, rows in rows_of.items():
-                        key = (slot, norm(cell))
-                        if key in index:
-                            index[key].update(rows)
-                        else:
-                            index[key] = set(rows)
-                if slot in timed:
+                for cell, rows in rows_of.items():
+                    key = (slot, norm(cell))
+                    if key in index:
+                        index[key].update(rows)
+                    else:
+                        index[key] = set(rows)
+                if (domain, slot) in _TIME_INEQUALITIES:
                     self._times[(domain, slot)] = _sorted_times(rows_of)
             self._index[domain] = index
-            self._columns[domain] = columns
             self._indexed[domain] = indexed
 
     def size(self, domain: str) -> int:
@@ -129,25 +108,26 @@ class EntityDb:
     def query(self, domain: str, constraints: dict[str, str]) -> DbResult:
         """Count entities matching all constraints and bucketize the count.
 
-        `dontcare` matches everything; booking slots and unknown slots are ignored.
-
-        Each constraint on an indexed column selects its rows by index: an
-        exact value from the (slot, normalized value) index built at
-        construction, normalized by `value_tokens`, a train time
-        bound by bisection in that column's presorted times. A constraint on
-        any other column (train id or price, a phone number) scans it. Only
-        the selected row sets are intersected, so with no active constraint
-        the count is the table size and no per-row work is done.
+        A constraint narrows the count only if its slot is an indexed column,
+        one the domain declares informable and its table holds. A `dontcare`
+        value and any other slot constrain nothing: an unknown slot, a booking
+        slot such as hotel `stay` (no table holds one), an informable slot the
+        table lacks, a column no belief names (a phone number, train id or
+        price). Each narrowing constraint selects its rows by index: an exact
+        value from the (slot, normalized value) index built at construction,
+        normalized by `value_tokens`, a train time bound by bisection in that
+        column's presorted times. Only the selected row sets are intersected,
+        so with no active constraint the count is the table size and no
+        per-row work is done.
         """
         if not self.ontology.has_domain(domain):
             raise DatabaseError(f"unknown domain {domain!r}")
         if not self.ontology.queryable(domain) or domain not in self.tables:
             return DbResult(domain, 0, "db_nores")
-        records = self.tables[domain]
-        booking = BOOKING_SLOTS.get(domain, frozenset())
+        indexed = self._indexed[domain]
         candidates: set[int] | None = None  # None: every row
         for slot, value in constraints.items():
-            if slot in booking or value == "dontcare" or slot not in self._columns[domain]:
+            if value == "dontcare" or slot not in indexed:
                 continue
             mode = _TIME_INEQUALITIES.get((domain, slot))
             wanted = parse_time(value) if mode else None
@@ -157,15 +137,13 @@ class EntityDb:
                     matched = rows[bisect_left(minutes, wanted):]
                 else:
                     matched = rows[:bisect_right(minutes, wanted)]
-            elif slot in self._indexed[domain]:
-                matched = self._index[domain].get((slot, value_tokens(value)), ())
             else:
-                matched = _scan(records, slot, value_tokens(value))
+                matched = self._index[domain].get((slot, value_tokens(value)), ())
             # index sets are shared between calls: build a new set, never update one
             candidates = set(matched) if candidates is None else candidates.intersection(matched)
             if not candidates:
                 break
-        count = len(records) if candidates is None else len(candidates)
+        count = self.size(domain) if candidates is None else len(candidates)
         return DbResult(domain, count, bucketize(count, True))
 
 

@@ -151,6 +151,9 @@ def generate_goal_combination(seeds: SeedDataset, ontology: Ontology, cfg_strate
     if goal.slot_count() == 0:
         # the drop step must never empty a goal: resurrect one source triple
         survivors = [t for t in union.triples() if t[1] != NONE]
+        if not survivors:
+            raise ValueError(f"source dialogues {[src.id for src in sources]} have goals "
+                             "with no slot to combine")
         domain, slot, value = rng.choice(survivors)
         goal = UserGoal()
         goal.set(domain, slot, value)

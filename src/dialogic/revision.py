@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .database import BOOKING_SLOTS
 from .model import (
     DialogAct,
     DialogueState,
@@ -154,6 +153,12 @@ FALLBACK_ACT = DialogAct(((GENERAL_DOMAIN, "reqmore", NONE),))
 _FALLBACK_FIRING = "fallback: empty act mapped to (general, reqmore, none)"
 
 _OFFER_ACTS = ("inform", "recommend", "select", "offerbook")
+# booking attributes per domain: a state holding one shows a booking in progress
+BOOKING_SLOTS: dict[str, frozenset[str]] = {
+    "hotel": frozenset({"stay", "day", "people"}),
+    "restaurant": frozenset({"time", "day", "people"}),
+    "train": frozenset({"people"}),
+}
 _OTHER_BOOKING_SLOTS = frozenset({"stay", "day", "people", "time"})  # domains not in BOOKING_SLOTS
 
 

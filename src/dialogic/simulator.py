@@ -238,8 +238,11 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
 
     Request: answer >=1 requested slot and add >=2 unmentioned same-domain
     slots. Reqmore: open one unmentioned domain with 1-4 slots. Other: drop
-    >=1 original slot and add >=1 unmentioned slot in the current domain.
+    >=1 original slot and add >=1 unmentioned slot in the current domain. No
+    belief holds more than `cfg.max_slots_per_domain` slots, so a request
+    turn under a cap of 3 is unaugmentable.
     """
+    cap = cfg.max_slots_per_domain
     if not 0 <= turn_idx < len(source.turns):
         raise SimulationError(f"turn index {turn_idx} out of range for {source.id}",
                               kind="unaugmentable")
@@ -256,16 +259,18 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
 
     if requested:
         kind = KIND_REQUEST
+        if cap < 3:
+            raise SimulationError(f"{source.id} turn {turn_idx}: a request answer needs "
+                                  f"3 slots, above the cap of {cap}", kind="unaugmentable")
         domain = requested[0][0]
         req_slots = list(dict.fromkeys(s for d, s in requested if d == domain))
-        n_req = min(rng.randint(1, len(req_slots)), cfg.max_slots_per_domain - 2)
-        chosen = rng.sample(req_slots, max(1, n_req))
+        chosen = rng.sample(req_slots, min(rng.randint(1, len(req_slots)), cap - 2))
         pool = slot_pool(ontology, domain, observed_values, set(chosen) | set(req_slots)
                          | {s for d, s in mentioned if d == domain})
         if len(pool) < 2:
             raise SimulationError(f"{source.id} turn {turn_idx}: fewer than two "
                                   f"unmentioned slots left in {domain}", kind="unaugmentable")
-        n_extra = rng.randint(2, min(len(pool), max(2, cfg.max_slots_per_domain - len(chosen))))
+        n_extra = rng.randint(2, min(len(pool), cap - len(chosen)))
         for slot in chosen + rng.sample(pool, n_extra):
             belief.set(domain, slot, _sample_value(ontology, domain, slot, rng, observed_values))
     elif last_act.has("reqmore"):
@@ -278,7 +283,7 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
                                   kind="unaugmentable")
         domain = rng.choice(fresh)
         pool = slot_pool(ontology, domain, observed_values)
-        for slot in rng.sample(pool, rng.randint(1, min(4, len(pool)))):
+        for slot in rng.sample(pool, rng.randint(1, min(4, len(pool), cap))):
             belief.set(domain, slot, _sample_value(ontology, domain, slot, rng, observed_values))
     else:
         kind = KIND_OTHER
@@ -288,15 +293,16 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
                                   kind="unaugmentable")
         original_slots = list(original.entries.get(domain, {}))
         kept: list[str] = []
-        if original_slots:
-            dropped = rng.sample(original_slots, rng.randint(1, len(original_slots)))
+        if original_slots:  # keep at most cap - 1, leaving room for an added slot
+            n_drop = rng.randint(max(1, len(original_slots) - cap + 1), len(original_slots))
+            dropped = rng.sample(original_slots, n_drop)
             kept = [s for s in original_slots if s not in dropped]
         pool = slot_pool(ontology, domain, observed_values,
                          set(original_slots) | {s for d, s in mentioned if d == domain})
         if not pool:
             raise SimulationError(f"{source.id} turn {turn_idx}: no unmentioned slot "
                                   f"left in {domain}", kind="unaugmentable")
-        n_add = rng.randint(1, min(len(pool), max(1, cfg.max_slots_per_domain - len(kept))))
+        n_add = rng.randint(1, min(len(pool), cap - len(kept)))
         added = rng.sample(pool, n_add)
         for slot in kept:
             belief.set(domain, slot, _sample_value(

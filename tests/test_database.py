@@ -5,7 +5,6 @@ from importlib import resources
 import pytest
 
 from dialogic.database import (
-    BOOKING_SLOTS,
     DatabaseError,
     EntityDb,
     bucketize,
@@ -13,6 +12,7 @@ from dialogic.database import (
     load_entity_db,
 )
 from dialogic.model import DbResult
+from dialogic.revision import BOOKING_SLOTS
 from dialogic.textnorm import match_tokens, parse_time, value_tokens
 
 from .conftest import make_rng
@@ -90,18 +90,21 @@ def test_query_random_constraints_match_oracle(entity_db, ontology):
 
 
 def linear_scan_query(db, domain, constraints):
-    """Reference for `EntityDb.query`: test every row against each constraint in turn."""
+    """Reference for `EntityDb.query`: test every row against each constraint in turn.
+
+    Only a slot that is informable in the domain and a column of its table constrains.
+    """
     if not db.ontology.has_domain(domain):
         raise DatabaseError(f"unknown domain {domain!r}")
     if not db.ontology.queryable(domain) or domain not in db.tables:
         return DbResult(domain, 0, "db_nores")
     records = db.tables[domain]
     columns = {slot for record in records for slot in record}
-    booking = BOOKING_SLOTS.get(domain, frozenset())
+    informable = db.ontology.schema(domain).informable
     time_rule = {"leave": "ge", "arrive": "le"} if domain == "train" else {}
     rows = list(records)
     for slot, value in constraints.items():
-        if slot in booking or value == "dontcare" or slot not in columns:
+        if value == "dontcare" or slot not in informable or slot not in columns:
             continue
         wanted = parse_time(value) if slot in time_rule else None
         kept = []
@@ -332,51 +335,32 @@ def test_index_equals_per_cell_reference(entity_db, ontology):
                                                   for s, v in r.items() if s != "phone"})
 
 
-def _scanned_column_constraints(rng, records, slots, spell):
-    """Constraints on unindexed columns: stored values, other spellings of them, misses."""
-    constraints = {}
-    for slot in rng.sample(slots, rng.randint(1, len(slots))):
-        value = rng.choice(records)[slot]
-        roll = rng.random()
-        if roll < 0.1:
-            constraints[slot] = "dontcare"
-        elif roll < 0.5:
-            constraints[slot] = spell(value)
-        elif roll < 0.9:
-            constraints[slot] = value
-        else:
-            constraints[slot] = rng.choice(["none", "12", "tr9999", "?"])
-    return constraints
-
-
-def test_unindexed_columns_are_scanned(entity_db, ontology):
+def test_unindexed_columns_constrain_nothing(entity_db, ontology):
     rng = make_rng(37)
     trains = _random_trains(rng, 2800)
     for row in trains:
         row["price"] = f"{rng.randint(1, 40)}.{rng.choice(['00', '10', '60'])} pounds"
-        row["time"] = f"{rng.choice(['0', ''])}{rng.randint(1, 3)}:{rng.randint(0, 59):02d}"
     big = EntityDb(ontology=ontology, tables={"train": trains})
-    assert big._index["train"] and not {"id", "price", "time"} & {s for s, _ in big._index["train"]}
-
-    def spell(value):  # same match tokens, other characters
-        return rng.choice([value.upper(), value + " .", value.replace(" ", "-")])
-
-    cases = [(big, "train", trains, ["id", "price", "time"]),
-             (entity_db, "hotel", entity_db.tables["hotel"], ["phone"])]
-    for db, domain, records, slots in cases:
-        def index_snapshot():
-            return {d: {k: frozenset(v) for k, v in index.items()} for d, index in db._index.items()}
-
-        shared = index_snapshot()
-        matched = 0
-        for _ in range(30):
-            constraints = _scanned_column_constraints(rng, records, slots, spell)
-            expected = linear_scan_query(db, domain, constraints)
-            assert db.query(domain, constraints) == expected, constraints
-            matched += expected.count > 0
-        assert matched >= 10
-        # a scan builds no index entry
-        assert index_snapshot() == shared
+    unindexed = {"phone", "id", "price"}
+    checked = set()
+    for db in (entity_db, big):
+        for domain in sorted(db.tables):
+            records = db.tables[domain]
+            slots = sorted(unindexed & set().union(*records))
+            if not slots:
+                continue
+            assert not set(slots) & {s for s, _ in db._index[domain]}
+            for slot in slots:  # a stored value alone still counts the whole table
+                assert db.query(domain, {slot: records[0][slot]}).count == db.size(domain)
+            for _ in range(30):
+                constraints = {s: v for s, v in _random_constraints(rng, db, domain).items()
+                               if s not in unindexed}
+                extra = {slot: rng.choice([rng.choice(records)[slot], "tr9999", "?"])
+                         for slot in rng.sample(slots, rng.randint(1, len(slots)))}
+                assert db.query(domain, {**constraints, **extra}) == db.query(domain, constraints)
+            checked.update((db is big, slot) for slot in slots)
+    assert checked == {(False, "phone"), (False, "id"), (False, "price"),
+                       (True, "id"), (True, "price")}
 
 
 def reference_default_tables():

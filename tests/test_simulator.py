@@ -229,6 +229,25 @@ def test_batch_runs_random_and_substitution_goals(kind, seeds, aux, entity_db, o
     assert corpus(1) == corpus(2)
 
 
+def test_batch_counts_slotless_combination_sources_as_config_error(seeds, aux, entity_db,
+                                                                   ontology):
+    from dialogic.corpus import SeedDataset
+    from dialogic.model import Dialogue
+
+    turns = list(seeds.get("SNG01856").turns)
+    pool = SeedDataset(dialogues=[
+        Dialogue(id=did, initial_goal=UserGoal({domain: {}}), final_goal=UserGoal({domain: {}}),
+                 turns=turns, source="seed")
+        for did, domain in (("h", "hotel"), ("t", "train"))])
+    dialogues, report = simulate_batch(
+        2, GoalStrategy(kind="combination"), pool, MockBackend(list(BYE_SCRIPT) * 2), aux,
+        entity_db, ontology, GenConfig(rng_seed=11))
+    assert dialogues == []
+    assert report.failures == {"config_error": 2}
+    for note in report.notes:
+        assert "no slot to combine" in note and "'h'" in note and "'t'" in note
+
+
 def test_batch_isolates_failures(seeds, aux, entity_db, ontology):
     # five runs, script exhausts after the fourth dialogue's first completion
     script = list(BYE_SCRIPT) * 3 + [BYE_SCRIPT[0]]
@@ -433,6 +452,28 @@ def test_turn_belief_rule_conformance_bulk(seeds, ontology):
         assert kind == KIND_REQUEST
         slots = [s for _, s, _ in belief.triples()]
         assert "area" in slots and len(slots) >= 3
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_turn_beliefs_honour_the_slot_cap(cap, seeds, ontology):
+    cfg = GenConfig(max_slots_per_domain=cap)
+    observed = seeds.observed_values()
+    accepted = dict.fromkeys((KIND_REQUEST, KIND_REQMORE, KIND_OTHER), 0)
+    for rng_seed in range(100):
+        rng = make_rng(rng_seed)
+        for source in seeds:
+            for turn_idx in range(len(source.turns)):
+                try:
+                    belief, kind = generate_turn_belief(
+                        source, turn_idx, ontology, rng, cfg=cfg, observed_values=observed)
+                except SimulationError as exc:
+                    assert exc.kind == "unaugmentable"
+                    continue
+                assert max(len(slots) for slots in belief.entries.values()) <= cap
+                accepted[kind] += 1
+    # a request answer needs one answered slot and two added ones
+    assert (accepted[KIND_REQUEST] > 0) == (cap == 3)
+    assert accepted[KIND_REQMORE] > 0 and accepted[KIND_OTHER] > 0
 
 
 # -- DST augmentation -------------------------------------------------------------
