@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_right
-from collections import Counter
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
+from operator import mul
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -66,8 +66,9 @@ class _KeyedCandidates:
 
     Each domain name and each qualified slot name among the distinct keys gets
     one bit, and each distinct key is stored as (domain mask, domain count,
-    slot mask, slot count), so a Jaccard's shared count is a popcount. The bit
-    map is fixed at construction; worker threads only read it.
+    slot mask, slot count), so a Jaccard's shared count is a popcount. Each
+    key also lists its candidates' positions in pool order. All of it is fixed
+    at construction; worker threads only read it.
     """
 
     def __init__(self, items: list, maps: Iterable[TripletMap]):
@@ -75,7 +76,10 @@ class _KeyedCandidates:
         distinct: dict[SimilarityKey, int] = {}
         self.key_of = [distinct.setdefault(similarity_key(m), len(distinct)) for m in maps]
         self.keys = list(distinct)
-        self.counts = list(Counter(self.key_of).values())  # keys are numbered as first seen
+        self.positions: list[list[int]] = [[] for _ in self.keys]
+        for position, j in enumerate(self.key_of):
+            self.positions[j].append(position)
+        self.counts = list(map(len, self.positions))
         self._bit: dict[str, int] = {}
         for domains, slots in self.keys:
             for name in (*domains, *slots):
@@ -112,33 +116,64 @@ class _KeyedCandidates:
         by_key = self._by_key(target)
         return list(map(by_key.__getitem__, self.key_of))
 
+    @staticmethod
+    def _exps(by_key: list[float], counts: list[int], tau: float) -> tuple[float, list[float]]:
+        """The peak weight among the keys with a candidate left, and exp((w - peak) / tau) per key.
+
+        One exp per key with a nonzero weight, and one for all zero weights.
+        """
+        peak = max(compress(by_key, counts))
+        zero = math.exp((0.0 - peak) / tau)  # 0.0 <= peak: no overflow guard needed
+        # a key above the peak is out of the pool, and its exp could overflow
+        return peak, [(math.exp((w - peak) / tau) if w <= peak else 0.0) if w else zero
+                      for w in by_key]
+
+    def probabilities(self, target: SimilarityKey, tau: float) -> list[float]:
+        """Each candidate's probability of being drawn first, as `draw` reports it."""
+        _, exp_of = self._exps(self._by_key(target), self.counts, tau)
+        total = list(accumulate(map(mul, exp_of, self.counts)))[-1]
+        return [exp_of[j] / total for j in self.key_of]
+
     def draw(self, target: SimilarityKey, k: int, tau: float, rng: random.Random,
              skip: int | None = None) -> list[tuple]:
         """Draw k candidates, all but position `skip`, by softmax without replacement.
 
-        Each draw weighs the candidates left by exp((w - peak) / tau): one exp
-        per distinct key with a nonzero weight, and one for all zero weights,
-        gathered per candidate again only when the peak changes. Returns
-        (item, weight, probability at its draw) in draw order.
+        Each candidate left weighs exp((w - peak) / tau), so a key weighs that
+        times its candidates left. A draw walks the keys' cumulative masses,
+        in C, to pick a key with one `rng.random()`; the same uniform, scaled
+        into that key's mass, picks which of its candidates left, in pool
+        order. A draw costs O(distinct keys), however many candidates share
+        them; where every key has one candidate it draws what a walk over the
+        candidates draws, bit for bit. Returns (item, weight, probability at
+        its draw) in draw order.
         """
         by_key = self._by_key(target)
-        items, key_of, counts = list(self.items), list(self.key_of), list(self.counts)
+        counts = list(self.counts)
+        taken: dict[int, list[int]] = {}  # key -> sorted ranks, within it, of candidates out
         if skip is not None:
-            del items[skip]
-            counts[key_of.pop(skip)] -= 1
+            j = self.key_of[skip]
+            counts[j] -= 1
+            taken[j] = [bisect_left(self.positions[j], skip)]
         drawn, peak = [], None
         for _ in range(k):
             if peak is None:  # the first draw, or the last key at the peak was drawn out
-                peak = max(compress(by_key, counts))
-                zero = math.exp((0.0 - peak) / tau)  # 0.0 <= peak: no overflow guard needed
-                # a key above the peak is out of the pool, and its exp could overflow
-                exp_of = [(math.exp((w - peak) / tau) if w <= peak else 0.0) if w else zero
-                          for w in by_key]
-                exps = list(map(exp_of.__getitem__, key_of))  # one per candidate left
-            total = sum(exps)
-            i = min(bisect_right(list(accumulate(exps)), rng.random() * total), len(exps) - 1)
-            j = key_of.pop(i)
-            drawn.append((items.pop(i), by_key[j], exps.pop(i) / total))
+                peak, exp_of = self._exps(by_key, counts, tau)
+            masses = list(accumulate(map(mul, exp_of, counts)))
+            total = masses[-1]
+            x = rng.random() * total
+            j = bisect_right(masses, x)
+            if j == len(masses):  # only a uniform of 1.0 reaches total: the last candidate left
+                j = max(compress(range(len(counts)), counts))
+                r = counts[j] - 1
+            else:  # masses[j - 1] <= x < masses[j], so the key's exp is positive
+                r = int(min((x - (masses[j - 1] if j else 0.0)) / exp_of[j], counts[j] - 1))
+            out = taken.setdefault(j, [])
+            for rank in out:  # the r-th rank not out, counted from 0
+                if rank > r:
+                    break
+                r += 1
+            insort(out, r)
+            drawn.append((self.items[self.positions[j][r]], by_key[j], exp_of[j] / total))
             counts[j] -= 1
             if not counts[j] and by_key[j] == peak:
                 peak = None
@@ -152,8 +187,8 @@ class SimilarityIndex:
     demonstrations draw from the user turns with a nonempty belief, as
     (dialogue, turn index) pairs. Both lists are in pool order. A draw
     weighs each distinct key, not each candidate, with two popcounts on its
-    packed bitmasks, and takes one exp per key with a nonzero weight plus one
-    for all zero weights.
+    packed bitmasks, takes one exp per key with a nonzero weight plus one
+    for all zero weights, and picks a key, then one of its candidates.
     """
 
     def __init__(self, dialogues: list[Dialogue]):
@@ -169,10 +204,6 @@ class SimilarityIndex:
         if self.goals.items and (target.is_empty() or self._empty_goal):
             raise ValueError("goal similarity is undefined for empty goals")
         return similarity_key(target)
-
-    def goal_weights(self, target: UserGoal) -> list[float]:
-        """goal_similarity(target, d.final_goal) for each dialogue, in pool order."""
-        return self.goals.weights(self.goal_key(target))
 
 
 @dataclass

@@ -8,7 +8,6 @@ text fails fast so the simulation loop can retry.
 
 from __future__ import annotations
 
-import math
 import random
 import re
 
@@ -55,16 +54,17 @@ def goal_similarity(g1: UserGoal, g2: UserGoal) -> float:
 
 def selection_probabilities(target: UserGoal, pool: SeedDataset,
                             tau: float) -> dict[str, float]:
-    """Softmax over goal similarities: p_j = exp(w_j / tau) / sum_k exp(w_k / tau)."""
+    """Softmax over goal similarities: p_j = exp(w_j / tau) / sum_k exp(w_k / tau).
+
+    Each value is the probability that `select_examples` reports for drawing
+    that dialogue first, from the same exps and total.
+    """
     if tau <= 0:
         raise ValueError("temperature must be > 0")
     if len(pool) == 0:
         raise ValueError("candidate pool is empty")
-    weights = pool.similarity.goal_weights(target)
-    peak = max(weights)
-    exps = [math.exp((w - peak) / tau) for w in weights]
-    total = sum(exps)
-    return {d.id: e / total for d, e in zip(pool, exps)}
+    index = pool.similarity
+    return dict(zip((d.id for d in pool), index.goals.probabilities(index.goal_key(target), tau)))
 
 
 def select_examples(target: UserGoal, pool: SeedDataset, k: int, tau: float,

@@ -154,7 +154,7 @@ def test_selection_record_probabilities_renormalize_after_each_draw():
     assert select_examples(target, pool, 3, tau, make_rng(8)) == [d for d, _, _ in drawn]
     probs = selection_probabilities(target, pool, tau)
     first, _, first_p = drawn[0]
-    assert first_p == pytest.approx(probs[first.id], abs=1e-12)
+    assert first_p == probs[first.id]
     remaining = dict(probs)
     for dlg, similarity, p in drawn:
         assert similarity == goal_similarity(target, dlg.final_goal)
@@ -209,14 +209,19 @@ def _pairwise_turn_weight(target, belief):
 
 
 def _pairwise_draw(weighted, k, tau, rng):
-    """Softmax draw without replacement over (item, weight) pairs, one exp per pair."""
+    """Softmax draw without replacement over (item, weight) pairs, one exp per pair.
+
+    The normalizer is the running sum, left to right, on every Python version.
+    """
     items = [item for item, _ in weighted]
     weights = [w for _, w in weighted]
     drawn = []
     for _ in range(k):
         peak = max(weights)
         exps = [math.exp((w - peak) / tau) for w in weights]
-        total = sum(exps)
+        total = 0.0
+        for e in exps:
+            total += e
         x = rng.random() * total
         acc, idx = 0.0, len(exps) - 1
         for i, e in enumerate(exps):
@@ -226,6 +231,73 @@ def _pairwise_draw(weighted, k, tau, rng):
                 break
         drawn.append((items.pop(idx), weights.pop(idx), exps[idx] / total))
     return drawn
+
+
+def _per_key_draw(candidates, k, tau, rng, skip=None):
+    """The keyed law, a key at a time, over (weight, key) pairs in pool order; draws positions.
+
+    The keys are walked in the order first seen, the skipped position's
+    included. A key weighs exp((w - peak) / tau) per candidate left, peak being
+    the top weight left, and the running sum of those masses is the
+    normalizer. One uniform x takes the first key whose running sum passes it,
+    else the last key with a candidate left; x's offset into that key's mass,
+    over one candidate's exp, is the rank of the candidate taken among those
+    left, in pool order. Returns (position, weight, probability at its draw).
+    """
+    keys = list(dict.fromkeys(key for _, key in candidates))
+    weight = {key: w for w, key in candidates}
+    left = {key: [] for key in keys}
+    for position, (_, key) in enumerate(candidates):
+        if position != skip:
+            left[key].append(position)
+    drawn = []
+    for _ in range(k):
+        peak = max(weight[key] for key in keys if left[key])
+        exps = {key: math.exp((weight[key] - peak) / tau) if left[key] else 0.0 for key in keys}
+        total = 0.0
+        for key in keys:
+            total += exps[key] * len(left[key])
+        x = rng.random() * total
+        before = running = 0.0
+        for key in keys:
+            before, running = running, running + exps[key] * len(left[key])
+            if x < running:
+                rank = int(min((x - before) / exps[key], len(left[key]) - 1))
+                break
+        else:
+            key = [key for key in keys if left[key]][-1]
+            rank = len(left[key]) - 1
+        drawn.append((left[key].pop(rank), weight[key], exps[key] / total))
+    return drawn
+
+
+def _assert_draw_follows_law(candidates, maps, target, k, tau, new_rng, skip=None):
+    """One keyed draw, by `new_rng()`, against the law; returns the positions drawn.
+
+    Where every candidate has its own key the draw is `_pairwise_draw`'s, bit
+    for bit, and otherwise `_per_key_draw`'s; either way it takes the same
+    uniforms. Each reported probability is the pairwise softmax probability of
+    the candidate drawn, among those left, to 1e-12.
+    """
+    weights = [_pairwise_turn_weight(target, m) for m in maps]
+    keys = [similarity_key(m) for m in maps]
+    rng, reference_rng = new_rng(), new_rng()
+    drawn = candidates.draw(similarity_key(target), k, tau, rng, skip)
+    if len(set(keys)) == len(keys):
+        reference = _pairwise_draw([(p, w) for p, w in enumerate(weights) if p != skip],
+                                   k, tau, reference_rng)
+    else:
+        reference = _per_key_draw(list(zip(weights, keys)), k, tau, reference_rng, skip)
+    assert drawn == [(candidates.items[p], w, prob) for p, w, prob in reference]
+    if hasattr(rng, "getstate"):
+        assert rng.getstate() == reference_rng.getstate()
+    left = [p for p in range(len(maps)) if p != skip]
+    for p, _, prob in reference:
+        peak = max(weights[q] for q in left)
+        exps = {q: math.exp((weights[q] - peak) / tau) for q in left}
+        assert abs(prob - exps[p] / math.fsum(exps.values())) <= 1e-12
+        left.remove(p)
+    return [p for p, _, _ in reference]
 
 
 def _pairwise_turns(pool, exclude):
@@ -277,7 +349,7 @@ def test_similarity_index_weights_equal_pairwise_loops(ontology):
         shared_keys += len(index.turns.items) - len(index.turns.keys)
         target = _random_target_goal(ontology, rng)
         expected = [_pairwise_similarity(target, d.final_goal) for d in pool]
-        assert index.goal_weights(target) == expected
+        assert index.goals.weights(index.goal_key(target)) == expected
         assert [goal_similarity(target, d.final_goal) for d in pool] == expected
 
         belief = _random_target_belief(ontology, rng)
@@ -297,7 +369,7 @@ def test_similarity_index_empty_targets(ontology):
     turns = pool.similarity.turns
     assert turns.weights(similarity_key(TurnBelief())) == [0.0] * len(turns.items)
     with pytest.raises(ValueError):
-        pool.similarity.goal_weights(UserGoal())
+        pool.similarity.goal_key(UserGoal())
     with pytest.raises(ValueError):
         select_examples(goal_of({"hotel": {"stay": "2"}}),
                         mini_pool(goal_of({"hotel": {"stay": "3"}}), UserGoal()), 1, 0.2,
@@ -307,6 +379,7 @@ def test_similarity_index_empty_targets(ontology):
 def test_indexed_draws_equal_pairwise_draws(ontology):
     from dialogic.simulator import SimulationError, _sample_turn_demos
 
+    pools = {"distinct keys": 0, "repeated keys": 0}
     for seed in range(500):
         rng = make_rng(seed)
         pool = _random_pool(ontology, rng)
@@ -314,14 +387,12 @@ def test_indexed_draws_equal_pairwise_draws(ontology):
         k = rng.randint(1, len(pool))
         tau = rng.choice([0.05, 0.2, 1.0])
         index = pool.similarity
-        drawn = index.goals.draw(index.goal_key(target), k, tau, make_rng(seed))
-        reference_rng = make_rng(seed)
-        reference = _pairwise_draw(
-            [(d, _pairwise_similarity(target, d.final_goal)) for d in pool], k, tau,
-            reference_rng)
-        assert [(d.id, w, p) for d, w, p in drawn] == [(d.id, w, p) for d, w, p in reference]
+        goals = [d.final_goal for d in pool]
+        pools["distinct keys" if len(index.goals.keys) == len(pool) else "repeated keys"] += 1
+        drawn = _assert_draw_follows_law(index.goals, goals, target, k, tau,
+                                         lambda: make_rng(seed))
         assert select_examples(target, pool, k, tau, make_rng(seed)) == [
-            d for d, _, _ in reference]
+            pool.dialogues[p] for p in drawn]
 
         belief = _random_target_belief(ontology, rng)
         exclude = _random_exclude(pool, rng)
@@ -333,12 +404,16 @@ def test_indexed_draws_equal_pairwise_draws(ontology):
             assert err.value.kind == "unaugmentable"
             continue
         demos = _sample_turn_demos(belief, pool, 2, tau, demo_rng, exclude)
+        candidates = index.turns
+        drawn = _assert_draw_follows_law(
+            candidates, [d.turns[i].belief for d, i in candidates.items], belief,
+            min(2, len(turns)), tau, lambda: make_rng(seed), index.turn_position.get(exclude))
+        assert demos == [candidates.items[p] for p in drawn]
         reference_rng = make_rng(seed)
-        reference = _pairwise_draw(
-            [((d, i), _pairwise_turn_weight(belief, d.turns[i].belief)) for d, i in turns],
-            min(2, len(turns)), tau, reference_rng)
-        assert demos == [item for item, _, _ in reference]
-        assert demo_rng.random() == reference_rng.random()
+        for _ in drawn:
+            reference_rng.random()
+        assert demo_rng.getstate() == reference_rng.getstate()
+    assert min(pools.values()) > 50
 
     # edge cases of the keyed draw; each candidate is named by its position
     area, both, food, stars = (TurnBelief(entries) for entries in (
@@ -348,31 +423,106 @@ def test_indexed_draws_equal_pairwise_draws(ontology):
         ([both, area, both, food], area, 1, 2, 0.2),  # the skip holds the only top weight
         ([food, area, both, both], area, None, 3, 0.05),  # the first draw empties the peak's key
         ([area, both, food, stars], area, None, 4, 1.0),  # k == len(pool)
-        ([both], area, None, 1, 0.2),  # one candidate: itemgetter gives a scalar
+        ([both], area, None, 1, 0.2),  # one candidate
         ([area, both, both, food, area], area, None, 5, 1e-6),  # exps underflow, sums repeat
         ([area, both, food], TurnBelief(), None, 2, 0.2),  # empty target: every weight 0.0
+        ([area, food, area, both], food, 0, 3, 0.2),  # the skip is its key's first candidate
     ]
     first_draws = []
     for beliefs, target, skip, k, tau in cases:
         candidates = _KeyedCandidates(list(range(len(beliefs))), beliefs)
-        weighted = [(i, _pairwise_turn_weight(target, b))
-                    for i, b in enumerate(beliefs) if i != skip]
         for seed in range(20):
-            rng, reference_rng = make_rng(seed), make_rng(seed)
-            drawn = candidates.draw(similarity_key(target), k, tau, rng, skip)
-            assert drawn == _pairwise_draw(weighted, k, tau, reference_rng)
-            assert rng.getstate() == reference_rng.getstate()
-            first_draws.append(drawn[0][0])
+            drawn = _assert_draw_follows_law(candidates, beliefs, target, k, tau,
+                                             lambda: make_rng(seed), skip)
+            first_draws.append(drawn[0])
     assert first_draws[20:40] == [1] * 20  # the second case did draw the peak out first
-    # draws that land exactly on a repeated cumulative sum: [0, 1, 1, 2] at tau=1e-6
+    # draws that land exactly on a repeated cumulative sum: masses [0, 2, 2] at tau=1e-6,
+    # and x = 1.0 lands on the rank-1 candidate of the repeated key; a uniform of 1.0,
+    # which random() never returns, takes the last candidate left, past a key drawn out
     beliefs = [food, area, both, area]
     candidates = _KeyedCandidates(list(range(len(beliefs))), beliefs)
-    weighted = [(i, _pairwise_turn_weight(area, b)) for i, b in enumerate(beliefs)]
-    for landing in ([0.0], [0.5], [0.5, 0.0]):
-        drawn = candidates.draw(similarity_key(area), len(landing), 1e-6,
-                                SimpleNamespace(random=iter(landing).__next__))
-        assert drawn == _pairwise_draw(weighted, len(landing), 1e-6,
-                                       SimpleNamespace(random=iter(landing).__next__))
+    for landing, skip, expected in (([0.0], None, [1]), ([0.5], None, [3]),
+                                    ([0.5, 0.0], None, [3, 1]), ([1.0], None, [2]),
+                                    ([1.0, 1.0], 2, [3, 1])):
+        drawn = _assert_draw_follows_law(
+            candidates, beliefs, area, len(landing), 1e-6,
+            lambda: SimpleNamespace(random=iter(landing).__next__), skip)
+        assert drawn == expected
+
+
+def test_first_draw_probability_is_selection_probability(ontology):
+    rng = make_rng(61)
+    for seed in range(200):
+        pool = _random_pool(ontology, rng)
+        target = _random_target_goal(ontology, rng)
+        tau = rng.choice([0.05, 0.2, 1.0])
+        probs = selection_probabilities(target, pool, tau)
+        index = pool.similarity
+        first, _, p = index.goals.draw(index.goal_key(target), 1, tau, make_rng(seed))[0]
+        assert p == probs[first.id]
+        assert list(probs.values()) == index.goals.probabilities(index.goal_key(target), tau)
+
+
+def test_repeated_key_draw_frequencies_match_softmax():
+    area, both, food = (TurnBelief(entries) for entries in (
+        {"hotel": {"area": "north"}}, {"hotel": {"area": "north", "stars": "4"}},
+        {"restaurant": {"food": "thai"}}))
+    beliefs = [area, both, area, food, both, area]  # 3, 2 and 1 candidates per key
+    tau, trials = 0.5, 20000
+    candidates = _KeyedCandidates(list(range(len(beliefs))), beliefs)
+    exps = [math.exp(_pairwise_turn_weight(area, b) / tau) for b in beliefs]
+    total = math.fsum(exps)
+    first = [e / total for e in exps]
+    second = [sum(first[a] * exps[c] / (total - exps[a]) for a in range(len(exps)) if a != c)
+              for c in range(len(exps))]
+    counts = [[0] * len(beliefs), [0] * len(beliefs)]
+    rng = make_rng(71)
+    for _ in range(trials):
+        for nth, (position, _, _) in enumerate(candidates.draw(similarity_key(area), 2, tau, rng)):
+            counts[nth][position] += 1
+    # chi-square with 5 degrees of freedom exceeds 20.5 with probability 0.001
+    for observed, expected in zip(counts, (first, second)):
+        chi2 = sum((o - trials * p) ** 2 / (trials * p) for o, p in zip(observed, expected))
+        assert chi2 < 20.5
+
+
+class _CountingList(list):
+    """A list that counts the items read from it, by index or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+def test_draw_cost_does_not_grow_with_candidates():
+    area, both, food = (TurnBelief(entries) for entries in (
+        {"hotel": {"area": "north"}}, {"hotel": {"area": "north", "stars": "4"}},
+        {"restaurant": {"food": "thai"}}))
+    keyed = (area, both, food)
+    n = 50_000
+    items = _CountingList(range(n))
+    candidates = _KeyedCandidates(items, (keyed[p % 3] for p in range(n)))
+    for seed in range(5):
+        items.reads = 0
+        drawn = candidates.draw(similarity_key(area), 2, 0.2, make_rng(seed), skip=seed)
+        assert items.reads <= 3
+        assert len({p for p, _, _ in drawn} | {seed}) == 3
+
+    # the rank within a key at extreme temperatures, and where exps are subnormal
+    weight_of = {_pairwise_turn_weight(area, b): b for b in keyed}  # three distinct weights
+    for tau in (1e-300, 0.5 / 740, 1e300):
+        for seed in range(20):
+            for position, w, p in candidates.draw(similarity_key(area), 3, tau, make_rng(seed),
+                                                  skip=seed):
+                assert keyed[position % 3] is weight_of[w]
+                assert 0.0 <= p <= 1.0
 
 
 def test_packed_key_weights_equal_key_similarity():
@@ -408,12 +558,9 @@ def test_packed_key_weights_equal_key_similarity():
             expected = [key_similarity(key, similarity_key(b)) for b in beliefs]
             assert candidates.weights(key) == expected
             assert expected == [_pairwise_turn_weight(target, b) for b in beliefs]
-            weighted = list(enumerate(expected))
             for seed in range(5):
-                rng, reference_rng = make_rng(seed), make_rng(seed)
-                k = min(3, len(beliefs))
-                assert candidates.draw(key, k, 0.2, rng) == _pairwise_draw(
-                    weighted, k, 0.2, reference_rng)
+                _assert_draw_follows_law(candidates, beliefs, target, min(3, len(beliefs)), 0.2,
+                                         lambda: make_rng(seed))
 
 
 def _random_dst_target(ontology, rng):
