@@ -67,8 +67,10 @@ class _KeyedCandidates:
     Each domain name and each qualified slot name among the distinct keys gets
     one bit, and each distinct key is stored as (domain mask, domain count,
     slot mask, slot count), so a Jaccard's shared count is a popcount. Each
-    key also lists its candidates' positions in pool order. All of it is fixed
-    at construction; worker threads only read it.
+    key also lists its candidates' positions in pool order, and its first
+    candidate's offset in key-then-pool order. Each qualified slot lists the
+    keys that have it, and each domain the slotless keys that have it, in key
+    order. All of it is fixed at construction; worker threads only read it.
     """
 
     def __init__(self, items: list, maps: Iterable[TripletMap]):
@@ -80,10 +82,16 @@ class _KeyedCandidates:
         for position, j in enumerate(self.key_of):
             self.positions[j].append(position)
         self.counts = list(map(len, self.positions))
+        self.starts = [0, *accumulate(self.counts)][:len(self.keys)]
         self._bit: dict[str, int] = {}
-        for domains, slots in self.keys:
+        self._keys_with_slot: dict[str, list[int]] = {}
+        self._slotless_keys_with_domain: dict[str, list[int]] = {}
+        for j, (domains, slots) in enumerate(self.keys):
             for name in (*domains, *slots):
                 self._bit.setdefault(name, 1 << len(self._bit))
+            lists = self._keys_with_slot if slots else self._slotless_keys_with_domain
+            for name in slots or domains:
+                lists.setdefault(name, []).append(j)
         self._packed = [(self._mask(domains), len(domains), self._mask(slots), len(slots))
                         for domains, slots in self.keys]
 
@@ -94,8 +102,8 @@ class _KeyedCandidates:
             mask |= self._bit.get(name, 0)
         return mask
 
-    def _by_key(self, target: SimilarityKey) -> list[float]:
-        """key_similarity(target, key) per distinct key, bit for bit.
+    def _by_key(self, target: SimilarityKey, keys: Iterable[int]) -> list[float]:
+        """key_similarity(target, key) per key index in `keys`, bit for bit.
 
         A name the pool never saw sets no bit but counts in the target's size,
         so the integer operands, the divisions and the product are the same.
@@ -108,19 +116,41 @@ class _KeyedCandidates:
             * (s / union if (union := n_slots + key_slots - (s := (smask & key_smask).bit_count()))
                else 1.0)
             if (shared := (dmask & key_dmask).bit_count()) else 0.0
-            for key_dmask, key_domains, key_smask, key_slots in self._packed
+            for key_dmask, key_domains, key_smask, key_slots in map(self._packed.__getitem__, keys)
         ]
 
     def weights(self, target: SimilarityKey) -> list[float]:
         """key_similarity(target, candidate key) per candidate, one Jaccard per distinct key."""
-        by_key = self._by_key(target)
+        by_key = self._by_key(target, range(len(self.keys)))
         return list(map(by_key.__getitem__, self.key_of))
+
+    def _buckets(self, target: SimilarityKey) -> tuple[list[int], list[float], list[int]]:
+        """The keys a draw enumerates, ascending, and each bucket's weight and candidates.
+
+        A key weighs above 0.0 only if it shares a qualified slot with the
+        target or, for a slotless target, is slotless and shares a domain; a
+        draw enumerates those keys, one bucket each, and every other key's
+        candidates are the floor bucket, last, at weight 0.0. Where the
+        target's lists of such keys are together at least as long as the key
+        list, every key is enumerated and the floor is empty.
+        """
+        domains, slots = target
+        lists, names = ((self._keys_with_slot, slots) if slots
+                        else (self._slotless_keys_with_domain, domains))
+        found = [lists[name] for name in names if name in lists]
+        if sum(map(len, found)) >= len(self.keys):
+            keys = list(range(len(self.keys)))
+        else:
+            keys = sorted(set().union(*found))
+        counts = [self.counts[j] for j in keys]
+        counts.append(len(self.items) - sum(counts))
+        return keys, [*self._by_key(target, keys), 0.0], counts
 
     @staticmethod
     def _exps(by_key: list[float], counts: list[int], tau: float) -> tuple[float, list[float]]:
-        """The peak weight among the keys with a candidate left, and exp((w - peak) / tau) per key.
+        """The peak weight among the buckets with a candidate left, and exp((w - peak) / tau) each.
 
-        One exp per key with a nonzero weight, and one for all zero weights.
+        One exp per bucket with a nonzero weight, and one for all zero weights.
         """
         peak = max(compress(by_key, counts))
         zero = math.exp((0.0 - peak) / tau)  # 0.0 <= peak: no overflow guard needed
@@ -130,33 +160,58 @@ class _KeyedCandidates:
 
     def probabilities(self, target: SimilarityKey, tau: float) -> list[float]:
         """Each candidate's probability of being drawn first, as `draw` reports it."""
-        _, exp_of = self._exps(self._by_key(target), self.counts, tau)
-        total = list(accumulate(map(mul, exp_of, self.counts)))[-1]
-        return [exp_of[j] / total for j in self.key_of]
+        keys, by_key, counts = self._buckets(target)
+        _, exps = self._exps(by_key, counts, tau)
+        total = list(accumulate(map(mul, exps, counts)))[-1]
+        exp_of = dict(zip(keys, exps))  # the floor's exp for every key not enumerated
+        return [exp_of.get(j, exps[-1]) / total for j in self.key_of]
+
+    def _floor_position(self, r: int, keys: list[int]) -> int:
+        """The pool position of the floor's r-th candidate, from 0, in key-then-pool order.
+
+        The floor holds the candidates of every key but the enumerated `keys`;
+        the blocks of those keys, ascending, are stepped over.
+        """
+        for j in keys:
+            if self.starts[j] > r:
+                break
+            r += self.counts[j]
+        key = bisect_right(self.starts, r) - 1
+        return self.positions[key][r - self.starts[key]]
 
     def draw(self, target: SimilarityKey, k: int, tau: float, rng: random.Random,
              skip: int | None = None) -> list[tuple]:
         """Draw k candidates, all but position `skip`, by softmax without replacement.
 
         Each candidate left weighs exp((w - peak) / tau), so a key weighs that
-        times its candidates left. A draw walks the keys' cumulative masses,
-        in C, to pick a key with one `rng.random()`; the same uniform, scaled
-        into that key's mass, picks which of its candidates left, in pool
-        order. A draw costs O(distinct keys), however many candidates share
-        them; where every key has one candidate it draws what a walk over the
-        candidates draws, bit for bit. Returns (item, weight, probability at
-        its draw) in draw order.
+        times its candidates left. Only the keys that can weigh above 0.0 are
+        walked one by one (`_buckets`), in key order; the candidates left
+        of every other key weigh exp((0 - peak) / tau) each and form one floor
+        bucket, last in the running sum. A draw walks those cumulative masses,
+        in C, to pick a key or the floor with one `rng.random()`; the same
+        uniform, scaled into that mass, picks which of its candidates left: in
+        pool order within a key, in key-then-pool order within the floor. A
+        draw costs O(keys sharing a slot with the target), however many
+        candidates and other keys the pool has. Where every key is enumerated
+        the floor is empty, and where every key also has one candidate it
+        draws what a walk over the candidates draws, bit for bit. Returns
+        (item, weight, probability at its draw) in draw order.
         """
-        by_key = self._by_key(target)
-        counts = list(self.counts)
-        taken: dict[int, list[int]] = {}  # key -> sorted ranks, within it, of candidates out
+        keys, by_key, counts = self._buckets(target)
+        floor = len(keys)
+        taken: dict[int, list[int]] = {}  # bucket -> sorted ranks, within it, of candidates out
         if skip is not None:
-            j = self.key_of[skip]
+            key = self.key_of[skip]
+            rank = bisect_left(self.positions[key], skip)
+            j = bisect_left(keys, key)
+            if j == floor or keys[j] != key:  # the floor ranks it past the keys before it
+                rank += self.starts[key] - sum(counts[:j])
+                j = floor
             counts[j] -= 1
-            taken[j] = [bisect_left(self.positions[j], skip)]
+            taken[j] = [rank]
         drawn, peak = [], None
         for _ in range(k):
-            if peak is None:  # the first draw, or the last key at the peak was drawn out
+            if peak is None:  # the first draw, or the last bucket at the peak was drawn out
                 peak, exp_of = self._exps(by_key, counts, tau)
             masses = list(accumulate(map(mul, exp_of, counts)))
             total = masses[-1]
@@ -165,7 +220,7 @@ class _KeyedCandidates:
             if j == len(masses):  # only a uniform of 1.0 reaches total: the last candidate left
                 j = max(compress(range(len(counts)), counts))
                 r = counts[j] - 1
-            else:  # masses[j - 1] <= x < masses[j], so the key's exp is positive
+            else:  # masses[j - 1] <= x < masses[j], so the bucket's exp is positive
                 r = int(min((x - (masses[j - 1] if j else 0.0)) / exp_of[j], counts[j] - 1))
             out = taken.setdefault(j, [])
             for rank in out:  # the r-th rank not out, counted from 0
@@ -173,7 +228,8 @@ class _KeyedCandidates:
                     break
                 r += 1
             insort(out, r)
-            drawn.append((self.items[self.positions[j][r]], by_key[j], exp_of[j] / total))
+            position = self._floor_position(r, keys) if j == floor else self.positions[keys[j]][r]
+            drawn.append((self.items[position], by_key[j], exp_of[j] / total))
             counts[j] -= 1
             if not counts[j] and by_key[j] == peak:
                 peak = None
@@ -186,9 +242,10 @@ class SimilarityIndex:
     Example selection draws from the dialogues by final goal; DST turn
     demonstrations draw from the user turns with a nonempty belief, as
     (dialogue, turn index) pairs. Both lists are in pool order. A draw
-    weighs each distinct key, not each candidate, with two popcounts on its
-    packed bitmasks, takes one exp per key with a nonzero weight plus one
-    for all zero weights, and picks a key, then one of its candidates.
+    weighs the distinct keys that can weigh above 0.0 for its target, not each
+    candidate, with two popcounts on their packed bitmasks, takes one exp per
+    key with a nonzero weight plus one for all zero weights, and picks a key
+    or the floor of all other keys, then one of its candidates.
     """
 
     def __init__(self, dialogues: list[Dialogue]):

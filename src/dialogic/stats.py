@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -80,6 +81,6 @@ def compute_stats(corpus: list[Dialogue]) -> CorpusStats:
 
 def combined_score(inform: float, success: float, bleu: float) -> float:
     """BLEU + 0.5 * (Inform + Success)."""
-    if inform < 0 or success < 0 or bleu < 0:
-        raise ValueError("metric values must be nonnegative")
+    if not all(0 <= x < math.inf for x in (inform, success, bleu)):  # nan fails both comparisons
+        raise ValueError("metric values must be finite and nonnegative")
     return bleu + 0.5 * (inform + success)

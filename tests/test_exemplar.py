@@ -271,26 +271,99 @@ def _per_key_draw(candidates, k, tau, rng, skip=None):
     return drawn
 
 
+def _enumerated_keys(keys, target):
+    """The keys a draw weighs one by one, by plain loops over `keys`; None where it takes all.
+
+    A target with slots enumerates the keys that share a qualified slot with
+    it, a slotless target the slotless keys that share a domain with it, in
+    first-seen order; where the target's lists of such keys are together at
+    least as long as the key list, every key is enumerated.
+    """
+    domains, slots = target
+    if slots:
+        listed = sum(1 for name in slots for key in keys if name in key[1])
+        enumerated = [key for key in keys if slots & key[1]]
+    else:
+        listed = sum(1 for name in domains for key in keys if not key[1] and name in key[0])
+        enumerated = [key for key in keys if not key[1] and domains & key[0]]
+    return None if listed >= len(keys) else enumerated
+
+
+def _floor_bucket_draw(candidates, target, k, tau, rng, skip=None):
+    """The floor-bucket law, by plain loops over (weight, key) pairs in pool order; draws positions.
+
+    The keys `_enumerated_keys` names are buckets of their own, in first-seen
+    order; every other candidate left, in key-then-pool order, is in one floor
+    bucket after them, and weighs exactly 0.0. A bucket weighs exp((w - peak) /
+    tau) per candidate left, peak being the top weight left, and the running
+    sum of those masses is the normalizer. One uniform x takes the first bucket
+    whose running sum passes it, else the last bucket with a candidate left;
+    x's offset into that bucket's mass, over one candidate's exp, is the rank
+    of the candidate taken among those left. Where every key is enumerated the
+    floor is empty. Returns (position, weight, probability at its draw).
+    """
+    keys = list(dict.fromkeys(key for _, key in candidates))
+    enumerated = _enumerated_keys(keys, target)
+    if enumerated is None:
+        enumerated = keys
+    weight = {key: w for w, key in candidates}
+    bucket_weight = [weight[key] for key in enumerated] + [0.0]
+    left = [[] for _ in bucket_weight]
+    for key in keys:
+        bucket = enumerated.index(key) if key in enumerated else len(enumerated)
+        if bucket == len(enumerated):
+            assert weight[key] == 0.0
+        for position, (_, candidate_key) in enumerate(candidates):
+            if candidate_key == key and position != skip:
+                left[bucket].append(position)
+    drawn = []
+    for _ in range(k):
+        peak = max(w for w, bucket in zip(bucket_weight, left) if bucket)
+        exps = [math.exp((w - peak) / tau) if bucket else 0.0
+                for w, bucket in zip(bucket_weight, left)]
+        total = 0.0
+        for e, bucket in zip(exps, left):
+            total += e * len(bucket)
+        x = rng.random() * total
+        before = running = 0.0
+        for i, bucket in enumerate(left):
+            before, running = running, running + exps[i] * len(bucket)
+            if x < running:
+                rank = int(min((x - before) / exps[i], len(bucket) - 1))
+                break
+        else:
+            i = [i for i, bucket in enumerate(left) if bucket][-1]
+            rank = len(left[i]) - 1
+        drawn.append((left[i].pop(rank), bucket_weight[i], exps[i] / total))
+    return drawn
+
+
 def _assert_draw_follows_law(candidates, maps, target, k, tau, new_rng, skip=None):
     """One keyed draw, by `new_rng()`, against the law; returns the positions drawn.
 
-    Where every candidate has its own key the draw is `_pairwise_draw`'s, bit
-    for bit, and otherwise `_per_key_draw`'s; either way it takes the same
-    uniforms. Each reported probability is the pairwise softmax probability of
-    the candidate drawn, among those left, to 1e-12.
+    The draw is `_floor_bucket_draw`'s, bit for bit, taking the same uniforms.
+    Where the rule enumerates every key, that is `_pairwise_draw`'s where every
+    candidate has its own key and `_per_key_draw`'s otherwise. Each reported
+    probability is the pairwise softmax probability of the candidate drawn,
+    among those left, to 1e-12.
     """
     weights = [_pairwise_turn_weight(target, m) for m in maps]
     keys = [similarity_key(m) for m in maps]
+    target_key = similarity_key(target)
     rng, reference_rng = new_rng(), new_rng()
-    drawn = candidates.draw(similarity_key(target), k, tau, rng, skip)
-    if len(set(keys)) == len(keys):
-        reference = _pairwise_draw([(p, w) for p, w in enumerate(weights) if p != skip],
-                                   k, tau, reference_rng)
-    else:
-        reference = _per_key_draw(list(zip(weights, keys)), k, tau, reference_rng, skip)
+    drawn = candidates.draw(target_key, k, tau, rng, skip)
+    reference = _floor_bucket_draw(list(zip(weights, keys)), target_key, k, tau,
+                                   reference_rng, skip)
     assert drawn == [(candidates.items[p], w, prob) for p, w, prob in reference]
     if hasattr(rng, "getstate"):
         assert rng.getstate() == reference_rng.getstate()
+    if _enumerated_keys(list(dict.fromkeys(keys)), target_key) is None:
+        if len(set(keys)) == len(keys):
+            every_key = _pairwise_draw([(p, w) for p, w in enumerate(weights) if p != skip],
+                                       k, tau, new_rng())
+        else:
+            every_key = _per_key_draw(list(zip(weights, keys)), k, tau, new_rng(), skip)
+        assert reference == every_key
     left = [p for p in range(len(maps)) if p != skip]
     for p, _, prob in reference:
         peak = max(weights[q] for q in left)
@@ -436,14 +509,15 @@ def test_indexed_draws_equal_pairwise_draws(ontology):
                                              lambda: make_rng(seed), skip)
             first_draws.append(drawn[0])
     assert first_draws[20:40] == [1] * 20  # the second case did draw the peak out first
-    # draws that land exactly on a repeated cumulative sum: masses [0, 2, 2] at tau=1e-6,
-    # and x = 1.0 lands on the rank-1 candidate of the repeated key; a uniform of 1.0,
-    # which random() never returns, takes the last candidate left, past a key drawn out
+    # draws that land exactly on a repeated cumulative sum: the buckets are area, both and
+    # the floor (food), masses [2, 2, 2] at tau=1e-6, and x = 1.0 lands on the rank-1
+    # candidate of the repeated key; a uniform of 1.0, which random() never returns, takes
+    # the last candidate left, the floor's, then past a key drawn out by the skip
     beliefs = [food, area, both, area]
     candidates = _KeyedCandidates(list(range(len(beliefs))), beliefs)
     for landing, skip, expected in (([0.0], None, [1]), ([0.5], None, [3]),
-                                    ([0.5, 0.0], None, [3, 1]), ([1.0], None, [2]),
-                                    ([1.0, 1.0], 2, [3, 1])):
+                                    ([0.5, 0.0], None, [3, 1]), ([1.0], None, [0]),
+                                    ([1.0, 1.0], 2, [0, 3])):
         drawn = _assert_draw_follows_law(
             candidates, beliefs, area, len(landing), 1e-6,
             lambda: SimpleNamespace(random=iter(landing).__next__), skip)
@@ -484,6 +558,84 @@ def test_repeated_key_draw_frequencies_match_softmax():
     for observed, expected in zip(counts, (first, second)):
         chi2 = sum((o - trials * p) ** 2 / (trials * p) for o, p in zip(observed, expected))
         assert chi2 < 20.5
+
+
+def _floor_pool(ontology, rng):
+    """Beliefs over many keys, some repeated, with domain-only and general entries."""
+    beliefs = [random_belief(ontology, rng) for _ in range(rng.randint(4, 9))]
+    beliefs += [rng.choice(beliefs).copy() for _ in range(rng.randint(0, 4))]
+    rng.shuffle(beliefs)
+    return beliefs
+
+
+def test_floor_bucket_draws_equal_plain_loop_draws(ontology):
+    rng = make_rng(83)
+    rules = {"floor": 0, "every key": 0}
+    floor_draws = 0
+    for _ in range(40):
+        beliefs = _floor_pool(ontology, rng)
+        candidates = _KeyedCandidates(list(range(len(beliefs))), beliefs)
+        keys = list(dict.fromkeys(map(similarity_key, beliefs)))
+        union = TurnBelief()
+        for belief in beliefs:
+            for domain, slot, value in belief.triples():
+                union.set(domain, slot, value)
+        targets = [_random_dst_target(ontology, rng), rng.choice(beliefs).copy(), union,
+                   TurnBelief({"general": {}}), goal_of({"hotel": {}}),
+                   goal_of({"general": {}, "taxi": {}}),
+                   TurnBelief({"hotel": {"jacuzzi": "yes"}})]  # a slot the pool never saw
+        for target in targets:
+            enumerated = _enumerated_keys(keys, similarity_key(target))
+            rules["every key" if enumerated is None else "floor"] += 1
+            tau = rng.choice([0.05, 0.2, 1.0])
+            for skip in [None, *range(len(beliefs))]:
+                for k in range(1, len(beliefs) + (skip is None)):
+                    seed = rng.random()
+                    drawn = _assert_draw_follows_law(candidates, beliefs, target, k, tau,
+                                                     lambda: make_rng(seed), skip)
+                    if enumerated is not None:
+                        floor_draws += sum(similarity_key(beliefs[p]) not in enumerated
+                                           for p in drawn)
+    assert min(rules.values()) > 20
+    assert floor_draws > 1000
+
+
+def test_turn_probabilities_equal_first_floor_draw(ontology):
+    rng = make_rng(89)
+    checked = 0
+    for seed in range(200):
+        beliefs = _floor_pool(ontology, rng)
+        target = similarity_key(_random_dst_target(ontology, rng))
+        if _enumerated_keys(list(dict.fromkeys(map(similarity_key, beliefs))), target) is None:
+            continue
+        candidates = _KeyedCandidates(list(range(len(beliefs))), beliefs)
+        tau = rng.choice([0.05, 0.2, 1.0])
+        probs = candidates.probabilities(target, tau)
+        first, _, p = candidates.draw(target, 1, tau, make_rng(seed))[0]
+        assert p == probs[first]
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+        checked += 1
+    assert checked > 100
+
+
+def test_dst_sample_frequency_matches_probabilities():
+    area, both, stars, food, train, hotel = (TurnBelief(entries) for entries in (
+        {"hotel": {"area": "north"}}, {"hotel": {"area": "north", "stars": "4"}},
+        {"hotel": {"stars": "4"}}, {"restaurant": {"food": "thai"}},
+        {"train": {"day": "monday"}}, {"hotel": {}}))
+    beliefs = [food, area, stars, train, both, food, hotel, stars, area, train]
+    target = similarity_key(TurnBelief({"hotel": {"area": "south"}}))
+    candidates = _KeyedCandidates(list(range(len(beliefs))), beliefs)
+    assert _enumerated_keys(list(dict.fromkeys(map(similarity_key, beliefs))), target) == [
+        similarity_key(area), similarity_key(both)]
+    tau, trials = 0.5, 20000
+    probs = candidates.probabilities(target, tau)
+    hits = [0] * len(beliefs)
+    rng = make_rng(97)
+    for _ in range(trials):
+        hits[candidates.draw(target, 1, tau, rng)[0][0]] += 1
+    for observed, p in zip(hits, probs):
+        assert abs(observed / trials - p) < 0.01
 
 
 class _CountingList(list):

@@ -93,3 +93,12 @@ def test_combined_score_reference_rows():
 def test_combined_score_rejects_negative():
     with pytest.raises(ValueError):
         combined_score(-1, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("position", range(3))
+def test_combined_score_rejects_non_finite(bad, position):
+    values = [1.0, 1.0, 1.0]
+    values[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        combined_score(*values)
