@@ -180,7 +180,11 @@ class ReplayBackend(CompletionBackend):
 
 
 class RecordingBackend(CompletionBackend):
-    """Decorator that logs every completion to a JSON-lines transcript."""
+    """Decorator that logs every completion to a JSON-lines transcript.
+
+    The transcript starts empty when the recorder is built: a file already at
+    `sink` is truncated, so a replay serves this run's completions only.
+    """
 
     def __init__(self, inner: CompletionBackend, sink: str | Path):
         self.inner = inner
@@ -188,6 +192,7 @@ class RecordingBackend(CompletionBackend):
         self.concurrency = inner.concurrency
         self.context_budget = inner.context_budget
         self._lock = threading.Lock()
+        open(self.sink, "w", encoding="utf-8").close()
 
     def complete(self, req: CompletionRequest) -> str:
         completion = self.inner.complete(req)

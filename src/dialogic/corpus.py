@@ -28,6 +28,7 @@ from .model import (
     Turn,
     TurnBelief,
     UserGoal,
+    ValidationError,
 )
 from .ontology import NONE, Ontology, canonical_slot
 from .textnorm import SharedTexts, normalize_text
@@ -64,13 +65,10 @@ def key_similarity(a: SimilarityKey, b: SimilarityKey) -> float:
 class _KeyedCandidates:
     """Candidates in pool order, each pointing at one of their distinct similarity keys.
 
-    Each domain name and each qualified slot name among the distinct keys gets
-    one bit, and each distinct key is stored as (domain mask, domain count,
-    slot mask, slot count), so a Jaccard's shared count is a popcount. Each
-    key also lists its candidates' positions in pool order, and its first
-    candidate's offset in key-then-pool order. Each qualified slot lists the
-    keys that have it, and each domain the slotless keys that have it, in key
-    order. All of it is fixed at construction; worker threads only read it.
+    Each distinct key lists its candidates' positions in pool order, and its
+    first candidate's offset in key-then-pool order. Each qualified slot lists
+    the keys that have it, and each domain the slotless keys that have it, in
+    key order. All of it is fixed at construction; worker threads only read it.
     """
 
     def __init__(self, items: list, maps: Iterable[TripletMap]):
@@ -83,56 +81,23 @@ class _KeyedCandidates:
             self.positions[j].append(position)
         self.counts = list(map(len, self.positions))
         self.starts = [0, *accumulate(self.counts)][:len(self.keys)]
-        self._bit: dict[str, int] = {}
         self._keys_with_slot: dict[str, list[int]] = {}
         self._slotless_keys_with_domain: dict[str, list[int]] = {}
         for j, (domains, slots) in enumerate(self.keys):
-            for name in (*domains, *slots):
-                self._bit.setdefault(name, 1 << len(self._bit))
             lists = self._keys_with_slot if slots else self._slotless_keys_with_domain
             for name in slots or domains:
                 lists.setdefault(name, []).append(j)
-        self._packed = [(self._mask(domains), len(domains), self._mask(slots), len(slots))
-                        for domains, slots in self.keys]
-
-    def _mask(self, names: frozenset[str]) -> int:
-        """The bits of `names`; a name the pool never saw sets none."""
-        mask = 0
-        for name in names:
-            mask |= self._bit.get(name, 0)
-        return mask
-
-    def _by_key(self, target: SimilarityKey, keys: Iterable[int]) -> list[float]:
-        """key_similarity(target, key) per key index in `keys`, bit for bit.
-
-        A name the pool never saw sets no bit but counts in the target's size,
-        so the integer operands, the divisions and the product are the same.
-        """
-        domains, slots = target
-        dmask, smask = self._mask(domains), self._mask(slots)
-        n_domains, n_slots = len(domains), len(slots)
-        return [
-            shared / (n_domains + key_domains - shared)
-            * (s / union if (union := n_slots + key_slots - (s := (smask & key_smask).bit_count()))
-               else 1.0)
-            if (shared := (dmask & key_dmask).bit_count()) else 0.0
-            for key_dmask, key_domains, key_smask, key_slots in map(self._packed.__getitem__, keys)
-        ]
-
-    def weights(self, target: SimilarityKey) -> list[float]:
-        """key_similarity(target, candidate key) per candidate, one Jaccard per distinct key."""
-        by_key = self._by_key(target, range(len(self.keys)))
-        return list(map(by_key.__getitem__, self.key_of))
 
     def _buckets(self, target: SimilarityKey) -> tuple[list[int], list[float], list[int]]:
         """The keys a draw enumerates, ascending, and each bucket's weight and candidates.
 
         A key weighs above 0.0 only if it shares a qualified slot with the
         target or, for a slotless target, is slotless and shares a domain; a
-        draw enumerates those keys, one bucket each, and every other key's
-        candidates are the floor bucket, last, at weight 0.0. Where the
-        target's lists of such keys are together at least as long as the key
-        list, every key is enumerated and the floor is empty.
+        draw enumerates those keys, one bucket each, weighed by
+        `key_similarity`, and every other key's candidates are the floor
+        bucket, last, at weight 0.0. Where the target's lists of such keys are
+        together at least as long as the key list, every key is enumerated and
+        the floor is empty.
         """
         domains, slots = target
         lists, names = ((self._keys_with_slot, slots) if slots
@@ -144,7 +109,7 @@ class _KeyedCandidates:
             keys = sorted(set().union(*found))
         counts = [self.counts[j] for j in keys]
         counts.append(len(self.items) - sum(counts))
-        return keys, [*self._by_key(target, keys), 0.0], counts
+        return keys, [*(key_similarity(target, self.keys[j]) for j in keys), 0.0], counts
 
     @staticmethod
     def _exps(by_key: list[float], counts: list[int], tau: float) -> tuple[float, list[float]]:
@@ -243,9 +208,9 @@ class SimilarityIndex:
     demonstrations draw from the user turns with a nonempty belief, as
     (dialogue, turn index) pairs. Both lists are in pool order. A draw
     weighs the distinct keys that can weigh above 0.0 for its target, not each
-    candidate, with two popcounts on their packed bitmasks, takes one exp per
-    key with a nonzero weight plus one for all zero weights, and picks a key
-    or the floor of all other keys, then one of its candidates.
+    candidate, with one `key_similarity` each, takes one exp per key with a
+    nonzero weight plus one for all zero weights, and picks a key or the floor
+    of all other keys, then one of its candidates.
     """
 
     def __init__(self, dialogues: list[Dialogue]):
@@ -367,10 +332,13 @@ class _Load:
         return annotation.admitted(self.ontology)
 
     def triplet_map(self, cls, data: dict, where: str, dialogue_id: str, place: str):
-        """`cls.from_dict(data)` via the load's memos, admitted; domains must map to objects."""
+        """`cls.from_dict(data)` via the load's memos, admitted; domains map to objects."""
         for domain, slots in data.items():
             _require(isinstance(slots, dict), where, f"domain {domain!r} must be an object")
-        tmap = cls.from_dict(data, slot_name=self.slot, lowered=self.lowered)
+        try:
+            tmap = cls.from_dict(data, slot_name=self.slot, lowered=self.lowered)
+        except ValidationError as exc:
+            raise CorpusError(f"{where}.{exc}") from exc
         return self.admit(tmap, dialogue_id, place)
 
     def goal(self, data: dict, key: str, where: str, dialogue_id: str) -> UserGoal:
@@ -418,7 +386,8 @@ class _Load:
         _require(isinstance(data, dict), where, "dialogue must be an object")
         for key in ("id", "goal", "turns"):
             _require(key in data, where, f"missing key {key!r}")
-        dialogue_id = str(data["id"])
+        _require(isinstance(data["id"], str), where, "id must be a string")
+        dialogue_id = data["id"]
         goal = self.goal(data, "goal", where, dialogue_id)
         initial = (self.goal(data, "initial_goal", where, dialogue_id)
                    if "initial_goal" in data else goal)

@@ -8,6 +8,7 @@ text fails fast so the simulation loop can retry.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -52,6 +53,11 @@ def goal_similarity(g1: UserGoal, g2: UserGoal) -> float:
     return key_similarity(similarity_key(g1), similarity_key(g2))
 
 
+def _require_temperature(tau: float) -> None:
+    if not 0 < tau < math.inf:  # nan fails both comparisons
+        raise ValueError(f"temperature must be finite and > 0, got {tau!r}")
+
+
 def selection_probabilities(target: UserGoal, pool: SeedDataset,
                             tau: float) -> dict[str, float]:
     """Softmax over goal similarities: p_j = exp(w_j / tau) / sum_k exp(w_k / tau).
@@ -59,8 +65,7 @@ def selection_probabilities(target: UserGoal, pool: SeedDataset,
     Each value is the probability that `select_examples` reports for drawing
     that dialogue first, from the same exps and total.
     """
-    if tau <= 0:
-        raise ValueError("temperature must be > 0")
+    _require_temperature(tau)
     if len(pool) == 0:
         raise ValueError("candidate pool is empty")
     index = pool.similarity
@@ -70,6 +75,7 @@ def selection_probabilities(target: UserGoal, pool: SeedDataset,
 def select_examples(target: UserGoal, pool: SeedDataset, k: int, tau: float,
                     rng: random.Random) -> list[Dialogue]:
     """Draw k distinct dialogues without replacement, renormalizing after each draw."""
+    _require_temperature(tau)
     if k > len(pool):
         raise ValueError(f"cannot sample {k} examples from a pool of {len(pool)}")
     index = pool.similarity

@@ -49,14 +49,17 @@ class TripletMap:
                   lowered: Callable[[str], str] = str.lower):
         """Build from plain JSON data, folding slot aliases to canonical names.
 
-        `slot_name` and `lowered` name each slot and lower each `str(value)`;
-        a corpus load passes memos of its own, so that equal texts share one string.
+        `slot_name` and `lowered` name each slot and lower each value; a corpus
+        load passes memos of its own, so that equal texts share one string. A
+        value that is not a string raises ValidationError naming `domain.slot`.
         """
         obj = cls()
         for domain, slots in data.items():
             obj.entries.setdefault(domain, {})
             for slot, value in slots.items():
-                obj.set(domain, slot_name(slot), lowered(str(value)))
+                if not isinstance(value, str):
+                    raise ValidationError(f"{domain}.{slot} must be a string, got {value!r}")
+                obj.set(domain, slot_name(slot), lowered(value))
         return obj
 
     def set(self, domain: str, slot: str, value: str) -> None:

@@ -19,6 +19,7 @@ from .model import (
     Triple,
     Turn,
     TurnBelief,
+    ValidationError,
     current_domain,
 )
 from .ontology import GENERAL_DOMAIN, NONE, Ontology
@@ -470,8 +471,8 @@ class HttpAuxPredictor(AuxPredictor):
     """Adapter for an external aux model: one JSON POST per request.
 
     Belief requests carry {context, utterance}; act requests additionally carry
-    {belief, db}. Replies are {"belief": {domain: {slot: value}}} or
-    {"act": [[domain, act_type, slot], ...]}. An HTTP or connection error, no
+    {belief, db}. Replies are {"belief": {domain: {slot: value}}}, each value
+    a string, or {"act": [[domain, act_type, slot], ...]}. An HTTP or connection error, no
     reply within AUX_TIMEOUT_S, or a reply of any other shape raises
     SimulationError of kind aux_error, which fails only its own dialogue.
     """
@@ -500,7 +501,11 @@ class HttpAuxPredictor(AuxPredictor):
         if not isinstance(data, dict) or not all(isinstance(s, dict) for s in data.values()):
             raise SimulationError(f"aux endpoint {self.url}: belief is not domain -> slot -> "
                                   f"value: {data!r}", kind="aux_error")
-        return TurnBelief.from_dict(data)
+        try:
+            return TurnBelief.from_dict(data)
+        except ValidationError as exc:
+            raise SimulationError(f"aux endpoint {self.url}: belief {exc}",
+                                  kind="aux_error") from exc
 
     def predict_act(self, context, utterance, belief, db) -> DialogAct:
         reply = self._ask(context, utterance, belief=belief.to_dict(), db=db.to_json())

@@ -70,6 +70,36 @@ def test_simulate_replay_determinism(tmp_path, mock_script_file):
     assert a == (tmp_path / "rec.json").read_bytes()
 
 
+def test_record_starts_a_fresh_transcript(tmp_path, mock_script_file):
+    transcript = tmp_path / "t.jsonl"
+    assert main(simulate_args(tmp_path, out_name="first.json", backend="mock",
+                              mock_script=mock_script_file, record=str(transcript))) == 0
+    other_script = write_json(tmp_path / "other.json", [
+        "[general]): hi there , that is everything .", "[general] [bye]): bye now ."] * 5)
+    assert main(simulate_args(tmp_path, out_name="second.json", backend="mock",
+                              mock_script=other_script, record=str(transcript))) == 0
+    second = (tmp_path / "second.json").read_bytes()
+    assert second != (tmp_path / "first.json").read_bytes()
+    assert main(simulate_args(tmp_path, out_name="replay.json", backend="replay",
+                              transcript=str(transcript))) == 0
+    assert (tmp_path / "replay.json").read_bytes() == second
+
+
+@pytest.mark.parametrize("rejected", [{"num": 0}, {"mock_script": "bad.json"}],
+                         ids=["num-zero", "mock-script-not-json"])
+def test_rejected_run_leaves_an_existing_transcript(tmp_path, monkeypatch, mock_script_file,
+                                                    rejected):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text("[", encoding="utf-8")
+    transcript = tmp_path / "t.jsonl"
+    options = {"backend": "mock", "mock_script": mock_script_file, "record": str(transcript)}
+    assert main(simulate_args(tmp_path, **options)) == 0
+    recorded = transcript.read_bytes()
+    assert main(simulate_args(tmp_path, out_name="rejected.json", **{**options, **rejected})) == 2
+    assert transcript.read_bytes() == recorded
+    assert not (tmp_path / "rejected.json").exists()
+
+
 def test_simulate_num_zero_usage_error(tmp_path, mock_script_file):
     code = main(["simulate", "--seed-corpus", SEED_CORPUS_PATH,
                  "--out", str(tmp_path / "x.json"), "--num", "0",

@@ -268,6 +268,22 @@ MALFORMED = [
                  r"dialogues\[0\]\.turns\[0\]: user must be a string", id="user-null"),
     pytest.param(_one_dialogue(turn={"resp": 5}),
                  r"dialogues\[0\]\.turns\[0\]: resp must be a string", id="resp-int"),
+    pytest.param(_one_dialogue(goal={"hotel": {"type": None}}),
+                 r"dialogues\[0\]\.goal\.hotel\.type must be a string", id="goal-value-null"),
+    pytest.param(_one_dialogue(goal={"hotel": {"stars": 3}}),
+                 r"dialogues\[0\]\.goal\.hotel\.stars must be a string", id="goal-value-int"),
+    pytest.param(_one_dialogue(initial_goal={"hotel": {"parking": True}}),
+                 r"dialogues\[0\]\.initial_goal\.hotel\.parking must be a string",
+                 id="initial-goal-value-bool"),
+    pytest.param(_one_dialogue(turn={"belief": {"hotel": {"area": {"a": 1}}}}),
+                 r"dialogues\[0\]\.turns\[0\]\.belief\.hotel\.area must be a string",
+                 id="belief-value-object"),
+    pytest.param(_one_dialogue(turn={"belief": {"hotel": {"area": None}}}),
+                 r"dialogues\[0\]\.turns\[0\]\.belief\.hotel\.area must be a string",
+                 id="belief-value-null"),
+    pytest.param(_one_dialogue(id=None), r"dialogues\[0\]: id must be a string", id="id-null"),
+    pytest.param(_one_dialogue(id=7), r"dialogues\[0\]: id must be a string", id="id-int"),
+    pytest.param(_one_dialogue(id=["x"]), r"dialogues\[0\]: id must be a string", id="id-list"),
 ]
 
 
@@ -366,10 +382,10 @@ def _lenient_payload(seeds):
         data = dialogue_to_json(dlg)
         data["id"] = f"lenient{n}"
         data["initial_goal"] = {"Hotel": {"Area": "NORTH"}, "spaceship": {"x": "y"}}
-        data["goal"]["hotel"] = {"price range": "Cheap", "color": "red", "Book Stay": 3}
+        data["goal"]["hotel"] = {"price range": "Cheap", "color": "red", "Book Stay": "3"}
         for i, turn in enumerate(data["turns"]):
             turn["user"] = turn["user"].upper() + " ?!"
-            turn["belief"].setdefault("hotel", {})["book people"] = i
+            turn["belief"].setdefault("hotel", {})["book people"] = str(i)
             turn["belief"]["general"] = {"area": "south"}
             turn["act"] += [["hotel", "request", "Price Range"], ["taxi", "frob", None],
                             ["hotel", "inform", "color"]]

@@ -168,6 +168,19 @@ def test_sample_too_many_rejected():
         select_examples(goal_of({"hotel": {"stay": "1"}}), pool, 2, 0.2, make_rng(0))
 
 
+@pytest.mark.parametrize("tau", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_temperature_not_finite_and_positive_rejected(tau):
+    target = goal_of({"hotel": {"stay": "1"}})
+    pool = mini_pool(goal_of({"hotel": {"stay": "2"}}), goal_of({"train": {"day": "monday"}}))
+    rng = make_rng(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        select_examples(target, pool, 1, tau, rng)
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        selection_probabilities(target, pool, tau)
+
+
 def test_sample_frequency_matches_probabilities():
     target = goal_of({"hotel": {"area": "south", "stay": "5", "people": "4"},
                       "train": {"destination": "x", "arrive": "y"}})
@@ -422,25 +435,22 @@ def test_similarity_index_weights_equal_pairwise_loops(ontology):
         shared_keys += len(index.turns.items) - len(index.turns.keys)
         target = _random_target_goal(ontology, rng)
         expected = [_pairwise_similarity(target, d.final_goal) for d in pool]
-        assert index.goals.weights(index.goal_key(target)) == expected
+        assert index.goal_key(target) == similarity_key(target)
         assert [goal_similarity(target, d.final_goal) for d in pool] == expected
 
         belief = _random_target_belief(ontology, rng)
-        exclude = _random_exclude(pool, rng)
-        turns = _pairwise_turns(pool, exclude)
-        weights = index.turns.weights(similarity_key(belief))
-        skip = index.turn_position.get(exclude)
-        if skip is not None:
-            del weights[skip]
-        assert weights == [_pairwise_turn_weight(belief, d.turns[i].belief) for d, i in turns]
-        assert index.turns.items == _pairwise_turns(pool, None)
+        turns = _pairwise_turns(pool, None)
+        assert index.turns.items == turns
+        assert [key_similarity(similarity_key(belief), similarity_key(d.turns[i].belief))
+                for d, i in turns] == [_pairwise_turn_weight(belief, d.turns[i].belief)
+                                       for d, i in turns]
     assert shared_keys > 300
 
 
 def test_similarity_index_empty_targets(ontology):
     pool = _random_pool(ontology, make_rng(5))
-    turns = pool.similarity.turns
-    assert turns.weights(similarity_key(TurnBelief())) == [0.0] * len(turns.items)
+    keys = pool.similarity.turns.keys
+    assert [key_similarity(similarity_key(TurnBelief()), key) for key in keys] == [0.0] * len(keys)
     with pytest.raises(ValueError):
         pool.similarity.goal_key(UserGoal())
     with pytest.raises(ValueError):
@@ -677,8 +687,8 @@ def test_draw_cost_does_not_grow_with_candidates():
                 assert 0.0 <= p <= 1.0
 
 
-def test_packed_key_weights_equal_key_similarity():
-    # up to 8 slots in each of 10 domains: over 64 qualified slots, so masks span two words
+def test_wide_pool_draws_follow_key_similarity():
+    # up to 8 slots in each of 10 domains: over 64 qualified slots
     wide = [TurnBelief({f"d{d}": {f"s{s}": "x" for s in range(d % 8 + 1)}}) for d in range(10)]
     wide += [TurnBelief({f"d{d}": {f"s{s}": "x" for s in range(8)},
                          f"d{d + 1}": {f"s{s}": "x" for s in range(8 - d % 8)}})
@@ -707,9 +717,8 @@ def test_packed_key_weights_equal_key_similarity():
         candidates = _KeyedCandidates(list(range(len(beliefs))), beliefs)
         for target in targets:
             key = similarity_key(target)
-            expected = [key_similarity(key, similarity_key(b)) for b in beliefs]
-            assert candidates.weights(key) == expected
-            assert expected == [_pairwise_turn_weight(target, b) for b in beliefs]
+            assert [key_similarity(key, similarity_key(b)) for b in beliefs] == [
+                _pairwise_turn_weight(target, b) for b in beliefs]
             for seed in range(5):
                 _assert_draw_follows_law(candidates, beliefs, target, min(3, len(beliefs)), 0.2,
                                          lambda: make_rng(seed))

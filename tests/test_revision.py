@@ -550,7 +550,8 @@ def test_http_adapter_round_trip(loopback):
 
 
 # replies that are JSON but not of the wire shape; each used to escape as an
-# AttributeError, TypeError or ValueError instead of failing as an aux error
+# AttributeError, TypeError or ValueError, or a belief value that is not a
+# string to be read as its str(), instead of failing as an aux error
 @pytest.mark.parametrize("ask, reply", [
     ("belief", []),
     ("belief", "x"),
@@ -561,6 +562,9 @@ def test_http_adapter_round_trip(loopback):
     ("act", {"act": [5]}),
     ("act", {"act": [["a", "b"]]}),
     ("act", {"act": ["abc"]}),
+    ("belief", {"belief": {"hotel": {"area": None}}}),
+    ("belief", {"belief": {"hotel": {"stars": 3}}}),
+    ("belief", {"belief": {"hotel": {"parking": True}}}),
 ])
 def test_http_adapter_rejects_malformed_reply(loopback, ask, reply):
     adapter = HttpAuxPredictor(f"{loopback(lambda request, headers: (200, reply, {}))}/aux")
