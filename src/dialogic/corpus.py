@@ -331,32 +331,30 @@ class _Load:
         self.issues.extend(f"{dialogue_id} {where}: {problem}" for problem in problems)
         return annotation.admitted(self.ontology)
 
-    def triplet_map(self, cls, data: dict, where: str, dialogue_id: str, place: str):
-        """`cls.from_dict(data)` via the load's memos, admitted; domains map to objects."""
-        for domain, slots in data.items():
-            _require(isinstance(slots, dict), where, f"domain {domain!r} must be an object")
+    @staticmethod
+    def built(where: str, build, data, **kwargs):
+        """`build(data, **kwargs)`, its ValidationError a CorpusError with `where` in front."""
         try:
-            tmap = cls.from_dict(data, slot_name=self.slot, lowered=self.lowered)
+            return build(data, **kwargs)
         except ValidationError as exc:
-            raise CorpusError(f"{where}.{exc}") from exc
+            raise CorpusError(f"{where}: {exc}") from exc
+
+    def triplet_map(self, cls, data, where: str, dialogue_id: str, place: str):
+        """`cls.from_dict(data)` via the load's memos, admitted."""
+        tmap = self.built(where, cls.from_dict, data, slot_name=self.slot, lowered=self.lowered)
         return self.admit(tmap, dialogue_id, place)
 
     def goal(self, data: dict, key: str, where: str, dialogue_id: str) -> UserGoal:
-        _require(isinstance(data[key], dict), where, f"{key} must be an object")
         return self.triplet_map(UserGoal, data[key], f"{where}.{key}", dialogue_id, key)
 
     def db_result(self, data: dict, where: str) -> DbResult:
         if "db" not in data:
             return NO_RESULT
-        _require(isinstance(data["db"], dict), where, "db must be an object")
-        try:
-            db = DbResult.from_json(data["db"])
-            return self.db.setdefault(db, db)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"{where}.db: {exc}") from exc
+        db = self.built(f"{where}.db", DbResult.from_json, data["db"])
+        return self.db.setdefault(db, db)
 
     def turn(self, data: dict, where: str, dialogue_id: str, i: int) -> Turn:
-        """Turn `i` of a dialogue; its shape is checked whole before its belief is built."""
+        """Turn `i` of a dialogue; each annotation is built and admitted in file order."""
         _require(isinstance(data, dict), where, "turn must be an object")
         # each message is built only on failure: a load checks every turn and triple
         for key in ("user", "belief", "act", "resp"):
@@ -365,18 +363,13 @@ class _Load:
         for key in ("user", "resp"):
             if not isinstance(data[key], str):
                 raise CorpusError(f"{where}: {key} must be a string")
-        db = self.db_result(data, where)
-        _require(isinstance(data["belief"], dict), where, "belief must be an object")
-        _require(isinstance(data["act"], list), where, "act must be a list of triples")
-        for triple in data["act"]:
-            if not isinstance(triple, list) or len(triple) != 3:
-                raise CorpusError(f"{where}.act: bad act triple {triple!r}")
         return Turn(
             user_utterance=self.text(data["user"]),
             belief=self.triplet_map(TurnBelief, data["belief"], f"{where}.belief",
                                     dialogue_id, f"turns[{i}].belief"),
-            db=db,
-            act=self.admit(DialogAct.from_triples(data["act"], slot_name=self.slot),
+            db=self.db_result(data, where),
+            act=self.admit(self.built(f"{where}.act", DialogAct.from_triples, data["act"],
+                                      slot_name=self.slot),
                            dialogue_id, f"turns[{i}].act"),
             system_response=self.text(data["resp"]),
         )

@@ -50,11 +50,16 @@ class TripletMap:
         """Build from plain JSON data, folding slot aliases to canonical names.
 
         `slot_name` and `lowered` name each slot and lower each value; a corpus
-        load passes memos of its own, so that equal texts share one string. A
-        value that is not a string raises ValidationError naming `domain.slot`.
+        load passes memos of its own, so that equal texts share one string.
+        Data or a domain entry that is not an object, and a value that is not a
+        string, raise ValidationError naming the domain or `domain.slot`.
         """
+        if not isinstance(data, dict):
+            raise ValidationError(f"must be an object, got {data!r}")
         obj = cls()
         for domain, slots in data.items():
+            if not isinstance(slots, dict):
+                raise ValidationError(f"domain {domain!r} must be an object, got {slots!r}")
             obj.entries.setdefault(domain, {})
             for slot, value in slots.items():
                 if not isinstance(value, str):
@@ -184,15 +189,23 @@ class DialogAct:
     triples: tuple[Triple, ...] = ()
 
     @classmethod
-    def from_triples(cls, triples: Iterable[Iterable[str]], *,
+    def from_triples(cls, triples: list[list[str]], *,
                      slot_name: Callable[[str], str] = canonical_slot) -> "DialogAct":
-        """Build from (domain, act type, slot) triples; `slot_name` names each slot."""
-        norm = tuple(
-            (d, t, slot_name(s) if s and s != NONE else NONE)
-            for d, t, s in ((str(a), str(b), str(c) if c is not None else NONE)
-                            for a, b, c in triples)
-        )
-        return cls(norm)
+        """Build from JSON data: a list of [domain, act type, slot] lists of strings.
+
+        `slot_name` names each slot. Anything else, a `null` member included,
+        raises ValidationError naming the triple (`[2]`); nothing is coerced.
+        """
+        if not isinstance(triples, list):
+            raise ValidationError(f"must be a list of triples, got {triples!r}")
+        norm = []
+        for i, triple in enumerate(triples):
+            if not (isinstance(triple, list) and len(triple) == 3
+                    and all(isinstance(member, str) for member in triple)):
+                raise ValidationError(f"[{i}] must be three strings, got {triple!r}")
+            d, t, s = triple
+            norm.append((d, t, slot_name(s) if s and s != NONE else NONE))
+        return cls(tuple(norm))
 
     def has(self, act_type: str, domain: str | None = None) -> bool:
         return any(
@@ -252,7 +265,12 @@ class DbResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "DbResult":
-        """Read as written: a string domain and an int count, neither one coerced."""
+        """Read as written, not coerced: an object with a string domain, an int count, a bucket."""
+        if not isinstance(data, dict):
+            raise ValidationError(f"must be an object, got {data!r}")
+        for key in ("domain", "count", "bucket"):
+            if key not in data:
+                raise ValidationError(f"missing key {key!r}")
         domain, count = data["domain"], data["count"]
         if not isinstance(domain, str):
             raise ValidationError(f"domain must be a string, got {domain!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from .corpus import turn_to_json
 from .model import (
     DialogAct,
     DialogueState,
@@ -455,15 +456,6 @@ class LexicalAuxPredictor(AuxPredictor):
         return DialogAct(tuple(triples))
 
 
-def _turn_wire(turn: Turn) -> dict:
-    return {
-        "user": turn.user_utterance,
-        "belief": turn.belief.to_dict(),
-        "act": turn.act.to_json(),
-        "resp": turn.system_response,
-    }
-
-
 AUX_TIMEOUT_S = 30.0  # how long an external aux model may take to answer one request
 
 
@@ -472,8 +464,9 @@ class HttpAuxPredictor(AuxPredictor):
 
     Belief requests carry {context, utterance}; act requests additionally carry
     {belief, db}. Replies are {"belief": {domain: {slot: value}}}, each value
-    a string, or {"act": [[domain, act_type, slot], ...]}. An HTTP or connection error, no
-    reply within AUX_TIMEOUT_S, or a reply of any other shape raises
+    a string, or {"act": [[domain, act_type, slot], ...]}, each member a string.
+    An HTTP or connection error, no reply within AUX_TIMEOUT_S, or a reply of
+    any other shape, one without its `belief` or `act` key included, raises
     SimulationError of kind aux_error, which fails only its own dialogue.
     """
 
@@ -483,38 +476,32 @@ class HttpAuxPredictor(AuxPredictor):
         self.url = url
         self._session = requests.Session()
 
-    def _ask(self, context: list[Turn], utterance: str, **extra) -> dict:
-        request = {"context": [_turn_wire(t) for t in context], "utterance": utterance, **extra}
+    def _ask(self, key: str, build, context: list[Turn], utterance: str, **extra):
+        """POST one request and `build` the reply's `key` entry; any fault is an aux_error."""
+        # a context turn goes on the wire as in a corpus, without its DB result
+        wire = [{k: v for k, v in turn_to_json(t).items() if k != "db"} for t in context]
+        request = {"context": wire, "utterance": utterance, **extra}
         try:
             response = self._session.post(self.url, json=request, timeout=AUX_TIMEOUT_S)
             response.raise_for_status()
             reply = response.json()
         except (OSError, ValueError) as exc:  # requests.RequestException is an OSError
             raise SimulationError(f"aux endpoint {self.url}: {exc}", kind="aux_error") from exc
-        if not isinstance(reply, dict):
-            raise SimulationError(f"aux endpoint {self.url}: reply is not an object: {reply!r}",
-                                  kind="aux_error")
-        return reply
-
-    def predict_belief(self, context: list[Turn], view: TokenView) -> TurnBelief:
-        data = self._ask(context, view.text).get("belief", {})
-        if not isinstance(data, dict) or not all(isinstance(s, dict) for s in data.values()):
-            raise SimulationError(f"aux endpoint {self.url}: belief is not domain -> slot -> "
-                                  f"value: {data!r}", kind="aux_error")
+        if not isinstance(reply, dict) or key not in reply:
+            raise SimulationError(f"aux endpoint {self.url}: reply is not an object with a "
+                                  f"{key!r} key: {reply!r}", kind="aux_error")
         try:
-            return TurnBelief.from_dict(data)
+            return build(reply[key])
         except ValidationError as exc:
-            raise SimulationError(f"aux endpoint {self.url}: belief {exc}",
+            raise SimulationError(f"aux endpoint {self.url}: {key} {exc}",
                                   kind="aux_error") from exc
 
+    def predict_belief(self, context: list[Turn], view: TokenView) -> TurnBelief:
+        return self._ask("belief", TurnBelief.from_dict, context, view.text)
+
     def predict_act(self, context, utterance, belief, db) -> DialogAct:
-        reply = self._ask(context, utterance, belief=belief.to_dict(), db=db.to_json())
-        triples = reply.get("act", [])
-        if not isinstance(triples, list) or not all(
-                isinstance(t, list) and len(t) == 3 for t in triples):
-            raise SimulationError(f"aux endpoint {self.url}: act is not a list of [domain, "
-                                  f"act_type, slot] triples: {triples!r}", kind="aux_error")
-        return DialogAct.from_triples(triples)
+        return self._ask("act", DialogAct.from_triples, context, utterance,
+                         belief=belief.to_dict(), db=db.to_json())
 
     def close(self) -> None:
         """Close the adapter's HTTP session and its keep-alive connections."""

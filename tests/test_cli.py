@@ -572,7 +572,7 @@ def test_config_file_fault_is_usage_error(tmp_path, mock_script_file, capsys, te
 
 @pytest.mark.parametrize("payload,place", [
     ({"dialogues": None}, "top level must be"),
-    ({"dialogues": [{"id": "d", "goal": 5, "turns": []}]}, "dialogues[0]: goal"),
+    ({"dialogues": [{"id": "d", "goal": 5, "turns": []}]}, "dialogues[0].goal: must be"),
     ({"dialogues": [{"id": "d", "goal": {}, "turns": [
         {"user": "hi", "belief": {"hotel": [1]}, "act": [], "resp": "ok"}]}]},
      "dialogues[0].turns[0].belief: domain 'hotel'"),

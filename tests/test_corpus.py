@@ -227,18 +227,18 @@ def _one_dialogue(**changes):
 MALFORMED = [
     pytest.param({"dialogues": None}, r"c\.json: top level must be", id="dialogues-null"),
     pytest.param({"dialogues": 5}, r"c\.json: top level must be", id="dialogues-int"),
-    pytest.param(_one_dialogue(goal=5), r"dialogues\[0\]: goal must be an object",
+    pytest.param(_one_dialogue(goal=5), r"dialogues\[0\]\.goal: must be an object, got 5",
                  id="goal-int"),
     pytest.param(_one_dialogue(goal={"hotel": "x"}),
                  r"dialogues\[0\]\.goal: domain 'hotel' must be an object", id="goal-domain-str"),
     pytest.param(_one_dialogue(initial_goal=[]),
-                 r"dialogues\[0\]: initial_goal must be an object", id="initial-goal-list"),
+                 r"dialogues\[0\]\.initial_goal: must be an object", id="initial-goal-list"),
     pytest.param(_one_dialogue(initial_goal={"hotel": None}),
                  r"dialogues\[0\]\.initial_goal: domain 'hotel' must be an object",
                  id="initial-goal-domain-null"),
     pytest.param(_one_dialogue(turns=5), r"dialogues\[0\]: turns must be a list", id="turns-int"),
     pytest.param(_one_dialogue(turn={"db": 5}),
-                 r"dialogues\[0\]\.turns\[0\]: db must be an object", id="db-int"),
+                 r"dialogues\[0\]\.turns\[0\]\.db: must be an object", id="db-int"),
     pytest.param(_one_dialogue(turn={"db": {"domain": "hotel", "count": None, "bucket": "db_0"}}),
                  r"dialogues\[0\]\.turns\[0\]\.db: ", id="db-count-null"),
     pytest.param(_one_dialogue(turn={"db": {"domain": "hotel", "count": float("inf"),
@@ -269,21 +269,41 @@ MALFORMED = [
     pytest.param(_one_dialogue(turn={"resp": 5}),
                  r"dialogues\[0\]\.turns\[0\]: resp must be a string", id="resp-int"),
     pytest.param(_one_dialogue(goal={"hotel": {"type": None}}),
-                 r"dialogues\[0\]\.goal\.hotel\.type must be a string", id="goal-value-null"),
+                 r"dialogues\[0\]\.goal: hotel\.type must be a string", id="goal-value-null"),
     pytest.param(_one_dialogue(goal={"hotel": {"stars": 3}}),
-                 r"dialogues\[0\]\.goal\.hotel\.stars must be a string", id="goal-value-int"),
+                 r"dialogues\[0\]\.goal: hotel\.stars must be a string", id="goal-value-int"),
     pytest.param(_one_dialogue(initial_goal={"hotel": {"parking": True}}),
-                 r"dialogues\[0\]\.initial_goal\.hotel\.parking must be a string",
+                 r"dialogues\[0\]\.initial_goal: hotel\.parking must be a string",
                  id="initial-goal-value-bool"),
     pytest.param(_one_dialogue(turn={"belief": {"hotel": {"area": {"a": 1}}}}),
-                 r"dialogues\[0\]\.turns\[0\]\.belief\.hotel\.area must be a string",
+                 r"dialogues\[0\]\.turns\[0\]\.belief: hotel\.area must be a string",
                  id="belief-value-object"),
     pytest.param(_one_dialogue(turn={"belief": {"hotel": {"area": None}}}),
-                 r"dialogues\[0\]\.turns\[0\]\.belief\.hotel\.area must be a string",
+                 r"dialogues\[0\]\.turns\[0\]\.belief: hotel\.area must be a string",
                  id="belief-value-null"),
     pytest.param(_one_dialogue(id=None), r"dialogues\[0\]: id must be a string", id="id-null"),
     pytest.param(_one_dialogue(id=7), r"dialogues\[0\]: id must be a string", id="id-int"),
     pytest.param(_one_dialogue(id=["x"]), r"dialogues\[0\]: id must be a string", id="id-list"),
+    pytest.param(_one_dialogue(turn={"belief": []}),
+                 r"dialogues\[0\]\.turns\[0\]\.belief: must be an object", id="belief-list"),
+    pytest.param(_one_dialogue(turn={"db": {"domain": "hotel", "bucket": "db_0"}}),
+                 r"dialogues\[0\]\.turns\[0\]\.db: missing key 'count'", id="db-count-missing"),
+    # an act member that is not a string is refused, not read as its str()
+    pytest.param(_one_dialogue(turn={"act": [[None, "bye", "none"]]}),
+                 r"dialogues\[0\]\.turns\[0\]\.act: \[0\] must be three strings, "
+                 r"got \[None, 'bye', 'none'\]", id="act-domain-null"),
+    pytest.param(_one_dialogue(turn={"act": [["general", "bye", "none"], ["general", 5, "none"]]}),
+                 r"dialogues\[0\]\.turns\[0\]\.act: \[1\] must be", id="act-type-int"),
+    pytest.param(_one_dialogue(turn={"act": [["general", "bye", None]]}),
+                 r"dialogues\[0\]\.turns\[0\]\.act: \[0\] must be", id="act-slot-null"),
+    pytest.param(_one_dialogue(turn={"act": [["general", "bye", 0]]}),
+                 r"dialogues\[0\]\.turns\[0\]\.act: \[0\] must be", id="act-slot-int"),
+    pytest.param(_one_dialogue(turn={"act": [["general", "bye", False]]}),
+                 r"dialogues\[0\]\.turns\[0\]\.act: \[0\] must be", id="act-slot-bool"),
+    pytest.param(_one_dialogue(turn={"act": [["general", "bye"]]}),
+                 r"dialogues\[0\]\.turns\[0\]\.act: \[0\] must be", id="act-triple-short"),
+    pytest.param(_one_dialogue(turn={"act": "general bye none"}),
+                 r"dialogues\[0\]\.turns\[0\]\.act: must be a list of", id="act-str"),
 ]
 
 
@@ -387,7 +407,7 @@ def _lenient_payload(seeds):
             turn["user"] = turn["user"].upper() + " ?!"
             turn["belief"].setdefault("hotel", {})["book people"] = str(i)
             turn["belief"]["general"] = {"area": "south"}
-            turn["act"] += [["hotel", "request", "Price Range"], ["taxi", "frob", None],
+            turn["act"] += [["hotel", "request", "Price Range"], ["taxi", "frob", "none"],
                             ["hotel", "inform", "color"]]
             if i % 2:
                 del turn["db"]

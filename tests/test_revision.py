@@ -530,17 +530,24 @@ def test_aux_predict_act_nooffer(ontology, aux):
 # -- external adapter ------------------------------------------------------------
 
 def test_http_adapter_round_trip(loopback):
-    handlers = []
+    handlers, asked = [], []
 
     def answer(request, headers):
         handlers.append(threading.current_thread())
+        asked.append(request)
         if "belief" in request:
             return 200, {"act": [["hotel", "nooffer", "none"]]}, {}
         return 200, {"belief": {"hotel": {"area": "north"}}}, {}
 
     adapter = HttpAuxPredictor(f"{loopback(answer)}/aux")
-    out = adapter.predict_belief([], utterance_view("somewhere in the north"))
+    context = [turn("a hotel please", {"hotel": {}}, [("hotel", "request", "area")], "where ?")]
+    out = adapter.predict_belief(context, utterance_view("somewhere in the north"))
     assert out.to_dict() == {"hotel": {"area": "north"}}
+    # a context turn goes on the wire as in a corpus, without its DB result
+    wire = asked[0]["context"]
+    assert wire == [{"user": "a hotel please", "belief": {"hotel": {}},
+                     "act": [["hotel", "request", "area"]], "resp": "where ?"}]
+    assert list(wire[0]) == ["user", "belief", "act", "resp"]
     act = adapter.predict_act([], "x", belief({"hotel": {"area": "north"}}), NO_RESULT)
     assert act.triples == (("hotel", "nooffer", "none"),)
     # close() ends the keep-alive connection, and with it the server's handler thread
@@ -550,8 +557,9 @@ def test_http_adapter_round_trip(loopback):
 
 
 # replies that are JSON but not of the wire shape; each used to escape as an
-# AttributeError, TypeError or ValueError, or a belief value that is not a
-# string to be read as its str(), instead of failing as an aux error
+# AttributeError, TypeError or ValueError, a belief value or act member that is
+# not a string to be read as its str(), or a reply without its key to be read
+# as an empty belief or act, instead of failing as an aux error
 @pytest.mark.parametrize("ask, reply", [
     ("belief", []),
     ("belief", "x"),
@@ -565,6 +573,12 @@ def test_http_adapter_round_trip(loopback):
     ("belief", {"belief": {"hotel": {"area": None}}}),
     ("belief", {"belief": {"hotel": {"stars": 3}}}),
     ("belief", {"belief": {"hotel": {"parking": True}}}),
+    ("belief", {}),
+    ("belief", {"beliefs": {"hotel": {"area": "north"}}}),
+    ("act", {}),
+    ("act", {"acts": [["hotel", "inform", "area"]]}),
+    ("act", {"act": [[None, "bye", "none"]]}),
+    ("act", {"act": [["general", "bye", 0]]}),
 ])
 def test_http_adapter_rejects_malformed_reply(loopback, ask, reply):
     adapter = HttpAuxPredictor(f"{loopback(lambda request, headers: (200, reply, {}))}/aux")
