@@ -26,7 +26,7 @@ from .backend import (
     record_transcript,
 )
 from .corpus import CorpusError, SeedDataset, load_seed_corpus, save_corpus
-from .database import EntityDb, bucketize, default_entity_db, load_entity_db
+from .database import EntityDb, default_entity_db, load_entity_db
 from .goals import GoalStrategy, RsDistribution, STRATEGIES
 from .model import DecodeConfig, GenConfig
 from .ontology import Ontology, default_ontology, load_ontology
@@ -276,12 +276,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 missing = set(turn.belief.triples()) - set(filtered.triples())
                 for triple in sorted(missing):
                     violations.append(f"{where}: value not expressed in utterance: {triple}")
-            if turn.db.domain != "general" or turn.db.bucket != "db_nores":
-                expected = bucketize(turn.db.count, ontology.queryable(turn.db.domain))
-                if expected != turn.db.bucket:
-                    violations.append(
-                        f"{where}: db bucket {turn.db.bucket} does not match count "
-                        f"{turn.db.count} ({expected})")
             for domain, slot in turn.act.slots_of("inform") + turn.act.slots_of("offerbooked"):
                 if f"[value_{slot}]" not in turn.system_response:
                     warnings.append(f"{where}: response lacks placeholder [value_{slot}]")

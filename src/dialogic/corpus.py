@@ -347,10 +347,11 @@ class _Load:
     def goal(self, data: dict, key: str, where: str, dialogue_id: str) -> UserGoal:
         return self.triplet_map(UserGoal, data[key], f"{where}.{key}", dialogue_id, key)
 
-    def db_result(self, data: dict, where: str) -> DbResult:
+    def db_result(self, data: dict, where: str, dialogue_id: str) -> DbResult:
         if "db" not in data:
             return NO_RESULT
-        db = self.built(f"{where}.db", DbResult.from_json, data["db"])
+        db = self.admit(self.built(f"{where}.db", DbResult.from_json, data["db"]),
+                        dialogue_id, f"{where}.db")
         return self.db.setdefault(db, db)
 
     def turn(self, data: dict, where: str, dialogue_id: str, i: int) -> Turn:
@@ -367,7 +368,7 @@ class _Load:
             user_utterance=self.text(data["user"]),
             belief=self.triplet_map(TurnBelief, data["belief"], f"{where}.belief",
                                     dialogue_id, f"turns[{i}].belief"),
-            db=self.db_result(data, where),
+            db=self.db_result(data, where, dialogue_id),
             act=self.admit(self.built(f"{where}.act", DialogAct.from_triples, data["act"],
                                       slot_name=self.slot),
                            dialogue_id, f"turns[{i}].act"),

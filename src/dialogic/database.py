@@ -9,7 +9,7 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .model import DbResult
+from .model import DbResult, bucketize
 from .ontology import GENERAL_DOMAIN, Ontology
 from .textnorm import SharedTexts, parse_time, value_tokens
 
@@ -22,28 +22,17 @@ class DatabaseError(ValueError):
     """Unknown domain/slot or malformed database file."""
 
 
-def bucketize(count: int, queryable: bool) -> str:
-    """Discretize an entity count: db_0, db_1, db_2 (2-3), db_3 (>=4), db_nores."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if not queryable:
-        return "db_nores"
-    if count == 0:
-        return "db_0"
-    if count == 1:
-        return "db_1"
-    if count <= 3:
-        return "db_2"
-    return "db_3"
-
-
 _ABSENT = object()
 
 
-def _rows_by_cell(records: list[dict[str, str]], slot: str) -> dict[str, list[int]]:
-    """The rows of each distinct cell of one column, rows without it left out."""
+def _rows_by_cell(records: list[dict[str, str]], slot: str,
+                  ids: list[int]) -> dict[str, list[int]]:
+    """The rows of each distinct cell of one column, rows without it left out.
+
+    `ids` holds each row's id, so every column refers to one `int` per row.
+    """
     rows_of: dict[str, list[int]] = {}
-    for i, record in enumerate(records):
+    for i, record in zip(ids, records):
         cell = record.get(slot, _ABSENT)
         rows = rows_of.get(cell)
         if rows is None:
@@ -54,7 +43,7 @@ def _rows_by_cell(records: list[dict[str, str]], slot: str) -> dict[str, list[in
     return rows_of
 
 
-def _sorted_times(rows_of: dict[str, list[int]]) -> tuple[list[int], list[int]]:
+def _sorted_times(rows_of: dict[str, list[int]]) -> tuple[list[int], tuple[int, ...]]:
     """Minutes and rows of a time column in ascending (minutes, row) order,
     each distinct cell parsed once; cells that are not a time are left out."""
     by_minute: dict[int, list[int]] = {}
@@ -67,7 +56,7 @@ def _sorted_times(rows_of: dict[str, list[int]]) -> tuple[list[int], list[int]]:
         rows = sorted(by_minute[minutes])  # several spellings of one time interleave
         times += [minutes] * len(rows)
         order += rows
-    return times, order
+    return times, tuple(order)
 
 
 @dataclass
@@ -79,24 +68,26 @@ class EntityDb:
     tables: dict[str, list[dict[str, str]]] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._index: dict[str, dict[tuple[str, tuple[str, ...]], set[int]]] = {}
+        # each key's rows as an ascending tuple: a set would cost several times the memory
+        self._index: dict[str, dict[tuple[str, tuple[str, ...]], tuple[int, ...]]] = {}
         self._indexed: dict[str, frozenset[str]] = {}
         # inequality-matched time columns: parsed minutes in ascending order,
         # and the row of each, so a bound selects a contiguous run of rows
-        self._times: dict[tuple[str, str], tuple[list[int], list[int]]] = {}
+        self._times: dict[tuple[str, str], tuple[list[int], tuple[int, ...]]] = {}
         norm = cache(value_tokens)  # cells repeat: tokenise each distinct value once
         for domain, records in self.tables.items():
             schema = self.ontology.domains.get(domain)
             indexed = frozenset(schema.informable if schema else ()) & set().union(*records)
-            index: dict[tuple[str, tuple[str, ...]], set[int]] = {}
+            index: dict[tuple[str, tuple[str, ...]], tuple[int, ...]] = {}
+            ids = list(range(len(records)))
             for slot in sorted(indexed):
-                rows_of = _rows_by_cell(records, slot)
+                rows_of = _rows_by_cell(records, slot, ids)
                 for cell, rows in rows_of.items():
                     key = (slot, norm(cell))
-                    if key in index:
-                        index[key].update(rows)
+                    if key in index:  # another spelling of one value: merge, keep ascending
+                        index[key] = tuple(sorted((*index[key], *rows)))
                     else:
-                        index[key] = set(rows)
+                        index[key] = tuple(rows)
                 if (domain, slot) in _TIME_INEQUALITIES:
                     self._times[(domain, slot)] = _sorted_times(rows_of)
             self._index[domain] = index
@@ -139,7 +130,6 @@ class EntityDb:
                     matched = rows[:bisect_right(minutes, wanted)]
             else:
                 matched = self._index[domain].get((slot, value_tokens(value)), ())
-            # index sets are shared between calls: build a new set, never update one
             candidates = set(matched) if candidates is None else candidates.intersection(matched)
             if not candidates:
                 break
@@ -160,9 +150,10 @@ def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
     """Load `<domain>_db.json` files (one JSON array of flat objects each).
 
     Keys and cells are stored as lower-cased text. Cells repeat across rows,
-    so equal texts share one string, through a memo of this call's own. Two
-    keys of one entry that differ only in case are an error: lowering would
-    keep one column and lose the other.
+    so equal texts share one string, through a memo of this call's own. Each
+    parsed entry is dropped once its row is built, so a file's JSON is freed
+    as its table grows. Two keys of one entry that differ only in case are an
+    error: lowering would keep one column and lose the other.
     """
     db_dir = Path(db_dir)
     if not db_dir.is_dir():
@@ -187,6 +178,7 @@ def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
                 raise DatabaseError(f"{path}: entry {i} has keys {first!r} and {second!r}, "
                                     "which differ only in case")
             table.append(row)
+            records[i] = None  # free this entry's JSON
     return EntityDb(ontology=ontology, tables=tables)
 
 

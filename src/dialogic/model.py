@@ -193,8 +193,9 @@ class DialogAct:
                      slot_name: Callable[[str], str] = canonical_slot) -> "DialogAct":
         """Build from JSON data: a list of [domain, act type, slot] lists of strings.
 
-        `slot_name` names each slot. Anything else, a `null` member included,
-        raises ValidationError naming the triple (`[2]`); nothing is coerced.
+        `slot_name` names each slot; only the slot `none` means slotless.
+        Anything else, a `null` member or an empty slot included, raises
+        ValidationError naming the triple (`[2]`); nothing is coerced.
         """
         if not isinstance(triples, list):
             raise ValidationError(f"must be a list of triples, got {triples!r}")
@@ -204,7 +205,9 @@ class DialogAct:
                     and all(isinstance(member, str) for member in triple)):
                 raise ValidationError(f"[{i}] must be three strings, got {triple!r}")
             d, t, s = triple
-            norm.append((d, t, slot_name(s) if s and s != NONE else NONE))
+            if not s:
+                raise ValidationError(f"[{i}] has an empty slot; a slotless act has slot 'none'")
+            norm.append((d, t, slot_name(s) if s != NONE else NONE))
         return cls(tuple(norm))
 
     def has(self, act_type: str, domain: str | None = None) -> bool:
@@ -246,6 +249,21 @@ def _act_problems(ontology: Ontology, domain: str, act_type: str, slot: str) -> 
 DB_BUCKETS = ("db_0", "db_1", "db_2", "db_3", "db_nores")
 
 
+def bucketize(count: int, queryable: bool) -> str:
+    """Discretize an entity count: db_0, db_1, db_2 (2-3), db_3 (>=4), db_nores."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if not queryable:
+        return "db_nores"
+    if count == 0:
+        return "db_0"
+    if count == 1:
+        return "db_1"
+    if count <= 3:
+        return "db_2"
+    return "db_3"
+
+
 @dataclass(frozen=True)
 class DbResult:
     """Entity count for the active domain, discretized to a bucket token."""
@@ -277,6 +295,31 @@ class DbResult:
         if not isinstance(count, int) or isinstance(count, bool):
             raise ValidationError(f"count must be an int, got {count!r}")
         return cls(domain=domain, count=count, bucket=data["bucket"])
+
+    def validate(self, ontology: Ontology) -> list[str]:
+        """Why `EntityDb.query` could never return this result; empty when it could.
+
+        The domain is known; `db_nores` comes with count 0 (a domain that is not
+        queryable, or has no table); any other bucket only in a queryable domain,
+        and equal to `bucketize(count, True)`. `NO_RESULT`, what a turn with no
+        domain gets, is always admitted.
+        """
+        if self == NO_RESULT:
+            return []
+        if not ontology.has_domain(self.domain):
+            return [f"unknown domain {self.domain!r}"]
+        if self.bucket == "db_nores":
+            return [] if self.count == 0 else [f"db_nores with count {self.count}, not 0"]
+        if not ontology.queryable(self.domain):
+            return [f"bucket {self.bucket!r} in domain {self.domain!r}, which is not queryable"]
+        expected = bucketize(self.count, True)
+        if self.bucket != expected:
+            return [f"bucket {self.bucket!r} does not match count {self.count} ({expected})"]
+        return []
+
+    def admitted(self, ontology: Ontology) -> "DbResult":
+        """This result, or `NO_RESULT` when `validate` names a problem."""
+        return NO_RESULT if self.validate(ontology) else self
 
 
 NO_RESULT = DbResult(GENERAL_DOMAIN, 0, "db_nores")

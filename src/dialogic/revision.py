@@ -327,10 +327,13 @@ class LexicalAuxPredictor(AuxPredictor):
                     bucket.append(entry)
         ranked = sorted(self._lexicon, key=len, reverse=True)
         self._rank = {phrase: i for i, phrase in enumerate(ranked)}
-        self._keyed: dict[str, set[tuple[str, ...]]] = {}
+        keyed: dict[str, list[tuple[str, ...]]] = {}
         for phrase in ranked:
-            for key in ("".join(phrase[:2]), "".join(phrase)):
-                self._keyed.setdefault(key, set()).add(phrase)
+            for key in dict.fromkeys(("".join(phrase[:2]), "".join(phrase))):
+                keyed.setdefault(key, []).append(phrase)
+        # most keys name one phrase: a tuple holds it in a fraction of a set's memory
+        self._keyed: dict[str, tuple[tuple[str, ...], ...]] = {
+            key: tuple(phrases) for key, phrases in keyed.items()}
 
     def _active_domains(self, view: TokenView, context: list[Turn]) -> list[str]:
         found: dict[str, int] = {}  # domain -> first position of one of its keywords

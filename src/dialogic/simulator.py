@@ -9,7 +9,6 @@ never sees its own uncorrected errors.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -454,6 +453,9 @@ def _run_batch(ids: list[str], run: Callable[[int, random.Random], Dialogue],
     if workers <= 1:  # a one-worker pool would only contend with this thread for the GIL
         outcomes = [job(i) for i in range(len(ids))]
     else:
+        # imported here, not with the module: a one-worker run never loads the pool's stack
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(job, i) for i in range(len(ids))]
         outcomes = [future.result() for future in futures]  # re-raises what job does not classify

@@ -164,6 +164,20 @@ def test_validate_seed_corpus_clean(capsys):
     assert main(["validate", "--corpus", SEED_CORPUS_PATH]) == 0
 
 
+@pytest.mark.parametrize("db,code", [
+    # what the DB returns for a queryable domain whose table is missing
+    ({"domain": "hotel", "count": 0, "bucket": "db_nores"}, 0),
+    ({"domain": "hotel", "count": 7, "bucket": "db_0"}, 1),
+])
+def test_validate_checks_db_results_by_what_the_db_returns(tmp_path, capsys, db, code):
+    corpus = json.loads(Path(SEED_CORPUS_PATH).read_text("utf-8"))
+    corpus["dialogues"][0]["turns"][0]["db"] = db
+    path = write_json(tmp_path / "db.json", corpus)
+    assert main(["validate", "--corpus", path]) == code
+    out = capsys.readouterr().out
+    assert ("turns[0].db: bucket 'db_0' does not match count 7 (db_3)" in out) == bool(code)
+
+
 def test_stats_empty_corpus(tmp_path, capsys):
     path = write_json(tmp_path / "empty.json", {"dialogues": []})
     code = main(["stats", "--corpus", path, "--json"])
@@ -324,6 +338,7 @@ OFFLINE_IMPORTS = textwrap.dedent("""
 
     def offline(step):
         assert "requests" not in sys.modules, f"{step} loaded requests"
+        assert "concurrent.futures" not in sys.modules, f"{step} loaded the thread pool"
 
     import dialogic
     offline("import dialogic")
@@ -342,6 +357,11 @@ OFFLINE_IMPORTS = textwrap.dedent("""
     offline("validate")
     assert cli.main(["stats", "--corpus", corpus, "--json"]) == 0
     offline("stats")
+    assert cli.main(["simulate", "--seed-corpus", seeds, "--out", f"{tmp}/pool.json", "--num", "2",
+                     "--backend", "mock", "--mock-script", script, "--rng-seed", "7",
+                     "--workers", "2"]) == 0
+    assert "concurrent.futures" in sys.modules, "a two-worker run did not load the thread pool"
+    assert "requests" not in sys.modules, "simulate --workers 2 loaded requests"
     HttpCompletionBackend(HttpBackendConfig(endpoint="http://127.0.0.1:9/v1", model="m")).close()
     assert "requests" in sys.modules, "the live backend did not load requests"
 """)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,9 @@ MALFORMED = [
                  r"dialogues\[0\]\.turns\[0\]\.act: \[0\] must be", id="act-slot-bool"),
     pytest.param(_one_dialogue(turn={"act": [["general", "bye"]]}),
                  r"dialogues\[0\]\.turns\[0\]\.act: \[0\] must be", id="act-triple-short"),
+    # only the slot "none" means slotless: an empty slot is refused, not read as it
+    pytest.param(_one_dialogue(turn={"act": [["general", "bye", "none"], ["hotel", "request", ""]]}),
+                 r"dialogues\[0\]\.turns\[0\]\.act: \[1\] has an empty slot", id="act-slot-empty"),
     pytest.param(_one_dialogue(turn={"act": "general bye none"}),
                  r"dialogues\[0\]\.turns\[0\]\.act: must be a list of", id="act-str"),
 ]
@@ -313,6 +317,23 @@ def test_malformed_shape_is_corpus_error_naming_its_place(tmp_path, ontology, pa
     for strict in (True, False):
         with pytest.raises(CorpusError, match=message):
             load_seed_corpus(path, ontology, strict=strict)
+
+
+@pytest.mark.parametrize("db,problem", [
+    ({"domain": "spaceship", "count": 7, "bucket": "db_0"}, "unknown domain 'spaceship'"),
+    ({"domain": "hotel", "count": 7, "bucket": "db_0"},
+     "bucket 'db_0' does not match count 7 (db_3)"),
+    ({"domain": "hotel", "count": 3, "bucket": "db_nores"}, "db_nores with count 3, not 0"),
+])
+def test_db_result_the_db_could_not_return(tmp_path, ontology, db, problem):
+    """Strict load refuses it; lenient load records it and reads the turn as `NO_RESULT`."""
+    path = write_corpus(tmp_path, _one_dialogue(turn={"db": db}))
+    issue = f"d0 dialogues[0].turns[0].db: {problem}"
+    with pytest.raises(CorpusError, match=f"^{re.escape(issue)}$"):
+        load_seed_corpus(path, ontology)
+    dataset = load_seed_corpus(path, ontology, strict=False)
+    assert dataset.dialogues[0].turns[0].db is NO_RESULT
+    assert dataset.issues == [issue]
 
 
 def test_strict_load_reports_the_first_fault_in_file_order(tmp_path, ontology):

@@ -324,7 +324,13 @@ def test_index_equals_per_cell_reference(entity_db, ontology):
     random_db = EntityDb(ontology=ontology, tables={"hotel": hotels,
                                                     "train": _random_trains(rng, 300)})
     for db in (entity_db, random_db):
-        assert db._index == per_cell_index(db.tables, ontology)
+        index = db._index
+        assert {domain: {key: set(rows) for key, rows in by_key.items()}
+                for domain, by_key in index.items()} == per_cell_index(db.tables, ontology)
+        # each key's rows are held as an ascending tuple, not a set
+        for by_key in index.values():
+            for rows in by_key.values():
+                assert type(rows) is tuple and list(rows) == sorted(set(rows))
     # only what a belief can constrain is indexed: no phone, address, train id or price
     assert {slot for slot, _ in entity_db._index["hotel"]} == {
         "area", "internet", "name", "parking", "pricerange", "stars", "type"}

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialogic.model import (
+    NO_RESULT,
     DecodeConfig,
     DialogAct,
     DbResult,
@@ -100,6 +101,22 @@ def test_db_result_invariants():
         DbResult("hotel", -1, "db_0")
     with pytest.raises(ValidationError):
         DbResult("hotel", 1, "db_9")
+
+
+def test_db_result_validate_admits_exactly_what_a_query_can_return(ontology):
+    returnable = [NO_RESULT, DbResult("hotel", 0, "db_nores"), DbResult("taxi", 0, "db_nores"),
+                  DbResult("hotel", 0, "db_0"), DbResult("hotel", 1, "db_1"),
+                  DbResult("hotel", 3, "db_2"), DbResult("hotel", 4, "db_3")]
+    for db in returnable:
+        assert db.validate(ontology) == [] and db.admitted(ontology) is db
+    for db, problem in [
+        (DbResult("spaceship", 0, "db_nores"), "unknown domain 'spaceship'"),
+        (DbResult("hotel", 3, "db_nores"), "db_nores with count 3, not 0"),
+        (DbResult("taxi", 2, "db_2"), "bucket 'db_2' in domain 'taxi', which is not queryable"),
+        (DbResult("hotel", 4, "db_2"), "bucket 'db_2' does not match count 4 (db_3)"),
+    ]:
+        assert db.validate(ontology) == [problem]
+        assert db.admitted(ontology) is NO_RESULT
 
 
 def test_gen_config_invariants():
