@@ -339,13 +339,13 @@ class _Load:
         except ValidationError as exc:
             raise CorpusError(f"{where}: {exc}") from exc
 
-    def triplet_map(self, cls, data, where: str, dialogue_id: str, place: str):
+    def triplet_map(self, cls, data, where: str, dialogue_id: str):
         """`cls.from_dict(data)` via the load's memos, admitted."""
         tmap = self.built(where, cls.from_dict, data, slot_name=self.slot, lowered=self.lowered)
-        return self.admit(tmap, dialogue_id, place)
+        return self.admit(tmap, dialogue_id, where)
 
     def goal(self, data: dict, key: str, where: str, dialogue_id: str) -> UserGoal:
-        return self.triplet_map(UserGoal, data[key], f"{where}.{key}", dialogue_id, key)
+        return self.triplet_map(UserGoal, data[key], f"{where}.{key}", dialogue_id)
 
     def db_result(self, data: dict, where: str, dialogue_id: str) -> DbResult:
         if "db" not in data:
@@ -354,8 +354,8 @@ class _Load:
                         dialogue_id, f"{where}.db")
         return self.db.setdefault(db, db)
 
-    def turn(self, data: dict, where: str, dialogue_id: str, i: int) -> Turn:
-        """Turn `i` of a dialogue; each annotation is built and admitted in file order."""
+    def turn(self, data: dict, where: str, dialogue_id: str) -> Turn:
+        """One turn; each annotation is built and admitted in file order."""
         _require(isinstance(data, dict), where, "turn must be an object")
         # each message is built only on failure: a load checks every turn and triple
         for key in ("user", "belief", "act", "resp"):
@@ -366,12 +366,11 @@ class _Load:
                 raise CorpusError(f"{where}: {key} must be a string")
         return Turn(
             user_utterance=self.text(data["user"]),
-            belief=self.triplet_map(TurnBelief, data["belief"], f"{where}.belief",
-                                    dialogue_id, f"turns[{i}].belief"),
+            belief=self.triplet_map(TurnBelief, data["belief"], f"{where}.belief", dialogue_id),
             db=self.db_result(data, where, dialogue_id),
             act=self.admit(self.built(f"{where}.act", DialogAct.from_triples, data["act"],
                                       slot_name=self.slot),
-                           dialogue_id, f"turns[{i}].act"),
+                           dialogue_id, f"{where}.act"),
             system_response=self.text(data["resp"]),
         )
 
@@ -386,7 +385,7 @@ class _Load:
         initial = (self.goal(data, "initial_goal", where, dialogue_id)
                    if "initial_goal" in data else goal)
         _require(isinstance(data["turns"], list), where, "turns must be a list")
-        turns = [self.turn(t, f"{where}.turns[{i}]", dialogue_id, i)
+        turns = [self.turn(t, f"{where}.turns[{i}]", dialogue_id)
                  for i, t in enumerate(data["turns"])]
         _require(len(turns) >= 1, where, "dialogue has no turns")
         source = data.get("source", SOURCE_SEED)

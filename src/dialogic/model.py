@@ -51,8 +51,10 @@ class TripletMap:
 
         `slot_name` and `lowered` name each slot and lower each value; a corpus
         load passes memos of its own, so that equal texts share one string.
-        Data or a domain entry that is not an object, and a value that is not a
-        string, raise ValidationError naming the domain or `domain.slot`.
+        Data or a domain entry that is not an object, a value that is not a
+        string, a slot named `none` (a domain-only mention is an empty object)
+        and a second spelling of one slot ("book stay" beside "stay") raise
+        ValidationError naming the domain or `domain.slot`.
         """
         if not isinstance(data, dict):
             raise ValidationError(f"must be an object, got {data!r}")
@@ -60,11 +62,15 @@ class TripletMap:
         for domain, slots in data.items():
             if not isinstance(slots, dict):
                 raise ValidationError(f"domain {domain!r} must be an object, got {slots!r}")
-            obj.entries.setdefault(domain, {})
+            built = obj.entries[domain] = {}
             for slot, value in slots.items():
                 if not isinstance(value, str):
                     raise ValidationError(f"{domain}.{slot} must be a string, got {value!r}")
-                obj.set(domain, slot_name(slot), lowered(value))
+                name = slot_name(slot)
+                if name == NONE or name in built:
+                    why = "is not a slot" if name == NONE else f"repeats slot {name!r}"
+                    raise ValidationError(f"{domain}.{slot} {why}")
+                built[name] = lowered(value)
         return obj
 
     def set(self, domain: str, slot: str, value: str) -> None:
@@ -227,14 +233,14 @@ class DialogAct:
 
     def validate(self, ontology: Ontology) -> list[str]:
         """Return a list of violation messages (empty when ontology-valid)."""
-        return [why for triple in self.triples for why in _act_problems(ontology, *triple)]
+        return [why for triple in self.triples for why in act_problems(ontology, *triple)]
 
     def admitted(self, ontology: Ontology) -> "DialogAct":
         """A copy without the triples `validate` names."""
-        return DialogAct(tuple(t for t in self.triples if not _act_problems(ontology, *t)))
+        return DialogAct(tuple(t for t in self.triples if not act_problems(ontology, *t)))
 
 
-def _act_problems(ontology: Ontology, domain: str, act_type: str, slot: str) -> list[str]:
+def act_problems(ontology: Ontology, domain: str, act_type: str, slot: str) -> list[str]:
     """Why the ontology does not admit one act triple; empty when it does."""
     if not ontology.has_domain(domain):
         return [f"unknown domain {domain!r}"]

@@ -14,19 +14,17 @@ from functools import cache
 from .corpus import turn_to_json
 from .model import (
     DialogAct,
-    DialogueState,
     DbResult,
     SimulationError,
     Triple,
     Turn,
     TurnBelief,
     ValidationError,
+    act_problems,
     current_domain,
 )
 from .ontology import GENERAL_DOMAIN, NONE, Ontology
 from .textnorm import TokenView, match_tokens, parse_time, utterance_view, value_tokens
-
-BOOLEAN_SLOTS = ("parking", "internet")
 
 _BOOLEAN_CUES: dict[str, tuple[str, ...]] = {
     "parking": ("parking",),
@@ -106,9 +104,6 @@ def merge_beliefs(gpt: TurnBelief, aux: TurnBelief) -> TurnBelief:
     """Key union with LLM priority on collisions; LLM entries come first."""
     merged = gpt.copy()
     for domain, slot, value in aux.triples():
-        if slot == NONE:
-            merged.entries.setdefault(domain, {})
-            continue
         if merged.get(domain, slot) is None:
             merged.set(domain, slot, value)
     return merged
@@ -131,9 +126,8 @@ def revise_belief(gpt: TurnBelief, context: list[Turn], utterance: str,
     The utterance is tokenised once: the aux and the filter read one view of it.
     """
     view = utterance_view(utterance)
-    aux_belief = aux.predict_belief(context, view) if aux is not None else TurnBelief()
-    if aux_belief.validate(ontology):
-        aux_belief = aux_belief.admitted(ontology)
+    aux_belief = (aux.predict_belief(context, view).admitted(ontology) if aux is not None
+                  else TurnBelief())
     merged = merge_beliefs(gpt, aux_belief)
     final, dropped = _filter_with_drops(merged, view)
     fixes = tuple(
@@ -155,7 +149,7 @@ FALLBACK_ACT = DialogAct(((GENERAL_DOMAIN, "reqmore", NONE),))
 _FALLBACK_FIRING = "fallback: empty act mapped to (general, reqmore, none)"
 
 _OFFER_ACTS = ("inform", "recommend", "select", "offerbook")
-# booking attributes per domain: a state holding one shows a booking in progress
+# booking attributes per domain: a belief holding one shows a booking in progress
 BOOKING_SLOTS: dict[str, frozenset[str]] = {
     "hotel": frozenset({"stay", "day", "people"}),
     "restaurant": frozenset({"time", "day", "people"}),
@@ -164,32 +158,30 @@ BOOKING_SLOTS: dict[str, frozenset[str]] = {
 _OTHER_BOOKING_SLOTS = frozenset({"stay", "day", "people", "time"})  # domains not in BOOKING_SLOTS
 
 
-def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief,
-                 belief_state: DialogueState, db: DbResult, ontology: Ontology
-                 ) -> tuple[DialogAct, list[str]]:
+def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief, db: DbResult,
+                 ontology: Ontology) -> tuple[DialogAct, list[str]]:
     """Apply the act rules to each triple in turn; always returns a valid act (never empty).
 
     The rules read the dialogue so far: the turns of `context`, then `belief`.
     In order; each firing starts with its rule's name:
-    1. permitted-acts: drop a triple whose act or slot its domain does not permit.
+    1. permitted-acts: drop a triple the ontology does not admit
+       (`model.act_problems`, as a corpus load does); the firing gives its first reason.
     2. nooffer-on-empty-db: on a db_0 result, an inform, recommend, select or
        offerbook in the queried domain becomes (domain, nooffer, none).
     3. offerbooked-needs-booking: offerbooked becomes inform unless an act of
-       `context` offered a booking in the domain or the state holds one of its
-       booking slots.
-    4. drop-undiscussed-domains: drop a triple in a task domain that neither the
-       state nor any belief of `context` or `belief` mentions.
+       `context` offered a booking in the domain or a belief of `context` or
+       `belief` holds one of its booking slots.
+    4. drop-undiscussed-domains: drop a triple in a task domain that no belief
+       of `context` or `belief` mentions.
     5. dedupe: drop a repeat of a triple already kept.
     An act left empty maps to FALLBACK_ACT.
     """
     kept: list[Triple] = []
     firings: list[str] = []
     for d, t, s in act.triples:
-        if not ontology.act_permitted(d, t):
-            firings.append(f"permitted-acts: dropped ({d}, {t}, {s}); act not permitted for domain")
-            continue
-        if not ontology.act_slot_permitted(d, s):
-            firings.append(f"permitted-acts: dropped ({d}, {t}, {s}); slot not permitted for domain")
+        problems = act_problems(ontology, d, t, s)
+        if problems:
+            firings.append(f"permitted-acts: dropped ({d}, {t}, {s}); {problems[0]}")
             continue
         if db.bucket == "db_0" and d == db.domain and t in _OFFER_ACTS:
             firings.append(f"nooffer-on-empty-db: replaced ({d}, {t}, {s}) with nooffer; "
@@ -197,12 +189,13 @@ def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief,
             t, s = "nooffer", NONE
         if t == "offerbooked" and not (
                 any(turn.act.has("offerbook", d) for turn in context)
-                or not BOOKING_SLOTS.get(d, _OTHER_BOOKING_SLOTS).isdisjoint(
-                    belief_state.entries.get(d, {}))):
+                or any(not BOOKING_SLOTS.get(d, _OTHER_BOOKING_SLOTS).isdisjoint(
+                    b.entries.get(d, ())) for b in (belief, *(turn.belief for turn in context)))):
             firings.append(f"offerbooked-needs-booking: downgraded ({d}, offerbooked, {s}) "
                            "to inform; no booking context")
             t = "inform"
-        if d != GENERAL_DOMAIN and d not in belief_state.entries and d not in belief.entries \
+        # `belief` first: most acts are about its domain, and that case costs one lookup
+        if d != GENERAL_DOMAIN and d not in belief.entries \
                 and not any(d in turn.belief.entries for turn in context):
             firings.append(f"drop-undiscussed-domains: dropped ({d}, {t}, {s}); "
                            "domain never discussed")
@@ -218,15 +211,15 @@ def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief,
 
 
 def revise_act(gpt_act: DialogAct, context: list[Turn], belief: TurnBelief, utterance: str,
-               belief_state: DialogueState, db: DbResult, ontology: Ontology,
-               aux: "AuxPredictor | None") -> tuple[DialogAct, list[str], bool]:
+               db: DbResult, ontology: Ontology, aux: "AuxPredictor | None"
+               ) -> tuple[DialogAct, list[str], bool]:
     """Rule-validate the LLM act; consult the auxiliary act only on outright failure."""
-    revised, firings = validate_act(gpt_act, context, belief, belief_state, db, ontology)
+    revised, firings = validate_act(gpt_act, context, belief, db, ontology)
     # the rules kept no triple; a valid LLM [general] [reqmore] is no failure
     outright_failure = not gpt_act.is_empty() and firings[-1:] == [_FALLBACK_FIRING]
     if outright_failure and aux is not None:
         aux_act = aux.predict_act(context, utterance, belief, db)
-        revised, aux_firings = validate_act(aux_act, context, belief, belief_state, db, ontology)
+        revised, aux_firings = validate_act(aux_act, context, belief, db, ontology)
         firings.extend("aux " + f for f in aux_firings)
         return revised, firings, True
     return revised, firings, False
@@ -426,7 +419,7 @@ class LexicalAuxPredictor(AuxPredictor):
                     emit(domain, slot, view.surface[i])
 
         # boolean slots via cue phrases
-        for slot in BOOLEAN_SLOTS:
+        for slot in _BOOLEAN_CUES:
             domain = self._first_with_slot(domains, slot)
             if domain is None:
                 continue

@@ -145,7 +145,7 @@ def simulate_dialogue(goal: UserGoal, seeds: SeedDataset, backend: CompletionBac
 
         raw_act, response = complete_line("Assistant(", SYSTEM_STOPS, parse_system_line)
         act, firings, used_aux = revise_act(
-            raw_act, turns, belief, utterance, state, db_result, ontology, aux)
+            raw_act, turns, belief, utterance, db_result, ontology, aux)
         if act != raw_act:
             regenerated = _request_completion(
                 backend, cfg, prompt + f"Assistant({serialize_act(act)}): ", SYSTEM_STOPS)

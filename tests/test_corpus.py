@@ -103,11 +103,11 @@ def test_lenient_mode_admits_per_triple(tmp_path, ontology):
     assert dlg.turns[0].belief.to_dict() == {"general": {}, "hotel": {}}
     assert dlg.turns[0].act.to_json() == [["hotel", "request", "area"]]
     assert dataset.issues == [
-        "mixed goal: unknown domain 'spaceship'",
-        "mixed turns[0].belief: general domain carries slot 'area'",
-        "mixed turns[0].belief: unknown domain 'spaceship'",
-        "mixed turns[0].act: unknown domain 'spaceship'",
-        "mixed turns[0].act: slot 'color' not permitted in acts of domain 'hotel'",
+        "mixed dialogues[0].goal: unknown domain 'spaceship'",
+        "mixed dialogues[0].turns[0].belief: general domain carries slot 'area'",
+        "mixed dialogues[0].turns[0].belief: unknown domain 'spaceship'",
+        "mixed dialogues[0].turns[0].act: unknown domain 'spaceship'",
+        "mixed dialogues[0].turns[0].act: slot 'color' not permitted in acts of domain 'hotel'",
     ]
 
 
@@ -308,6 +308,21 @@ MALFORMED = [
                  r"dialogues\[0\]\.turns\[0\]\.act: \[1\] has an empty slot", id="act-slot-empty"),
     pytest.param(_one_dialogue(turn={"act": "general bye none"}),
                  r"dialogues\[0\]\.turns\[0\]\.act: must be a list of", id="act-str"),
+    # a slot named none is not a domain-only mention, and one slot is not spelled twice
+    pytest.param(_one_dialogue(turn={"belief": {"hotel": {"none": "cheap"}}}),
+                 r"dialogues\[0\]\.turns\[0\]\.belief: hotel\.none is not a slot",
+                 id="belief-slot-none"),
+    pytest.param(_one_dialogue(goal={"hotel": {"area": "north", "None": "cheap"}}),
+                 r"dialogues\[0\]\.goal: hotel\.None is not a slot", id="goal-slot-none-case"),
+    pytest.param(_one_dialogue(goal={"hotel": {"book stay": "2", "stay": "3"}}),
+                 r"dialogues\[0\]\.goal: hotel\.stay repeats slot 'stay'", id="goal-slot-twice"),
+    pytest.param(_one_dialogue(initial_goal={"hotel": {"Area": "north", "area": "south"}}),
+                 r"dialogues\[0\]\.initial_goal: hotel\.area repeats slot 'area'",
+                 id="initial-goal-slot-twice-case"),
+    pytest.param(_one_dialogue(turn={"belief": {"hotel": {"pricerange": "cheap",
+                                                          "price range": "cheap"}}}),
+                 r"dialogues\[0\]\.turns\[0\]\.belief: hotel\.price range repeats slot "
+                 r"'pricerange'", id="belief-slot-twice-alias"),
 ]
 
 
@@ -341,7 +356,8 @@ def test_strict_load_reports_the_first_fault_in_file_order(tmp_path, ontology):
     payload = _one_dialogue(goal={"spaceship": {"x": "y"}})
     payload["dialogues"][0]["turns"].append({"user": "hi", "belief": {}, "act": []})
     path = write_corpus(tmp_path, payload)
-    with pytest.raises(CorpusError, match=r"^d0 goal: unknown domain 'spaceship'$"):
+    with pytest.raises(CorpusError,
+                       match=r"^d0 dialogues\[0\]\.goal: unknown domain 'spaceship'$"):
         load_seed_corpus(path, ontology)
     with pytest.raises(CorpusError, match=r"dialogues\[0\]\.turns\[1\]: missing key 'resp'"):
         load_seed_corpus(path, ontology, strict=False)
@@ -373,17 +389,17 @@ def _reference_dialogue(data, where):
                     source=data.get("source", SOURCE_SEED))
 
 
-def _validate_dialogue(dlg: Dialogue, ontology: Ontology, strict: bool,
+def _validate_dialogue(dlg: Dialogue, where: str, ontology: Ontology, strict: bool,
                        issues: list[str]) -> None:
     """Check every triple against the ontology; strict mode raises, lenient drops."""
 
-    def admit(annotation, where: str):
+    def admit(annotation, place: str):
         problems = annotation.validate(ontology)
         if not problems:
             return annotation
         if strict:
-            raise CorpusError(f"{dlg.id} {where}: {problems[0]}")
-        issues.extend(f"{dlg.id} {where}: {problem}" for problem in problems)
+            raise CorpusError(f"{dlg.id} {where}.{place}: {problems[0]}")
+        issues.extend(f"{dlg.id} {where}.{place}: {problem}" for problem in problems)
         return annotation.admitted(ontology)
 
     shared_goal = dlg.initial_goal is dlg.final_goal
@@ -402,7 +418,7 @@ def _reference_load(path, ontology, strict):
     dialogues = []
     for i, entry in enumerate(data["dialogues"]):
         dlg = _reference_dialogue(entry, f"dialogues[{i}]")
-        _validate_dialogue(dlg, ontology, strict, issues)
+        _validate_dialogue(dlg, f"dialogues[{i}]", ontology, strict, issues)
         dialogues.append(dlg)
     return dialogues, issues
 
@@ -426,7 +442,9 @@ def _lenient_payload(seeds):
         data["goal"]["hotel"] = {"price range": "Cheap", "color": "red", "Book Stay": "3"}
         for i, turn in enumerate(data["turns"]):
             turn["user"] = turn["user"].upper() + " ?!"
-            turn["belief"].setdefault("hotel", {})["book people"] = str(i)
+            hotel = turn["belief"].setdefault("hotel", {})
+            hotel.pop("people", None)  # "book people" beside "people" names one slot twice
+            hotel["book people"] = str(i)
             turn["belief"]["general"] = {"area": "south"}
             turn["act"] += [["hotel", "request", "Price Range"], ["taxi", "frob", "none"],
                             ["hotel", "inform", "color"]]

@@ -3,8 +3,8 @@ import threading
 import pytest
 
 from dialogic.model import (
+    DB_BUCKETS,
     DialogAct,
-    DialogueState,
     DbResult,
     NO_RESULT,
     SimulationError,
@@ -13,7 +13,9 @@ from dialogic.model import (
     accumulate_state,
 )
 from dialogic import revision
+from dialogic.ontology import ACT_TYPES, GENERAL_DOMAIN, NONE
 from dialogic.revision import (
+    BOOKING_SLOTS,
     FALLBACK_ACT,
     HttpAuxPredictor,
     merge_beliefs,
@@ -25,7 +27,7 @@ from dialogic.revision import (
 
 from dialogic.textnorm import TokenView, utterance_view
 
-from .conftest import make_rng, random_belief
+from .conftest import make_rng, random_act, random_belief
 from .test_textnorm import reference_find_phrase
 
 
@@ -202,15 +204,10 @@ def test_revise_output_is_filter_fixpoint(ontology, aux):
 
 # -- act rules -----------------------------------------------------------------
 
-def ctx_state(entries):
-    return DialogueState(entries)
-
-
 def test_validate_act_no_rule_fires(ontology):
     act = DialogAct((("hotel", "request", "area"),))
     out, firings = validate_act(
-        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
-        DbResult("hotel", 5, "db_3"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 5, "db_3"), ontology)
     assert out == act
     assert firings == []
 
@@ -219,19 +216,21 @@ def test_rule_drops_unpermitted_act(ontology):
     act = DialogAct((("taxi", "offerbook", "none"), ("taxi", "inform", "car"),
                      ("taxi", "inform", "food")))
     out, firings = validate_act(
-        act, [], TurnBelief(), ctx_state({"taxi": {"destination": "airport"}}),
-        DbResult("taxi", 0, "db_nores"), ontology)
+        act, [], belief({"taxi": {"destination": "airport"}}), DbResult("taxi", 0, "db_nores"),
+        ontology)
     assert out.triples == (("taxi", "inform", "car"),)
+    # the reason is the corpus loader's, `model.act_problems`
     assert firings == [
-        "permitted-acts: dropped (taxi, offerbook, none); act not permitted for domain",
-        "permitted-acts: dropped (taxi, inform, food); slot not permitted for domain"]
+        "permitted-acts: dropped (taxi, offerbook, none); "
+        "act 'offerbook' not permitted in domain 'taxi'",
+        "permitted-acts: dropped (taxi, inform, food); "
+        "slot 'food' not permitted in acts of domain 'taxi'"]
 
 
 def test_rule_nooffer_on_empty_db(ontology):
     act = DialogAct((("hotel", "offerbook", "none"),))
     out, _ = validate_act(
-        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
-        DbResult("hotel", 0, "db_0"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 0, "db_0"), ontology)
     assert out.triples == (("hotel", "nooffer", "none"),)
 
 
@@ -240,16 +239,14 @@ def test_rule_nooffer_collapses_duplicates(ontology):
         ("hotel", "inform", "name"), ("hotel", "recommend", "name"),
         ("hotel", "offerbook", "none"), ("hotel", "request", "area")))
     out, _ = validate_act(
-        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
-        DbResult("hotel", 0, "db_0"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 0, "db_0"), ontology)
     assert out.triples == (("hotel", "nooffer", "none"), ("hotel", "request", "area"))
 
 
 def test_rule_offerbooked_downgraded_without_booking(ontology):
     act = DialogAct((("hotel", "offerbooked", "reference"),))
     out, firings = validate_act(
-        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
-        DbResult("hotel", 1, "db_1"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), ontology)
     assert out.triples == (("hotel", "inform", "reference"),)
     assert any("downgraded" in f for f in firings)
 
@@ -257,8 +254,8 @@ def test_rule_offerbooked_downgraded_without_booking(ontology):
 def test_rule_offerbooked_kept_with_booking_slots(ontology):
     act = DialogAct((("hotel", "offerbooked", "reference"),))
     out, _ = validate_act(
-        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south", "stay": "2"}}),
-        DbResult("hotel", 1, "db_1"), ontology)
+        act, [], belief({"hotel": {"area": "south", "stay": "2"}}), DbResult("hotel", 1, "db_1"),
+        ontology)
     assert out.triples == (("hotel", "offerbooked", "reference"),)
 
 
@@ -266,7 +263,7 @@ def test_rule_offerbooked_kept_after_offerbook(ontology):
     act = DialogAct((("hotel", "offerbooked", "reference"),))
     prior = DialogAct((("hotel", "offerbook", "none"),))
     out, _ = validate_act(
-        act, [turn("", {}, prior.triples)], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
+        act, [turn("", {}, prior.triples)], belief({"hotel": {"area": "south"}}),
         DbResult("hotel", 1, "db_1"), ontology)
     assert out.triples == (("hotel", "offerbooked", "reference"),)
 
@@ -274,8 +271,7 @@ def test_rule_offerbooked_kept_after_offerbook(ontology):
 def test_rule_drops_undiscussed_domain(ontology):
     act = DialogAct((("attraction", "inform", "name"), ("hotel", "request", "area")))
     out, firings = validate_act(
-        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
-        DbResult("hotel", 1, "db_1"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), ontology)
     assert out.triples == (("hotel", "request", "area"),)
     assert any("never discussed" in f for f in firings)
 
@@ -283,13 +279,12 @@ def test_rule_drops_undiscussed_domain(ontology):
 def test_rule_dedupe(ontology):
     act = DialogAct((("hotel", "request", "area"), ("hotel", "request", "area")))
     out, _ = validate_act(
-        act, [], TurnBelief(), ctx_state({"hotel": {"area": "south"}}),
-        DbResult("hotel", 1, "db_1"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), ontology)
     assert out.triples == (("hotel", "request", "area"),)
 
 
 def test_empty_act_maps_to_reqmore(ontology):
-    out, _ = validate_act(DialogAct(), [], TurnBelief(), ctx_state({}), NO_RESULT, ontology)
+    out, _ = validate_act(DialogAct(), [], TurnBelief(), NO_RESULT, ontology)
     assert out == FALLBACK_ACT
 
 
@@ -297,18 +292,16 @@ def test_validate_act_idempotent(ontology):
     rng = make_rng(14)
     rule_names = ("permitted-acts: ", "nooffer-on-empty-db: ", "offerbooked-needs-booking: ",
                   "drop-undiscussed-domains: ", "dedupe: ", "fallback: ")
-    from .conftest import random_act
-
-    state = ctx_state({"hotel": {"area": "south", "stay": "2"},
-                       "train": {"day": "monday"},
-                       "restaurant": {"food": "thai"},
-                       "attraction": {"area": "centre"},
-                       "taxi": {"destination": "airport"}})
+    now = belief({"hotel": {"area": "south", "stay": "2"},
+                  "train": {"day": "monday"},
+                  "restaurant": {"food": "thai"},
+                  "attraction": {"area": "centre"},
+                  "taxi": {"destination": "airport"}})
     for _ in range(300):
         act = random_act(ontology, rng)
         db = DbResult("hotel", *rng.choice([(0, "db_0"), (1, "db_1"), (5, "db_3")]))
-        once, firings = validate_act(act, [], TurnBelief(), state, db, ontology)
-        twice, _ = validate_act(once, [], TurnBelief(), state, db, ontology)
+        once, firings = validate_act(act, [], now, db, ontology)
+        twice, _ = validate_act(once, [], now, db, ontology)
         assert twice == once
         assert all(f.startswith(rule_names) for f in firings)
         assert once.validate(ontology) == []
@@ -317,10 +310,9 @@ def test_validate_act_idempotent(ontology):
 def test_revise_act_consults_aux_on_outright_failure(ontology, aux):
     # act entirely in an undiscussed domain is wiped by the rules
     act = DialogAct((("attraction", "inform", "name"),))
-    state = ctx_state({"hotel": {"area": "south", "stay": "2"}})
     out, firings, used_aux = revise_act(
-        act, belief_state=state, db=DbResult("hotel", 1, "db_1"), ontology=ontology,
-        aux=aux, context=[], utterance="", belief=belief({"hotel": {"area": "south"}}))
+        act, db=DbResult("hotel", 1, "db_1"), ontology=ontology, aux=aux, context=[],
+        utterance="", belief=belief({"hotel": {"area": "south", "stay": "2"}}))
     assert used_aux
     assert not out.is_empty()
     assert out.validate(ontology) == []
@@ -330,8 +322,7 @@ def test_revise_act_keeps_valid_llm_act(ontology, aux):
     # a valid [general] [reqmore] from the LLM is no outright failure either
     for act in (DialogAct((("hotel", "request", "area"),)), FALLBACK_ACT):
         out, firings, used_aux = revise_act(
-            act, belief_state=ctx_state({"hotel": {"type": "hotel"}}),
-            db=DbResult("hotel", 5, "db_3"), ontology=ontology, aux=aux,
+            act, db=DbResult("hotel", 5, "db_3"), ontology=ontology, aux=aux,
             context=[], utterance="", belief=belief({"hotel": {"type": "hotel"}}))
         assert not used_aux
         assert out == act
@@ -344,12 +335,124 @@ def test_revise_act_reads_mentioned_domains_from_context(ontology):
     now = belief({"hotel": {"area": "south"}})
     act = DialogAct((("attraction", "inform", "address"),))
     for context, kept in (([earlier], True), ([], False)):
-        state = accumulate_state([t.belief for t in context] + [now])
         out, firings, _ = revise_act(
-            act, belief_state=state, db=DbResult("hotel", 5, "db_3"), ontology=ontology,
+            act, db=DbResult("hotel", 5, "db_3"), ontology=ontology,
             aux=None, context=context, utterance="i want the south .", belief=now)
         assert (out == act) is kept
         assert any(f.startswith("drop-undiscussed-domains") for f in firings) is not kept
+
+
+def reference_validate_act(act, context, belief, state, db, ontology):
+    """The act rules as they read a second copy of the dialogue: its accumulated `state`."""
+    kept, firings = [], []
+    for d, t, s in act.triples:
+        if not ontology.act_permitted(d, t):
+            firings.append(f"permitted-acts: dropped ({d}, {t}, {s}); act not permitted for domain")
+            continue
+        if not ontology.act_slot_permitted(d, s):
+            firings.append(f"permitted-acts: dropped ({d}, {t}, {s}); slot not permitted for domain")
+            continue
+        if db.bucket == "db_0" and d == db.domain and t in revision._OFFER_ACTS:
+            firings.append(f"nooffer-on-empty-db: replaced ({d}, {t}, {s}) with nooffer; "
+                           "empty db result")
+            t, s = "nooffer", NONE
+        if t == "offerbooked" and not (
+                any(turn.act.has("offerbook", d) for turn in context)
+                or not BOOKING_SLOTS.get(d, revision._OTHER_BOOKING_SLOTS).isdisjoint(
+                    state.entries.get(d, {}))):
+            firings.append(f"offerbooked-needs-booking: downgraded ({d}, offerbooked, {s}) "
+                           "to inform; no booking context")
+            t = "inform"
+        if d != GENERAL_DOMAIN and d not in state.entries and d not in belief.entries \
+                and not any(d in turn.belief.entries for turn in context):
+            firings.append(f"drop-undiscussed-domains: dropped ({d}, {t}, {s}); "
+                           "domain never discussed")
+            continue
+        if (d, t, s) in kept:
+            firings.append(f"dedupe: dropped duplicate {(d, t, s)}")
+            continue
+        kept.append((d, t, s))
+    if not kept:
+        firings.append(revision._FALLBACK_FIRING)
+        return FALLBACK_ACT, firings
+    return DialogAct(tuple(kept)), firings
+
+
+def reference_revise_act(gpt_act, context, belief, state, db, ontology, aux):
+    revised, firings = reference_validate_act(gpt_act, context, belief, state, db, ontology)
+    if not gpt_act.is_empty() and firings[-1:] == [revision._FALLBACK_FIRING]:
+        aux_act = aux.predict_act(context, "", belief, db)
+        revised, aux_firings = reference_validate_act(aux_act, context, belief, state, db,
+                                                      ontology)
+        return revised, firings + ["aux " + f for f in aux_firings], True
+    return revised, firings, False
+
+
+_BUCKET_COUNT = {"db_0": 0, "db_1": 1, "db_2": 3, "db_3": 7, "db_nores": 0}
+
+
+def _random_rule_inputs(ontology, rng):
+    """(act, context, belief, db): a random dialogue so far and an act that breaks every rule."""
+    context = [turn("", random_belief(ontology, rng).entries, random_act(ontology, rng).triples)
+               for _ in range(rng.randint(0, 4))]
+    now = random_belief(ontology, rng) if rng.random() < 0.85 else TurnBelief()
+    triples = list(random_act(ontology, rng).triples)
+    for _ in range(rng.randint(0, 3)):  # acts and slots the ontology may not permit
+        triples.append((rng.choice([*ontology.domains, "spaceship"]),
+                        rng.choice(sorted(ACT_TYPES)),
+                        rng.choice(["none", "area", "stay", "people", "reference", "food",
+                                    "color", "choice"])))
+    for d in {d for b in [now, *(t.belief for t in context)] for d in b.task_domains()}:
+        if rng.random() < 0.5:  # offers and bookings in a discussed domain
+            triples.append((d, rng.choice(["offerbooked", "offerbook", "inform"]),
+                            rng.choice(["none", "reference", "choice"])))
+    if rng.random() < 0.2:
+        triples.append(rng.choice(triples))
+    rng.shuffle(triples)
+    bucket = rng.choice(DB_BUCKETS)
+    domain = rng.choice([d for d, _, _ in triples] if rng.random() < 0.7 else [*ontology.domains])
+    db = DbResult(domain, _BUCKET_COUNT[bucket], bucket)
+    return DialogAct(tuple(triples)), context, now, db
+
+
+def _rule_and_triple(firing):
+    """A firing without its permitted-acts reason, the one text that reads the ontology."""
+    head = firing.partition("; ")[0]
+    return head if head.removeprefix("aux ").startswith("permitted-acts: ") else firing
+
+
+def test_validate_act_equals_state_reference(ontology):
+    """The rules read the beliefs of the dialogue, not a state accumulated from them."""
+    rng = make_rng(41)
+    fired = {}
+    for _ in range(400):
+        act, context, now, db = _random_rule_inputs(ontology, rng)
+        state = accumulate_state([t.belief for t in context] + [now])
+        got, firings = validate_act(act, context, now, db, ontology)
+        want, want_firings = reference_validate_act(act, context, now, state, db, ontology)
+        assert got == want
+        assert list(map(_rule_and_triple, firings)) == list(map(_rule_and_triple, want_firings))
+        for firing in firings:
+            rule = firing.split(":")[0]
+            fired[rule] = fired.get(rule, 0) + 1
+        kept_offerbooked = any(t == "offerbooked" for _, t, _ in got.triples)
+        fired["offerbooked kept"] = fired.get("offerbooked kept", 0) + kept_offerbooked
+    assert len(fired) == 7 and min(fired.values()) >= 20, fired
+
+
+def test_revise_act_equals_state_reference(ontology, aux):
+    rng = make_rng(43)
+    used = 0
+    for _ in range(400):
+        act, context, now, db = _random_rule_inputs(ontology, rng)
+        state = accumulate_state([t.belief for t in context] + [now])
+        got, firings, used_aux = revise_act(act, context, now, "", db, ontology, aux)
+        want, want_firings, want_used = reference_revise_act(
+            act, context, now, state, db, ontology, aux)
+        assert (got, used_aux) == (want, want_used)
+        assert list(map(_rule_and_triple, firings)) == list(map(_rule_and_triple, want_firings))
+        used += used_aux
+    assert used >= 10
 
 
 # -- lexical aux predictor -------------------------------------------------------
@@ -558,8 +661,9 @@ def test_http_adapter_round_trip(loopback):
 
 # replies that are JSON but not of the wire shape; each used to escape as an
 # AttributeError, TypeError or ValueError, a belief value or act member that is
-# not a string to be read as its str(), or a reply without its key to be read
-# as an empty belief or act, instead of failing as an aux error
+# not a string to be read as its str(), a reply without its key to be read as
+# an empty belief or act, a slot named none to be dropped, or a second spelling
+# of a slot to overwrite the first, instead of failing as an aux error
 @pytest.mark.parametrize("ask, reply", [
     ("belief", []),
     ("belief", "x"),
@@ -579,6 +683,9 @@ def test_http_adapter_round_trip(loopback):
     ("act", {"acts": [["hotel", "inform", "area"]]}),
     ("act", {"act": [[None, "bye", "none"]]}),
     ("act", {"act": [["general", "bye", 0]]}),
+    ("belief", {"belief": {"hotel": {"none": "cheap"}}}),
+    ("belief", {"belief": {"hotel": {"None": "cheap"}}}),
+    ("belief", {"belief": {"hotel": {"book stay": "2", "stay": "3"}}}),
 ])
 def test_http_adapter_rejects_malformed_reply(loopback, ask, reply):
     adapter = HttpAuxPredictor(f"{loopback(lambda request, headers: (200, reply, {}))}/aux")
