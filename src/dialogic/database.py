@@ -1,11 +1,10 @@
-"""Per-domain entity tables and constraint queries with bucketized counts."""
+"""Per-domain entity indexes and constraint queries with bucketized counts."""
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -48,7 +47,7 @@ def _sorted_times(rows_of: dict[str, list[int]]) -> tuple[list[int], tuple[int, 
     each distinct cell parsed once; cells that are not a time are left out."""
     by_minute: dict[int, list[int]] = {}
     for cell, rows in rows_of.items():
-        if (minutes := parse_time(str(cell))) is not None:
+        if (minutes := parse_time(cell)) is not None:
             by_minute.setdefault(minutes, []).extend(rows)
     times: list[int] = []
     order: list[int] = []
@@ -59,15 +58,20 @@ def _sorted_times(rows_of: dict[str, list[int]]) -> tuple[list[int], tuple[int, 
     return times, tuple(order)
 
 
-@dataclass
 class EntityDb:
-    """Entity records per domain, with a (slot, value) index of the columns a
-    belief can constrain: the domain's informable slots that its table holds."""
+    """What a query reads, per domain: a (slot, value) index of the columns a
+    belief can constrain (the domain's informable slots that its table holds),
+    the presorted train times and the row count.
 
-    ontology: Ontology
-    tables: dict[str, list[dict[str, str]]] = field(default_factory=dict)
+    `tables` maps each domain to its rows, flat objects of lower-cased text
+    as `load_entity_db` builds them; they are indexed here, and no row is kept.
+    """
 
-    def __post_init__(self):
+    def __init__(self, ontology: Ontology,
+                 tables: dict[str, list[dict[str, str]]] | None = None):
+        self.ontology = ontology
+        tables = tables or {}
+        self._sizes: dict[str, int] = {domain: len(records) for domain, records in tables.items()}
         # each key's rows as an ascending tuple: a set would cost several times the memory
         self._index: dict[str, dict[tuple[str, tuple[str, ...]], tuple[int, ...]]] = {}
         self._indexed: dict[str, frozenset[str]] = {}
@@ -75,8 +79,8 @@ class EntityDb:
         # and the row of each, so a bound selects a contiguous run of rows
         self._times: dict[tuple[str, str], tuple[list[int], tuple[int, ...]]] = {}
         norm = cache(value_tokens)  # cells repeat: tokenise each distinct value once
-        for domain, records in self.tables.items():
-            schema = self.ontology.domains.get(domain)
+        for domain, records in tables.items():
+            schema = ontology.domains.get(domain)
             indexed = frozenset(schema.informable if schema else ()) & set().union(*records)
             index: dict[tuple[str, tuple[str, ...]], tuple[int, ...]] = {}
             ids = list(range(len(records)))
@@ -94,7 +98,8 @@ class EntityDb:
             self._indexed[domain] = indexed
 
     def size(self, domain: str) -> int:
-        return len(self.tables.get(domain, []))
+        """The row count of the domain's table; 0 for a domain with no table."""
+        return self._sizes.get(domain, 0)
 
     def query(self, domain: str, constraints: dict[str, str]) -> DbResult:
         """Count entities matching all constraints and bucketize the count.
@@ -113,7 +118,7 @@ class EntityDb:
         """
         if not self.ontology.has_domain(domain):
             raise DatabaseError(f"unknown domain {domain!r}")
-        if not self.ontology.queryable(domain) or domain not in self.tables:
+        if not self.ontology.queryable(domain) or domain not in self._sizes:
             return DbResult(domain, 0, "db_nores")
         indexed = self._indexed[domain]
         candidates: set[int] | None = None  # None: every row
@@ -146,14 +151,63 @@ def _case_variant_keys(record: dict) -> tuple[str, str]:
     return first, key
 
 
+# the JSON type of a parsed value that is not a string; an object has become a row
+_JSON_KINDS = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               list: "an array"}
+
+
+class _Fault:
+    """What is wrong with one parsed JSON object, in place of its row."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str):
+        self.message = message
+
+
+def _read_row(record: dict, informable: dict, lowered: SharedTexts,
+              columns_of: dict[tuple[str, ...], tuple[tuple[str, str], ...] | _Fault]
+              ) -> dict[str, str] | _Fault:
+    """The row of one parsed JSON object: its informable cells, lowered.
+
+    The parser calls it on every object as soon as it is read, nested ones
+    first, so a nested object reaches its entry as a row or a `_Fault`. The
+    entries of a file share a few key orders, so `columns_of` holds, per key
+    order, the (key, lowered key) of each informable column, or the fault.
+    """
+    columns = columns_of.get(keys := tuple(record))
+    if columns is None:
+        lowered_keys = [lowered[k] for k in keys]
+        if len(set(lowered_keys)) < len(keys):
+            first, second = _case_variant_keys(record)
+            columns = _Fault(f"has keys {first!r} and {second!r}, which differ only in case")
+        else:
+            columns = tuple((k, low) for k, low in zip(keys, lowered_keys) if low in informable)
+        columns_of[keys] = columns
+    if isinstance(columns, _Fault):
+        return columns
+    row = {}
+    for spelled, key in columns:
+        if not isinstance(cell := record[spelled], str):
+            kind = _JSON_KINDS.get(type(cell), "an object")
+            return _Fault(f"column {spelled!r} must be a JSON string, not {kind}")
+        row[key] = lowered[cell]
+    return row
+
+
 def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
     """Load `<domain>_db.json` files (one JSON array of flat objects each).
 
-    Keys and cells are stored as lower-cased text. Cells repeat across rows,
-    so equal texts share one string, through a memo of this call's own. Each
-    parsed entry is dropped once its row is built, so a file's JSON is freed
-    as its table grows. Two keys of one entry that differ only in case are an
-    error: lowering would keep one column and lose the other.
+    Only the columns a belief can constrain are read: the domain's informable
+    slots, each key matched after lowering it. Their cells must be JSON
+    strings, stored lower-cased; a `null`, number, boolean, array or object
+    there is an error naming the file, the entry and the column. Any other
+    column (a phone, a MultiWOZ `location` list or `price` object) is not
+    read at all. Cells repeat across rows, so equal texts share one string,
+    through a memo of this call's own. Each entry becomes its row as soon as
+    the parser has read it, so a file's parsed JSON is never held whole. Two
+    keys of one entry that differ only in case are an error, whichever
+    columns they name: lowering would keep one column and lose the other.
     """
     db_dir = Path(db_dir)
     if not db_dir.is_dir():
@@ -164,21 +218,18 @@ def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
         domain = path.name[: -len("_db.json")]
         if not ontology.has_domain(domain) or domain == GENERAL_DOMAIN:
             continue
+        read_row = partial(_read_row, informable=ontology.schema(domain).informable,
+                           lowered=lowered, columns_of={})
         with open(path, encoding="utf-8") as fh:
-            records = json.load(fh)
-        if not isinstance(records, list):
+            table = json.load(fh, object_hook=read_row)
+        if not isinstance(table, list):
             raise DatabaseError(f"{path}: expected a JSON array of entities")
-        table = tables[domain] = []
-        for i, record in enumerate(records):
-            if not isinstance(record, dict):
-                raise DatabaseError(f"{path}: entry {i} is not an object: {record!r:.60}")
-            row = {lowered[str(k)]: lowered[str(v)] for k, v in record.items()}
-            if len(row) < len(record):
-                first, second = _case_variant_keys(record)
-                raise DatabaseError(f"{path}: entry {i} has keys {first!r} and {second!r}, "
-                                    "which differ only in case")
-            table.append(row)
-            records[i] = None  # free this entry's JSON
+        for i, row in enumerate(table):
+            if isinstance(row, _Fault):
+                raise DatabaseError(f"{path}: entry {i} {row.message}")
+            if not isinstance(row, dict):
+                raise DatabaseError(f"{path}: entry {i} is not an object: {row!r:.60}")
+        tables[domain] = table
     return EntityDb(ontology=ontology, tables=tables)
 
 

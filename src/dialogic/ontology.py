@@ -81,6 +81,8 @@ class Ontology:
     """All domains plus convenience lookups used across the pipeline."""
 
     domains: dict[str, DomainSchema] = field(default_factory=dict)
+    # each domain's slot universe, built once: an act rule asks for every triple
+    _act_slots: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, schema in self.domains.items():
@@ -93,6 +95,8 @@ class Ontology:
             if stray:
                 raise OntologyError(f"domain {name!r}: requestable slots {sorted(stray)} "
                                     "outside the slot universe")
+        object.__setattr__(self, "_act_slots", {
+            name: schema.slot_universe(name) for name, schema in self.domains.items()})
 
     def has_domain(self, domain: str) -> bool:
         return domain in self.domains
@@ -118,7 +122,10 @@ class Ontology:
     def act_slot_permitted(self, domain: str, slot: str) -> bool:
         if slot == NONE:
             return True
-        return slot in self.schema(domain).slot_universe(domain)
+        try:
+            return slot in self._act_slots[domain]
+        except KeyError:
+            raise OntologyError(f"unknown domain {domain!r}") from None
 
     def goal_domains(self) -> list[str]:
         """Domains eligible for generated goals: a task can be pursued in them."""

@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from dialogic import database
 from dialogic.database import (
     DatabaseError,
     EntityDb,
@@ -16,6 +17,17 @@ from dialogic.revision import BOOKING_SLOTS
 from dialogic.textnorm import match_tokens, parse_time, value_tokens
 
 from .conftest import make_rng
+
+
+@pytest.fixture(scope="module")
+def default_tables():
+    """The rows the bundled DB is built from, every column kept."""
+    return reference_default_tables()
+
+
+def built(db):
+    """What a query reads: the index, the indexed columns, the presorted times, the row counts."""
+    return db._index, db._indexed, db._times, {d: db.size(d) for d in db.ontology.domains}
 
 
 def brute_force_count(records, constraints, *, booking=(), time_rules=()):
@@ -67,15 +79,15 @@ def test_no_constraints_counts_table(entity_db):
     assert result.bucket == "db_3"
 
 
-def test_query_matches_linear_scan(entity_db):
+def test_query_matches_linear_scan(entity_db, default_tables):
     result = entity_db.query("hotel", {"area": "south", "type": "hotel"})
     oracle = brute_force_count(
-        entity_db.tables["hotel"], {"area": "south", "type": "hotel"})
+        default_tables["hotel"], {"area": "south", "type": "hotel"})
     assert result.count == oracle == 1
     assert result.bucket == "db_1"
 
 
-def test_query_random_constraints_match_oracle(entity_db, ontology):
+def test_query_random_constraints_match_oracle(entity_db, default_tables, ontology):
     rng = make_rng(13)
     slots = {"hotel": ["area", "pricerange", "type", "parking", "stars"],
              "restaurant": ["area", "pricerange", "food"]}
@@ -86,21 +98,22 @@ def test_query_random_constraints_match_oracle(entity_db, ontology):
             constraints[slot] = rng.choice(
                 list(ontology.candidates(domain, slot)) + ["dontcare"])
         result = entity_db.query(domain, constraints)
-        assert result.count == brute_force_count(entity_db.tables[domain], constraints)
+        assert result.count == brute_force_count(default_tables[domain], constraints)
 
 
-def linear_scan_query(db, domain, constraints):
-    """Reference for `EntityDb.query`: test every row against each constraint in turn.
+def linear_scan_query(ontology, tables, domain, constraints):
+    """Reference for `EntityDb.query` on a DB built from `tables`: test every
+    row against each constraint in turn.
 
     Only a slot that is informable in the domain and a column of its table constrains.
     """
-    if not db.ontology.has_domain(domain):
+    if not ontology.has_domain(domain):
         raise DatabaseError(f"unknown domain {domain!r}")
-    if not db.ontology.queryable(domain) or domain not in db.tables:
+    if not ontology.queryable(domain) or domain not in tables:
         return DbResult(domain, 0, "db_nores")
-    records = db.tables[domain]
+    records = tables[domain]
     columns = {slot for record in records for slot in record}
-    informable = db.ontology.schema(domain).informable
+    informable = ontology.schema(domain).informable
     time_rule = {"leave": "ge", "arrive": "le"} if domain == "train" else {}
     rows = list(records)
     for slot, value in constraints.items():
@@ -139,8 +152,7 @@ def _random_trains(rng, n):
     return trains
 
 
-def _random_constraints(rng, db, domain):
-    records = db.tables[domain]
+def _random_constraints(rng, records, domain):
     slots = sorted({slot for record in records for slot in record})
     slots += sorted(BOOKING_SLOTS.get(domain, ())) + ["color"]
     constraints = {}
@@ -157,23 +169,24 @@ def _random_constraints(rng, db, domain):
     return constraints
 
 
-def test_query_matches_linear_scan_reference(entity_db, ontology):
+def test_query_matches_linear_scan_reference(entity_db, default_tables, ontology):
     rng = make_rng(29)
-    trains = EntityDb(ontology=ontology, tables={"train": _random_trains(rng, 120)})
-    for db in (entity_db, trains):
+    train_tables = {"train": _random_trains(rng, 120)}
+    trains = EntityDb(ontology=ontology, tables=train_tables)
+    for db, tables in ((entity_db, default_tables), (trains, train_tables)):
         def index_snapshot():
             return {d: {k: frozenset(v) for k, v in index.items()} for d, index in db._index.items()}
 
         shared = index_snapshot()
-        for domain in db.tables:
+        for domain in tables:
             size = db.size(domain)
             assert db.query(domain, {}) == DbResult(domain, size, bucketize(size, True))
         timed = 0
         for _ in range(1000):
-            domain = rng.choice(sorted(db.tables))
-            constraints = _random_constraints(rng, db, domain)
-            assert db.query(domain, constraints) == linear_scan_query(db, domain, constraints), (
-                domain, constraints)
+            domain = rng.choice(sorted(tables))
+            constraints = _random_constraints(rng, tables[domain], domain)
+            assert db.query(domain, constraints) == linear_scan_query(
+                ontology, tables, domain, constraints), (domain, constraints)
             timed += domain == "train" and any(parse_time(constraints.get(s, "")) is not None
                                                for s in ("leave", "arrive"))
         assert timed > 40
@@ -202,11 +215,11 @@ def test_booking_slots_ignored(entity_db):
     assert with_booking.count == without.count == 1
 
 
-def test_train_time_inequalities(entity_db):
+def test_train_time_inequalities(entity_db, default_tables):
     result = entity_db.query(
         "train", {"destination": "birmingham new street", "arrive": "13:06"})
     oracle = brute_force_count(
-        entity_db.tables["train"],
+        default_tables["train"],
         {"destination": "birmingham new street", "arrive": "13:06"},
         time_rules={"arrive": "le"})
     assert result.count == oracle == 8
@@ -215,7 +228,7 @@ def test_train_time_inequalities(entity_db):
     assert later.count == 10
     leaving = entity_db.query("train", {"departure": "cambridge", "leave": "09:00"})
     oracle_leave = brute_force_count(
-        entity_db.tables["train"], {"departure": "cambridge", "leave": "09:00"},
+        default_tables["train"], {"departure": "cambridge", "leave": "09:00"},
         time_rules={"leave": "ge"})
     assert leaving.count == oracle_leave
 
@@ -248,35 +261,111 @@ def test_load_entity_db_dir(tmp_path, ontology):
 
 
 def test_load_entity_db_rejects_non_array(tmp_path, ontology):
-    (tmp_path / "hotel_db.json").write_text("{}", encoding="utf-8")
-    with pytest.raises(DatabaseError):
+    path = tmp_path / "hotel_db.json"
+    for text in ("{}", '{"area": null}', '"hotels"'):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DatabaseError, match=re.escape(f"{path}: expected a JSON array")):
+            load_entity_db(tmp_path, ontology)
+
+
+def test_load_entity_db_rejects_non_object_entries(tmp_path, ontology):
+    path = tmp_path / "hotel_db.json"
+    path.write_text(json.dumps([{"name": "a"}, [{"name": "b"}]]), encoding="utf-8")
+    with pytest.raises(DatabaseError, match=re.escape(f"{path}: entry 1 is not an object")):
         load_entity_db(tmp_path, ontology)
 
 
-def test_load_entity_db_lowers_like_reference_and_shares_strings(tmp_path, ontology):
-    """Tables equal the per-cell `str(v).lower()` copy; equal lowered texts are one string."""
-    cells = ["North", "north", "NORTH", 1, 1.0, True, False, 0, None, "None", "TRUE",
-             [1, "A"], {"Area": "North"}, "", "Guest House"]
+def loaded_rows(monkeypatch, db_dir, ontology):
+    """The DB `load_entity_db` builds from `db_dir`, and the rows it built that DB from."""
+    seen = {}
+
+    def record_rows(ontology, tables):
+        seen.update(tables)
+        return EntityDb(ontology=ontology, tables=tables)
+
+    monkeypatch.setattr(database, "EntityDb", record_rows)
+    return load_entity_db(db_dir, ontology), seen
+
+
+def test_load_entity_db_lowers_like_reference_and_shares_strings(tmp_path, monkeypatch, ontology):
+    """Rows equal the per-cell `v.lower()` copy of the informable columns, and no
+    other column; equal lowered texts are one string."""
+    cells = ["North", "north", "NORTH", "1", "1.0", "None", "TRUE", "", "Guest House", "12:30"]
+    unread = [1, 1.0, True, None, [1, "A"], {"Area": "North"}, "Phone"]
     rng = make_rng(7)
     files = {
         # case-variant keys across entries; within one entry they are an error (below)
         "hotel": [{rng.choice(["Area", "area", "AREA"]): rng.choice(cells), "Name": f"H{i}",
-                   "stars": rng.choice(cells)} for i in range(60)],
-        "train": [{"DAY": rng.choice(cells), "leave": rng.choice(cells)} for i in range(60)],
+                   "stars": rng.choice(cells), rng.choice(["Phone", "phone"]): rng.choice(unread),
+                   "location": [52.2, 0.1]} for i in range(60)],
+        "train": [{"DAY": rng.choice(cells), "leave": rng.choice(cells),
+                   "price": rng.choice(unread)} for i in range(60)],
     }
     for domain, records in files.items():
         (tmp_path / f"{domain}_db.json").write_text(json.dumps(records), encoding="utf-8")
-    tables = load_entity_db(tmp_path, ontology).tables
-    reference = {domain: [{str(k).lower(): str(v).lower() for k, v in r.items()}
+    db, tables = loaded_rows(monkeypatch, tmp_path, ontology)
+    reference = {domain: [{k.lower(): v.lower() for k, v in r.items()
+                           if k.lower() in ontology.schema(domain).informable}
                           for r in json.loads((tmp_path / f"{domain}_db.json").read_text("utf-8"))]
                  for domain in files}
     assert tables == reference
+    assert built(db) == built(EntityDb(ontology, reference))
     shared = {}
     for records in tables.values():
         for record in records:
             for text in (*record, *record.values()):
                 assert shared.setdefault(text, text) is text
-    assert {"north", "1", "1.0", "true", "none", "[1, 'a']"} <= set(shared)
+    assert {"north", "1", "1.0", "true", "none", "12:30"} <= set(shared)
+    assert not {"phone", "location", "price"} & set(shared)
+
+
+def test_db_keeps_no_row(entity_db):
+    assert not hasattr(entity_db, "tables")
+    assert set(vars(entity_db)) == {"ontology", "_sizes", "_index", "_indexed", "_times"}
+
+
+def test_unread_columns_change_nothing(tmp_path, ontology):
+    """Extra columns no belief names, of any JSON type, leave the DB as it is without them."""
+    rng = make_rng(41)
+    files = {"hotel": [{"name": f"h{i % 7}", "area": rng.choice(["north", "South", "east"]),
+                        "stars": rng.choice(["3", "4"])} for i in range(80)],
+             "train": _random_trains(rng, 300)}
+    for kind in ("narrow", "wide"):
+        (tmp_path / kind).mkdir()
+    for domain, records in files.items():
+        wide = [{**record, "phone": f"01223 {rng.randint(0, 99):06d}", "location": [52.2, 0.1 * i],
+                 "price": {"single": i, "return": None}, "id": rng.choice([i, None, True, "x"]),
+                 # a nested object is not an entry: keys and cells that would be
+                 # faults in an entry are not read
+                 "facilities": {"Area": None, "area": [1], "name": {"stars": 4}}}
+                for i, record in enumerate(records)]
+        for kind, rows in (("narrow", records), ("wide", wide)):
+            (tmp_path / kind / f"{domain}_db.json").write_text(json.dumps(rows), "utf-8")
+    narrow = load_entity_db(tmp_path / "narrow", ontology)
+    wide = load_entity_db(tmp_path / "wide", ontology)
+    assert built(wide) == built(narrow)
+    assert built(narrow) == built(EntityDb(ontology, {domain: [
+        {k: v.lower() for k, v in r.items()} for r in records] for domain, records in files.items()}))
+    for _ in range(300):
+        domain = rng.choice(sorted(files))
+        constraints = _random_constraints(rng, files[domain], domain)
+        assert wide.query(domain, constraints) == narrow.query(domain, constraints)
+
+
+@pytest.mark.parametrize("column", ["area", "Area"])
+@pytest.mark.parametrize(("cell", "kind"), [
+    (None, "null"), (4, "a number"), (2.5, "a number"), (True, "a boolean"),
+    (["north"], "an array"), ({"area": "north"}, "an object"), ({"area": None}, "an object")],
+    ids=["null", "int", "float", "boolean", "list", "object", "faulty-object"])
+def test_load_entity_db_refuses_non_string_cells(tmp_path, ontology, column, cell, kind):
+    """A cell the index reads is a JSON string, never its `str()`: a `null` area is not `none`."""
+    path = tmp_path / "hotel_db.json"
+    # entry 1 has entry 0's key order when the column is spelled `area`, and its own otherwise
+    path.write_text(json.dumps([{"name": "a", "area": "north", "phone": None},
+                                {"name": "b", column: cell, "phone": None}]), encoding="utf-8")
+    with pytest.raises(DatabaseError, match=re.escape(
+            f"{path}: entry 1 column {column!r} must be a JSON string, not {kind}")):
+        load_entity_db(tmp_path, ontology)
 
 
 def test_load_entity_db_rejects_case_variant_keys(tmp_path, ontology):
@@ -288,10 +377,15 @@ def test_load_entity_db_rejects_case_variant_keys(tmp_path, ontology):
     with pytest.raises(DatabaseError, match=re.escape(
             f"{path}: entry 1 has keys 'Area' and 'area', which differ only in case")):
         load_entity_db(tmp_path, ontology)
+    # columns the index does not read are checked too
+    path.write_text(json.dumps([{"name": "a", "Phone": "1", "phone": "2"}]), encoding="utf-8")
+    with pytest.raises(DatabaseError, match=re.escape(
+            f"{path}: entry 0 has keys 'Phone' and 'phone', which differ only in case")):
+        load_entity_db(tmp_path, ontology)
 
 
 def test_default_db_included_domains(entity_db):
-    assert set(entity_db.tables) == {"restaurant", "hotel", "attraction", "train"}
+    assert set(entity_db._sizes) == {"restaurant", "hotel", "attraction", "train"}
 
 
 def per_cell_index(tables, ontology):
@@ -316,17 +410,17 @@ def _random_repetitive_table(rng, n):
             for i in range(n)]
 
 
-def test_index_equals_per_cell_reference(entity_db, ontology):
+def test_index_equals_per_cell_reference(entity_db, default_tables, ontology):
     rng = make_rng(31)
     hotels = _random_repetitive_table(rng, 400)
     for row in hotels:
         row["phone"] = f"01223 {rng.randint(0, 50):06d}"
-    random_db = EntityDb(ontology=ontology, tables={"hotel": hotels,
-                                                    "train": _random_trains(rng, 300)})
-    for db in (entity_db, random_db):
+    random_tables = {"hotel": hotels, "train": _random_trains(rng, 300)}
+    random_db = EntityDb(ontology=ontology, tables=random_tables)
+    for db, tables in ((entity_db, default_tables), (random_db, random_tables)):
         index = db._index
         assert {domain: {key: set(rows) for key, rows in by_key.items()}
-                for domain, by_key in index.items()} == per_cell_index(db.tables, ontology)
+                for domain, by_key in index.items()} == per_cell_index(tables, ontology)
         # each key's rows are held as an ascending tuple, not a set
         for by_key in index.values():
             for rows in by_key.values():
@@ -337,21 +431,22 @@ def test_index_equals_per_cell_reference(entity_db, ontology):
     assert {slot for slot, _ in entity_db._index["train"]} == {
         "arrive", "day", "departure", "destination", "leave"}
     # several spellings share one key, so the index has fewer keys than spellings
-    assert len(random_db._index["hotel"]) < len({(s, v) for r in random_db.tables["hotel"]
+    assert len(random_db._index["hotel"]) < len({(s, v) for r in hotels
                                                   for s, v in r.items() if s != "phone"})
 
 
-def test_unindexed_columns_constrain_nothing(entity_db, ontology):
+def test_unindexed_columns_constrain_nothing(entity_db, default_tables, ontology):
     rng = make_rng(37)
     trains = _random_trains(rng, 2800)
     for row in trains:
         row["price"] = f"{rng.randint(1, 40)}.{rng.choice(['00', '10', '60'])} pounds"
-    big = EntityDb(ontology=ontology, tables={"train": trains})
+    big_tables = {"train": trains}
+    big = EntityDb(ontology=ontology, tables=big_tables)
     unindexed = {"phone", "id", "price"}
     checked = set()
-    for db in (entity_db, big):
-        for domain in sorted(db.tables):
-            records = db.tables[domain]
+    for db, tables in ((entity_db, default_tables), (big, big_tables)):
+        for domain in sorted(tables):
+            records = tables[domain]
             slots = sorted(unindexed & set().union(*records))
             if not slots:
                 continue
@@ -359,7 +454,7 @@ def test_unindexed_columns_constrain_nothing(entity_db, ontology):
             for slot in slots:  # a stored value alone still counts the whole table
                 assert db.query(domain, {slot: records[0][slot]}).count == db.size(domain)
             for _ in range(30):
-                constraints = {s: v for s, v in _random_constraints(rng, db, domain).items()
+                constraints = {s: v for s, v in _random_constraints(rng, records, domain).items()
                                if s not in unindexed}
                 extra = {slot: rng.choice([rng.choice(records)[slot], "tr9999", "?"])
                          for slot in rng.sample(slots, rng.randint(1, len(slots)))}
@@ -370,7 +465,8 @@ def test_unindexed_columns_constrain_nothing(entity_db, ontology):
 
 
 def reference_default_tables():
-    """The bundled tables as read before `default_entity_db` went through `load_entity_db`."""
+    """The bundled tables, every column read and lower-cased on its own:
+    a reference that does not go through `load_entity_db`."""
     tables = {}
     for entry in resources.files("dialogic").joinpath("data/db").iterdir():
         if entry.name.endswith("_db.json"):
@@ -381,5 +477,6 @@ def reference_default_tables():
 
 
 def test_default_db_equals_reference_tables(ontology):
-    assert default_entity_db(ontology).tables == reference_default_tables()
-    assert default_entity_db().tables == reference_default_tables()
+    reference = built(EntityDb(ontology, reference_default_tables()))
+    assert built(default_entity_db(ontology)) == reference
+    assert built(default_entity_db()) == reference

@@ -1,7 +1,12 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from dialogic.ontology import (
     ACT_TYPES,
+    EXTRA_SLOTS,
     DomainSchema,
     Ontology,
     OntologyError,
@@ -9,6 +14,10 @@ from dialogic.ontology import (
     load_ontology,
     save_ontology,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import synth  # noqa: E402
 
 
 def test_twelve_global_act_types():
@@ -50,6 +59,15 @@ def test_act_slot_universe(ontology):
     assert ontology.act_slot_permitted("train", "id")
     assert ontology.act_slot_permitted("hotel", "none")
     assert not ontology.act_slot_permitted("hotel", "frobnicate")
+    # the sets built with the ontology answer as `slot_universe` does, slot by slot
+    synthetic, _ = synth.build_ontology(random.Random(5))
+    for onto in (ontology, Ontology.from_json(synthetic)):
+        for domain, schema in onto.domains.items():
+            universe = schema.slot_universe(domain)
+            for slot in sorted(universe | EXTRA_SLOTS | {"frobnicate"}):
+                assert onto.act_slot_permitted(domain, slot) == (slot in universe), (domain, slot)
+    with pytest.raises(OntologyError, match="unknown domain 'spaceship'"):
+        ontology.act_slot_permitted("spaceship", "area")
 
 
 def test_requestable_outside_universe_rejected():
