@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
@@ -74,7 +75,19 @@ class _KeyedCandidates:
     def __init__(self, items: list, maps: Iterable[TripletMap]):
         self.items = items
         distinct: dict[SimilarityKey, int] = {}
-        self.key_of = [distinct.setdefault(similarity_key(m), len(distinct)) for m in maps]
+        # a kept key is rebuilt from one string per qualified slot and one
+        # frozenset per domain set, shared by every kept key that has it
+        parts: dict = {}
+        self.key_of = []
+        for m in maps:
+            key = similarity_key(m)
+            j = distinct.get(key)
+            if j is None:
+                domains, slots = key
+                key = (parts.setdefault(domains, domains),
+                       frozenset([parts.setdefault(s, s) for s in slots]))
+                j = distinct[key] = len(distinct)
+            self.key_of.append(j)
         self.keys = list(distinct)
         self.positions: list[list[int]] = [[] for _ in self.keys]
         for position, j in enumerate(self.key_of):
@@ -218,8 +231,20 @@ class SimilarityIndex:
         turns = [(d, i) for d in dialogues
                  for i, turn in enumerate(d.turns) if turn.belief.slot_count() > 0]
         self.turns = _KeyedCandidates(turns, (d.turns[i].belief for d, i in turns))
-        self.turn_position = {(d.id, i): p for p, (d, i) in enumerate(turns)}
+        self._first_turn: dict[str, int] = {}  # dialogue id -> position of its first candidate
+        for p, (d, _) in enumerate(turns):
+            self._first_turn.setdefault(d.id, p)
         self._empty_goal = any(d.final_goal.is_empty() for d in dialogues)
+
+    def turn_position(self, dialogue_id: str, turn_idx: int) -> int | None:
+        """The position of that dialogue's turn among `turns.items`; None if it is not one."""
+        items = self.turns.items
+        p = self._first_turn.get(dialogue_id, len(items))
+        while p < len(items) and items[p][0].id == dialogue_id:
+            if items[p][1] == turn_idx:
+                return p
+            p += 1
+        return None
 
     def goal_key(self, target: UserGoal) -> SimilarityKey:
         """The key `target` is weighed by against the dialogues' final goals."""
@@ -234,7 +259,8 @@ class SeedDataset:
 
     The dataset is read-only once constructed: the id map, `observed_values()`
     and `similarity` are built from the dialogues at construction, so neither
-    the dialogues nor what those return may be changed afterwards. Being
+    the dialogues nor what those return may be changed afterwards; a loaded
+    corpus's dialogues may also share `Turn` objects. Being
     read-only, one dataset can be shared by worker threads without a lock.
     """
 
@@ -306,10 +332,13 @@ def _require(condition: bool, where: str, message: str) -> None:
 class _Load:
     """One corpus load: what it shares, and how it admits each annotation it builds.
 
-    Each distinct utterance or response, value, slot name and DB result is kept
-    once, however often the file repeats it: `text`, `lowered` and `slot` stand in
-    for `normalize_text`, `str.lower` and `canonical_slot`, and `db` maps a DB
-    result to the first equal one (`NO_RESULT` for what a turn without "db" gets).
+    Each distinct utterance or response, value, slot or domain name, DB
+    result, act and turn is kept once, however often the file repeats it:
+    `text`, `lowered`, `slot` and `domain` stand in for `normalize_text`,
+    `str.lower`, `canonical_slot` and the name as written,
+    `shared` maps a DB result or act to the first equal one (`NO_RESULT` for
+    what a turn without "db" gets), and `turns` holds the turns built so far
+    under their (user, resp) strings: one turn, or a list of those that differ.
     """
 
     def __init__(self, ontology: Ontology, strict: bool):
@@ -319,7 +348,18 @@ class _Load:
         self.text = SharedTexts(normalize_text).__getitem__
         self.lowered = SharedTexts(str.lower).__getitem__
         self.slot = SharedTexts(canonical_slot).__getitem__
-        self.db: dict[DbResult, DbResult] = {NO_RESULT: NO_RESULT}
+        self.domain = SharedTexts(str).__getitem__
+        self.shared: dict = {NO_RESULT: NO_RESULT}
+        self.turns: dict[tuple[str, str], Turn | list[Turn]] = {}
+
+    def read(self, path: Path) -> tuple[list[Dialogue], list[str]]:
+        """The dialogues of the file at `path`, and the issues of a lenient load."""
+        text = path.read_text(encoding="utf-8")
+        try:
+            return ([self.dialogue(entry, f"dialogues[{i}]")
+                     for i, entry in enumerate(_dialogue_entries(text, str(path)))], self.issues)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: not valid JSON ({exc})") from exc
 
     def admit(self, annotation, dialogue_id: str, where: str):
         """Strict mode raises on the first problem; lenient records each in `issues`, drops it."""
@@ -341,7 +381,8 @@ class _Load:
 
     def triplet_map(self, cls, data, where: str, dialogue_id: str):
         """`cls.from_dict(data)` via the load's memos, admitted."""
-        tmap = self.built(where, cls.from_dict, data, slot_name=self.slot, lowered=self.lowered)
+        tmap = self.built(where, cls.from_dict, data, slot_name=self.slot, lowered=self.lowered,
+                          domain_name=self.domain)
         return self.admit(tmap, dialogue_id, where)
 
     def goal(self, data: dict, key: str, where: str, dialogue_id: str) -> UserGoal:
@@ -352,10 +393,17 @@ class _Load:
             return NO_RESULT
         db = self.admit(self.built(f"{where}.db", DbResult.from_json, data["db"]),
                         dialogue_id, f"{where}.db")
-        return self.db.setdefault(db, db)
+        return self.shared.setdefault(db, db)
+
+    def act(self, data: dict, where: str, dialogue_id: str) -> DialogAct:
+        act = self.admit(self.built(f"{where}.act", DialogAct.from_triples, data["act"],
+                                    slot_name=self.slot),
+                         dialogue_id, f"{where}.act")
+        return self.shared.setdefault(act, act)
 
     def turn(self, data: dict, where: str, dialogue_id: str) -> Turn:
-        """One turn; each annotation is built and admitted in file order."""
+        """One turn, each annotation built and admitted in file order; then an
+        earlier equal turn of this load, if there is one, stands in for it."""
         _require(isinstance(data, dict), where, "turn must be an object")
         # each message is built only on failure: a load checks every turn and triple
         for key in ("user", "belief", "act", "resp"):
@@ -364,15 +412,26 @@ class _Load:
         for key in ("user", "resp"):
             if not isinstance(data[key], str):
                 raise CorpusError(f"{where}: {key} must be a string")
-        return Turn(
+        turn = Turn(
             user_utterance=self.text(data["user"]),
             belief=self.triplet_map(TurnBelief, data["belief"], f"{where}.belief", dialogue_id),
             db=self.db_result(data, where, dialogue_id),
-            act=self.admit(self.built(f"{where}.act", DialogAct.from_triples, data["act"],
-                                      slot_name=self.slot),
-                           dialogue_id, f"{where}.act"),
+            act=self.act(data, where, dialogue_id),
             system_response=self.text(data["resp"]),
         )
+        # only turns with the same (shared) user and resp strings are compared
+        key = (turn.user_utterance, turn.system_response)
+        found = self.turns.setdefault(key, turn)
+        if found is turn:
+            return turn
+        earlier = found if isinstance(found, list) else [found]
+        for other in earlier:
+            # belief order too: a turn saved again writes the JSON it was read from
+            if (other.db is turn.db and other.act is turn.act
+                    and other.belief.triples() == turn.belief.triples()):
+                return other
+        self.turns[key] = [*earlier, turn]
+        return turn
 
     def dialogue(self, data: dict, where: str) -> Dialogue:
         """One dialogue, each annotation admitted as it is built, in file order."""
@@ -391,7 +450,79 @@ class _Load:
         source = data.get("source", SOURCE_SEED)
         _require(source in SOURCES, where, f"unknown dialogue source {source!r}")
         return Dialogue(id=dialogue_id, initial_goal=initial, final_goal=goal, turns=turns,
-                        source=source)
+                        source=SOURCES[SOURCES.index(source)])  # the tag's string, not the file's
+
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # what JSON allows between tokens
+
+
+def _past_comma(text: str, i: int) -> int:
+    """Where the next member starts, after the ',' at `i` and any whitespace."""
+    if text[i:i + 1] != ",":
+        raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+    return _WHITESPACE.match(text, i + 1).end()
+
+
+def _dialogue_entries(text: str, where: str) -> Iterator:
+    """The entries of `text`'s top-level "dialogues" array, each decoded as it is reached.
+
+    The document is walked as `json.loads` walks it, with its errors
+    (`JSONDecodeError`): the values of other keys are decoded and dropped, and
+    only the entry being built is held. A second "dialogues" key is a
+    CorpusError where it is met, and a document that holds no "dialogues"
+    array one once it has been read to its end.
+    """
+    decode = json.JSONDecoder().raw_decode
+    skip = _WHITESPACE.match
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    i = skip(text).end()
+    listed = None  # whether the "dialogues" value was an array; None: no such key yet
+    if text[i:i + 1] != "{":  # any other value is the wrong shape
+        _, i = decode(text, i)
+    else:
+        i = skip(text, i + 1).end()
+        closed = text[i:i + 1] == "}"
+        while not closed:
+            if text[i:i + 1] != '"':
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", text, i)
+            at = i
+            key, i = decode(text, i)
+            i = skip(text, i).end()
+            if text[i:i + 1] != ":":
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+            i = skip(text, i + 1).end()
+            if key != "dialogues":
+                _, i = decode(text, i)
+            elif listed is not None:
+                place = json.JSONDecodeError("", text, at)
+                raise CorpusError(f'{where}: "dialogues" given twice (line {place.lineno} '
+                                  f"column {place.colno}); a corpus has one dialogues list")
+            elif text[i:i + 1] != "[":
+                listed = False
+                _, i = decode(text, i)
+            else:
+                listed = True
+                i = skip(text, i + 1).end()
+                ended = text[i:i + 1] == "]"
+                while not ended:
+                    entry, i = decode(text, i)
+                    yield entry
+                    i = skip(text, i).end()
+                    ended = text[i:i + 1] == "]"
+                    if not ended:
+                        i = _past_comma(text, i)
+                i += 1
+            i = skip(text, i).end()
+            closed = text[i:i + 1] == "}"
+            if not closed:
+                i = _past_comma(text, i)
+        i += 1
+    i = skip(text, i).end()
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    _require(bool(listed), where, 'top level must be {"dialogues": [...]}')
 
 
 def load_seed_corpus(path: str | Path, ontology: Ontology, *, strict: bool = True) -> SeedDataset:
@@ -401,29 +532,22 @@ def load_seed_corpus(path: str | Path, ontology: Ontology, *, strict: bool = Tru
     file order; lenient mode drops invalid triplets and records them in
     `SeedDataset.issues`, and rejects the file only on a fault of shape.
 
-    Each entry of the parsed `"dialogues"` list is dropped once its dialogue
-    is built, so the file's JSON is freed as the corpus grows. Within one
-    load, equal utterances and responses, values, slot names and DB results
-    are one object each: files repeat them (a DST-augmented sample repeats its
-    source dialogue's turns). The `_Load` that shares them ends with the call.
+    The file's text is read once, and each entry of its `"dialogues"` array
+    is decoded and built before the next is decoded, so the file's whole JSON
+    tree is never held. Any layout `json.load` reads is read, other top-level
+    keys included; a second `"dialogues"` key, which `json.load` would read
+    as the last one, is a CorpusError. Within one load, equal utterances and
+    responses, values, slot names, DB results, acts and turns are one object
+    each: files repeat them (a DST-augmented sample repeats its source
+    dialogue's turns), so the dialogues of a loaded corpus may share `Turn`
+    objects, as `augment_dst_turn`'s samples do, and are read-only. The
+    `_Load` that shares them ends with the call.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"corpus file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: not valid JSON ({exc})") from exc
-    _require(isinstance(data, dict) and isinstance(data.get("dialogues"), list), str(path),
-             'top level must be {"dialogues": [...]}')
-    entries = data["dialogues"]
-    load = _Load(ontology, strict)
-    dialogues = []
-    for i in range(len(entries)):
-        dialogues.append(load.dialogue(entries[i], f"dialogues[{i}]"))
-        entries[i] = None  # free this entry's JSON
-    return SeedDataset(dialogues=dialogues, issues=load.issues)
+    # the text and the memos go before the dataset builds its index
+    return SeedDataset(*_Load(ontology, strict).read(path))
 
 
 def save_corpus(dialogues: Iterable[Dialogue], path: str | Path) -> None:

@@ -42,13 +42,17 @@ def _rows_by_cell(records: list[dict[str, str]], slot: str,
     return rows_of
 
 
-def _sorted_times(rows_of: dict[str, list[int]]) -> tuple[list[int], tuple[int, ...]]:
-    """Minutes and rows of a time column in ascending (minutes, row) order,
-    each distinct cell parsed once; cells that are not a time are left out."""
-    by_minute: dict[int, list[int]] = {}
-    for cell, rows in rows_of.items():
-        if (minutes := parse_time(cell)) is not None:
-            by_minute.setdefault(minutes, []).extend(rows)
+def _minutes(tokens: tuple[str, ...]) -> int | None:
+    """The time a value's `value_tokens` spell, as minutes after midnight, else None.
+
+    One token that `parse_time` reads is a time, so "05:03", "5:03" and
+    "05:03 ." are 303; "24:00" and "after 05:03" are not times.
+    """
+    return parse_time(tokens[0]) if len(tokens) == 1 else None
+
+
+def _sorted_times(by_minute: dict[int, list[int]]) -> tuple[list[int], tuple[int, ...]]:
+    """Minutes and rows of a time column in ascending (minutes, row) order."""
     times: list[int] = []
     order: list[int] = []
     for minutes in sorted(by_minute):
@@ -85,15 +89,24 @@ class EntityDb:
             index: dict[tuple[str, tuple[str, ...]], tuple[int, ...]] = {}
             ids = list(range(len(records)))
             for slot in sorted(indexed):
-                rows_of = _rows_by_cell(records, slot, ids)
-                for cell, rows in rows_of.items():
+                timed = (domain, slot) in _TIME_INEQUALITIES
+                by_minute: dict[int, list[int]] = {}
+                for cell, rows in _rows_by_cell(records, slot, ids).items():
+                    # a time cell is only ever selected by a bound, so it is not
+                    # indexed; a cell `parse_time` reads is one time token
+                    minutes = parse_time(cell) if timed else None
+                    if timed and minutes is None:
+                        minutes = _minutes(norm(cell))
+                    if minutes is not None:
+                        by_minute.setdefault(minutes, []).extend(rows)
+                        continue
                     key = (slot, norm(cell))
                     if key in index:  # another spelling of one value: merge, keep ascending
                         index[key] = tuple(sorted((*index[key], *rows)))
                     else:
                         index[key] = tuple(rows)
-                if (domain, slot) in _TIME_INEQUALITIES:
-                    self._times[(domain, slot)] = _sorted_times(rows_of)
+                if timed:
+                    self._times[(domain, slot)] = _sorted_times(by_minute)
             self._index[domain] = index
             self._indexed[domain] = indexed
 
@@ -109,10 +122,12 @@ class EntityDb:
         value and any other slot constrain nothing: an unknown slot, a booking
         slot such as hotel `stay` (no table holds one), an informable slot the
         table lacks, a column no belief names (a phone number, train id or
-        price). Each narrowing constraint selects its rows by index: an exact
-        value from the (slot, normalized value) index built at construction,
-        normalized by `value_tokens`, a train time bound by bisection in that
-        column's presorted times. Only the selected row sets are intersected,
+        price). Each narrowing constraint is read by its `value_tokens` and
+        selects its rows by index: a train `leave`/`arrive` value that is one
+        time token ("05:03", "5:03 .") bounds by bisection in that column's
+        presorted times, any other value matches exactly in the (slot,
+        normalized value) index built at construction, which holds a time
+        column's cells that are not times. Only the selected row sets are intersected,
         so with no active constraint the count is the table size and no
         per-row work is done.
         """
@@ -125,8 +140,9 @@ class EntityDb:
         for slot, value in constraints.items():
             if value == "dontcare" or slot not in indexed:
                 continue
+            tokens = value_tokens(value)
             mode = _TIME_INEQUALITIES.get((domain, slot))
-            wanted = parse_time(value) if mode else None
+            wanted = _minutes(tokens) if mode else None
             if wanted is not None:
                 minutes, rows = self._times[(domain, slot)]
                 if mode == "ge":
@@ -134,7 +150,7 @@ class EntityDb:
                 else:
                     matched = rows[:bisect_right(minutes, wanted)]
             else:
-                matched = self._index[domain].get((slot, value_tokens(value)), ())
+                matched = self._index[domain].get((slot, tokens), ())
             candidates = set(matched) if candidates is None else candidates.intersection(matched)
             if not candidates:
                 break

@@ -46,11 +46,13 @@ class TripletMap:
     @classmethod
     def from_dict(cls, data: dict[str, dict[str, str]], *,
                   slot_name: Callable[[str], str] = canonical_slot,
-                  lowered: Callable[[str], str] = str.lower):
+                  lowered: Callable[[str], str] = str.lower,
+                  domain_name: Callable[[str], str] = str):
         """Build from plain JSON data, folding slot aliases to canonical names.
 
-        `slot_name` and `lowered` name each slot and lower each value; a corpus
-        load passes memos of its own, so that equal texts share one string.
+        `slot_name`, `lowered` and `domain_name` name each slot, lower each
+        value and keep each domain as it is; a corpus load passes memos of its
+        own, so that equal texts share one string.
         Data or a domain entry that is not an object, a value that is not a
         string, a slot named `none` (a domain-only mention is an empty object)
         and a second spelling of one slot ("book stay" beside "stay") raise
@@ -62,7 +64,7 @@ class TripletMap:
         for domain, slots in data.items():
             if not isinstance(slots, dict):
                 raise ValidationError(f"domain {domain!r} must be an object, got {slots!r}")
-            built = obj.entries[domain] = {}
+            built = obj.entries[domain_name(domain)] = {}
             for slot, value in slots.items():
                 if not isinstance(value, str):
                     raise ValidationError(f"{domain}.{slot} must be a string, got {value!r}")

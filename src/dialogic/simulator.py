@@ -316,7 +316,7 @@ def _sample_turn_demos(target: TurnBelief, seeds: SeedDataset, k: int, tau: floa
                        rng: random.Random, exclude: tuple[str, int]
                        ) -> list[tuple[Dialogue, int]]:
     index = seeds.similarity
-    skip = index.turn_position.get(exclude)
+    skip = index.turn_position(*exclude)
     available = len(index.turns.items) - (skip is not None)
     if not available:
         raise SimulationError("no seed user turns available as demonstrations",

@@ -612,6 +612,18 @@ def test_malformed_corpus_shape_exits_2(tmp_path, mock_script_file, capsys, payl
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["stats", "validate"])
+def test_second_dialogues_key_exits_2(tmp_path, capsys, command):
+    """json.load would read the last list, here an empty corpus that validates clean."""
+    entry = json.dumps(json.loads(Path(SEED_CORPUS_PATH).read_text("utf-8"))["dialogues"][0])
+    path = tmp_path / "twice.json"
+    path.write_text(f'{{"dialogues": [{entry}],\n "dialogues": []}}', encoding="utf-8")
+    assert main([command, "--corpus", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"dialogues" given twice (line 2 column 2)' in err
+    assert "Traceback" not in err
+
+
 def test_config_file_and_flags_write_identical_corpora(tmp_path, mock_script_file, capsys):
     assert main(simulate_args(tmp_path, out_name="flags.json", backend="mock",
                               mock_script=mock_script_file, n_shots=1,

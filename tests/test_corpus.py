@@ -3,6 +3,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogic.backend import MockBackend
 from dialogic.corpus import (
@@ -10,6 +12,7 @@ from dialogic.corpus import (
     dialogue_to_json,
     load_seed_corpus,
     save_corpus,
+    turn_to_json,
 )
 from dialogic.exemplar import parse_belief
 from dialogic.model import (
@@ -527,3 +530,182 @@ def test_two_loads_share_no_memo(reference_inputs, ontology):
     # and the one-character strings CPython keeps
     assert not any(id(obj) in ids for _, obj in _loaded_objects(second)
                    if obj is not NO_RESULT and obj is not NONE and len(str(obj)) > 1)
+
+
+# -- the streaming reader and the shared turns ----------------------------------
+
+def _distinct_turns(dialogues):
+    """The distinct turns, as the JSON each would be saved as, keys in order."""
+    return {json.dumps(turn_to_json(t)) for d in dialogues for t in d.turns}
+
+
+def _random_corpus(rng, seeds, strict):
+    """Bundled dialogues rebuilt from a shared pool of turns, so that turns repeat.
+
+    Some turns change: belief keys in another order (equal, but saved
+    otherwise), an upper-cased utterance (normalized to the same text),
+    non-ASCII text, and, when not strict, a slot the ontology does not know.
+    """
+    pool = [turn for d in seeds for turn in dialogue_to_json(d)["turns"]]
+    dialogues = []
+    for n in range(rng.randint(0, 6)):
+        data = dialogue_to_json(rng.choice(list(seeds)))
+        data["id"] = f"r{n}"
+        data["turns"] = []
+        for _ in range(rng.randint(1, 4)):
+            turn = json.loads(json.dumps(rng.choice(pool)))
+            roll = rng.random()
+            if roll < 0.15:
+                turn["belief"] = {d: dict(reversed(slots.items()))
+                                  for d, slots in reversed(turn["belief"].items())}
+            elif roll < 0.3:
+                turn["user"] = turn["user"].upper()
+            elif roll < 0.4:
+                turn["resp"] += rng.choice([" café crème", " 東京 ?", " \"quoted\" \\"])
+            elif roll < 0.5 and not strict:
+                turn["belief"].setdefault("hotel", {})["color"] = "red"
+            data["turns"].append(turn)
+        if rng.random() < 0.3:
+            data["initial_goal"] = {"hotel": {"area": "north"}}
+        dialogues.append(data)
+    return dialogues
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), strict=st.booleans(),
+       indent=st.sampled_from([None, 1, "\t"]),
+       separators=st.sampled_from([None, (",", ":"), (" ,\n ", " : ")]),
+       ensure_ascii=st.booleans(), extra=st.sampled_from(["", "before", "after", "both"]))
+def test_any_layout_loads_as_the_reference(tmp_path_factory, ontology, seeds, seed, strict,
+                                           indent, separators, ensure_ascii, extra):
+    dialogues = _random_corpus(make_rng(seed), seeds, strict)
+    payload = {}
+    if extra in ("before", "both"):
+        payload["version"] = {"count": float("inf"), "tags": ["a", None, 1.5]}
+    payload["dialogues"] = dialogues
+    if extra in ("after", "both"):
+        payload["notes"] = "other keys are read and dropped"
+    path = tmp_path_factory.mktemp("layout") / "c.json"
+    path.write_text(json.dumps(payload, indent=indent, separators=separators,
+                               ensure_ascii=ensure_ascii), encoding="utf-8")
+    expected, expected_issues = _reference_load(path, ontology, strict)
+    loaded = load_seed_corpus(path, ontology, strict=strict)
+    assert loaded.issues == expected_issues
+    assert loaded.dialogues == expected
+    # saved again, each dialogue writes what the reference writes, belief order included
+    assert ([json.dumps(dialogue_to_json(d)) for d in loaded]
+            == [json.dumps(dialogue_to_json(d)) for d in expected])
+    # equal turns are one object, and turns that differ never are
+    assert len({id(t) for d in loaded for t in d.turns}) == len(_distinct_turns(expected))
+
+
+def _saved_text(tmp_path, seeds):
+    path = tmp_path / "saved.json"
+    save_corpus(list(seeds), path)
+    return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_file_is_a_corpus_error_with_the_decoders_place(tmp_path_factory, ontology,
+                                                                  seeds, cut):
+    root = tmp_path_factory.mktemp("truncated")
+    text = _saved_text(root, seeds)
+    path = root / "cut.json"
+    path.write_text(text[:int(cut * len(text))], encoding="utf-8")
+    try:
+        json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        expected = f"{path}: not valid JSON ({exc})"
+    else:  # only the closing newline was cut
+        assert len(load_seed_corpus(path, ontology)) == len(seeds)
+        return
+    with pytest.raises(CorpusError) as err:
+        load_seed_corpus(path, ontology)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "", "  \n ", '{"dialogues": []}\n{}', '{"dialogues": []} []',
+    '{"dialogues": [] "x": 1}', '{"dialogues" []}', '{"x": nul, "dialogues": []}',
+    '{"dialogues": [,]}', '{\n"dialogues": [\n', '{"dialogues": [}',
+    "\ufeff" + '{"dialogues": []}',
+    # a syntax error after a shape fault is reported, as json.load reports it
+    '{"dialogues": null, "x": ]}',
+    '[{"dialogues": []}]', '"dialogues"', '{"dialogues": null}', '{"dialogues": {}}',
+    '{"dialogue": []}', "{}",
+])
+def test_damaged_file_is_the_corpus_error_json_load_implies(tmp_path, ontology, text):
+    """Invalid JSON is named with the decoder's message and place, a wrong shape as such."""
+    path = tmp_path / "c.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        expected = f"{path}: not valid JSON ({exc})"
+    else:
+        expected = f'{path}: top level must be {{"dialogues": [...]}}'
+    for strict in (True, False):
+        with pytest.raises(CorpusError) as err:
+            load_seed_corpus(path, ontology, strict=strict)
+        assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("text", ['{"dialogues": [],}', '{"dialogues": [], "x": [1,]}'])
+def test_trailing_comma_is_not_valid_json(tmp_path, ontology, text):
+    """From Python 3.13 `json` names a trailing comma itself, at the comma; the
+    reader names the place after it, as earlier versions of `json` do."""
+    path = tmp_path / "c.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"c\.json: not valid JSON \(.*: line 1 column"):
+        load_seed_corpus(path, ontology)
+
+
+def test_fault_in_an_entry_comes_before_a_later_syntax_error(tmp_path, ontology):
+    """Each entry is built as it is decoded, so faults are met in file order."""
+    path = tmp_path / "c.json"
+    path.write_text('{"dialogues": [1 2]}', encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"^dialogues\[0\]: dialogue must be an object$"):
+        load_seed_corpus(path, ontology)
+
+
+def test_second_dialogues_key_is_refused(tmp_path, ontology, seeds):
+    """json.load keeps the last of two equal keys, which would read an empty corpus here."""
+    entry = json.dumps(dialogue_to_json(seeds.get("SNG0955")))
+    for text in (f'{{"dialogues": [{entry}], "dialogues": []}}',
+                 f'{{"dialogues": [], "x": 1,\n "dialogues": [{entry}]}}',
+                 f'{{"dialogues": null, "dialogues": [{entry}]}}'):
+        path = tmp_path / "twice.json"
+        path.write_text(text, encoding="utf-8")
+        for strict in (True, False):
+            with pytest.raises(CorpusError, match=r'c?twice\.json: "dialogues" given twice'):
+                load_seed_corpus(path, ontology, strict=strict)
+
+
+def test_dst_samples_reload_with_one_turn_per_distinct_turn(reference_inputs, ontology):
+    path, strict = reference_inputs["dst"]
+    loaded = load_seed_corpus(path, ontology, strict=strict)
+    turns = [t for d in loaded for t in d.turns]
+    distinct = _distinct_turns(loaded)
+    assert len({id(t) for t in turns}) == len(distinct) < len(turns)
+    # equal acts are one object too, across turns that differ
+    acts = [t.act for t in turns]
+    assert len({id(a) for a in acts}) == len(set(acts)) < len({id(t) for t in turns})
+
+
+def test_repeated_bad_turn_is_reported_under_each_place(tmp_path, ontology):
+    turn = {"user": "a red hotel", "belief": {"hotel": {"color": "red", "area": "north"}},
+            "act": [["hotel", "frobnicate", "none"]], "resp": "ok"}
+    payload = {"dialogues": [
+        {"id": f"d{n}", "goal": {}, "turns": [turn] * (n + 1)} for n in range(2)]}
+    path = write_corpus(tmp_path, payload)
+    dataset = load_seed_corpus(path, ontology, strict=False)
+    places = ["d0 dialogues[0].turns[0]", "d1 dialogues[1].turns[0]", "d1 dialogues[1].turns[1]"]
+    assert dataset.issues == [issue for place in places for issue in (
+        f"{place}.belief: hotel.color is not an informable slot",
+        f"{place}.act: act 'frobnicate' not permitted in domain 'hotel'")]
+    turns = [t for d in dataset for t in d.turns]
+    assert all(t is turns[0] for t in turns)
+    assert turns[0].belief.to_dict() == {"hotel": {"area": "north"}} and turns[0].act.is_empty()
+    with pytest.raises(CorpusError, match=r"^d0 dialogues\[0\]\.turns\[0\]\.belief: "):
+        load_seed_corpus(path, ontology)

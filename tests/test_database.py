@@ -1,6 +1,9 @@
 import json
+import random
 import re
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +16,15 @@ from dialogic.database import (
     load_entity_db,
 )
 from dialogic.model import DbResult
+from dialogic.ontology import Ontology
 from dialogic.revision import BOOKING_SLOTS
 from dialogic.textnorm import match_tokens, parse_time, value_tokens
 
 from .conftest import make_rng
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import synth  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +38,12 @@ def built(db):
     return db._index, db._indexed, db._times, {d: db.size(d) for d in db.ontology.domains}
 
 
+def time_of(value):
+    """The minutes of a value whose match tokens are one time token, else None."""
+    tokens = match_tokens(value)
+    return parse_time(tokens[0]) if len(tokens) == 1 else None
+
+
 def brute_force_count(records, constraints, *, booking=(), time_rules=()):
     """Linear-scan oracle mirroring the documented query semantics."""
     count = 0
@@ -38,16 +52,18 @@ def brute_force_count(records, constraints, *, booking=(), time_rules=()):
         for slot, value in constraints.items():
             if slot in booking or value == "dontcare" or slot not in record:
                 continue
-            if slot in time_rules:
-                want, have = parse_time(value), parse_time(record[slot])
-                if want is None or have is None:
+            want = time_of(value) if slot in time_rules else None
+            if want is not None:
+                have = time_of(record[slot])
+                if have is None:
                     ok = False
                 elif time_rules[slot] == "ge":
                     ok = have >= want
                 else:
                     ok = have <= want
-            else:
-                ok = match_tokens(record[slot]) == match_tokens(value)
+            else:  # a time cell is only selected by a time bound
+                ok = (match_tokens(record[slot]) == match_tokens(value)
+                      and (slot not in time_rules or time_of(record[slot]) is None))
             if not ok:
                 break
         count += ok
@@ -119,13 +135,14 @@ def linear_scan_query(ontology, tables, domain, constraints):
     for slot, value in constraints.items():
         if value == "dontcare" or slot not in informable or slot not in columns:
             continue
-        wanted = parse_time(value) if slot in time_rule else None
+        wanted = time_of(value) if slot in time_rule else None
         kept = []
         for record in rows:
             if wanted is None:
-                ok = slot in record and match_tokens(record[slot]) == match_tokens(value)
+                ok = (slot in record and match_tokens(record[slot]) == match_tokens(value)
+                      and (slot not in time_rule or time_of(record[slot]) is None))
             else:
-                have = parse_time(record.get(slot, ""))
+                have = time_of(record.get(slot, ""))
                 ok = have is not None and (
                     have >= wanted if time_rule[slot] == "ge" else have <= wanted)
             if ok:
@@ -138,7 +155,9 @@ def linear_scan_query(ontology, tables, domain, constraints):
 
 def _random_trains(rng, n):
     def clock():
-        return rng.choice(["", "--:--", "morning"]) if rng.random() < 0.1 else \
+        # cells that are not times, and times spelled with trailing punctuation
+        return rng.choice(["", "--:--", "morning", "24:00", "9:15 .", "09:15."]) \
+            if rng.random() < 0.1 else \
             f"{rng.randint(0, 23):02d}:{rng.choice([0, 1, 15, 30, 44, 59]):02d}"
 
     trains = []
@@ -161,7 +180,8 @@ def _random_constraints(rng, records, domain):
         if roll < 0.15:
             constraints[slot] = "dontcare"
         elif roll < 0.45:
-            constraints[slot] = f"{rng.randint(0, 24)}:{rng.choice(['00', '07', '30', '44', '60'])}"
+            clock = f"{rng.randint(0, 24)}:{rng.choice(['00', '07', '30', '44', '60'])}"
+            constraints[slot] = clock + rng.choice(["", "", ".", " ."])
         elif roll < 0.9:
             constraints[slot] = rng.choice(records).get(slot, "none")
         else:
@@ -187,7 +207,7 @@ def test_query_matches_linear_scan_reference(entity_db, default_tables, ontology
             constraints = _random_constraints(rng, tables[domain], domain)
             assert db.query(domain, constraints) == linear_scan_query(
                 ontology, tables, domain, constraints), (domain, constraints)
-            timed += domain == "train" and any(parse_time(constraints.get(s, "")) is not None
+            timed += domain == "train" and any(time_of(constraints.get(s, "")) is not None
                                                for s in ("leave", "arrive"))
         assert timed > 40
         # the index sets are shared by every query and must come out unchanged
@@ -231,6 +251,40 @@ def test_train_time_inequalities(entity_db, default_tables):
         default_tables["train"], {"departure": "cambridge", "leave": "09:00"},
         time_rules={"leave": "ge"})
     assert leaving.count == oracle_leave
+
+
+def test_time_constraint_read_by_its_tokens(ontology):
+    """A train time with trailing punctuation bounds like the bare time; a value that
+    is not one time token matches exactly, and only a cell that is not a time."""
+    synth_rng = random.Random(5)  # the benchmark's seed-5 data, as `synth.write_dataset` draws it
+    synthetic, names = synth.build_ontology(synth_rng)
+    synthetic_ontology = Ontology.from_json(synthetic)
+    trains = synth.build_tables(synth_rng, synthetic, names)["train"]
+    rng = make_rng(41)
+    odd = _random_trains(rng, 400)
+    for row in odd[:40]:
+        row["leave"] = rng.choice(["24:00", "after 05:03", "05:03.", "morning"])
+    values = ["05:03", "05:03.", "5:03", "05:03 .", "24:00", "after 05:03", "12:60"]
+    for onto, records in ((synthetic_ontology, trains), (ontology, odd)):
+        db = EntityDb(ontology=onto, tables={"train": records})
+        counts = {}
+        for slot in ("leave", "arrive"):
+            for value in values:
+                result = db.query("train", {slot: value})
+                assert result == linear_scan_query(onto, {"train": records}, "train",
+                                                   {slot: value}), (slot, value)
+                counts[slot, value] = result.count
+        for slot in ("leave", "arrive"):  # the four spellings of one time bound alike
+            assert len({counts[slot, v] for v in values[:4]}) == 1
+        # a time cell is not an index key
+        assert not any(slot in ("leave", "arrive") and time_of(" ".join(tokens)) is not None
+                       for slot, tokens in db._index["train"])
+    synthetic_db = EntityDb(ontology=synthetic_ontology, tables={"train": trains})
+    assert synthetic_db.query("train", {"leave": "05:03."}).count == 2699
+    assert synthetic_db.query("train", {"leave": "24:00"}).count == 0
+    odd_db = EntityDb(ontology=ontology, tables={"train": odd})
+    assert odd_db.query("train", {"leave": "24:00"}).count == sum(
+        r.get("leave") == "24:00" for r in odd) > 0
 
 
 def test_query_monotone_in_constraints(entity_db, ontology):
@@ -389,14 +443,16 @@ def test_default_db_included_domains(entity_db):
 
 
 def per_cell_index(tables, ontology):
-    """Reference for `EntityDb._index`: every cell of an informable column tokenised on its own."""
+    """Reference for `EntityDb._index`: every cell of an informable column tokenised
+    on its own, but for the times of a train time column, which a bound selects."""
     index = {}
     for domain, records in tables.items():
         informable = ontology.schema(domain).informable
+        timed = {"leave", "arrive"} if domain == "train" else set()
         by_value = index.setdefault(domain, {})
         for i, record in enumerate(records):
             for slot, value in record.items():
-                if slot in informable:
+                if slot in informable and not (slot in timed and time_of(value) is not None):
                     by_value.setdefault((slot, value_tokens(value)), set()).add(i)
     return index
 
@@ -428,8 +484,9 @@ def test_index_equals_per_cell_reference(entity_db, default_tables, ontology):
     # only what a belief can constrain is indexed: no phone, address, train id or price
     assert {slot for slot, _ in entity_db._index["hotel"]} == {
         "area", "internet", "name", "parking", "pricerange", "stars", "type"}
-    assert {slot for slot, _ in entity_db._index["train"]} == {
-        "arrive", "day", "departure", "destination", "leave"}
+    # every bundled train time is a time: the time columns are bounded, not indexed
+    assert {slot for slot, _ in entity_db._index["train"]} == {"day", "departure", "destination"}
+    assert {"leave", "arrive"} <= entity_db._indexed["train"]
     # several spellings share one key, so the index has fewer keys than spellings
     assert len(random_db._index["hotel"]) < len({(s, v) for r in hotels
                                                   for s, v in r.items() if s != "phone"})

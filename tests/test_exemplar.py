@@ -490,7 +490,7 @@ def test_indexed_draws_equal_pairwise_draws(ontology):
         candidates = index.turns
         drawn = _assert_draw_follows_law(
             candidates, [d.turns[i].belief for d, i in candidates.items], belief,
-            min(2, len(turns)), tau, lambda: make_rng(seed), index.turn_position.get(exclude))
+            min(2, len(turns)), tau, lambda: make_rng(seed), index.turn_position(*exclude))
         assert demos == [candidates.items[p] for p in drawn]
         reference_rng = make_rng(seed)
         for _ in drawn:
