@@ -146,22 +146,25 @@ class ReplayBackend(CompletionBackend):
         self._lock = threading.Lock()
         if not self.transcript.exists():
             raise FileNotFoundError(f"transcript not found: {self.transcript}")
-        with open(self.transcript, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    if not isinstance(record, dict):
-                        raise TypeError("not a JSON object")
-                    digest, completion = record["sha256"], record["completion"]
-                    if not (isinstance(digest, str) and isinstance(completion, str)):
-                        raise TypeError("sha256 and completion must be strings")
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise BackendError(
-                        f"{self.transcript}:{lineno}: bad transcript record ({exc})") from exc
-                self._completions.setdefault(digest, []).append(completion)
+        try:
+            with open(self.transcript, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        record = json.loads(line)
+                        if not isinstance(record, dict):
+                            raise TypeError("not a JSON object")
+                        digest, completion = record["sha256"], record["completion"]
+                        if not (isinstance(digest, str) and isinstance(completion, str)):
+                            raise TypeError("sha256 and completion must be strings")
+                    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                        raise BackendError(
+                            f"{self.transcript}:{lineno}: bad transcript record ({exc})") from exc
+                    self._completions.setdefault(digest, []).append(completion)
+        except UnicodeDecodeError as exc:
+            raise BackendError(f"{self.transcript}: not UTF-8 ({exc})") from exc
 
     def __len__(self) -> int:
         return sum(len(recorded) for recorded in self._completions.values())

@@ -12,6 +12,7 @@ import json
 import re
 import sys
 import threading
+from contextlib import ExitStack, closing
 from dataclasses import fields
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -26,13 +27,14 @@ from .backend import (
     record_transcript,
 )
 from .corpus import CorpusError, SeedDataset, load_seed_corpus, save_corpus
-from .database import EntityDb, default_entity_db, load_entity_db
+from .database import DatabaseError, EntityDb, default_entity_db, load_entity_db
 from .goals import GoalStrategy, RsDistribution, STRATEGIES
 from .model import DecodeConfig, GenConfig
 from .ontology import Ontology, default_ontology, load_ontology
 from .revision import HttpAuxPredictor, LexicalAuxPredictor, slot_value_match_filter
 from .simulator import BatchReport, augment_corpus, check_batch, simulate_batch
 from .stats import compute_stats
+from .textnorm import read_text
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -55,11 +57,8 @@ def _config_flags(path: str) -> list[str]:
     `true` is a bare flag, `false` and `null` are left out, and any other
     non-string value is passed JSON-encoded.
     """
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"--config: file not found: {p}")
     try:
-        data = json.loads(p.read_text("utf-8"))
+        data = json.loads(_read_file("--config", path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--config: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
@@ -95,13 +94,18 @@ def _require_path(flag: str, value: str | None) -> Path:
     return path
 
 
+def _read_file(flag: str, value: str | None) -> str:
+    """The text of the file `flag` names; a missing or non-UTF-8 file is a usage error."""
+    return read_text(_require_path(flag, value), lambda message: ConfigError(f"{flag}: {message}"))
+
+
 def _check_output_dirs(args, *dests: str) -> None:
     """Each output file named by `--<dest>` must go in an existing directory.
 
     Checked before any backend call, so no paid-for work is lost at save time.
     """
     for dest in dests:
-        value = getattr(args, dest)
+        value = getattr(args, dest, None)  # augment-dst has no --trace
         if value and not Path(value).parent.is_dir():
             raise ConfigError(f"--{dest}: directory does not exist: {Path(value).parent}")
 
@@ -129,7 +133,10 @@ def _load_seeds(args, ontology: Ontology) -> SeedDataset:
 def _load_db(args, ontology: Ontology) -> EntityDb:
     if args.db_dir is None:
         return default_entity_db(ontology)
-    return load_entity_db(_require_path("--db-dir", args.db_dir), ontology)
+    try:
+        return load_entity_db(_require_path("--db-dir", args.db_dir), ontology)
+    except DatabaseError as exc:
+        raise ConfigError(f"--db-dir: {exc}") from exc
 
 
 def _build_backend(args) -> CompletionBackend:
@@ -141,7 +148,7 @@ def _build_backend(args) -> CompletionBackend:
             raise ConfigError(f"--transcript: {exc}") from exc
     elif args.backend == "mock":
         try:
-            script = json.loads(_require_path("--mock-script", args.mock_script).read_text("utf-8"))
+            script = json.loads(_read_file("--mock-script", args.mock_script))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--mock-script: not valid JSON ({exc})") from exc
         if not isinstance(script, list) or not all(isinstance(item, str) for item in script):
@@ -153,17 +160,17 @@ def _build_backend(args) -> CompletionBackend:
         backend = HttpCompletionBackend(HttpBackendConfig(
             endpoint=args.endpoint, model=args.model,
             **_given(args, concurrency="workers")))
-    if args.context_budget is not None:
-        backend.context_budget = args.context_budget
+    for name, value in _given(args, concurrency="workers", context_budget="context_budget").items():
+        setattr(backend, name, value)  # before --record wraps it; live took workers in its config
     if args.record:
         backend = record_transcript(backend, args.record)
     return backend
 
 
-def _open_trace(args):
+def _open_trace(args, opened: ExitStack):
     if not args.trace:
-        return None, None
-    fh = open(args.trace, "w", encoding="utf-8")
+        return None
+    fh = opened.enter_context(open(args.trace, "w", encoding="utf-8"))
     lock = threading.Lock()
 
     def sink(event: dict) -> None:
@@ -171,7 +178,7 @@ def _open_trace(args):
         with lock:
             fh.write(line + "\n")
 
-    return sink, fh
+    return sink
 
 
 def _finish(args, dialogues, report: BatchReport, verb: str, unit: str) -> int:
@@ -190,50 +197,49 @@ def _finish(args, dialogues, report: BatchReport, verb: str, unit: str) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _generate(args, prepare, verb: str, unit: str) -> int:
+    """Load and check, build the backend, run the batch and save, for simulate and augment-dst.
+
+    `prepare(cfg, ontology, seeds)` checks and loads what its command alone needs and returns
+    `run(backend, opened)`, which enters what it opens into `opened`, closed with the backend.
+    """
     if not args.out:
         raise ConfigError("--out is required")
     cfg = GenConfig(**_gen_fields(args))
-    strategy = GoalStrategy(**_given(args, kind="strategy", n_source_dialogues="n_source_dialogues",
-                                     drop_probability="drop_probability"))
     ontology = _load_ontology(args)
     seeds = _load_seeds(args, ontology)
-    # before the trace file is opened and before any backend call
-    check_batch(args.num, strategy, seeds, cfg)
+    run = prepare(cfg, ontology, seeds)
     _check_output_dirs(args, "out", "record", "trace")
-    db = _load_db(args, ontology)
-    backend = _build_backend(args)
-    remote = HttpAuxPredictor(args.aux_url) if args.aux_url else None
-    aux = LexicalAuxPredictor(ontology, seeds) if remote is None else remote
-    trace_sink, trace_fh = _open_trace(args)
-    try:
-        dialogues, report = simulate_batch(
-            args.num, strategy, seeds, backend, aux, db, ontology, cfg,
-            workers=args.workers or backend.concurrency, trace=trace_sink,
-            **_given(args, dist="rs_distribution"))
-    finally:
-        backend.close()
-        if remote is not None:
-            remote.close()
-        if trace_fh:
-            trace_fh.close()
-    return _finish(args, dialogues, report, "simulated", "dialogues")
+    with ExitStack() as opened:
+        dialogues, report = run(opened.enter_context(closing(_build_backend(args))), opened)
+    return _finish(args, dialogues, report, verb, unit)
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    def prepare(cfg, ontology, seeds):
+        strategy = GoalStrategy(**_given(
+            args, kind="strategy", n_source_dialogues="n_source_dialogues",
+            drop_probability="drop_probability"))
+        check_batch(args.num, strategy, seeds, cfg)
+        db = _load_db(args, ontology)
+
+        def run(backend, opened):
+            aux = (opened.enter_context(closing(HttpAuxPredictor(args.aux_url))) if args.aux_url
+                   else LexicalAuxPredictor(ontology, seeds))
+            return simulate_batch(args.num, strategy, seeds, backend, aux, db, ontology, cfg,
+                                  trace=_open_trace(args, opened),
+                                  **_given(args, dist="rs_distribution"))
+        return run
+
+    return _generate(args, prepare, "simulated", "dialogues")
 
 
 def cmd_augment_dst(args: argparse.Namespace) -> int:
-    if not args.out:
-        raise ConfigError("--out is required")
-    cfg = GenConfig(**_gen_fields(args))
-    ontology = _load_ontology(args)
-    seeds = _load_seeds(args, ontology)
-    _check_output_dirs(args, "out", "record")
-    backend = _build_backend(args)
-    try:
-        dialogues, report = augment_corpus(
+    def prepare(cfg, ontology, seeds):
+        return lambda backend, opened: augment_corpus(
             seeds, backend, None, ontology, cfg, passes=args.passes)
-    finally:
-        backend.close()
-    return _finish(args, dialogues, report, "augmented", "turns")
+
+    return _generate(args, prepare, "augmented", "turns")
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -348,6 +354,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--context-budget", dest="context_budget", type=_positive_int,
                         help="prompt plus max_tokens limit in tokens, for any backend")
     parser.add_argument("--record", help="record all completions to this transcript file")
+    parser.add_argument("--workers", type=_positive_int,
+                        help="jobs of a batch run at once, for any backend (live default 4)")
     parser.add_argument("--rng-seed", dest="rng_seed", type=int)
     parser.add_argument("--retries", type=int)
     parser.add_argument("--n-shots", dest="n_shots", type=int)
@@ -384,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON rows [domains, min slots, max slots, probability] for random goals")
     p.add_argument("--db-dir", dest="db_dir")
     p.add_argument("--max-turns", dest="max_turns", type=int)
-    p.add_argument("--workers", type=_positive_int)
     p.add_argument("--trace", help="write per-turn revision traces to this JSONL file")
     p.add_argument("--aux-url", dest="aux_url", type=_http_url,
                    help="external aux model endpoint (HttpAuxPredictor) instead of the lexical one")

@@ -32,7 +32,7 @@ from .model import (
     ValidationError,
 )
 from .ontology import NONE, Ontology, canonical_slot
-from .textnorm import SharedTexts, normalize_text
+from .textnorm import SharedTexts, normalize_text, read_text
 
 
 class CorpusError(ValueError):
@@ -293,8 +293,10 @@ class SeedDataset:
 
 def _observed_values(dialogues: list[Dialogue]) -> dict[tuple[str, str], list[str]]:
     seen: dict[tuple[str, str], dict[str, None]] = {}
+    walked: set[int] = set()  # a loaded corpus's dialogues share turns; a turn adds nothing twice
     for dlg in dialogues:
-        for tmap in [dlg.final_goal] + [t.belief for t in dlg.turns]:
+        turns = [t for t in dlg.turns if id(t) not in walked and not walked.add(id(t))]
+        for tmap in [dlg.final_goal] + [t.belief for t in turns]:
             for domain, slot, value in tmap.triples():
                 if slot == NONE or value in ("dontcare", NONE):
                     continue
@@ -354,7 +356,7 @@ class _Load:
 
     def read(self, path: Path) -> tuple[list[Dialogue], list[str]]:
         """The dialogues of the file at `path`, and the issues of a lenient load."""
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path, CorpusError)
         try:
             return ([self.dialogue(entry, f"dialogues[{i}]")
                      for i, entry in enumerate(_dialogue_entries(text, str(path)))], self.issues)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .model import DbResult, bucketize
 from .ontology import GENERAL_DOMAIN, Ontology
-from .textnorm import SharedTexts, parse_time, value_tokens
+from .textnorm import SharedTexts, parse_time, read_text, value_tokens
 
 # train times match by inequality: a requested leave is the earliest departure,
 # a requested arrive the latest arrival
@@ -236,8 +236,10 @@ def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
             continue
         read_row = partial(_read_row, informable=ontology.schema(domain).informable,
                            lowered=lowered, columns_of={})
-        with open(path, encoding="utf-8") as fh:
-            table = json.load(fh, object_hook=read_row)
+        try:
+            table = json.loads(read_text(path, DatabaseError), object_hook=read_row)
+        except json.JSONDecodeError as exc:
+            raise DatabaseError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(table, list):
             raise DatabaseError(f"{path}: expected a JSON array of entities")
         for i, row in enumerate(table):

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .textnorm import read_text
+
 # the 12 global dialog act types
 ACT_TYPES = frozenset({
     "inform", "request", "select", "recommend", "nooffer", "offerbook",
@@ -188,8 +190,11 @@ def _strings(domain: str, key: str, value) -> list[str]:
 
 def load_ontology(path: str | Path) -> Ontology:
     """Load an ontology JSON file ({domain: {informable, requestable, acts, queryable}})."""
-    with open(path, encoding="utf-8") as fh:
-        return Ontology.from_json(json.load(fh))
+    path = Path(path)
+    try:
+        return Ontology.from_json(json.loads(read_text(path, OntologyError)))
+    except json.JSONDecodeError as exc:
+        raise OntologyError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def save_ontology(ontology: Ontology, path: str | Path) -> None:

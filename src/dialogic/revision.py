@@ -166,11 +166,13 @@ def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief, db: Db
     In order; each firing starts with its rule's name:
     1. permitted-acts: drop a triple the ontology does not admit
        (`model.act_problems`, as a corpus load does); the firing gives its first reason.
-    2. nooffer-on-empty-db: on a db_0 result, an inform, recommend, select or
-       offerbook in the queried domain becomes (domain, nooffer, none).
-    3. offerbooked-needs-booking: offerbooked becomes inform unless an act of
+    2. offerbooked-needs-booking: offerbooked becomes inform unless an act of
        `context` offered a booking in the domain or a belief of `context` or
        `belief` holds one of its booking slots.
+    3. nooffer-on-empty-db: on a db_0 result, an inform, recommend, select or
+       offerbook in the queried domain becomes (domain, nooffer, none), or is
+       dropped where the domain permits no nooffer. It runs after rule 2, so a
+       downgraded offerbooked never informs on an empty result.
     4. drop-undiscussed-domains: drop a triple in a task domain that no belief
        of `context` or `belief` mentions.
     5. dedupe: drop a repeat of a triple already kept.
@@ -183,10 +185,6 @@ def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief, db: Db
         if problems:
             firings.append(f"permitted-acts: dropped ({d}, {t}, {s}); {problems[0]}")
             continue
-        if db.bucket == "db_0" and d == db.domain and t in _OFFER_ACTS:
-            firings.append(f"nooffer-on-empty-db: replaced ({d}, {t}, {s}) with nooffer; "
-                           "empty db result")
-            t, s = "nooffer", NONE
         if t == "offerbooked" and not (
                 any(turn.act.has("offerbook", d) for turn in context)
                 or any(not BOOKING_SLOTS.get(d, _OTHER_BOOKING_SLOTS).isdisjoint(
@@ -194,6 +192,14 @@ def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief, db: Db
             firings.append(f"offerbooked-needs-booking: downgraded ({d}, offerbooked, {s}) "
                            "to inform; no booking context")
             t = "inform"
+        if db.bucket == "db_0" and d == db.domain and t in _OFFER_ACTS:
+            if not ontology.act_permitted(d, "nooffer"):
+                firings.append(f"nooffer-on-empty-db: dropped ({d}, {t}, {s}); "
+                               "empty db result, no nooffer in the domain")
+                continue
+            firings.append(f"nooffer-on-empty-db: replaced ({d}, {t}, {s}) with nooffer; "
+                           "empty db result")
+            t, s = "nooffer", NONE
         # `belief` first: most acts are about its domain, and that case costs one lookup
         if d != GENERAL_DOMAIN and d not in belief.entries \
                 and not any(d in turn.belief.entries for turn in context):

@@ -431,7 +431,7 @@ def _make_goal(strategy: GoalStrategy, dist: RsDistribution, seeds: SeedDataset,
 
 
 def _run_batch(ids: list[str], run: Callable[[int, random.Random], Dialogue],
-               cfg: GenConfig, workers: int = 1) -> tuple[list[Dialogue], BatchReport]:
+               cfg: GenConfig, workers: int) -> tuple[list[Dialogue], BatchReport]:
     """Run job i as `run(i, rng)` on its own rng substream and report in index order.
 
     One worker runs the jobs in the calling thread, more run them on a thread
@@ -485,9 +485,9 @@ def check_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset, cfg: GenConf
 def simulate_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset,
                    backend: CompletionBackend, aux: AuxPredictor | None, db: EntityDb,
                    ontology: Ontology, cfg: GenConfig, *,
-                   dist: RsDistribution = RsDistribution(), workers: int = 1,
+                   dist: RsDistribution = RsDistribution(), workers: int | None = None,
                    trace: TraceSink | None = None) -> tuple[list[Dialogue], BatchReport]:
-    """Run n independent simulations on per-dialogue rng substreams."""
+    """Run n simulations on their own rng substreams, `backend.concurrency` at once by default."""
     check_batch(n, strategy, seeds, cfg)
     observed = seeds.observed_values()
     ids = [f"sim_{index:04d}" for index in range(n)]
@@ -498,13 +498,13 @@ def simulate_batch(n: int, strategy: GoalStrategy, seeds: SeedDataset,
             goal, seeds, backend, aux, db, ontology, cfg, rng,
             dialogue_id=ids[index], trace=trace)
 
-    return _run_batch(ids, run, cfg, workers)
+    return _run_batch(ids, run, cfg, backend.concurrency if workers is None else workers)
 
 
 def augment_corpus(seeds: SeedDataset, backend: CompletionBackend,
                    aux: AuxPredictor | None, ontology: Ontology, cfg: GenConfig, *,
                    passes: int = 1) -> tuple[list[Dialogue], BatchReport]:
-    """Generate one augmented user turn per source turn per pass.
+    """Generate one augmented user turn per source turn per pass, `backend.concurrency` at once.
 
     `aux` is ignored: a DST sample's belief is prescribed, so nothing is merged.
     """
@@ -522,4 +522,4 @@ def augment_corpus(seeds: SeedDataset, backend: CompletionBackend,
         return augment_dst_turn(dlg, turn_idx, belief, seeds, backend, ontology, cfg, rng,
                                 dialogue_id=ids[index])
 
-    return _run_batch(ids, run, cfg)
+    return _run_batch(ids, run, cfg, backend.concurrency)

@@ -1,12 +1,14 @@
 """Text normalization shared by the annotation filter and the entity database.
 
 Both the slot-value match filter and DB constraint matching must agree on what
-counts as "the same value", so all token-level normalization lives here.
+counts as "the same value", so all token-level normalization lives here, and
+so does the one way an input file's text is read.
 """
 
 from __future__ import annotations
 
 import re
+from pathlib import Path
 from typing import Callable
 
 # number words mapped to digits for value matching ("three nights" == 3)
@@ -17,6 +19,15 @@ NUMBER_WORDS: dict[str, str] = {
     "fourteen": "14", "fifteen": "15", "sixteen": "16", "seventeen": "17",
     "eighteen": "18", "nineteen": "19", "twenty": "20", "thirty": "30",
 }
+
+
+def read_text(path: Path, error: Callable[[str], Exception]) -> str:
+    """The UTF-8 text of the file at `path`; any other encoding raises `error("<path>: …")`."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc})") from exc
+
 
 _PUNCT_TOKENS = {".", ",", "?", "!", ";", ":"}
 _PUNCT_RE = re.compile(r"[.,?!;:]")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -451,10 +452,10 @@ def test_retries_flag_leaves_http_retries_alone():
 
 
 @pytest.mark.parametrize("flag", [
-    ["--trace", "x"], ["--workers", "2"], ["--max-turns", "3"],
+    ["--trace", "x"], ["--db-dir", "db"], ["--max-turns", "3"],
     # the same settings from a --config file
-    {"trace": "t.jsonl"}, {"workers": 3}, {"max_turns": 2},
-    {"trace": "t.jsonl", "workers": 3, "max_turns": 2},
+    {"trace": "t.jsonl"}, {"db_dir": "db"}, {"max_turns": 2},
+    {"trace": "t.jsonl", "db_dir": "db", "max_turns": 2},
     # goal settings mean nothing to augment-dst, and a misspelt key is no flag
     {"max_domains": 2}, {"strategy": "random"}, {"n_shot": 5},
 ])
@@ -471,6 +472,69 @@ def test_simulate_only_flags_rejected_by_augment_dst(tmp_path, mock_script_file,
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err
     assert not (tmp_path / "x.json").exists()
+
+
+# one reply that expresses the prescribed belief of 3 of the 18 samples at --rng-seed 7
+DST_REPLY = "a train from peterborough for 5 people , and british food on tuesday ."
+
+
+@pytest.mark.parametrize("flag", [["--workers", "3"], {"workers": 3}], ids=["flag", "config"])
+def test_augment_dst_takes_workers(tmp_path, monkeypatch, capsys, flag):
+    from dialogic import simulator
+
+    counts = []
+    run_batch = simulator._run_batch
+    monkeypatch.setattr(simulator, "_run_batch", lambda ids, run, cfg, workers: (
+        counts.append(workers) or run_batch(ids, run, cfg, workers)))
+    script = write_json(tmp_path / "dst_script.json", [DST_REPLY] * 200)
+    if isinstance(flag, dict):
+        flag = ["--config", write_json(tmp_path / "c.json", flag)]
+    argv = ["augment-dst", "--seed-corpus", SEED_CORPUS_PATH, "--backend", "mock",
+            "--mock-script", script, "--rng-seed", "7"]
+    assert main([*argv, "--out", str(tmp_path / "one.json")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "three.json"), *flag]) == 0
+    assert counts == [1, 3]
+    assert (tmp_path / "three.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "augment-dst"])
+@pytest.mark.parametrize("flag", [["--workers", "0"], {"workers": 0}], ids=["flag", "config"])
+def test_workers_below_one_is_usage_error(tmp_path, mock_script_file, capsys, command, flag):
+    if isinstance(flag, dict):
+        flag = ["--config", write_json(tmp_path / "c.json", flag)]
+    assert main([command, "--seed-corpus", SEED_CORPUS_PATH, "--out", str(tmp_path / "x.json"),
+                 "--backend", "mock", "--mock-script", mock_script_file, *flag]) == 2
+    err = capsys.readouterr().err
+    assert "--workers" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_augment_dst_live_runs_the_configs_concurrency(tmp_path, loopback, capsys):
+    """Without --workers a live augment-dst has HttpBackendConfig.concurrency calls in flight."""
+    lock, full, counts = threading.Lock(), threading.Event(), {"in": 0, "peak": 0}
+
+    def answer(body, headers):
+        with lock:
+            counts["in"] += 1
+            counts["peak"] = max(counts["peak"], counts["in"])
+            if counts["in"] >= 4:
+                full.set()
+        full.wait(1.0)  # so a slow runner still fills every slot once
+        full.set()
+        time.sleep(0.003)
+        with lock:
+            counts["in"] -= 1
+        return completion_reply(DST_REPLY)
+
+    url = loopback(answer)
+    code = main_within([
+        "augment-dst", "--seed-corpus", SEED_CORPUS_PATH, "--out", str(tmp_path / "aug.json"),
+        "--backend", "live", "--endpoint", f"{url}/v1/completions", "--model", "m",
+        "--rng-seed", "7", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["succeeded"] == 3
+    assert counts["peak"] == 4
 
 
 def main_within(argv, seconds=30.0) -> int:
@@ -573,6 +637,36 @@ def test_malformed_backend_file_is_usage_error(tmp_path, capsys, flags, text, na
     assert named in err
     assert "Traceback" not in err
     assert not (tmp_path / "corpus.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["validate", "--corpus"], "--corpus"),
+    (["stats", "--corpus"], "--corpus"),
+    (["augment-dst", "--backend", "mock", "--mock-script", "SCRIPT", "--seed-corpus"],
+     "--seed-corpus"),
+    (["validate", "--corpus", SEED_CORPUS_PATH, "--ontology"], "--ontology"),
+    (["simulate", "--backend", "mock", "--mock-script", "SCRIPT", "--db-dir"], "--db-dir"),
+    (["simulate", "--backend", "mock", "--mock-script"], "--mock-script"),
+    (["simulate", "--backend", "replay", "--transcript"], "--transcript"),
+    (["simulate", "--config"], "--config"),
+], ids=["validate-corpus", "stats-corpus", "seed-corpus", "ontology", "db-dir", "mock-script",
+        "transcript", "config"])
+def test_non_utf8_file_names_its_flag_and_path(tmp_path, mock_script_file, capsys, argv, flag):
+    """A UTF-16 file (it starts \\xff\\xfe) behind any path flag is a usage error naming both."""
+    bad = tmp_path / "hotel_db.json"  # a --db-dir reads <domain>_db.json
+    bad.write_bytes('[{"name": "x"}]'.encode("utf-16"))
+    path = str(tmp_path if flag == "--db-dir" else bad)
+    argv = [mock_script_file if arg == "SCRIPT" else arg for arg in argv] + [path]
+    if argv[0] not in ("validate", "stats"):
+        argv += ["--out", str(tmp_path / "x.json")]
+        if flag != "--seed-corpus":
+            argv += ["--seed-corpus", SEED_CORPUS_PATH]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: " in err
+    assert f"{bad}: not UTF-8" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("text", [None, "{not json\n", "[1]\n"],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dialogic.backend import MockBackend
 from dialogic.corpus import (
     CorpusError,
+    _observed_values,
     dialogue_to_json,
     load_seed_corpus,
     save_corpus,
@@ -691,6 +692,28 @@ def test_dst_samples_reload_with_one_turn_per_distinct_turn(reference_inputs, on
     # equal acts are one object too, across turns that differ
     acts = [t.act for t in turns]
     assert len({id(a) for a in acts}) == len(set(acts)) < len({id(t) for t in turns})
+
+
+def test_observed_values_read_each_shared_turn_once_as_every_appearance(
+        reference_inputs, ontology, monkeypatch):
+    path, strict = reference_inputs["dst"]
+    loaded = load_seed_corpus(path, ontology, strict=strict)
+    seen = {}  # per appearance: every goal and every turn's belief, in corpus order
+    for dlg in loaded:
+        for tmap in [dlg.final_goal] + [t.belief for t in dlg.turns]:
+            for domain, slot, value in tmap.triples():
+                if slot != NONE and value not in ("dontcare", NONE):
+                    seen.setdefault((domain, slot), {}).setdefault(value, None)
+    want = [(key, list(values)) for key, values in seen.items()]
+    assert list(loaded.observed_values().items()) == want
+    # and each distinct turn's belief is read once
+    reads = []
+    triples = TurnBelief.triples
+    monkeypatch.setattr(TurnBelief, "triples", lambda self: reads.append(self) or triples(self))
+    assert list(_observed_values(loaded.dialogues).items()) == want
+    appearances = [t for d in loaded for t in d.turns]
+    assert len(reads) == len({id(b) for b in reads}) == len({id(t) for t in appearances})
+    assert len(reads) < len(appearances)
 
 
 def test_repeated_bad_turn_is_reported_under_each_place(tmp_path, ontology):

@@ -352,10 +352,6 @@ def reference_validate_act(act, context, belief, state, db, ontology):
         if not ontology.act_slot_permitted(d, s):
             firings.append(f"permitted-acts: dropped ({d}, {t}, {s}); slot not permitted for domain")
             continue
-        if db.bucket == "db_0" and d == db.domain and t in revision._OFFER_ACTS:
-            firings.append(f"nooffer-on-empty-db: replaced ({d}, {t}, {s}) with nooffer; "
-                           "empty db result")
-            t, s = "nooffer", NONE
         if t == "offerbooked" and not (
                 any(turn.act.has("offerbook", d) for turn in context)
                 or not BOOKING_SLOTS.get(d, revision._OTHER_BOOKING_SLOTS).isdisjoint(
@@ -363,6 +359,14 @@ def reference_validate_act(act, context, belief, state, db, ontology):
             firings.append(f"offerbooked-needs-booking: downgraded ({d}, offerbooked, {s}) "
                            "to inform; no booking context")
             t = "inform"
+        if db.bucket == "db_0" and d == db.domain and t in revision._OFFER_ACTS:
+            if not ontology.act_permitted(d, "nooffer"):
+                firings.append(f"nooffer-on-empty-db: dropped ({d}, {t}, {s}); "
+                               "empty db result, no nooffer in the domain")
+                continue
+            firings.append(f"nooffer-on-empty-db: replaced ({d}, {t}, {s}) with nooffer; "
+                           "empty db result")
+            t, s = "nooffer", NONE
         if d != GENERAL_DOMAIN and d not in state.entries and d not in belief.entries \
                 and not any(d in turn.belief.entries for turn in context):
             firings.append(f"drop-undiscussed-domains: dropped ({d}, {t}, {s}); "
@@ -453,6 +457,15 @@ def test_revise_act_equals_state_reference(ontology, aux):
         assert list(map(_rule_and_triple, firings)) == list(map(_rule_and_triple, want_firings))
         used += used_aux
     assert used >= 10
+
+
+def test_validate_act_is_a_fixpoint(ontology):
+    """The rules accept their own output: a second pass changes nothing and fires nothing."""
+    rng = make_rng(47)
+    for _ in range(400):
+        act, context, now, db = _random_rule_inputs(ontology, rng)
+        once, _ = validate_act(act, context, now, db, ontology)
+        assert validate_act(once, context, now, db, ontology) == (once, [])
 
 
 # -- lexical aux predictor -------------------------------------------------------

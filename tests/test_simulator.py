@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import time
@@ -667,3 +668,71 @@ def test_failure_notes_keep_their_kind_and_text(seeds, aux, entity_db, ontology)
                                "'[hotel] area is south' not expressed within 3 attempts")
     assert report.notes[7] == ("PMUL1576-dst2-p1: PMUL1576 turn 2: fewer than two "
                                "unmentioned slots left in train")
+
+
+class PeakBackend(MockBackend):
+    """Replies as `reply(prompt)` a few ms after the call; records the most calls in flight.
+
+    The first calls wait (1 s at most) until `concurrency` are in flight, so the
+    peak shows how many the batch admits however slowly its threads start.
+    """
+
+    def __init__(self, concurrency: int, reply):
+        super().__init__(lambda req: reply(req.prompt))
+        self.concurrency = concurrency
+        self.in_flight = self.peak = 0
+        self._count = threading.Lock()
+        self._full = threading.Event()
+
+    def complete(self, req):
+        with self._count:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            if self.in_flight >= self.concurrency:
+                self._full.set()
+        try:
+            if not self._full.wait(1.0):
+                self._full.set()  # fewer jobs than slots: only the first call waits
+            time.sleep(0.003)
+            return super().complete(req)
+        finally:
+            with self._count:
+                self.in_flight -= 1
+
+
+def _verbalize_target(prompt: str) -> str:
+    """The DST prompt's prescribed belief, spelled out: a reply of the prompt alone."""
+    target = prompt.rsplit("User(", 1)[1].rsplit(")", 1)[0]
+    return "i want " + re.sub(r"\[\w+\] ", "", target) + " ."
+
+
+def test_augment_runs_as_many_samples_at_once_as_the_backend_admits(tmp_path, seeds, ontology):
+    from dialogic.corpus import save_corpus
+    from dialogic.simulator import augment_corpus
+
+    saved = {}
+    interval = sys.getswitchinterval()
+    for concurrency in (1, 4):
+        backend = PeakBackend(concurrency, _verbalize_target)
+        sys.setswitchinterval(1e-6)  # workers interleave as finely as they can
+        try:
+            dialogues, report = augment_corpus(
+                seeds, backend, None, ontology, GenConfig(rng_seed=1), passes=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert backend.peak == concurrency
+        assert report.requested == 36 and report.succeeded >= 20
+        save_corpus(dialogues, tmp_path / f"{concurrency}.json")
+        saved[concurrency] = (tmp_path / f"{concurrency}.json").read_bytes()
+    assert saved[4] == saved[1]
+
+
+@pytest.mark.parametrize("workers, peak", [(None, 3), (1, 1)])
+def test_simulate_batch_runs_the_backends_concurrency_unless_overridden(
+        seeds, aux, entity_db, ontology, workers, peak):
+    backend = PeakBackend(3, lambda prompt: BYE_SCRIPT[not prompt.endswith("User(")])
+    _, report = simulate_batch(
+        6, GoalStrategy(kind="combination"), seeds, backend, aux, entity_db, ontology,
+        GenConfig(rng_seed=5), workers=workers)
+    assert report.succeeded == 6
+    assert backend.peak == peak
