@@ -187,13 +187,15 @@ class RecordingBackend(CompletionBackend):
 
     The transcript starts empty when the recorder is built: a file already at
     `sink` is truncated, so a replay serves this run's completions only.
+    `concurrency` and `context_budget` are the wrapped backend's, read through.
     """
+
+    concurrency = property(lambda self: self.inner.concurrency)
+    context_budget = property(lambda self: self.inner.context_budget)
 
     def __init__(self, inner: CompletionBackend, sink: str | Path):
         self.inner = inner
         self.sink = Path(sink)
-        self.concurrency = inner.concurrency
-        self.context_budget = inner.context_budget
         self._lock = threading.Lock()
         open(self.sink, "w", encoding="utf-8").close()
 
@@ -217,7 +219,7 @@ def record_transcript(backend: CompletionBackend, sink: str | Path) -> Recording
     return RecordingBackend(backend, sink)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HttpBackendConfig:
     endpoint: str
     model: str
@@ -254,16 +256,19 @@ class HttpCompletionBackend(CompletionBackend):
     `config.concurrency` requests are in flight at most; the server sets the
     pace with 429/503 and `Retry-After`, up to `config.timeout` seconds: a
     longer wait fails the request at once rather than hold its slot.
+    `concurrency` and `context_budget` are read from the config, which is
+    frozen, so a batch never runs more jobs than the backend has request slots.
     `requests` is imported here, not with the module, so offline runs never
     load the HTTP stack.
     """
+
+    concurrency = property(lambda self: self.config.concurrency)
+    context_budget = property(lambda self: self.config.context_budget)
 
     def __init__(self, config: HttpBackendConfig, session: requests.Session | None = None):
         import requests
 
         self.config = config
-        self.concurrency = config.concurrency
-        self.context_budget = config.context_budget
         self._session = session or requests.Session()
         self._owns_session = session is None
         self._slots = threading.Semaphore(config.concurrency)

@@ -34,7 +34,7 @@ from .ontology import Ontology, default_ontology, load_ontology
 from .revision import HttpAuxPredictor, LexicalAuxPredictor, slot_value_match_filter
 from .simulator import BatchReport, augment_corpus, check_batch, simulate_batch
 from .stats import compute_stats
-from .textnorm import read_text
+from .textnorm import read_json
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -57,10 +57,7 @@ def _config_flags(path: str) -> list[str]:
     `true` is a bare flag, `false` and `null` are left out, and any other
     non-string value is passed JSON-encoded.
     """
-    try:
-        data = json.loads(_read_file("--config", path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--config: not valid JSON ({exc})") from exc
+    data = _read_json("--config", path)
     if not isinstance(data, dict):
         raise ConfigError("--config: top level must be a JSON object")
     flags = []
@@ -94,9 +91,10 @@ def _require_path(flag: str, value: str | None) -> Path:
     return path
 
 
-def _read_file(flag: str, value: str | None) -> str:
-    """The text of the file `flag` names; a missing or non-UTF-8 file is a usage error."""
-    return read_text(_require_path(flag, value), lambda message: ConfigError(f"{flag}: {message}"))
+def _read_json(flag: str, value: str | None):
+    """The JSON value of the file `flag` names; a missing, non-UTF-8 or non-JSON file
+    is a usage error naming the flag and the file."""
+    return read_json(_require_path(flag, value), lambda message: ConfigError(f"{flag}: {message}"))
 
 
 def _check_output_dirs(args, *dests: str) -> None:
@@ -140,6 +138,7 @@ def _load_db(args, ontology: Ontology) -> EntityDb:
 
 
 def _build_backend(args) -> CompletionBackend:
+    limits = _given(args, concurrency="workers", context_budget="context_budget")
     if args.backend == "replay":
         try:
             backend: CompletionBackend = ReplayBackend(
@@ -147,10 +146,7 @@ def _build_backend(args) -> CompletionBackend:
         except BackendError as exc:
             raise ConfigError(f"--transcript: {exc}") from exc
     elif args.backend == "mock":
-        try:
-            script = json.loads(_read_file("--mock-script", args.mock_script))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--mock-script: not valid JSON ({exc})") from exc
+        script = _read_json("--mock-script", args.mock_script)
         if not isinstance(script, list) or not all(isinstance(item, str) for item in script):
             raise ConfigError("--mock-script: expected a JSON array of completion strings")
         backend = MockBackend(script)
@@ -158,10 +154,10 @@ def _build_backend(args) -> CompletionBackend:
         if not args.endpoint or not args.model:
             raise ConfigError("--endpoint and --model are required for the live backend")
         backend = HttpCompletionBackend(HttpBackendConfig(
-            endpoint=args.endpoint, model=args.model,
-            **_given(args, concurrency="workers")))
-    for name, value in _given(args, concurrency="workers", context_budget="context_budget").items():
-        setattr(backend, name, value)  # before --record wraps it; live took workers in its config
+            endpoint=args.endpoint, model=args.model, **limits))
+    if args.backend != "live":  # the live backend reads both from its frozen config
+        for name, value in limits.items():
+            setattr(backend, name, value)
     if args.record:
         backend = record_transcript(backend, args.record)
     return backend

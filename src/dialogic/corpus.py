@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import re
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
@@ -32,7 +31,7 @@ from .model import (
     ValidationError,
 )
 from .ontology import NONE, Ontology, canonical_slot
-from .textnorm import SharedTexts, normalize_text, read_text
+from .textnorm import SharedTexts, json_entries, normalize_text
 
 
 class CorpusError(ValueError):
@@ -356,12 +355,9 @@ class _Load:
 
     def read(self, path: Path) -> tuple[list[Dialogue], list[str]]:
         """The dialogues of the file at `path`, and the issues of a lenient load."""
-        text = read_text(path, CorpusError)
-        try:
-            return ([self.dialogue(entry, f"dialogues[{i}]")
-                     for i, entry in enumerate(_dialogue_entries(text, str(path)))], self.issues)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: not valid JSON ({exc})") from exc
+        entries = json_entries(path, CorpusError, "dialogues")
+        return ([self.dialogue(entry, f"dialogues[{i}]") for i, entry in enumerate(entries)],
+                self.issues)
 
     def admit(self, annotation, dialogue_id: str, where: str):
         """Strict mode raises on the first problem; lenient records each in `issues`, drops it."""
@@ -455,78 +451,6 @@ class _Load:
                         source=SOURCES[SOURCES.index(source)])  # the tag's string, not the file's
 
 
-_WHITESPACE = re.compile(r"[ \t\n\r]*")  # what JSON allows between tokens
-
-
-def _past_comma(text: str, i: int) -> int:
-    """Where the next member starts, after the ',' at `i` and any whitespace."""
-    if text[i:i + 1] != ",":
-        raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-    return _WHITESPACE.match(text, i + 1).end()
-
-
-def _dialogue_entries(text: str, where: str) -> Iterator:
-    """The entries of `text`'s top-level "dialogues" array, each decoded as it is reached.
-
-    The document is walked as `json.loads` walks it, with its errors
-    (`JSONDecodeError`): the values of other keys are decoded and dropped, and
-    only the entry being built is held. A second "dialogues" key is a
-    CorpusError where it is met, and a document that holds no "dialogues"
-    array one once it has been read to its end.
-    """
-    decode = json.JSONDecoder().raw_decode
-    skip = _WHITESPACE.match
-    if text.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    i = skip(text).end()
-    listed = None  # whether the "dialogues" value was an array; None: no such key yet
-    if text[i:i + 1] != "{":  # any other value is the wrong shape
-        _, i = decode(text, i)
-    else:
-        i = skip(text, i + 1).end()
-        closed = text[i:i + 1] == "}"
-        while not closed:
-            if text[i:i + 1] != '"':
-                raise json.JSONDecodeError(
-                    "Expecting property name enclosed in double quotes", text, i)
-            at = i
-            key, i = decode(text, i)
-            i = skip(text, i).end()
-            if text[i:i + 1] != ":":
-                raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
-            i = skip(text, i + 1).end()
-            if key != "dialogues":
-                _, i = decode(text, i)
-            elif listed is not None:
-                place = json.JSONDecodeError("", text, at)
-                raise CorpusError(f'{where}: "dialogues" given twice (line {place.lineno} '
-                                  f"column {place.colno}); a corpus has one dialogues list")
-            elif text[i:i + 1] != "[":
-                listed = False
-                _, i = decode(text, i)
-            else:
-                listed = True
-                i = skip(text, i + 1).end()
-                ended = text[i:i + 1] == "]"
-                while not ended:
-                    entry, i = decode(text, i)
-                    yield entry
-                    i = skip(text, i).end()
-                    ended = text[i:i + 1] == "]"
-                    if not ended:
-                        i = _past_comma(text, i)
-                i += 1
-            i = skip(text, i).end()
-            closed = text[i:i + 1] == "}"
-            if not closed:
-                i = _past_comma(text, i)
-        i += 1
-    i = skip(text, i).end()
-    if i != len(text):
-        raise json.JSONDecodeError("Extra data", text, i)
-    _require(bool(listed), where, 'top level must be {"dialogues": [...]}')
-
-
 def load_seed_corpus(path: str | Path, ontology: Ontology, *, strict: bool = True) -> SeedDataset:
     """Read a corpus JSON file, validating every dialogue against the ontology.
 
@@ -535,14 +459,15 @@ def load_seed_corpus(path: str | Path, ontology: Ontology, *, strict: bool = Tru
     `SeedDataset.issues`, and rejects the file only on a fault of shape.
 
     The file's text is read once, and each entry of its `"dialogues"` array
-    is decoded and built before the next is decoded, so the file's whole JSON
-    tree is never held. Any layout `json.load` reads is read, other top-level
-    keys included; a second `"dialogues"` key, which `json.load` would read
-    as the last one, is a CorpusError. Within one load, equal utterances and
-    responses, values, slot names, DB results, acts and turns are one object
-    each: files repeat them (a DST-augmented sample repeats its source
-    dialogue's turns), so the dialogues of a loaded corpus may share `Turn`
-    objects, as `augment_dst_turn`'s samples do, and are read-only. The
+    is decoded (`textnorm.json_entries`) and built before the next is
+    decoded, so the file's whole JSON tree is never held. Any layout
+    `json.load` reads is read, other top-level keys included; a second
+    `"dialogues"` key, which `json.load` would read as the last one, is a
+    CorpusError. Within one load, equal utterances and responses, values,
+    slot names, DB results, acts and turns are one object each: files repeat
+    them (a DST-augmented sample repeats its source dialogue's turns), so the
+    dialogues of a loaded corpus may share `Turn` objects, as
+    `augment_dst_turn`'s samples do, and are read-only. The
     `_Load` that shares them ends with the call.
     """
     path = Path(path)

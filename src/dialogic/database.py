@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
-from functools import cache, partial
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
 from .model import DbResult, bucketize
 from .ontology import GENERAL_DOMAIN, Ontology
-from .textnorm import SharedTexts, parse_time, read_text, value_tokens
+from .textnorm import SharedTexts, json_entries, parse_time, value_tokens
 
 # train times match by inequality: a requested leave is the earliest departure,
 # a requested arrive the latest arrival
@@ -158,57 +157,18 @@ class EntityDb:
         return DbResult(domain, count, bucketize(count, True))
 
 
-def _case_variant_keys(record: dict) -> tuple[str, str]:
-    """The first two keys of `record` that lower to one text; it must have two."""
+def _case_variant_keys(keys: tuple[str, ...]) -> tuple[str, str]:
+    """The first two of `keys` that lower to one text; there must be two."""
     seen: dict[str, str] = {}
-    for key in record:
+    for key in keys:
         if (first := seen.setdefault(key.lower(), key)) is not key:
             break
     return first, key
 
 
-# the JSON type of a parsed value that is not a string; an object has become a row
+# the JSON type of a decoded value that is not a string or an object
 _JSON_KINDS = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
                list: "an array"}
-
-
-class _Fault:
-    """What is wrong with one parsed JSON object, in place of its row."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str):
-        self.message = message
-
-
-def _read_row(record: dict, informable: dict, lowered: SharedTexts,
-              columns_of: dict[tuple[str, ...], tuple[tuple[str, str], ...] | _Fault]
-              ) -> dict[str, str] | _Fault:
-    """The row of one parsed JSON object: its informable cells, lowered.
-
-    The parser calls it on every object as soon as it is read, nested ones
-    first, so a nested object reaches its entry as a row or a `_Fault`. The
-    entries of a file share a few key orders, so `columns_of` holds, per key
-    order, the (key, lowered key) of each informable column, or the fault.
-    """
-    columns = columns_of.get(keys := tuple(record))
-    if columns is None:
-        lowered_keys = [lowered[k] for k in keys]
-        if len(set(lowered_keys)) < len(keys):
-            first, second = _case_variant_keys(record)
-            columns = _Fault(f"has keys {first!r} and {second!r}, which differ only in case")
-        else:
-            columns = tuple((k, low) for k, low in zip(keys, lowered_keys) if low in informable)
-        columns_of[keys] = columns
-    if isinstance(columns, _Fault):
-        return columns
-    row = {}
-    for spelled, key in columns:
-        if not isinstance(cell := record[spelled], str):
-            kind = _JSON_KINDS.get(type(cell), "an object")
-            return _Fault(f"column {spelled!r} must be a JSON string, not {kind}")
-        row[key] = lowered[cell]
-    return row
 
 
 def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
@@ -220,10 +180,12 @@ def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
     there is an error naming the file, the entry and the column. Any other
     column (a phone, a MultiWOZ `location` list or `price` object) is not
     read at all. Cells repeat across rows, so equal texts share one string,
-    through a memo of this call's own. Each entry becomes its row as soon as
-    the parser has read it, so a file's parsed JSON is never held whole. Two
-    keys of one entry that differ only in case are an error, whichever
-    columns they name: lowering would keep one column and lose the other.
+    through a memo of this call's own. Two keys of one entry that differ only
+    in case are an error, whichever columns they name: lowering would keep
+    one column and lose the other. The entries are read one at a time
+    (`textnorm.json_entries`), and each is checked and becomes its row before
+    the next is decoded, so a file's parsed JSON is never held whole and its
+    first fault is reported in file order.
     """
     db_dir = Path(db_dir)
     if not db_dir.is_dir():
@@ -234,20 +196,30 @@ def load_entity_db(db_dir: str | Path, ontology: Ontology) -> EntityDb:
         domain = path.name[: -len("_db.json")]
         if not ontology.has_domain(domain) or domain == GENERAL_DOMAIN:
             continue
-        read_row = partial(_read_row, informable=ontology.schema(domain).informable,
-                           lowered=lowered, columns_of={})
-        try:
-            table = json.loads(read_text(path, DatabaseError), object_hook=read_row)
-        except json.JSONDecodeError as exc:
-            raise DatabaseError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(table, list):
-            raise DatabaseError(f"{path}: expected a JSON array of entities")
-        for i, row in enumerate(table):
-            if isinstance(row, _Fault):
-                raise DatabaseError(f"{path}: entry {i} {row.message}")
-            if not isinstance(row, dict):
-                raise DatabaseError(f"{path}: entry {i} is not an object: {row!r:.60}")
-        tables[domain] = table
+        informable = ontology.schema(domain).informable
+        # the entries of a file share a few key orders: per key order, the
+        # (key, lowered key) of each informable column
+        columns_of: dict[tuple[str, ...], tuple[tuple[str, str], ...]] = {}
+        rows = tables[domain] = []
+        for i, entry in enumerate(json_entries(path, DatabaseError)):
+            if not isinstance(entry, dict):
+                raise DatabaseError(f"{path}: entry {i} is not an object: {entry!r:.60}")
+            columns = columns_of.get(keys := tuple(entry))
+            if columns is None:
+                lowered_keys = [lowered[k] for k in keys]
+                if len(set(lowered_keys)) < len(keys):
+                    first, second = _case_variant_keys(keys)
+                    raise DatabaseError(f"{path}: entry {i} has keys {first!r} and {second!r}, "
+                                        "which differ only in case")
+                columns = columns_of[keys] = tuple(
+                    (k, low) for k, low in zip(keys, lowered_keys) if low in informable)
+            row = {}
+            for spelled, key in columns:
+                if not isinstance(cell := entry[spelled], str):
+                    raise DatabaseError(f"{path}: entry {i} column {spelled!r} must be a JSON "
+                                        f"string, not {_JSON_KINDS.get(type(cell), 'an object')}")
+                row[key] = lowered[cell]
+            rows.append(row)
     return EntityDb(ontology=ontology, tables=tables)
 
 

@@ -348,10 +348,11 @@ class Turn:
 
 
 def current_domain(belief: TurnBelief, context: list[Turn]) -> str | None:
-    """The first task domain of `belief`, else the last one of the latest turn with any."""
+    """The turn's domain: the last task domain of `belief`, else the last one of the
+    latest turn with any. The DB query and the aux act both read it."""
     task = belief.task_domains()
     if task:
-        return task[0]
+        return task[-1]
     for turn in reversed(context):
         task = turn.belief.task_domains()
         if task:

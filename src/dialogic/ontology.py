@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .textnorm import read_text
+from .textnorm import read_json
 
 # the 12 global dialog act types
 ACT_TYPES = frozenset({
@@ -190,11 +190,7 @@ def _strings(domain: str, key: str, value) -> list[str]:
 
 def load_ontology(path: str | Path) -> Ontology:
     """Load an ontology JSON file ({domain: {informable, requestable, acts, queryable}})."""
-    path = Path(path)
-    try:
-        return Ontology.from_json(json.loads(read_text(path, OntologyError)))
-    except json.JSONDecodeError as exc:
-        raise OntologyError(f"{path}: not valid JSON ({exc})") from exc
+    return Ontology.from_json(read_json(Path(path), OntologyError))
 
 
 def save_ontology(ontology: Ontology, path: str | Path) -> None:

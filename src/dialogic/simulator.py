@@ -95,19 +95,19 @@ def _first_accepted(backend: CompletionBackend, cfg: GenConfig, prompt: str,
 
 
 def _query_db(db: EntityDb, belief: TurnBelief, state, turns: list[Turn]) -> DbResult:
-    """Query the belief's last task domain, or the previous turn's if it names no domain.
+    """Query the turn's domain (`current_domain`) under the state's constraints.
 
-    A general-only belief, and a first turn that names no domain, query nothing.
+    A general-only belief queries nothing. A belief that names no domain
+    carries the previous turn's query over: it queries nothing on a first
+    turn or after a turn that queried nothing.
     """
-    task = belief.task_domains()
-    if task:
-        domain = task[-1]
-    elif not belief.domains() and turns:
-        domain = turns[-1].db.domain  # NO_RESULT's domain is general
+    if belief.domains():
+        queried = bool(belief.task_domains())
     else:
+        queried = bool(turns) and turns[-1].db != NO_RESULT
+    if not queried:
         return NO_RESULT
-    if domain == GENERAL_DOMAIN:
-        return NO_RESULT
+    domain = current_domain(belief, turns)
     return db.query(domain, state.entries.get(domain, {}))
 
 

@@ -2,14 +2,16 @@
 
 Both the slot-value match filter and DB constraint matching must agree on what
 counts as "the same value", so all token-level normalization lives here, and
-so does the one way an input file's text is read.
+so does the one way an input file is read: its text, and the entries of a
+JSON array in it.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Generator, Iterator
 
 # number words mapped to digits for value matching ("three nights" == 3)
 NUMBER_WORDS: dict[str, str] = {
@@ -27,6 +29,106 @@ def read_text(path: Path, error: Callable[[str], Exception]) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 ({exc})") from exc
+
+
+def read_json(path: Path, error: Callable[[str], Exception]):
+    """The JSON value of the file at `path`; text that is not JSON raises `error("<path>: …")`."""
+    try:
+        return json.loads(read_text(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # what JSON allows between tokens
+# what may follow a member of an array or an object: whitespace, then the ','
+# before the next member or the closing bracket, then whitespace
+_AFTER_MEMBER = {close: re.compile(rf"[ \t\n\r]*([,\{close}]?)[ \t\n\r]*") for close in "]}"}
+
+
+def _after_member(text: str, i: int, close: str) -> tuple[bool, int]:
+    """Whether the container closes after the member ending at `i`, and where the next
+    member starts or the container's closing bracket and whitespace end."""
+    m = _AFTER_MEMBER[close].match(text, i)
+    if not m[1]:
+        raise json.JSONDecodeError("Expecting ',' delimiter", text, m.end())
+    return m[1] == close, m.end()
+
+
+def _array(text: str, i: int, decode) -> Generator[object, None, tuple[bool, int]]:
+    """The entries of the value at `text[i]`, if it is an array, each decoded as it is reached.
+
+    Returns whether the value is an array, and where it ends; any other value
+    is decoded and dropped.
+    """
+    if text[i:i + 1] != "[":
+        return False, decode(text, i)[1]
+    i = _WHITESPACE.match(text, i + 1).end()
+    ended = text[i:i + 1] == "]"
+    i += ended
+    while not ended:
+        entry, i = decode(text, i)
+        yield entry
+        ended, i = _after_member(text, i, "]")
+    return True, i
+
+
+def json_entries(path: Path, error: Callable[[str], Exception],
+                 key: str | None = None) -> Iterator:
+    """Each entry of a JSON array in the file at `path`, decoded as it is reached.
+
+    The array is the document or, given `key`, that key's value in the
+    document's top-level object. The text is read by `read_text` and walked
+    as `json.loads` walks it: the values of other keys are decoded and
+    dropped, and only the entry being yielded is held. Each fault raises
+    `error("<path>: …")`: text that is not JSON, a BOM and data after the
+    document included, with `json.loads`' message and place, once every
+    entry before the fault has been yielded; a second `key`, which
+    `json.loads` would read as the last one, where it is met; and a document
+    without the array, once it has been read to its end.
+    """
+    text = read_text(path, error)
+    decode = json.JSONDecoder().raw_decode
+    skip = _WHITESPACE.match
+    listed = None  # whether the array's place holds an array; None: not reached
+    try:
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        i = skip(text).end()
+        if key is None:
+            listed, i = yield from _array(text, i, decode)
+        elif text[i:i + 1] != "{":  # any other value is the wrong shape
+            _, i = decode(text, i)
+        else:
+            i = skip(text, i + 1).end()
+            closed = text[i:i + 1] == "}"
+            i += closed
+            while not closed:
+                if text[i:i + 1] != '"':
+                    raise json.JSONDecodeError(
+                        "Expecting property name enclosed in double quotes", text, i)
+                at = i
+                name, i = decode(text, i)
+                i = skip(text, i).end()
+                if text[i:i + 1] != ":":
+                    raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+                i = skip(text, i + 1).end()
+                if name != key:
+                    _, i = decode(text, i)
+                elif listed is None:
+                    listed, i = yield from _array(text, i, decode)
+                else:
+                    place = json.JSONDecodeError("", text, at)
+                    raise error(f'{path}: "{key}" given twice (line {place.lineno} '
+                                f"column {place.colno}); the file must give it once")
+                closed, i = _after_member(text, i, "}")
+        i = skip(text, i).end()
+        if i != len(text):
+            raise json.JSONDecodeError("Extra data", text, i)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not listed:
+        raise error(f"{path}: expected a JSON array" if key is None
+                    else f'{path}: top level must be {{"{key}": [...]}}')
 
 
 _PUNCT_TOKENS = {".", ",", "?", "!", ";", ":"}

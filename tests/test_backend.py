@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -423,6 +424,40 @@ def test_live_concurrency_is_the_only_client_bound(loopback):
         with ThreadPoolExecutor(16) as pool:
             texts = list(pool.map(backend.complete, [req(f"p{i}") for i in range(16)]))
     assert texts == ["ok"] * 16
+
+
+def test_live_limits_have_one_home_read_through_a_recorder(loopback, tmp_path):
+    """The live backend's job limit is its request-slot count, fixed by its frozen config;
+    a recorder reads the limit and the context budget through from the backend it wraps."""
+    lock, full, counts = threading.Lock(), threading.Event(), {"in": 0, "peak": 0}
+
+    def answer(body, headers):
+        with lock:
+            counts["in"] += 1
+            counts["peak"] = max(counts["peak"], counts["in"])
+            if counts["in"] >= 3:
+                full.set()
+        full.wait(1.0)  # so a slow runner still fills every slot once
+        full.set()
+        with lock:
+            counts["in"] -= 1
+        return completion_reply("ok")
+
+    url = loopback(answer)
+    config = HttpBackendConfig(endpoint=f"{url}/v1/completions", model="m", concurrency=3,
+                               context_budget=900)
+    with requests.Session() as session:
+        backend = HttpCompletionBackend(config, session=session)
+        with pytest.raises(AttributeError):
+            backend.concurrency = 8
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.concurrency = 8
+        recorder = record_transcript(backend, tmp_path / "t.jsonl")
+        assert (recorder.concurrency, recorder.context_budget) == (3, 900)
+        with ThreadPoolExecutor(8) as pool:
+            texts = list(pool.map(recorder.complete, [req(f"p{i}") for i in range(12)]))
+    assert texts == ["ok"] * 12
+    assert counts["peak"] == recorder.concurrency
 
 
 def test_live_close_ends_its_own_keep_alive_connection(loopback, tmp_path):

@@ -669,6 +669,37 @@ def test_non_utf8_file_names_its_flag_and_path(tmp_path, mock_script_file, capsy
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["validate", "--corpus"], "--corpus"),
+    (["stats", "--corpus"], "--corpus"),
+    (["augment-dst", "--backend", "mock", "--mock-script", "SCRIPT", "--seed-corpus"],
+     "--seed-corpus"),
+    (["validate", "--corpus", SEED_CORPUS_PATH, "--ontology"], "--ontology"),
+    (["simulate", "--backend", "mock", "--mock-script", "SCRIPT", "--db-dir"], "--db-dir"),
+    (["simulate", "--backend", "mock", "--mock-script"], "--mock-script"),
+    (["simulate", "--config"], "--config"),
+], ids=["validate-corpus", "stats-corpus", "seed-corpus", "ontology", "db-dir", "mock-script",
+        "config"])
+def test_non_json_file_names_its_flag_and_path(tmp_path, mock_script_file, capsys, argv, flag):
+    """A UTF-8 file that is not JSON behind any JSON path flag is a usage error naming both."""
+    bad = tmp_path / "hotel_db.json"  # a --db-dir reads <domain>_db.json
+    bad.write_text('[{"name": "x"}\n', encoding="utf-8")
+    path = str(tmp_path if flag == "--db-dir" else bad)
+    argv = [mock_script_file if arg == "SCRIPT" else arg for arg in argv] + [path]
+    if argv[0] not in ("validate", "stats"):
+        argv += ["--out", str(tmp_path / "x.json")]
+        if flag != "--seed-corpus":
+            argv += ["--seed-corpus", SEED_CORPUS_PATH]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: " in err
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(bad.read_text(encoding="utf-8"))
+    assert f"{bad}: not valid JSON ({exc.value})" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("text", [None, "{not json\n", "[1]\n"],
                          ids=["missing", "not-json", "array"])
 def test_config_file_fault_is_usage_error(tmp_path, mock_script_file, capsys, text):

@@ -6,6 +6,8 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogic import database
 from dialogic.database import (
@@ -537,3 +539,76 @@ def test_default_db_equals_reference_tables(ontology):
     reference = built(EntityDb(ontology, reference_default_tables()))
     assert built(default_entity_db(ontology)) == reference
     assert built(default_entity_db()) == reference
+
+
+BUNDLED_HOTELS = resources.files("dialogic").joinpath("data/db/hotel_db.json").read_text("utf-8")
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_db_file_is_a_database_error_with_the_decoders_place(tmp_path_factory,
+                                                                       ontology, cut):
+    root = tmp_path_factory.mktemp("truncated")
+    path = root / "hotel_db.json"
+    text = BUNDLED_HOTELS[:int(cut * len(BUNDLED_HOTELS))]
+    path.write_text(text, encoding="utf-8")
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        expected = f"{path}: not valid JSON ({exc})"
+    else:  # only the closing newline was cut
+        assert load_entity_db(root, ontology).size("hotel") == len(json.loads(BUNDLED_HOTELS))
+        return
+    with pytest.raises(DatabaseError) as err:
+        load_entity_db(root, ontology)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "", "  \n ", "[]\n{}", "[] []", "[,]", "[\n", "[}", "\ufeff[]", '[{"name": "a"} {}]',
+    '[{"name": "a"}, {"name": }]', '[{"name": "a", "area" "north"}]',
+    # a syntax error after a shape fault is reported, as json.loads reports it
+    '{"area": null, "x": ]}',
+    "null", '{"hotels": []}',
+])
+def test_damaged_db_file_is_the_database_error_json_loads_implies(tmp_path, ontology, text):
+    """Invalid JSON is named with the decoder's message and place, a wrong shape as such."""
+    path = tmp_path / "hotel_db.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        expected = f"{path}: not valid JSON ({exc})"
+    else:
+        expected = f"{path}: expected a JSON array"
+    with pytest.raises(DatabaseError) as err:
+        load_entity_db(tmp_path, ontology)
+    assert str(err.value) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fault_in_a_db_entry_comes_before_a_later_syntax_error(tmp_path_factory, ontology, data):
+    """Each entry becomes its row before the next is decoded, so faults are met in file order."""
+    entries = [json.dumps(row) for row in json.loads(BUNDLED_HOTELS)]
+    i = data.draw(st.integers(0, len(entries) - 1), label="entry")
+    fault, message = data.draw(st.sampled_from([
+        (["h"], "is not an object"),
+        ({"name": "x", "Area": "north", "area": "south"},
+         "has keys 'Area' and 'area', which differ only in case"),
+        ({"name": "x", "area": None}, "column 'area' must be a JSON string, not null"),
+        ({"name": "x", "stars": {"Area": None}},
+         "column 'stars' must be a JSON string, not an object"),
+    ]))
+    entries[i] = json.dumps(fault)
+    text = "[\n" + ",\n".join(entries) + "\n]\n"
+    end = len("[\n") + sum(len(e) + len(",\n") for e in entries[:i]) + len(entries[i])
+    # the file is cut after entry i and before the closing bracket
+    cut = data.draw(st.integers(end, text.rindex("]") - 1), label="cut")
+    root = tmp_path_factory.mktemp("faulty")
+    path = root / "hotel_db.json"
+    path.write_text(text[:cut] + data.draw(st.sampled_from(["", "}", ", ,"])), encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(path.read_text(encoding="utf-8"))
+    with pytest.raises(DatabaseError, match=re.escape(f"{path}: entry {i} {message}")):
+        load_entity_db(root, ontology)

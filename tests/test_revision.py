@@ -643,6 +643,18 @@ def test_aux_predict_act_nooffer(ontology, aux):
     assert act.triples == (("hotel", "nooffer", "none"),)
 
 
+def test_aux_act_and_db_query_read_one_domain(ontology, aux, entity_db):
+    """A two-domain belief queries its last task domain, and the aux act is built
+    for that domain from the query's result, not for the first domain."""
+    from dialogic.simulator import _query_db
+
+    two = belief({"hotel": {"area": "south"}, "restaurant": {"food": "martian"}})
+    db = _query_db(entity_db, two, accumulate_state([two]), [])
+    assert db == DbResult("restaurant", 0, "db_0")
+    assert entity_db.query("hotel", {"area": "south"}).count > 0
+    assert aux.predict_act([], "", two, db).triples == (("restaurant", "nooffer", "none"),)
+
+
 # -- external adapter ------------------------------------------------------------
 
 def test_http_adapter_round_trip(loopback):
