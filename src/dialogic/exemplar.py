@@ -246,10 +246,7 @@ def instruction_sentence(goal: UserGoal, ontology: Ontology) -> str:
             f"{opening} {verb} {_article(domain)} {domain}, "
             f"and your requirements for the {domain} are ({segment})."
         )
-    if any(
-        ontology.has_domain(d) and "offerbook" in ontology.schema(d).acts
-        for d in goal.entries
-    ):
+    if any(ontology.act_permitted(d, "offerbook") for d in goal.entries):
         sentences.append(BOOKING_REMINDER)
     return " ".join(sentences)
 

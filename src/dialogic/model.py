@@ -348,8 +348,8 @@ class Turn:
 
 
 def current_domain(belief: TurnBelief, context: list[Turn]) -> str | None:
-    """The turn's domain: the last task domain of `belief`, else the last one of the
-    latest turn with any. The DB query and the aux act both read it."""
+    """The last task domain of `belief`, else the last one of the latest turn with any.
+    A DST sample's "other" turn reads it; a simulated turn's is its `db.domain`."""
     task = belief.task_domains()
     if task:
         return task[-1]

@@ -21,7 +21,6 @@ from .model import (
     TurnBelief,
     ValidationError,
     act_problems,
-    current_domain,
 )
 from .ontology import GENERAL_DOMAIN, NONE, Ontology
 from .textnorm import TokenView, match_tokens, parse_time, utterance_view, value_tokens
@@ -443,9 +442,7 @@ class LexicalAuxPredictor(AuxPredictor):
 
     def predict_act(self, context: list[Turn], utterance: str, belief: TurnBelief,
                     db: DbResult) -> DialogAct:
-        domain = current_domain(belief, context)
-        if domain is None:
-            return FALLBACK_ACT
+        domain = db.domain
         if db.bucket == "db_0":
             return DialogAct(((domain, "nooffer", NONE),))
         triples: list[Triple] = []

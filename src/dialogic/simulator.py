@@ -95,19 +95,19 @@ def _first_accepted(backend: CompletionBackend, cfg: GenConfig, prompt: str,
 
 
 def _query_db(db: EntityDb, belief: TurnBelief, state, turns: list[Turn]) -> DbResult:
-    """Query the turn's domain (`current_domain`) under the state's constraints.
+    """Query the turn's domain under the state's constraints: the belief's last task domain.
 
-    A general-only belief queries nothing. A belief that names no domain
-    carries the previous turn's query over: it queries nothing on a first
-    turn or after a turn that queried nothing.
+    A belief that names no domain carries the previous turn's query over: it
+    queries nothing on a first turn or after a turn that queried nothing. A
+    general-only belief queries nothing. Later readers take the domain from the result.
     """
-    if belief.domains():
-        queried = bool(belief.task_domains())
+    task = belief.task_domains()
+    if task:
+        domain = task[-1]
+    elif not belief.domains() and turns and turns[-1].db != NO_RESULT:
+        domain = turns[-1].db.domain
     else:
-        queried = bool(turns) and turns[-1].db != NO_RESULT
-    if not queried:
         return NO_RESULT
-    domain = current_domain(belief, turns)
     return db.query(domain, state.entries.get(domain, {}))
 
 

@@ -1,6 +1,8 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogic.model import (
     DB_BUCKETS,
@@ -200,6 +202,47 @@ def test_revise_output_is_filter_fixpoint(ontology, aux):
         utterance = rng.choice(utterances)
         out, _ = revise_belief(gpt, [], utterance, aux, ontology)
         assert slot_value_match_filter(out, utterance, ontology) == out
+
+
+def test_revise_belief_again_adds_an_aux_value_the_llm_value_hid(ontology, aux):
+    """Not a fixpoint: the LLM's area hides the aux's under LLM priority, and the filter
+    then drops it as unexpressed; a second revision finds the slot free and adds the aux's."""
+    utterance = "i want a guesthouse in the south ."
+    once, report = revise_belief(belief({"hotel": {"area": "north"}}), [], utterance, aux,
+                                 ontology)
+    assert report.aux_belief.get("hotel", "area") == "south"
+    assert report.over_generation_drops == (("hotel", "area", "north"),)
+    assert once.to_dict() == {"hotel": {"type": "guesthouse"}}
+    twice, _ = revise_belief(once, [], utterance, aux, ontology)
+    assert twice.to_dict() == {"hotel": {"type": "guesthouse", "area": "south"}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_revise_belief_is_a_fixpoint_but_for_hidden_aux_values(ontology, seed):
+    """A second revision changes nothing unless the filter dropped an LLM entry that
+    hid an aux triple under LLM priority: its slot, or for a domain-only aux mention,
+    every slot of its domain. It then adds only such aux triples."""
+    rng = make_rng(seed)
+    gpt, reply = random_belief(ontology, rng), random_belief(ontology, rng)
+    for d, s, _ in gpt.triples():  # the aux often answers a slot the LLM filled
+        if s != NONE and rng.random() < 0.4:
+            reply.set(d, s, rng.choice(ontology.candidates(d, s)))
+    values = [v for b in (gpt, reply) for _, s, v in b.triples() if s != NONE]
+    words = rng.sample(values, rng.randint(0, len(values))) + ["a", "place", "please"]
+    rng.shuffle(words)
+    utterance = " ".join(words) + " ."
+    aux = ReplyAux(reply.to_dict())
+    once, report = revise_belief(gpt, [], utterance, aux, ontology)
+    twice, _ = revise_belief(once, [], utterance, aux, ontology)
+    merged = merge_beliefs(gpt, report.aux_belief).triples()
+    freed = {(d, s, v) for d, s, v in report.aux_belief.triples() if (d, s, v) not in merged
+             and (d not in once.entries if s == NONE else once.get(d, s) is None)}
+    if not freed:
+        assert twice.triples() == once.triples()
+    assert set(once.triples()) <= set(twice.triples())
+    assert set(twice.triples()) - set(once.triples()) <= freed
+    assert slot_value_match_filter(twice, utterance, ontology) == twice
 
 
 # -- act rules -----------------------------------------------------------------
@@ -470,17 +513,32 @@ def test_validate_act_is_a_fixpoint(ontology):
 
 # -- lexical aux predictor -------------------------------------------------------
 
-def test_aux_act_domain_falls_back_to_earlier_turns(ontology, aux):
-    # an empty belief takes the last task domain of the latest turn that names one
+def test_aux_act_is_built_for_the_db_results_domain(ontology, aux):
+    # the act is about the domain the DB result names, whatever the beliefs name
     hotel = turn("a hotel in the south .",
                  {"train": {"day": "monday"}, "hotel": {"area": "south"}})
     general = turn("thanks .", {"general": {}})
     db = DbResult("hotel", 5, "db_3")
     assert aux.predict_act([hotel, general], "ok .", TurnBelief(), db) == DialogAct((
         ("hotel", "inform", "choice"), ("hotel", "offerbook", "none")))
-    # no turn names a task domain
+    # a turn that queried nothing gets no offer
     assert aux.predict_act([general], "ok .", TurnBelief(), NO_RESULT) == FALLBACK_ACT
     assert aux.predict_act([], "ok .", TurnBelief(), NO_RESULT) == FALLBACK_ACT
+
+
+def test_aux_act_after_a_general_turn_offers_nothing(ontology, aux, entity_db):
+    """A domain-less turn after a general-only one queries nothing, and the aux act,
+    built for that result, offers no booking in the hotel domain of an older turn."""
+    from dialogic.simulator import _query_db
+
+    south = belief({"hotel": {"area": "south"}})
+    hotel = Turn("a hotel in the south .", south,
+                 entity_db.query("hotel", {"area": "south"}), DialogAct(), "")
+    general = turn("thanks .", {"general": {}})
+    state = accumulate_state([south, general.belief, TurnBelief()])
+    db = _query_db(entity_db, TurnBelief(), state, [hotel, general])
+    assert db == NO_RESULT
+    assert aux.predict_act([hotel, general], "ok .", TurnBelief(), db) == FALLBACK_ACT
 
 
 def test_aux_detects_values_in_active_domain(ontology, aux):

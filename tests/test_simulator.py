@@ -5,18 +5,23 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogic import revision
 from dialogic.backend import ContextLengthExceeded, MockBackend, record_transcript
 from dialogic.exemplar import parse_system_line, parse_user_line
 from dialogic.goals import GoalStrategy
-from dialogic.model import DialogAct, GenConfig, NO_RESULT, Turn, TurnBelief, UserGoal
+from dialogic.model import (
+    DialogAct, GenConfig, NO_RESULT, Turn, TurnBelief, UserGoal, accumulate_state,
+)
 from dialogic.revision import HttpAuxPredictor, slot_value_match_filter
 from dialogic.simulator import (
     KIND_OTHER,
     KIND_REQMORE,
     KIND_REQUEST,
     SimulationError,
+    _query_db,
     augment_dst_turn,
     build_dst_prompt,
     generate_turn_belief,
@@ -29,6 +34,7 @@ from .conftest import (
     TRACE_REVISED_ACTS,
     TRACE_REVISED_BELIEFS,
     make_rng,
+    random_belief,
     run_trace_simulation,
 )
 
@@ -173,6 +179,37 @@ def test_db_queries_the_previous_turns_domain_for_a_domain_less_turn(seeds, enti
     # a domain-less first turn has nothing to carry over
     first = simulate(["): hello .", "[general] [bye]): goodbye ."])
     assert [t.db for t in first.turns] == [NO_RESULT]
+
+
+def walk_back_domain(belief, context):
+    """The belief's last task domain, else the last one of the latest turn with any."""
+    for b in (belief, *(t.belief for t in reversed(context))):
+        if b.task_domains():
+            return b.task_domains()[-1]
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_carried_query_domain_is_the_walk_back_domain(ontology, entity_db, seed):
+    """A domain-less turn queries the previous result's domain, the domain a walk back
+    over the older beliefs finds; a turn the walk-back rule left unqueried stays so."""
+    rng = make_rng(seed)
+    turns = []
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        belief = (TurnBelief() if roll < 0.35 else TurnBelief({"general": {}}) if roll < 0.5
+                  else random_belief(ontology, rng))
+        state = accumulate_state([t.belief for t in turns] + [belief])
+        db = _query_db(entity_db, belief, state, turns)
+        queried = (bool(belief.task_domains()) if belief.domains()
+                   else bool(turns) and turns[-1].db != NO_RESULT)
+        if queried:
+            domain = walk_back_domain(belief, turns)
+            assert db == entity_db.query(domain, state.entries.get(domain, {}))
+        else:
+            assert db == NO_RESULT
+        turns.append(Turn("", belief, db, DialogAct(), ""))
 
 
 def test_simulation_error_on_exhausted_backend(seeds, aux, entity_db, ontology):
