@@ -29,9 +29,9 @@ from .backend import (
 from .corpus import CorpusError, SeedDataset, load_seed_corpus, save_corpus
 from .database import DatabaseError, EntityDb, default_entity_db, load_entity_db
 from .goals import GoalStrategy, RsDistribution, STRATEGIES
-from .model import DecodeConfig, GenConfig
+from .model import SOURCE_DST_AUGMENTED, DecodeConfig, GenConfig
 from .ontology import Ontology, default_ontology, load_ontology
-from .revision import HttpAuxPredictor, LexicalAuxPredictor, slot_value_match_filter
+from .revision import HttpAuxPredictor, LexicalAuxPredictor, slot_value_match_filter, validate_act
 from .simulator import BatchReport, augment_corpus, check_batch, simulate_batch
 from .stats import compute_stats
 from .textnorm import read_json
@@ -281,6 +281,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
             for domain, slot in turn.act.slots_of("inform") + turn.act.slots_of("offerbooked"):
                 if f"[value_{slot}]" not in turn.system_response:
                     warnings.append(f"{where}: response lacks placeholder [value_{slot}]")
+            if dlg.source == SOURCE_DST_AUGMENTED and i == len(dlg.turns) - 1:
+                continue  # a DST sample's new user turn has no system act by design
+            act, firings = validate_act(turn.act, dlg.turns[:i], turn.belief, turn.db, ontology)
+            if act != turn.act:
+                warnings.append(f"{where}: the act rules would change the act: "
+                                + " | ".join(firings))
     for warning in warnings:
         _progress(f"warning: {warning}")
     if args.json:

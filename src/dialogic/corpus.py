@@ -13,7 +13,7 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
-from operator import mul
+from operator import attrgetter, mul
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -303,26 +303,37 @@ def _observed_values(dialogues: list[Dialogue]) -> dict[tuple[str, str], list[st
     return {key: list(vals) for key, vals in seen.items()}
 
 
-def turn_to_json(turn: Turn) -> dict:
+def _turn_document(turn: Turn, tmap, act) -> dict:
     return {
         "user": turn.user_utterance,
-        "belief": turn.belief.to_dict(),
+        "belief": tmap(turn.belief),
         "db": turn.db.to_json(),
-        "act": turn.act.to_json(),
+        "act": act(turn.act),
         "resp": turn.system_response,
     }
 
 
-def dialogue_to_json(dialogue: Dialogue) -> dict:
+def _document(dialogue: Dialogue, tmap, act) -> dict:
+    """The dialogue's JSON document, each goal and belief as `tmap(it)`, each act as `act(it)`."""
     data = {
         "id": dialogue.id,
-        "goal": dialogue.final_goal.to_dict(),
-        "turns": [turn_to_json(t) for t in dialogue.turns],
+        "goal": tmap(dialogue.final_goal),
+        "turns": [_turn_document(t, tmap, act) for t in dialogue.turns],
         "source": dialogue.source,
     }
     if dialogue.initial_goal != dialogue.final_goal:
-        data["initial_goal"] = dialogue.initial_goal.to_dict()
+        data["initial_goal"] = tmap(dialogue.initial_goal)
     return data
+
+
+def turn_to_json(turn: Turn) -> dict:
+    """The turn's JSON document; the caller owns it, and may change it."""
+    return _turn_document(turn, TripletMap.to_dict, DialogAct.to_json)
+
+
+def dialogue_to_json(dialogue: Dialogue) -> dict:
+    """The dialogue's JSON document; the caller owns it, and may change it."""
+    return _document(dialogue, TripletMap.to_dict, DialogAct.to_json)
 
 
 def _require(condition: bool, where: str, message: str) -> None:
@@ -482,13 +493,18 @@ def save_corpus(dialogues: Iterable[Dialogue], path: str | Path) -> None:
 
     The file is one `{"dialogues": [...]}` document with one dialogue per
     line, each encoded as it is written. Without indentation `json` encodes
-    in C, several times faster than its pure-Python indenting encoder.
+    in C, several times faster than its pure-Python indenting encoder. One
+    encoder serves the call, and each line is what `dialogue_to_json` would
+    give, encoded from the annotations as held: their `entries` dicts, and
+    their act `triples` tuples, which encode as lists do.
     """
+    encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+    held = attrgetter("entries"), attrgetter("triples")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"dialogues": [')
         separator = "\n"
         for dialogue in dialogues:
             fh.write(separator)
-            fh.write(json.dumps(dialogue_to_json(dialogue), ensure_ascii=False))
+            fh.write(encode(_document(dialogue, *held)))
             separator = ",\n"
         fh.write("\n]}\n")

@@ -79,9 +79,12 @@ def value_pool(ontology: Ontology, domain: str, slot: str,
 
 def slot_pool(ontology: Ontology, domain: str, observed: ObservedValues | None,
               exclude: frozenset[str] | set[str] = frozenset()) -> list[str]:
-    """Informable slots of `domain`, minus `exclude`, that have at least one value."""
-    return [s for s in ontology.informable_slots(domain)
-            if s not in exclude and value_pool(ontology, domain, s, observed)]
+    """Informable slots of `domain`, minus `exclude`, that have at least one value.
+
+    One pass over the schema: a slot has a value where `value_pool` would give one.
+    """
+    return [s for s, candidates in ontology.schema(domain).informable.items()
+            if s not in exclude and (candidates or observed and observed.get((domain, s)))]
 
 
 def generate_goal_random(ontology: Ontology, dist: RsDistribution, rng: random.Random,

@@ -85,13 +85,24 @@ def slot_value_match_filter(belief: TurnBelief, utterance: str,
 
 
 def _filter_with_drops(belief: TurnBelief, view: TokenView) -> tuple[TurnBelief, list[Triple]]:
+    """The kept belief, in `belief`'s order, and the dropped triples.
+
+    A domain whose every slot is dropped is not kept.
+    """
     kept = TurnBelief()
     dropped: list[Triple] = []
-    for domain, slot, value in belief.triples():
-        if domain == GENERAL_DOMAIN or slot == NONE or value_expressed(slot, value, view):
-            kept.set(domain, slot, value)
-        else:
-            dropped.append((domain, slot, value))
+    for domain, slots in belief.entries.items():
+        if domain == GENERAL_DOMAIN or not slots:
+            kept.entries[domain] = dict(slots)
+            continue
+        held = {}
+        for slot, value in slots.items():
+            if value_expressed(slot, value, view):
+                held[slot] = value
+            else:
+                dropped.append((domain, slot, value))
+        if held:
+            kept.entries[domain] = held
     return kept, dropped
 
 

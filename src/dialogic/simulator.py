@@ -57,7 +57,7 @@ from .model import (
     accumulate_state,
     current_domain,
 )
-from .ontology import GENERAL_DOMAIN, NONE, Ontology
+from .ontology import GENERAL_DOMAIN, Ontology
 from .revision import AuxPredictor, revise_act, revise_belief, slot_value_match_filter
 from .textnorm import normalize_text
 
@@ -248,9 +248,9 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
     context = source.turns[:turn_idx]
     original = source.turns[turn_idx].belief
     last_act = context[-1].act if context else DialogAct()
-    mentioned = {
-        (d, s) for t in context for d, s, _ in t.belief.triples() if s != NONE}
-    mentioned_domains = {d for t in context for d in t.belief.task_domains()}
+
+    def mentioned(domain: str) -> set[str]:
+        return {s for t in context for s in t.belief.entries.get(domain, ())}
 
     requested = [
         (d, s) for d, s in last_act.slots_of("request") if ontology.is_informable(d, s)]
@@ -264,8 +264,8 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
         domain = requested[0][0]
         req_slots = list(dict.fromkeys(s for d, s in requested if d == domain))
         chosen = rng.sample(req_slots, min(rng.randint(1, len(req_slots)), cap - 2))
-        pool = slot_pool(ontology, domain, observed_values, set(chosen) | set(req_slots)
-                         | {s for d, s in mentioned if d == domain})
+        pool = slot_pool(ontology, domain, observed_values,
+                         mentioned(domain).union(chosen, req_slots))
         if len(pool) < 2:
             raise SimulationError(f"{source.id} turn {turn_idx}: fewer than two "
                                   f"unmentioned slots left in {domain}", kind="unaugmentable")
@@ -274,6 +274,8 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
             belief.set(domain, slot, _sample_value(ontology, domain, slot, rng, observed_values))
     elif last_act.has("reqmore"):
         kind = KIND_REQMORE
+        # `general` may be among them; it is no goal domain
+        mentioned_domains = {d for t in context for d in t.belief.entries}
         fresh = [d for d in ontology.goal_domains()
                  if d not in mentioned_domains
                  and slot_pool(ontology, d, observed_values)]
@@ -297,7 +299,7 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
             dropped = rng.sample(original_slots, n_drop)
             kept = [s for s in original_slots if s not in dropped]
         pool = slot_pool(ontology, domain, observed_values,
-                         set(original_slots) | {s for d, s in mentioned if d == domain})
+                         mentioned(domain).union(original_slots))
         if not pool:
             raise SimulationError(f"{source.id} turn {turn_idx}: no unmentioned slot "
                                   f"left in {domain}", kind="unaugmentable")
@@ -328,15 +330,12 @@ def _sample_turn_demos(target: TurnBelief, seeds: SeedDataset, k: int, tau: floa
 def build_dst_prompt(belief: TurnBelief, demos: list[tuple[Dialogue, int]],
                      ontology: Ontology) -> str:
     """Task description with a slot glossary, turn demonstrations, target prefix."""
-    domain = next(iter(belief.task_domains()), GENERAL_DOMAIN)
-    slots: dict[tuple[str, str], None] = {}
-    for d, s, _ in belief.triples():
-        if s != NONE:
-            slots.setdefault((d, s), None)
-    for dlg, i in demos:
-        for d, s, _ in dlg.turns[i].belief.triples():
-            if s != NONE:
-                slots.setdefault((d, s), None)
+    domain = next((d for d in belief.entries if d != GENERAL_DOMAIN), GENERAL_DOMAIN)
+    slots: dict[tuple[str, str], None] = {}  # a slot keeps its first place
+    for shown in (belief, *(dlg.turns[i].belief for dlg, i in demos)):
+        for d, names in shown.entries.items():
+            for s in names:
+                slots[d, s] = None
     header = (
         f"Answer the assistant's question on each feature you require when booking "
         f"{_article(domain)} {domain}. "
@@ -347,7 +346,7 @@ def build_dst_prompt(belief: TurnBelief, demos: list[tuple[Dialogue, int]],
     blocks = ["\n".join(lines)]
     for dlg, i in demos:
         turn = dlg.turns[i]
-        asked = [s for _, s, _ in turn.belief.triples() if s != NONE]
+        asked = [s for names in turn.belief.entries.values() for s in names]
         blocks.append(
             f"Assistant: what is your requirement on {', '.join(asked)}?\n"
             f"{format_user_line(turn.belief, turn.user_utterance)}")
@@ -386,7 +385,7 @@ def augment_dst_turn(source: Dialogue, turn_idx: int, belief: TurnBelief, seeds:
         id=dialogue_id,
         initial_goal=source.initial_goal,
         final_goal=final_goal,
-        turns=list(source.turns[:turn_idx]) + [new_turn],
+        turns=source.turns[:turn_idx] + [new_turn],
         source=SOURCE_DST_AUGMENTED)
 
 

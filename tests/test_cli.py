@@ -7,11 +7,26 @@ import threading
 import time
 from pathlib import Path
 
+import random
+
 import pytest
 
 import dialogic
 from dialogic.backend import MockBackend
 from dialogic.cli import main
+from dialogic.corpus import save_corpus
+from dialogic.goals import GoalStrategy
+from dialogic.model import (
+    NO_RESULT,
+    SOURCE_DST_AUGMENTED,
+    DialogAct,
+    Dialogue,
+    GenConfig,
+    Turn,
+    TurnBelief,
+    UserGoal,
+)
+from dialogic.simulator import simulate_batch
 
 from .conftest import SEED_CORPUS_PATH, TRACE_SCRIPT, completion_reply
 
@@ -316,6 +331,69 @@ def test_validate_warns_on_long_dialogue(tmp_path, capsys):
     code = main(["validate", "--corpus", path])
     assert code == 0  # a long seed dialogue is flagged, not rejected
     assert "exceed" in capsys.readouterr().err
+
+
+def _act_rule_warnings(corpus_path, capsys):
+    assert main(["validate", "--corpus", str(corpus_path), "--json"]) == 0
+    return [w for w in json.loads(capsys.readouterr().out)["warnings"] if "act rules" in w]
+
+
+def test_validate_reruns_no_act_rule_on_a_simulated_corpus(tmp_path, capsys, ontology, seeds,
+                                                          aux, entity_db):
+    """Each simulated act is what the rules returned for its turn, so a re-run changes none."""
+    rng = random.Random(3)
+    users = ["[hotel] area is north , stars is 4): a hotel in the north with 4 stars .",
+             "[hotel] people is 2): for 2 people .", "[train] day is monday): a monday train .",
+             "[general]): thanks ."]
+    systems = ["[hotel] [offerbooked] reference): booked , [value_reference] .",
+               "[hotel] [inform] area [inform] area): it is in the [value_area] .",
+               "[taxi] [inform] car [hotel] [inform] choice): a [value_car] .", "): ok .",
+               "[hotel] [frob] area [train] [offerbook]): shall i book it ?",
+               "[general] [bye]): bye ."]
+
+    def script(req):
+        if req.prompt.endswith("User("):
+            return rng.choice(users)
+        return rng.choice(systems) if req.prompt.endswith("Assistant(") else "ok ."
+
+    events = []
+    dialogues, report = simulate_batch(
+        6, GoalStrategy(), seeds, MockBackend(script), aux, entity_db, ontology,
+        GenConfig(rng_seed=3), trace=events.append)
+    assert report.succeeded == 6 and any(e["rule_firings"] for e in events)
+    save_corpus(dialogues, tmp_path / "sim.json")
+    assert _act_rule_warnings(tmp_path / "sim.json", capsys) == []
+
+
+def test_validate_warns_once_per_turn_the_act_rules_would_change(tmp_path, capsys):
+    corpus = {"dialogues": [{"id": "d", "goal": {"hotel": {"area": "north"}}, "turns": [
+        {"user": "a hotel in the north", "belief": {"hotel": {"area": "north"}},
+         "db": {"domain": "hotel", "count": 0, "bucket": "db_0"},
+         "act": [["hotel", "offerbooked", "reference"]], "resp": "[value_reference] ."}]}]}
+    path = write_json(tmp_path / "offerbooked.json", corpus)
+    assert _act_rule_warnings(path, capsys) == [
+        "d turn 0: the act rules would change the act: offerbooked-needs-booking: downgraded "
+        "(hotel, offerbooked, reference) to inform; no booking context | nooffer-on-empty-db: "
+        "replaced (hotel, inform, reference) with nooffer; empty db result"]
+
+
+def test_validate_warns_on_the_bundled_empty_act(capsys):
+    assert _act_rule_warnings(SEED_CORPUS_PATH, capsys) == [
+        "PMUL1576 turn 5: the act rules would change the act: "
+        "fallback: empty act mapped to (general, reqmore, none)"]
+
+
+def test_validate_skips_the_act_of_a_dst_sample_s_new_turn(tmp_path, capsys, seeds):
+    source = seeds.get("PMUL1576").turns
+    new_turn = Turn("a place .", TurnBelief(), NO_RESULT, DialogAct(), "")
+    samples = [Dialogue(id=f"dst{i}", initial_goal=UserGoal(), final_goal=UserGoal(),
+                        turns=source[:i] + [new_turn], source=SOURCE_DST_AUGMENTED)
+               for i in range(len(source) + 1)]
+    save_corpus(samples, tmp_path / "dst.json")
+    # the seed turn whose act is empty warns in each sample that holds it before its new turn
+    assert _act_rule_warnings(tmp_path / "dst.json", capsys) == [
+        f"dst{i} turn 5: the act rules would change the act: "
+        "fallback: empty act mapped to (general, reqmore, none)" for i in range(6, len(source) + 1)]
 
 
 def test_no_network_under_replay_or_mock(tmp_path, monkeypatch, mock_script_file):

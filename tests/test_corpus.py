@@ -205,6 +205,53 @@ def test_save_layout_one_dialogue_per_line(tmp_path, ontology, seeds):
     assert "\\u" not in text
 
 
+def _mixed_dialogues(ontology, seeds):
+    """DST samples that share their sources' turns, and one hand-made dialogue with
+    non-ASCII text, a goal that drifted, NO_RESULT, domain-only mentions and an empty act."""
+    samples, _ = augment_corpus(seeds, MockBackend(_verbalize), None, ontology,
+                                GenConfig(rng_seed=5, retries=0))
+    made = Dialogue(
+        id="café-1",
+        initial_goal=UserGoal({"hotel": {"area": "north"}}),
+        final_goal=UserGoal({"hotel": {"area": "north", "stars": "4"}, "train": {}}),
+        turns=[Turn("a hotel , 東京 \"quoted\" \\ naïve", TurnBelief({"hotel": {}, "train": {}}),
+                    NO_RESULT, DialogAct(), ""),
+               Turn("4 stars in the north", TurnBelief({"hotel": {"area": "north", "stars": "4"}}),
+                    DbResult("hotel", 2, "db_2"),
+                    DialogAct((("hotel", "inform", "choice"), ("general", "reqmore", NONE))),
+                    "there are [value_choice] ; crème ?")],
+        source=SOURCE_SIMULATED)
+    return [*samples, made]
+
+
+def test_save_writes_each_dialogue_as_dumps_of_dialogue_to_json(tmp_path, ontology, seeds):
+    dialogues = _mixed_dialogues(ontology, seeds)
+    shared = {id(t) for d in seeds for t in d.turns}
+    assert any(id(t) in shared for d in dialogues for t in d.turns)
+    _, lines = _saved_lines(tmp_path, dialogues)
+    want = [json.dumps(dialogue_to_json(d), ensure_ascii=False) for d in dialogues]
+    assert lines == ['{"dialogues": [', *(line + "," for line in want[:-1]), want[-1], "]}"]
+    assert '"initial_goal"' in want[-1] and "東京" in want[-1]
+
+
+def test_dialogue_to_json_is_the_callers_copy(ontology, seeds):
+    dialogues = _mixed_dialogues(ontology, seeds)
+    before = [json.dumps(dialogue_to_json(d)) for d in dialogues]
+    for dlg in dialogues:
+        for data in (dialogue_to_json(dlg), {"turns": [turn_to_json(t) for t in dlg.turns]}):
+            for goal in (data.get("goal"), data.get("initial_goal")):
+                if goal is not None:
+                    goal.setdefault("hotel", {})["area"] = "moon"
+            for turn in data["turns"]:
+                turn["belief"].setdefault("hotel", {})["area"] = "moon"
+                turn["belief"]["taxi"] = {}
+                turn["act"].append(["general", "bye", NONE])
+                for triple in turn["act"]:
+                    triple[0] = "moon"
+                turn["db"]["count"] = 99
+    assert [json.dumps(dialogue_to_json(d)) for d in dialogues] == before
+
+
 def test_save_empty_corpus_layout(tmp_path):
     out, lines = _saved_lines(tmp_path, [])
     assert json.loads(out.read_text(encoding="utf-8")) == {"dialogues": []}

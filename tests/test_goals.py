@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogic.goals import (
     GoalStrategy,
@@ -6,6 +8,7 @@ from dialogic.goals import (
     generate_goal_combination,
     generate_goal_random,
     generate_goal_substitution,
+    slot_pool,
 )
 from dialogic.model import GenConfig, UserGoal
 from dialogic.ontology import NONE, DomainSchema, Ontology
@@ -212,3 +215,28 @@ def test_combination_of_the_two_reference_examples(ontology, seeds):
     assert len(goal.entries["hotel"]) == 6
     union_keys = {"name", "stay", "day", "people", "pricerange", "area", "parking"}
     assert set(goal.entries["hotel"]) <= union_keys
+
+
+def _reference_slot_pool(ontology, domain, observed, exclude=frozenset()):
+    """The pool as one value-pool lookup per informable slot."""
+    def value_pool(slot):
+        candidates = ontology.candidates(domain, slot)
+        if candidates or not observed:
+            return candidates
+        return observed.get((domain, slot), [])
+    return [s for s in ontology.informable_slots(domain) if s not in exclude and value_pool(s)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_slot_pool_equals_a_pool_per_slot(ontology, data):
+    """`observed` as None, empty or partial, and `exclude` as a set or a frozenset."""
+    keys = sorted((d, s) for d, schema in ontology.domains.items() for s in schema.informable)
+    names = sorted({s for _, s in keys} | {"color"})
+    domain = data.draw(st.sampled_from(sorted(ontology.domains)))
+    observed = data.draw(st.none() | st.dictionaries(
+        st.sampled_from(keys), st.lists(st.sampled_from(["ely", "12:00", "b"]), max_size=2)))
+    exclude = data.draw(st.frozensets(st.sampled_from(names)) | st.sets(st.sampled_from(names)))
+    assert slot_pool(ontology, domain, observed, exclude) == _reference_slot_pool(
+        ontology, domain, observed, exclude)
+    assert slot_pool(ontology, domain, observed) == _reference_slot_pool(ontology, domain, observed)

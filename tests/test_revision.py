@@ -129,6 +129,49 @@ def test_filter_subset_and_idempotent(ontology):
         assert slot_value_match_filter(once, utterance, ontology) == once
 
 
+def _reference_filter_with_drops(b, view):
+    """The filter as one `set` per kept triple of `b.triples()`."""
+    kept, dropped = TurnBelief(), []
+    for domain, slot, value in b.triples():
+        if domain == GENERAL_DOMAIN or slot == NONE or revision.value_expressed(slot, value, view):
+            kept.set(domain, slot, value)
+        else:
+            dropped.append((domain, slot, value))
+    return kept, dropped
+
+
+def test_filter_keeps_exempt_entries_and_no_emptied_domain(ontology):
+    b = belief({"attraction": {"type": "museum"}, "general": {"area": "north"}, "train": {},
+                "hotel": {"stars": "4", "area": "north"}, "restaurant": {}})
+    kept, dropped = revision._filter_with_drops(b, utterance_view("a place in the north ."))
+    assert repr(kept) == repr(belief({"general": {"area": "north"}, "train": {},
+                                      "hotel": {"area": "north"}, "restaurant": {}}))
+    assert dropped == [("attraction", "type", "museum"), ("hotel", "stars", "4")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_filter_equals_a_filter_over_triples(ontology, seed):
+    """General entries, domain-only mentions and domains whose every slot is dropped
+    come out as from the reference, in the same order."""
+    rng = make_rng(seed)
+    b, words = TurnBelief(), ["a", "place", "please"]
+    for domain in rng.sample(sorted(ontology.domains), rng.randint(0, 4)):
+        b.set(domain, NONE, NONE)  # a domain-only mention, unless a slot follows
+        names = sorted(ontology.schema(domain).informable) or ["area", "stay"]
+        for slot in rng.sample(names, rng.randint(0, min(3, len(names)))):
+            value = rng.choice([*(ontology.candidates(domain, slot) or ("ely", "b")), "dontcare"])
+            b.set(domain, slot, value)
+            if rng.random() < 0.5:
+                words.append("no preference" if value == "dontcare" else value)
+    rng.shuffle(words)
+    view = utterance_view(" ".join(words) + " .")
+    kept, dropped = revision._filter_with_drops(b, view)
+    want_kept, want_dropped = _reference_filter_with_drops(b, view)
+    assert repr(kept) == repr(want_kept)  # the entry order too
+    assert dropped == want_dropped
+
+
 # -- revise_belief -------------------------------------------------------------
 
 def test_revise_identity_when_correct(ontology, aux):
