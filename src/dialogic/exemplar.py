@@ -112,32 +112,37 @@ def serialize_act(act: DialogAct) -> str:
     return " ".join(parts)
 
 
+_MARKER_RE = re.compile(r"\[([^\[\]]+)\]")
+_ACT_TOKEN_RE = re.compile(r"\[[^\[\]]+\]|[^\s\[\]]+")
+
+
 def parse_goal(text: str, cls=UserGoal) -> UserGoal:
     """Inverse of serialize_goal; slot aliases fold to canonical names."""
     result = cls()
     text = text.strip()
     if not text:
         return result
-    markers = list(re.finditer(r"\[([^\[\]]+)\]", text))
-    if not markers:
+    parts = _MARKER_RE.split(text)  # the text before the first marker, then domain, chunk, ...
+    if len(parts) == 1:
         raise ParseError("expected a [domain] marker", column=0)
-    if text[: markers[0].start()].strip():
+    if parts[0].strip():
         raise ParseError("text before the first [domain] marker", column=0)
-    for i, marker in enumerate(markers):
-        domain = marker.group(1).strip()
-        end = markers[i + 1].start() if i + 1 < len(markers) else len(text)
-        chunk = text[marker.end():end]
+    for j in range(1, len(parts), 2):
+        domain, chunk = parts[j].strip(), parts[j + 1]
         if not chunk.strip():
             result.set(domain, NONE, NONE)
             continue
-        offset = marker.end()
-        for item in chunk.split(" , "):
-            column = offset + chunk.find(item)
+        items = chunk.split(" , ")
+        for k, item in enumerate(items):
             entry = item.strip()
-            if not entry:
-                raise ParseError("empty slot entry", column=column)
             slot, sep, value = entry.partition(" is ")
             if not sep or not slot.strip() or not value.strip():
+                # the entry starts after the text and brackets of parts[:j + 1],
+                # then the k items and separators before it
+                column = (sum(map(len, parts[:j + 1])) + j + 1
+                          + sum(map(len, items[:k])) + 3 * k)
+                if not entry:
+                    raise ParseError("empty slot entry", column=column)
                 raise ParseError(f"malformed triplet {entry!r}", column=column)
             result.set(domain, canonical_slot(slot), value.strip())
     return result
@@ -152,35 +157,28 @@ def parse_act(text: str) -> DialogAct:
     text = text.strip()
     if not text:
         return DialogAct()
-    tokens = re.findall(r"\[[^\[\]]+\]|[^\s\[\]]+", text)
     triples: list[tuple[str, str, str]] = []
     domain: str | None = None
     act_type: str | None = None
-    act_has_slot = False
-
-    def flush() -> None:
-        if domain is not None and act_type is not None and not act_has_slot:
-            triples.append((domain, act_type, NONE))
-
-    for tok in tokens:
-        if tok.startswith("["):
+    bare = False  # the last triple is the act type's (domain, act_type, none) until a slot follows
+    for tok in _ACT_TOKEN_RE.findall(text):
+        if tok[0] == "[":
             name = tok[1:-1].strip()
             if name in ACT_TYPES:
                 if domain is None:
                     raise ParseError(f"act type {tok} before any [domain] marker")
-                flush()
-                act_type, act_has_slot = name, False
+                act_type, bare = name, True
+                triples.append((domain, name, NONE))
             elif domain is not None and act_type is None:
                 raise ParseError(f"unknown act type {tok}")
             else:
-                flush()
-                domain, act_type, act_has_slot = name, None, False
+                domain, act_type = name, None
+        elif act_type is None:
+            raise ParseError(f"slot {tok!r} outside an act type")
+        elif bare:
+            triples[-1], bare = (domain, act_type, canonical_slot(tok)), False
         else:
-            if act_type is None:
-                raise ParseError(f"slot {tok!r} outside an act type")
             triples.append((domain, act_type, canonical_slot(tok)))
-            act_has_slot = True
-    flush()
     return DialogAct(tuple(triples))
 
 
@@ -191,20 +189,28 @@ def parse_act(text: str) -> DialogAct:
 def _split_annotated_line(line: str, prefix: str) -> tuple[str, str]:
     if not line.startswith(prefix):
         raise ParseError(f"line does not start with {prefix!r}")
-    depth = 1
-    for i in range(len(prefix), len(line)):
-        ch = line[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                annotation = line[len(prefix): i]
-                rest = line[i + 1:]
-                if not rest.startswith(":"):
-                    raise ParseError("expected ':' after the annotation", column=i + 1)
-                return annotation, rest[1:].lstrip(" ")
-    raise ParseError("unbalanced parentheses", column=len(line))
+    start = len(prefix)
+    i = line.find(")", start)
+    if i == -1:
+        raise ParseError("unbalanced parentheses", column=len(line))
+    if line.find("(", start, i) != -1:
+        # nested parentheses: the annotation closes where the depth returns to 0
+        depth = 1
+        for i in range(start, len(line)):
+            ch = line[i]
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+        else:
+            raise ParseError("unbalanced parentheses", column=len(line))
+    annotation = line[start:i]
+    rest = line[i + 1:]
+    if not rest.startswith(":"):
+        raise ParseError("expected ':' after the annotation", column=i + 1)
+    return annotation, rest[1:].lstrip(" ")
 
 
 def parse_user_line(line: str) -> tuple[TurnBelief, str]:

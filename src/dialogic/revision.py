@@ -25,9 +25,9 @@ from .model import (
 from .ontology import GENERAL_DOMAIN, NONE, Ontology
 from .textnorm import TokenView, match_tokens, parse_time, utterance_view, value_tokens
 
-_BOOLEAN_CUES: dict[str, tuple[str, ...]] = {
-    "parking": ("parking",),
-    "internet": ("internet", "wifi"),
+_BOOLEAN_CUES: dict[str, frozenset[str]] = {
+    "parking": frozenset({"parking"}),
+    "internet": frozenset({"internet", "wifi"}),
 }
 
 _NEGATIONS = {"no", "not", "n't", "without", "dont", "doesnt", "isnt", "never"}
@@ -112,10 +112,15 @@ def _filter_with_drops(belief: TurnBelief, view: TokenView) -> tuple[TurnBelief,
 
 def merge_beliefs(gpt: TurnBelief, aux: TurnBelief) -> TurnBelief:
     """Key union with LLM priority on collisions; LLM entries come first."""
-    merged = gpt.copy()
-    for domain, slot, value in aux.triples():
-        if merged.get(domain, slot) is None:
-            merged.set(domain, slot, value)
+    merged = type(gpt)()
+    entries = merged.entries = {domain: dict(slots) for domain, slots in gpt.entries.items()}
+    for domain, slots in aux.entries.items():
+        held = entries.get(domain)
+        if held is None:
+            entries[domain] = dict(slots)
+        else:
+            for slot, value in slots.items():
+                held.setdefault(slot, value)
     return merged
 
 
@@ -140,10 +145,8 @@ def revise_belief(gpt: TurnBelief, context: list[Turn], utterance: str,
                   else TurnBelief())
     merged = merge_beliefs(gpt, aux_belief)
     final, dropped = _filter_with_drops(merged, view)
-    fixes = tuple(
-        (d, s, v) for d, s, v in final.triples()
-        if s != NONE and gpt.get(d, s) is None
-    )
+    fixes = tuple((domain, slot, value) for domain, slots in final.entries.items()
+                  for slot, value in slots.items() if slot not in gpt.entries.get(domain, ()))
     return final, RevisionReport(
         de_generation_fixes=fixes,
         over_generation_drops=tuple(dropped),
@@ -273,7 +276,8 @@ _DOMAIN_KEYWORDS: dict[str, tuple[str, ...]] = {
 _KEYWORD_DOMAIN = {kw: domain for domain, keywords in _DOMAIN_KEYWORDS.items()
                    for kw in keywords}
 
-_DAY_NAMES = ("monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday")
+_DAY_NAMES = frozenset({"monday", "tuesday", "wednesday", "thursday", "friday", "saturday",
+                        "sunday"})
 
 _NUMBER_UNITS = {
     "people": "people", "person": "people", "guests": "people",
@@ -284,6 +288,7 @@ _NUMBER_UNITS = {
 
 _ARRIVE_CUES = {"arrive", "arrives", "arrival", "arriving", "by"}
 _LEAVE_CUES = {"leave", "leaves", "leaving", "depart", "departs", "departing", "after"}
+_TIME_CUES = frozenset(_ARRIVE_CUES | _LEAVE_CUES)
 _DEPARTURE_CUES = {"from", "leave", "leaves", "leaving", "depart", "departs", "departing"}
 _DESTINATION_CUES = {"to", "arrive", "arrives", "arriving", "reach", "reaches"}
 
@@ -346,16 +351,18 @@ class LexicalAuxPredictor(AuxPredictor):
 
     def _active_domains(self, view: TokenView, context: list[Turn]) -> list[str]:
         found: dict[str, int] = {}  # domain -> first position of one of its keywords
-        for token, positions in view.at.items():
-            domain = _KEYWORD_DOMAIN.get(token)
-            if domain is not None and positions[0] < found.get(domain, len(view.tokens)):
-                found[domain] = positions[0]
-        ordered = [d for d, _ in sorted(found.items(), key=lambda kv: kv[1])]
-        for turn in reversed(context):
-            for domain in reversed(turn.belief.task_domains()):
-                if domain not in ordered:
-                    ordered.append(domain)
-                break
+        # a minimum per domain: the order the intersection is walked in does not matter
+        for token in _KEYWORD_DOMAIN.keys() & view.at.keys():
+            domain, first = _KEYWORD_DOMAIN[token], view.at[token][0]
+            if first < found.get(domain, len(view.tokens)):
+                found[domain] = first
+        ordered = sorted(found, key=found.get)
+        for turn in reversed(context):  # each earlier turn's last task domain
+            for domain in reversed(turn.belief.entries):
+                if domain != GENERAL_DOMAIN:
+                    if domain not in ordered:
+                        ordered.append(domain)
+                    break
         return ordered
 
     def _first_with_slot(self, domains: list[str], slot: str) -> str | None:
@@ -366,19 +373,21 @@ class LexicalAuxPredictor(AuxPredictor):
 
     def _lexicon_hits(self, view: TokenView) -> list[tuple[tuple[str, ...], int]]:
         """(phrase, `view.find` position) for each lexicon phrase in the view, in scan order."""
-        candidates = {phrase for keys in (view.at, view.joined) for key in keys
-                      for phrase in self._keyed.get(key, ())}
-        hits = [(phrase, view.find(phrase)) for phrase in candidates]
-        return sorted((hit for hit in hits if hit[1] is not None), key=lambda h: self._rank[h[0]])
+        keyed, rank = self._keyed, self._rank
+        candidates = {phrase for index in (view.at, view.joined)
+                      for key in keyed.keys() & index.keys() for phrase in keyed[key]}
+        hits = [(phrase, pos) for phrase in candidates if (pos := view.find(phrase)) is not None]
+        hits.sort(key=lambda hit: rank[hit[0]])
+        return hits
 
     def predict_belief(self, context: list[Turn], view: TokenView) -> TurnBelief:
         tokens = view.tokens
         domains = self._active_domains(view, context)
         belief = TurnBelief()
+        entries = belief.entries
 
-        def emit(domain: str, slot: str, value: str) -> None:
-            if belief.get(domain, slot) is None:
-                belief.set(domain, slot, value)
+        def emit(domain: str, slot: str, value: str) -> None:  # a slot keeps its first value
+            entries.setdefault(domain, {}).setdefault(slot, value)
 
         # literal values from the lexicon, longest phrases first
         for phrase, pos in self._lexicon_hits(view):
@@ -405,37 +414,42 @@ class LexicalAuxPredictor(AuxPredictor):
             emit(*scoped[0])
 
         # numbers with units: "4 people", "5 nights", "3 star"
-        for i, tok in enumerate(tokens[:-1]):
-            if tok.isdigit() and tokens[i + 1] in _NUMBER_UNITS:
-                slot = _NUMBER_UNITS[tokens[i + 1]]
-                domain = self._first_with_slot(domains, slot)
-                if domain:
-                    emit(domain, slot, tok)
+        if not _NUMBER_UNITS.keys().isdisjoint(view.at):
+            for i, tok in enumerate(tokens[:-1]):
+                if tok.isdigit() and tokens[i + 1] in _NUMBER_UNITS:
+                    slot = _NUMBER_UNITS[tokens[i + 1]]
+                    domain = self._first_with_slot(domains, slot)
+                    if domain:
+                        emit(domain, slot, tok)
 
         # day names
-        for tok in tokens:
-            if tok in _DAY_NAMES:
-                domain = self._first_with_slot(domains, "day")
-                if domain:
-                    emit(domain, "day", tok)
+        if not _DAY_NAMES.isdisjoint(view.at):
+            for tok in tokens:
+                if tok in _DAY_NAMES:
+                    domain = self._first_with_slot(domains, "day")
+                    if domain:
+                        emit(domain, "day", tok)
 
         # clock times with a leave/arrive cue nearby; emit the surface form
-        for i, tok in enumerate(tokens):
-            if parse_time(tok) is None:
-                continue
-            window = set(tokens[max(0, i - 3): i])
-            slot = None
-            if window & _ARRIVE_CUES:
-                slot = "arrive"
-            elif window & _LEAVE_CUES:
-                slot = "leave"
-            if slot:
-                domain = self._first_with_slot(domains, slot)
-                if domain:
-                    emit(domain, slot, view.surface[i])
+        if not _TIME_CUES.isdisjoint(view.at):
+            for i, tok in enumerate(tokens):
+                if ":" not in tok or parse_time(tok) is None:
+                    continue
+                window = set(tokens[max(0, i - 3): i])
+                slot = None
+                if window & _ARRIVE_CUES:
+                    slot = "arrive"
+                elif window & _LEAVE_CUES:
+                    slot = "leave"
+                if slot:
+                    domain = self._first_with_slot(domains, slot)
+                    if domain:
+                        emit(domain, slot, view.surface[i])
 
         # boolean slots via cue phrases
-        for slot in _BOOLEAN_CUES:
+        for slot, cues in _BOOLEAN_CUES.items():
+            if cues.isdisjoint(view.at) and cues.isdisjoint(view.joined):
+                continue
             domain = self._first_with_slot(domains, slot)
             if domain is None:
                 continue

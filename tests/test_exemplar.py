@@ -831,6 +831,127 @@ def test_parse_goal_malformed():
         parse_goal("stay is 2")
 
 
+def test_parse_goal_column_of_a_repeated_entry():
+    """The second `area` entry is reported where it starts, not at the first `area`."""
+    text = "[hotel] area is north , area , area"
+    with pytest.raises(ParseError) as exc:
+        parse_goal(text)
+    assert str(exc.value) == "malformed triplet 'area' (column 24)"
+    assert text[24:].startswith("area , area")
+
+
+def test_parse_goal_column_of_an_empty_entry():
+    text = "[hotel] area is north ,  , stars is 4"
+    with pytest.raises(ParseError) as exc:
+        parse_goal(text)
+    assert str(exc.value) == "empty slot entry (column 24)"
+    assert text[24:].startswith(" , stars")  # nothing between the two separators
+
+
+def _reference_parse_goal(text, cls=UserGoal):
+    """`parse_goal` as it walked the marker matches, its column read by `chunk.find`."""
+    from dialogic.ontology import NONE, canonical_slot
+
+    result = cls()
+    text = text.strip()
+    if not text:
+        return result
+    markers = list(re.finditer(r"\[([^\[\]]+)\]", text))
+    if not markers:
+        raise ParseError("expected a [domain] marker", column=0)
+    if text[: markers[0].start()].strip():
+        raise ParseError("text before the first [domain] marker", column=0)
+    for i, marker in enumerate(markers):
+        domain = marker.group(1).strip()
+        end = markers[i + 1].start() if i + 1 < len(markers) else len(text)
+        chunk = text[marker.end():end]
+        if not chunk.strip():
+            result.set(domain, NONE, NONE)
+            continue
+        offset = marker.end()
+        for item in chunk.split(" , "):
+            column = offset + chunk.find(item)
+            entry = item.strip()
+            if not entry:
+                raise ParseError("empty slot entry", column=column)
+            slot, sep, value = entry.partition(" is ")
+            if not sep or not slot.strip() or not value.strip():
+                raise ParseError(f"malformed triplet {entry!r}", column=column)
+            result.set(domain, canonical_slot(slot), value.strip())
+    return result
+
+
+def _reference_parse_act(text):
+    """`parse_act` as it appended each slotless act type's triple when the next marker came."""
+    from dialogic.ontology import ACT_TYPES, NONE, canonical_slot
+
+    text = text.strip()
+    if not text:
+        return DialogAct()
+    tokens = re.findall(r"\[[^\[\]]+\]|[^\s\[\]]+", text)
+    triples = []
+    domain = act_type = None
+    act_has_slot = False
+
+    def flush():
+        if domain is not None and act_type is not None and not act_has_slot:
+            triples.append((domain, act_type, NONE))
+
+    for tok in tokens:
+        if tok.startswith("["):
+            name = tok[1:-1].strip()
+            if name in ACT_TYPES:
+                if domain is None:
+                    raise ParseError(f"act type {tok} before any [domain] marker")
+                flush()
+                act_type, act_has_slot = name, False
+            elif domain is not None and act_type is None:
+                raise ParseError(f"unknown act type {tok}")
+            else:
+                flush()
+                domain, act_type, act_has_slot = name, None, False
+        else:
+            if act_type is None:
+                raise ParseError(f"slot {tok!r} outside an act type")
+            triples.append((domain, act_type, canonical_slot(tok)))
+            act_has_slot = True
+    flush()
+    return DialogAct(tuple(triples))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_parse_goal_and_act_equal_the_marker_walks(seed):
+    """Random annotations, well-formed or not: the same annotation, or the same ParseError
+    message; a goal entry's column now points at the entry itself."""
+    rng = make_rng(seed)
+    pieces = ["[hotel]", "[train] ", " [general]", "[inform]", " [request] ", "[bye]",
+              " area is north", " , ", "stay is 2", " book stay is 3", " is ", " phone ",
+              "arriveby is 08:00", " area", "  ", "x", "[", "]", "[ hotel ]", "none is none"]
+    for _ in range(20):
+        text = "".join(rng.choices(pieces, k=rng.randint(0, 7)))
+        assert _parse_outcome(parse_act, text) == _parse_outcome(_reference_parse_act, text)
+        got, want = _parse_outcome(parse_belief, text), _parse_outcome(
+            lambda t: _reference_parse_goal(t, TurnBelief), text)
+        if got[0] != "ParseError" or "entry" not in got[1] and "triplet" not in got[1]:
+            assert got == want, text
+            continue
+        message, column = re.fullmatch(r"(.*) \(column (\d+)\)", got[1]).groups()
+        assert want[1].startswith(message + " (column "), text
+        # the reported entry starts at its column, right after a marker or a separator
+        head, rest = text.strip()[:int(column)], text.strip()[int(column):].lstrip(" ")
+        entry = re.fullmatch(r"malformed triplet '(.*)'", message)
+        assert head.endswith(("]", " , ")), text
+        assert rest.startswith(entry[1]) if entry else rest[:1] in ("", ",", "["), text
+
+
 def test_parse_act_unknown_act():
     with pytest.raises(ParseError, match="frobnicate"):
         parse_act("[hotel] [frobnicate] x")
@@ -842,6 +963,52 @@ def test_parse_act_slot_outside_act():
 
 
 # -- turn lines --------------------------------------------------------------
+
+def _reference_split_annotated_line(line, prefix):
+    """The line split as it walked every character of the annotation for its depth."""
+    if not line.startswith(prefix):
+        raise ParseError(f"line does not start with {prefix!r}")
+    depth = 1
+    for i in range(len(prefix), len(line)):
+        ch = line[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                annotation = line[len(prefix): i]
+                rest = line[i + 1:]
+                if not rest.startswith(":"):
+                    raise ParseError("expected ':' after the annotation", column=i + 1)
+                return annotation, rest[1:].lstrip(" ")
+    raise ParseError("unbalanced parentheses", column=len(line))
+
+
+def _split_outcome(split, line, prefix):
+    try:
+        return split(line, prefix)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_split_annotated_line_equals_the_depth_walk(seed):
+    """Lines with and without nested parentheses, balanced or not, with or without the
+    `:` after the annotation: the same pieces or the same ParseError message."""
+    from dialogic.exemplar import _split_annotated_line
+
+    rng = make_rng(seed)
+    pieces = ["[hotel]", " area is north", " , ", "(", ")", ":", " ", "x", "):", "((", "))"]
+    nested = rng.random() < 0.5
+    prefix = rng.choice(["User(", "Assistant("])
+    for _ in range(20):
+        body = "".join(rng.choices(pieces if nested else [p for p in pieces if "(" not in p],
+                                   k=rng.randint(0, 8)))
+        line = rng.choice([prefix, prefix, "", "User "]) + body
+        assert _split_outcome(_split_annotated_line, line, prefix) == \
+            _split_outcome(_reference_split_annotated_line, line, prefix), line
+
 
 def test_parse_user_line_reference():
     belief, utterance = parse_user_line("User([hotel] stay is 2): how about only 2 nights .")

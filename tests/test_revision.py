@@ -27,7 +27,7 @@ from dialogic.revision import (
     validate_act,
 )
 
-from dialogic.textnorm import TokenView, utterance_view
+from dialogic.textnorm import TokenView, parse_time, utterance_view
 
 from .conftest import make_rng, random_act, random_belief
 from .test_textnorm import reference_find_phrase
@@ -722,6 +722,182 @@ def test_active_domains_keyword_map_equals_per_domain_scan(aux):
         tokens = rng.choices(keywords + ["i", "need", "a", "the"], k=rng.randint(0, 8))
         view, context = TokenView(tokens), rng.choice(contexts)
         assert aux._active_domains(view, context) == _reference_active_domains(view, context)
+
+
+def _reference_predict_belief(aux, context, view):
+    """`LexicalAuxPredictor.predict_belief` as it walked every token in each cue pass."""
+    tokens = view.tokens
+    domains = _reference_active_domains(view, context)
+    belief = TurnBelief()
+
+    def emit(domain, slot, value):
+        if belief.get(domain, slot) is None:
+            belief.set(domain, slot, value)
+
+    for phrase, pos in aux._lexicon_hits(view):
+        candidates = aux._lexicon[phrase]
+        scoped = []
+        for domain in domains:
+            scoped = [c for c in candidates if c[0] == domain]
+            if scoped:
+                break
+        if not scoped and len({c[0] for c in candidates}) == 1:
+            scoped = list(candidates)
+        if not scoped:
+            continue
+        slots = {c[1] for c in scoped}
+        if {"departure", "destination"} <= slots:
+            window = set(tokens[max(0, pos - 2): pos])
+            if window & revision._DESTINATION_CUES:
+                scoped = [c for c in scoped if c[1] == "destination"]
+            elif window & revision._DEPARTURE_CUES:
+                scoped = [c for c in scoped if c[1] == "departure"]
+            else:
+                continue
+        emit(*scoped[0])
+    for i, tok in enumerate(tokens[:-1]):
+        if tok.isdigit() and tokens[i + 1] in revision._NUMBER_UNITS:
+            slot = revision._NUMBER_UNITS[tokens[i + 1]]
+            domain = aux._first_with_slot(domains, slot)
+            if domain:
+                emit(domain, slot, tok)
+    for tok in tokens:
+        if tok in revision._DAY_NAMES:
+            domain = aux._first_with_slot(domains, "day")
+            if domain:
+                emit(domain, "day", tok)
+    for i, tok in enumerate(tokens):
+        if parse_time(tok) is None:
+            continue
+        window = set(tokens[max(0, i - 3): i])
+        slot = None
+        if window & revision._ARRIVE_CUES:
+            slot = "arrive"
+        elif window & revision._LEAVE_CUES:
+            slot = "leave"
+        if slot:
+            domain = aux._first_with_slot(domains, slot)
+            if domain:
+                emit(domain, slot, view.surface[i])
+    for slot in revision._BOOLEAN_CUES:
+        domain = aux._first_with_slot(domains, slot)
+        if domain is None:
+            continue
+        for value in ("no", "yes"):
+            if revision._boolean_match(slot, value, view):
+                emit(domain, slot, value)
+                break
+    if revision.dontcare_expressed(view) and context:
+        for domain, slot in context[-1].act.slots_of("request"):
+            if aux.ontology.is_informable(domain, slot):
+                emit(domain, slot, "dontcare")
+    return belief
+
+
+_CUE_CONTEXTS = [
+    [],
+    [turn("a hotel please .", {"hotel": {"type": "hotel"}},
+          act_triples=(("hotel", "request", "area"), ("hotel", "request", "parking")))],
+    [turn("a train .", {"train": {}}, act_triples=(("train", "request", "leave"),))],
+    [turn("x", {"restaurant": {"food": "thai"}}), turn("y", {"general": {}})],
+    [turn("x", {"train": {}}), turn("y", {"hotel": {"area": "north"}, "general": {}})],
+]
+
+
+def test_aux_cue_passes_equal_a_walk_over_every_token(aux):
+    """Day names, clock times with and without a leave/arrive cue, boolean cues whole,
+    split ("wi fi") or negated, dontcare cues, numbers with units and domain keywords:
+    the same triples in the same order as the passes that walked every token."""
+    keywords = [kw for kws in revision._DOMAIN_KEYWORDS.values() for kw in kws]
+    groups = [
+        sorted(revision._DAY_NAMES),
+        ["08:45", "13:06", "7:30", "24:10", "12:5", "9:00"],
+        sorted(revision._ARRIVE_CUES | revision._LEAVE_CUES),
+        ["parking", "internet", "wifi", "wi fi", "inter net", "park ing", "free"],
+        sorted(revision._NEGATIONS - {"n't"}) + ["do n't", "without"],
+        ["do n't care", "any", "no preference", "whatever", "does not matter"],
+        ["2 people", "4 nights", "three star", "5 tickets", "2", "people", "nights"],
+        keywords,
+        [" ".join(p) for p in list(aux._lexicon)[:400]],
+        ["i", "want", "a", "the", "to", "from", "it", "please", ",", "."],
+    ]
+    rng = make_rng(41)
+    emitted = {}
+    for _ in range(3000):
+        words = [rng.choice(rng.choice(groups)) for _ in range(rng.randint(0, 14))]
+        view, context = utterance_view(" ".join(words)), rng.choice(_CUE_CONTEXTS)
+        assert aux._active_domains(view, context) == _reference_active_domains(view, context)
+        got = aux.predict_belief(context, view)
+        want = _reference_predict_belief(aux, context, view)
+        assert repr(got) == repr(want), words  # the entry order too
+        for _, slot, value in got.triples():
+            key = value if value in ("yes", "no", "dontcare") else slot
+            emitted[key] = emitted.get(key, 0) + 1
+    for key in ("day", "arrive", "leave", "yes", "no", "dontcare", "people", "stay"):
+        assert emitted.get(key, 0) >= 30, (key, emitted)
+
+
+def _reference_merge_beliefs(gpt, aux_belief):
+    """`merge_beliefs` as it copied the LLM belief and set each aux triple it lacked."""
+    merged = gpt.copy()
+    for domain, slot, value in aux_belief.triples():
+        if merged.get(domain, slot) is None:
+            merged.set(domain, slot, value)
+    return merged
+
+
+def _reference_revise_belief(gpt, context, utterance, aux, ontology):
+    """`revise_belief` with the merge above and its fixes read from `triples()`."""
+    view = utterance_view(utterance)
+    aux_belief = (aux.predict_belief(context, view).admitted(ontology) if aux is not None
+                  else TurnBelief())
+    merged = _reference_merge_beliefs(gpt, aux_belief)
+    final, dropped = revision._filter_with_drops(merged, view)
+    fixes = tuple((d, s, v) for d, s, v in final.triples()
+                  if s != NONE and gpt.get(d, s) is None)
+    return final, fixes, tuple(dropped), aux_belief
+
+
+def test_revise_belief_equals_a_merge_over_triples(ontology, aux):
+    """`general` entries, domain-only mentions, aux slots that collide with LLM slots and
+    domains whose every slot is dropped: the same final belief in the same entry order,
+    the same drops, fixes and admitted aux belief."""
+    rng = make_rng(43)
+    seen = {"collision": 0, "emptied": 0, "fix": 0, "general": 0}
+    for _ in range(2000):
+        gpt, reply = random_belief(ontology, rng), random_belief(ontology, rng)
+        for b in (gpt, reply):
+            if rng.random() < 0.3:
+                b.set(GENERAL_DOMAIN, NONE, NONE)
+            if rng.random() < 0.3:
+                b.set(rng.choice(ontology.goal_domains()), NONE, NONE)
+        for d, s, _ in gpt.triples():
+            if s != NONE and rng.random() < 0.4:
+                reply.set(d, s, rng.choice(ontology.candidates(d, s)))
+        if rng.random() < 0.2:
+            reply.set("spaceship", "x", "y")  # not admitted
+        values = [v for b in (gpt, reply) for _, s, v in b.triples() if s != NONE]
+        words = rng.sample(values, rng.randint(0, len(values))) + ["a", "hotel", "please"]
+        rng.shuffle(words)
+        utterance = " ".join(words) + " ."
+        context = rng.choice(_CUE_CONTEXTS)
+        for helper in (ReplyAux(reply.to_dict()), aux, None):
+            final, report = revise_belief(gpt, context, utterance, helper, ontology)
+            want, fixes, drops, aux_belief = _reference_revise_belief(
+                gpt, context, utterance, helper, ontology)
+            assert repr(final) == repr(want), (gpt, reply, utterance)
+            assert report.de_generation_fixes == fixes
+            assert report.over_generation_drops == drops
+            assert repr(report.aux_belief) == repr(aux_belief)
+            assert repr(merge_beliefs(gpt, aux_belief)) == repr(
+                _reference_merge_beliefs(gpt, aux_belief))
+            seen["collision"] += any(
+                s in gpt.entries.get(d, ()) for d, slots in aux_belief.entries.items()
+                for s in slots)
+            seen["emptied"] += any(d not in final.entries for d, _, _ in drops)
+            seen["fix"] += bool(fixes)
+            seen["general"] += GENERAL_DOMAIN in final.entries
+    assert min(seen.values()) >= 200, seen
 
 
 def test_revise_belief_tokenises_the_utterance_once(ontology, aux, monkeypatch):
