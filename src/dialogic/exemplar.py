@@ -3,7 +3,8 @@
 The text grammar here is the contract between the pipeline and the LLM:
 `serialize_*` render annotations into prompt lines and `parse_*` read them
 back. Round-trips are exact for ontology-canonical annotations; malformed
-text fails fast so the simulation loop can retry.
+text fails fast so the simulation loop can retry. Every text the LLM reads
+or writes is spelled here: line openers, stops, dialogue and DST prompts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 
 from .corpus import SeedDataset, key_similarity, similarity_key
 from .model import DialogAct, Dialogue, TripletMap, TurnBelief, UserGoal
-from .ontology import ACT_TYPES, NONE, Ontology, canonical_slot
+from .ontology import ACT_TYPES, GENERAL_DOMAIN, NONE, Ontology, canonical_slot
 
 DEFAULT_TASK_DESCRIPTION = (
     "The following are conversations between a user and an assistant. "
@@ -186,6 +187,15 @@ def parse_act(text: str) -> DialogAct:
 # turn lines
 # ---------------------------------------------------------------------------
 
+USER_OPENER = "User("
+SYSTEM_OPENER = "Assistant("
+
+# a completion ends where the next line's speaker would start
+USER_STOPS = ("\nAssistant",)
+SYSTEM_STOPS = ("\nUser", "\nInstruction")
+DST_STOPS = ("\n",)
+
+
 def _split_annotated_line(line: str, prefix: str) -> tuple[str, str]:
     if not line.startswith(prefix):
         raise ParseError(f"line does not start with {prefix!r}")
@@ -215,22 +225,22 @@ def _split_annotated_line(line: str, prefix: str) -> tuple[str, str]:
 
 def parse_user_line(line: str) -> tuple[TurnBelief, str]:
     """`User(<belief>): <utterance>` -> (TurnBelief, utterance). `User():` is empty."""
-    annotation, utterance = _split_annotated_line(line.rstrip(), "User(")
+    annotation, utterance = _split_annotated_line(line.rstrip(), USER_OPENER)
     return parse_belief(annotation), utterance
 
 
 def parse_system_line(line: str) -> tuple[DialogAct, str]:
     """`Assistant(<act>): <response>` -> (DialogAct, response)."""
-    annotation, response = _split_annotated_line(line.rstrip(), "Assistant(")
+    annotation, response = _split_annotated_line(line.rstrip(), SYSTEM_OPENER)
     return parse_act(annotation), response
 
 
 def format_user_line(belief: TurnBelief, utterance: str) -> str:
-    return f"User({serialize_goal(belief)}): {utterance}"
+    return f"{USER_OPENER}{serialize_goal(belief)}): {utterance}"
 
 
 def format_system_line(act: DialogAct, response: str) -> str:
-    return f"Assistant({serialize_act(act)}): {response}"
+    return f"{SYSTEM_OPENER}{serialize_act(act)}): {response}"
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +297,60 @@ def build_prompt(task_desc: str, examples: list[Dialogue], target_goal: UserGoal
         f"Instruction{n}: {instruction_sentence(target_goal, ontology)}\nConversation{n}:"
     )
     return "\n\n".join(blocks) + "\n"
+
+
+# slot glossary lines for the turn-level task description
+_SLOT_GLOSSARY: dict[str, str] = {
+    "people": "number of people for the {domain} booking",
+    "stay": "length of stay at the hotel",
+    "day": "day of the {domain} booking",
+    "name": "name of the {domain}",
+    "stars": "star rating of the hotel",
+    "type": "what is the type of the {domain}, {options}",
+    "area": "area of town for the {domain}",
+    "pricerange": "price range of the {domain}",
+    "parking": "whether the hotel has free parking",
+    "internet": "whether the hotel has free wifi",
+    "food": "type of food served by the restaurant",
+    "departure": "place to depart from",
+    "destination": "place to travel to",
+    "leave": "earliest time to leave",
+    "arrive": "latest time to arrive by",
+    "time": "time of the {domain} booking",
+    "department": "hospital department you need",
+}
+
+
+def _glossary_line(domain: str, slot: str, ontology: Ontology) -> str:
+    """One glossary line; only a line that lists the options reads the candidates."""
+    template = _SLOT_GLOSSARY.get(slot, "the {slot} of the {domain}")
+    options = ", ".join(ontology.candidates(domain, slot)) if "{options}" in template else ""
+    text = template.format(domain=domain, slot=slot, options=options or "any value")
+    return f"{slot}: {text};"
+
+
+def build_dst_prompt(belief: TurnBelief, demos: list[tuple[Dialogue, int]],
+                     ontology: Ontology) -> str:
+    """Task description with a slot glossary, turn demonstrations, target prefix."""
+    domain = next((d for d in belief.entries if d != GENERAL_DOMAIN), GENERAL_DOMAIN)
+    slots: dict[tuple[str, str], None] = {}  # a slot keeps its first place
+    for shown in (belief, *(dlg.turns[i].belief for dlg, i in demos)):
+        for d, names in shown.entries.items():
+            for s in names:
+                slots[d, s] = None
+    header = (
+        f"Answer the assistant's question on each feature you require when booking "
+        f"{_article(domain)} {domain}. "
+        'Also mention no preference on a feature when your requirement on it is "dontcare".'
+    )
+    lines = [header, "Features:"]
+    lines += [_glossary_line(d, s, ontology) for d, s in slots]
+    blocks = ["\n".join(lines)]
+    for dlg, i in demos:
+        turn = dlg.turns[i]
+        asked = [s for names in turn.belief.entries.values() for s in names]
+        blocks.append(
+            f"Assistant: what is your requirement on {', '.join(asked)}?\n"
+            f"{format_user_line(turn.belief, turn.user_utterance)}")
+    blocks.append(f"{USER_OPENER}{serialize_goal(belief)}):")
+    return "\n\n".join(blocks)

@@ -347,19 +347,6 @@ class Turn:
     system_response: str
 
 
-def current_domain(belief: TurnBelief, context: list[Turn]) -> str | None:
-    """The last task domain of `belief`, else the last one of the latest turn with any.
-    A DST sample's "other" turn reads it; a simulated turn's is its `db.domain`."""
-    task = belief.task_domains()
-    if task:
-        return task[-1]
-    for turn in reversed(context):
-        task = turn.belief.task_domains()
-        if task:
-            return task[-1]
-    return None
-
-
 @dataclass
 class Dialogue:
     """A conversation record: goal, turns, provenance."""

@@ -15,10 +15,16 @@ from typing import Callable
 from .backend import BackendError, CompletionBackend, CompletionRequest, ContextLengthExceeded
 from .corpus import SeedDataset, similarity_key
 from .database import EntityDb
+# called through this module's names below: bench/spans.py rebinds them to time each layer
 from .exemplar import (
     DEFAULT_TASK_DESCRIPTION,
+    DST_STOPS,
+    SYSTEM_OPENER,
+    SYSTEM_STOPS,
+    USER_OPENER,
+    USER_STOPS,
     ParseError,
-    _article,
+    build_dst_prompt,
     build_prompt,
     estimate_tokens,
     format_system_line,
@@ -26,7 +32,6 @@ from .exemplar import (
     parse_system_line,
     parse_user_line,
     select_examples,
-    serialize_act,
     serialize_goal,
 )
 from .goals import (
@@ -55,14 +60,10 @@ from .model import (
     TurnBelief,
     UserGoal,
     accumulate_state,
-    current_domain,
 )
-from .ontology import GENERAL_DOMAIN, Ontology
+from .ontology import Ontology
 from .revision import AuxPredictor, revise_act, revise_belief, slot_value_match_filter
 from .textnorm import normalize_text
-
-USER_STOPS = ("\nAssistant",)
-SYSTEM_STOPS = ("\nUser", "\nInstruction")
 
 TraceSink = Callable[[dict], None]
 
@@ -123,9 +124,9 @@ def simulate_dialogue(goal: UserGoal, seeds: SeedDataset, backend: CompletionBac
     prompt = build_prompt(DEFAULT_TASK_DESCRIPTION, examples, goal, ontology=ontology)
     turns: list[Turn] = []
 
-    def complete_line(prefix: str, stop: tuple[str, ...], parser):
+    def complete_line(opener: str, stop: tuple[str, ...], parser):
         def read(completion: str):
-            annotation, text = parser(prefix + completion.lstrip())
+            annotation, text = parser(opener + completion.lstrip())
             if isinstance(annotation, TurnBelief):
                 problems = annotation.validate(ontology)
                 if problems:
@@ -133,22 +134,22 @@ def simulate_dialogue(goal: UserGoal, seeds: SeedDataset, backend: CompletionBac
             return annotation, normalize_text(text)
 
         return _first_accepted(
-            backend, cfg, prompt + prefix, stop, read, "parse_error",
+            backend, cfg, prompt + opener, stop, read, "parse_error",
             lambda n, last: f"unparseable completion after {n} attempts: {last}")
 
     while len(turns) < cfg.max_turns:
-        raw_belief, utterance = complete_line("User(", USER_STOPS, parse_user_line)
+        raw_belief, utterance = complete_line(USER_OPENER, USER_STOPS, parse_user_line)
         belief, report = revise_belief(raw_belief, turns, utterance, aux, ontology)
         prompt += format_user_line(belief, utterance) + "\n"
         state = accumulate_state([t.belief for t in turns] + [belief])
         db_result = _query_db(db, belief, state, turns)
 
-        raw_act, response = complete_line("Assistant(", SYSTEM_STOPS, parse_system_line)
+        raw_act, response = complete_line(SYSTEM_OPENER, SYSTEM_STOPS, parse_system_line)
         act, firings, used_aux = revise_act(
             raw_act, turns, belief, utterance, db_result, ontology, aux)
         if act != raw_act:
             regenerated = _request_completion(
-                backend, cfg, prompt + f"Assistant({serialize_act(act)}): ", SYSTEM_STOPS)
+                backend, cfg, prompt + format_system_line(act, ""), SYSTEM_STOPS)
             if regenerated.strip():
                 response = normalize_text(regenerated)
         prompt += format_system_line(act, response) + "\n"
@@ -186,37 +187,6 @@ def simulate_dialogue(goal: UserGoal, seeds: SeedDataset, backend: CompletionBac
 KIND_REQUEST = "request"
 KIND_REQMORE = "reqmore"
 KIND_OTHER = "other"
-
-DST_STOPS = ("\n",)
-
-# slot glossary lines for the turn-level task description
-_SLOT_GLOSSARY: dict[str, str] = {
-    "people": "number of people for the {domain} booking",
-    "stay": "length of stay at the hotel",
-    "day": "day of the {domain} booking",
-    "name": "name of the {domain}",
-    "stars": "star rating of the hotel",
-    "type": "what is the type of the {domain}, {options}",
-    "area": "area of town for the {domain}",
-    "pricerange": "price range of the {domain}",
-    "parking": "whether the hotel has free parking",
-    "internet": "whether the hotel has free wifi",
-    "food": "type of food served by the restaurant",
-    "departure": "place to depart from",
-    "destination": "place to travel to",
-    "leave": "earliest time to leave",
-    "arrive": "latest time to arrive by",
-    "time": "time of the {domain} booking",
-    "department": "hospital department you need",
-}
-
-
-def _glossary_line(domain: str, slot: str, ontology: Ontology) -> str:
-    """One glossary line; only a line that lists the options reads the candidates."""
-    template = _SLOT_GLOSSARY.get(slot, "the {slot} of the {domain}")
-    options = ", ".join(ontology.candidates(domain, slot)) if "{options}" in template else ""
-    text = template.format(domain=domain, slot=slot, options=options or "any value")
-    return f"{slot}: {text};"
 
 
 def _sample_value(ontology: Ontology, domain: str, slot: str, rng: random.Random,
@@ -288,7 +258,9 @@ def generate_turn_belief(source: Dialogue, turn_idx: int, ontology: Ontology,
             belief.set(domain, slot, _sample_value(ontology, domain, slot, rng, observed_values))
     else:
         kind = KIND_OTHER
-        domain = current_domain(original, context)
+        # the last task domain of the original belief, else of the latest earlier turn with one
+        domain = next((task[-1] for shown in (original, *(t.belief for t in reversed(context)))
+                       if (task := shown.task_domains())), None)
         if domain is None:
             raise SimulationError(f"{source.id} turn {turn_idx}: no current domain",
                                   kind="unaugmentable")
@@ -325,33 +297,6 @@ def _sample_turn_demos(target: TurnBelief, seeds: SeedDataset, k: int, tau: floa
                               kind="unaugmentable")
     drawn = index.turns.draw(similarity_key(target), min(k, available), tau, rng, skip)
     return [item for item, _, _ in drawn]
-
-
-def build_dst_prompt(belief: TurnBelief, demos: list[tuple[Dialogue, int]],
-                     ontology: Ontology) -> str:
-    """Task description with a slot glossary, turn demonstrations, target prefix."""
-    domain = next((d for d in belief.entries if d != GENERAL_DOMAIN), GENERAL_DOMAIN)
-    slots: dict[tuple[str, str], None] = {}  # a slot keeps its first place
-    for shown in (belief, *(dlg.turns[i].belief for dlg, i in demos)):
-        for d, names in shown.entries.items():
-            for s in names:
-                slots[d, s] = None
-    header = (
-        f"Answer the assistant's question on each feature you require when booking "
-        f"{_article(domain)} {domain}. "
-        'Also mention no preference on a feature when your requirement on it is "dontcare".'
-    )
-    lines = [header, "Features:"]
-    lines += [_glossary_line(d, s, ontology) for d, s in slots]
-    blocks = ["\n".join(lines)]
-    for dlg, i in demos:
-        turn = dlg.turns[i]
-        asked = [s for names in turn.belief.entries.values() for s in names]
-        blocks.append(
-            f"Assistant: what is your requirement on {', '.join(asked)}?\n"
-            f"{format_user_line(turn.belief, turn.user_utterance)}")
-    blocks.append(f"User({serialize_goal(belief)}):")
-    return "\n\n".join(blocks)
 
 
 def augment_dst_turn(source: Dialogue, turn_idx: int, belief: TurnBelief, seeds: SeedDataset,

@@ -3,17 +3,20 @@ import re
 import sys
 import threading
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialogic import revision
+from dialogic import revision, simulator
 from dialogic.backend import ContextLengthExceeded, MockBackend, record_transcript
+from dialogic.corpus import SeedDataset
 from dialogic.exemplar import parse_system_line, parse_user_line
 from dialogic.goals import GoalStrategy
 from dialogic.model import (
-    DialogAct, GenConfig, NO_RESULT, Turn, TurnBelief, UserGoal, accumulate_state,
+    DialogAct, Dialogue, GenConfig, NO_RESULT, Turn, TurnBelief, UserGoal, accumulate_state,
 )
 from dialogic.revision import HttpAuxPredictor, slot_value_match_filter
 from dialogic.simulator import (
@@ -37,6 +40,9 @@ from .conftest import (
     random_belief,
     run_trace_simulation,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import spans  # noqa: E402
 
 BYE_SCRIPT = [
     "[general]): hello , that is all .",
@@ -460,6 +466,34 @@ def test_turn_belief_turn_zero_uses_other_rule(seeds, ontology):
     assert belief.task_domains() == ["hotel"]
 
 
+def test_other_turn_belief_opens_the_walk_back_domain(seeds, ontology):
+    """An "other" turn's belief stays in the source turn's last task domain, else in the
+    latest earlier turn's: a goodbye turn's sample opens the domain talked about before."""
+    for source in seeds:
+        for turn_idx, turn in enumerate(source.turns):
+            for rng_seed in range(5):
+                try:
+                    belief, kind = generate_turn_belief(source, turn_idx, ontology,
+                                                        make_rng(rng_seed))
+                except SimulationError:
+                    continue
+                if kind == KIND_OTHER:
+                    domain = walk_back_domain(turn.belief, source.turns[:turn_idx])
+                    assert belief.task_domains() == [domain]
+    goodbye = Dialogue(
+        id="bye", initial_goal=UserGoal(), final_goal=UserGoal(),
+        turns=[Turn("a train to ely .", TurnBelief({"train": {"destination": "ely"}}), NO_RESULT,
+                    DialogAct((("train", "inform", "id"),)), "[value_id] goes there ."),
+               Turn("thanks .", TurnBelief({"general": {}}), NO_RESULT,
+                    DialogAct((("general", "welcome", "none"),)), "you are welcome ."),
+               Turn("bye .", TurnBelief({"general": {}}), NO_RESULT,
+                    DialogAct((("general", "bye", "none"),)), "goodbye .")])
+    for turn_idx in (1, 2):
+        belief, kind = generate_turn_belief(goodbye, turn_idx, ontology, make_rng(0))
+        assert kind == KIND_OTHER
+        assert belief.task_domains() == ["train"]
+
+
 def test_turn_belief_unaugmentable(ontology, seeds):
     # a reqmore turn with every goal domain already mentioned cannot be augmented
     source = seeds.get("SNG01856")
@@ -773,3 +807,124 @@ def test_simulate_batch_runs_the_backends_concurrency_unless_overridden(
         GenConfig(rng_seed=5), workers=workers)
     assert report.succeeded == 6
     assert backend.peak == peak
+
+
+# -- the requests the LLM reads ---------------------------------------------------
+
+GOLDEN_GOAL = {"hotel": {"stars": "4", "parking": "yes"}}
+GOLDEN_TARGET = {"attraction": {"type": "museum", "area": "centre"}}
+GOLDEN_SEED = Dialogue(
+    id="G1", initial_goal=UserGoal(GOLDEN_GOAL), final_goal=UserGoal(GOLDEN_GOAL),
+    turns=[
+        Turn("i want a 4 star hotel with free parking .", TurnBelief(GOLDEN_GOAL), NO_RESULT,
+             DialogAct((("hotel", "request", "area"),)), "which area would you like ?"),
+        Turn("the north , please .", TurnBelief({"hotel": {"area": "north"}}), NO_RESULT,
+             DialogAct((("general", "bye", "none"),)), "goodbye ."),
+    ])
+
+# `build_prompt` over GOLDEN_SEED for GOLDEN_TARGET, as the loop first renders it
+GOLDEN_PROMPT = (
+    "The following are conversations between a user and an assistant. The assistant can "
+    "help the user to find things that satisfy his requirements. Try to speak differently "
+    "in different conversations.\n"
+    "\n"
+    "Instruction1: You are going to book a hotel, and your requirements for the hotel are "
+    "([hotel] stars is 4 , parking is yes). Make sure you get the booking information once "
+    "booked.\n"
+    "Conversation1:\n"
+    "User([hotel] stars is 4 , parking is yes): i want a 4 star hotel with free parking .\n"
+    "Assistant([hotel] [request] area): which area would you like ?\n"
+    "User([hotel] area is north): the north , please .\n"
+    "Assistant([general] [bye]): goodbye .\n"
+    "\n"
+    "Instruction2: You are going to visit an attraction, and your requirements for the "
+    "attraction are ([attraction] type is museum , area is centre).\n"
+    "Conversation2:\n"
+)
+GOLDEN_USER_LINE = ("User([attraction] type is museum , area is centre): "
+                    "i am looking for a museum in the centre .\n")
+GOLDEN_DST_PROMPT = (
+    "Answer the assistant's question on each feature you require when booking an attraction. "
+    'Also mention no preference on a feature when your requirement on it is "dontcare".\n'
+    "Features:\n"
+    "type: what is the type of the attraction, museum, college, church, park, nightclub, "
+    "theatre, cinema, swimming pool, architecture, boat, concert hall, entertainment, "
+    "multiple sports;\n"
+    "area: area of town for the attraction;\n"
+    "stars: star rating of the hotel;\n"
+    "parking: whether the hotel has free parking;\n"
+    "\n"
+    "Assistant: what is your requirement on stars, parking?\n"
+    "User([hotel] stars is 4 , parking is yes): i want a 4 star hotel with free parking .\n"
+    "\n"
+    "User([attraction] type is museum , area is centre):"
+)
+
+
+def test_requests_keep_their_bytes(entity_db, ontology):
+    """Every kind of request, byte for byte with its stops, from fixed inputs: the first
+    user request, the system request, a regeneration and a DST request."""
+    script = iter([
+        "[attraction] type is museum , area is centre): i am looking for a museum in the centre .",
+        "[hotel] [inform] name): how about [value_name] ?",  # the rules revise it
+        "there are [value_count] museums in the centre .",
+        "[general]): thanks , bye .",
+        "[general] [bye]): goodbye .",
+        " a museum in the centre , please .",
+    ])
+    requests = []
+
+    def answer(req):
+        requests.append((req.prompt, req.stop))
+        return next(script)
+
+    pool = SeedDataset(dialogues=[GOLDEN_SEED])
+    simulate_dialogue(UserGoal(GOLDEN_TARGET), pool, MockBackend(answer), None, entity_db,
+                      ontology, GenConfig(n_shots=1), make_rng(0))
+    augment_dst_turn(GOLDEN_SEED, 1, TurnBelief(GOLDEN_TARGET), pool, MockBackend(answer),
+                     ontology, GenConfig(n_shots=1), make_rng(0), dialogue_id="G1-dst1-p1")
+    system_stops = ("\nUser", "\nInstruction")
+    assert requests[:3] + requests[-1:] == [
+        (GOLDEN_PROMPT + "User(", ("\nAssistant",)),
+        (GOLDEN_PROMPT + GOLDEN_USER_LINE + "Assistant(", system_stops),
+        (GOLDEN_PROMPT + GOLDEN_USER_LINE + "Assistant([general] [reqmore]): ", system_stops),
+        (GOLDEN_DST_PROMPT, ("\n",)),
+    ]
+    # a slot the glossary does not list, of a domain that offers no booking
+    assert build_dst_prompt(TurnBelief({"police": {"office": "north"}}), [], ontology) == (
+        "Answer the assistant's question on each feature you require when booking a police. "
+        'Also mention no preference on a feature when your requirement on it is "dontcare".\n'
+        "Features:\n"
+        "office: the office of the police;\n"
+        "\n"
+        "User([police] office is north):")
+
+
+def _counted(calls: Counter, name: str, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_every_name_the_benchmark_traces_is_called_through_the_simulator(
+        monkeypatch, seeds, aux, entity_db, ontology):
+    """`bench/spans.py` times a layer by rebinding its name on `dialogic.simulator`, and a
+    span that never opens reads 0 in its per-layer metric. So each such name is called
+    through the module: `build_prompt` once per dialogue, `build_dst_prompt` once per sample."""
+    names = [attr for module, attr, _ in spans.REBOUND if module == "dialogic.simulator"]
+    calls = Counter()
+    for name in names:
+        monkeypatch.setattr(simulator, name, _counted(calls, name, getattr(simulator, name)))
+    for kind in ("random", "substitution", "combination"):
+        _, report = simulator.simulate_batch(
+            1, GoalStrategy(kind=kind), seeds, looping_mock(*BYE_SCRIPT), aux, entity_db,
+            ontology, GenConfig(rng_seed=5))
+        assert report.succeeded == 1
+    _, report = simulator.augment_corpus(
+        seeds, MockBackend(lambda req: _verbalize_target(req.prompt)), None, ontology,
+        GenConfig(rng_seed=1))
+    assert report.succeeded
+    assert [name for name in names if not calls[name]] == []
+    assert calls["build_prompt"] == calls["simulate_dialogue"] == 3
+    assert calls["build_dst_prompt"] == calls["augment_dst_turn"] >= report.succeeded
