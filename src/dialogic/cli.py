@@ -31,7 +31,7 @@ from .database import DatabaseError, EntityDb, default_entity_db, load_entity_db
 from .goals import GoalStrategy, RsDistribution, STRATEGIES
 from .model import SOURCE_DST_AUGMENTED, DecodeConfig, GenConfig
 from .ontology import Ontology, default_ontology, load_ontology
-from .revision import HttpAuxPredictor, LexicalAuxPredictor, slot_value_match_filter, validate_act
+from .revision import HttpAuxPredictor, LexicalAuxPredictor, revise_act, revise_belief
 from .simulator import BatchReport, augment_corpus, check_batch, simulate_batch
 from .stats import compute_stats
 from .textnorm import read_json
@@ -273,17 +273,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
             warnings.append(f"{dlg.id}: {len(dlg.turns)} turns exceed the cap of {max_turns}")
         for i, turn in enumerate(dlg.turns):
             where = f"{dlg.id} turn {i}"
-            filtered = slot_value_match_filter(turn.belief, turn.user_utterance, ontology)
-            if filtered != turn.belief:
-                missing = set(turn.belief.triples()) - set(filtered.triples())
-                for triple in sorted(missing):
-                    violations.append(f"{where}: value not expressed in utterance: {triple}")
+            context = dlg.turns[:i]
+            # the loop's own revision, without an aux: a value it drops is a violation
+            _, report = revise_belief(turn.belief, context, turn.user_utterance, None, ontology)
+            for triple in sorted(report.over_generation_drops):
+                violations.append(f"{where}: value not expressed in utterance: {triple}")
             for domain, slot in turn.act.slots_of("inform") + turn.act.slots_of("offerbooked"):
                 if f"[value_{slot}]" not in turn.system_response:
                     warnings.append(f"{where}: response lacks placeholder [value_{slot}]")
             if dlg.source == SOURCE_DST_AUGMENTED and i == len(dlg.turns) - 1:
                 continue  # a DST sample's new user turn has no system act by design
-            act, firings = validate_act(turn.act, dlg.turns[:i], turn.belief, turn.db, ontology)
+            act, firings, _ = revise_act(turn.act, context, turn.belief, turn.user_utterance,
+                                         turn.db, ontology, None)
             if act != turn.act:
                 warnings.append(f"{where}: the act rules would change the act: "
                                 + " | ".join(firings))

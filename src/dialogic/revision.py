@@ -189,7 +189,7 @@ def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief, db: Db
     4. drop-undiscussed-domains: drop a triple in a task domain that no belief
        of `context` or `belief` mentions.
     5. dedupe: drop a repeat of a triple already kept.
-    An act left empty maps to FALLBACK_ACT.
+    An act left empty maps to FALLBACK_ACT itself; any other result is a new act.
     """
     kept: list[Triple] = []
     firings: list[str] = []
@@ -234,9 +234,8 @@ def revise_act(gpt_act: DialogAct, context: list[Turn], belief: TurnBelief, utte
                ) -> tuple[DialogAct, list[str], bool]:
     """Rule-validate the LLM act; consult the auxiliary act only on outright failure."""
     revised, firings = validate_act(gpt_act, context, belief, db, ontology)
-    # the rules kept no triple; a valid LLM [general] [reqmore] is no failure
-    outright_failure = not gpt_act.is_empty() and firings[-1:] == [_FALLBACK_FIRING]
-    if outright_failure and aux is not None:
+    # the rules kept no triple; a valid LLM [general] [reqmore] is a new act, no failure
+    if aux is not None and not gpt_act.is_empty() and revised is FALLBACK_ACT:
         aux_act = aux.predict_act(context, utterance, belief, db)
         revised, aux_firings = validate_act(aux_act, context, belief, db, ontology)
         firings.extend("aux " + f for f in aux_firings)

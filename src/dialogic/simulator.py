@@ -95,13 +95,14 @@ def _first_accepted(backend: CompletionBackend, cfg: GenConfig, prompt: str,
     raise SimulationError(failure(cfg.retries + 1, refusal), kind=kind)
 
 
-def _query_db(db: EntityDb, belief: TurnBelief, state, turns: list[Turn]) -> DbResult:
-    """Query the turn's domain under the state's constraints: the belief's last task domain.
+def _query_db(db: EntityDb, belief: TurnBelief, turns: list[Turn]) -> DbResult:
+    """Query the belief's last task domain under the state of `turns`, then `belief`.
 
     A belief that names no domain carries the previous turn's query over: it
     queries nothing on a first turn or after a turn that queried nothing. A
     general-only belief queries nothing. Later readers take the domain from the result.
     """
+    state = accumulate_state([t.belief for t in turns] + [belief])  # every turn: traced per turn
     task = belief.task_domains()
     if task:
         domain = task[-1]
@@ -141,8 +142,7 @@ def simulate_dialogue(goal: UserGoal, seeds: SeedDataset, backend: CompletionBac
         raw_belief, utterance = complete_line(USER_OPENER, USER_STOPS, parse_user_line)
         belief, report = revise_belief(raw_belief, turns, utterance, aux, ontology)
         prompt += format_user_line(belief, utterance) + "\n"
-        state = accumulate_state([t.belief for t in turns] + [belief])
-        db_result = _query_db(db, belief, state, turns)
+        db_result = _query_db(db, belief, turns)
 
         raw_act, response = complete_line(SYSTEM_OPENER, SYSTEM_STOPS, parse_system_line)
         act, firings, used_aux = revise_act(

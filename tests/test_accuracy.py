@@ -12,23 +12,33 @@ passed to `verbalize`. "i am looking for a hotel" says no `hotel type is
 hotel`; a line says that triple only when its goal prescribes it. Revision's
 aux does add `hotel type is hotel` on such lines, so revised precision is
 below raw precision and is not asserted here.
+
+A scripted batch is also a fixpoint of revision: `dialogic validate`, which
+revises each saved turn again without an aux, finds nothing to change.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from dialogic.goals import GoalStrategy
+from dialogic.cli import main
+from dialogic.corpus import load_seed_corpus, save_corpus
+from dialogic.database import load_entity_db
+from dialogic.goals import GoalStrategy, RsDistribution
 from dialogic.model import GenConfig
-from dialogic.simulator import simulate_batch
+from dialogic.ontology import load_ontology
+from dialogic.revision import LexicalAuxPredictor
+from dialogic.simulator import augment_corpus, simulate_batch
 from dialogic.textnorm import normalize_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import llm  # noqa: E402
+import synth  # noqa: E402
 
 FAULT_RATES = ("MALFORMED", "OVER_ANNOTATION", "UNDER_ANNOTATION", "BAD_ACT", "DST_OMISSION")
 
@@ -78,3 +88,59 @@ def test_revision_removes_no_true_triple_and_keeps_recall(monkeypatch, seeds, au
     assert revised_hits >= raw_hits
     if faults == "zero":  # the truth is keyed right: every true triple was annotated
         assert raw_hits == true_total
+
+
+def _validate_json(capsys, path, *flags):
+    code = main(["validate", "--corpus", str(path), "--json", *flags])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == (1 if payload["violations"] else 0)
+    return payload
+
+
+def _assert_revised(events) -> None:
+    """The batch is no trivial fixpoint: revision dropped a value and fired an act rule."""
+    assert any(e["over_generation_drops"] for e in events)
+    assert any(e["rule_firings"] for e in events)
+
+
+def _act_changes(payload) -> list[str]:
+    return [w for w in payload["warnings"] if "the act rules would change the act" in w]
+
+
+@pytest.mark.parametrize("kind", ["random", "substitution", "combination"])
+def test_a_scripted_batch_on_the_bundled_seeds_is_a_fixpoint_of_revision(
+        tmp_path, capsys, seeds, aux, entity_db, ontology, kind):
+    events = []
+    dialogues, report = simulate_batch(
+        12, GoalStrategy(kind=kind), seeds, llm.ScriptedLLM(), aux, entity_db, ontology,
+        GenConfig(rng_seed=5), trace=events.append)
+    _assert_revised(events)
+    assert report.failures == {} and len(dialogues) == 12
+    save_corpus(dialogues, tmp_path / "sim.json")
+    payload = _validate_json(capsys, tmp_path / "sim.json")
+    assert payload["violations"] == [] and _act_changes(payload) == []
+
+
+def test_a_scripted_batch_on_synthetic_seeds_is_a_fixpoint_of_revision(tmp_path, capsys):
+    paths = synth.write_dataset(tmp_path / "data", 5)
+    ontology = load_ontology(paths["ontology"])
+    seeds = load_seed_corpus(paths["seeds"], ontology)
+    events = []
+    dialogues, report = simulate_batch(
+        12, GoalStrategy(kind="random"), seeds, llm.ScriptedLLM(), LexicalAuxPredictor(
+            ontology, seeds), load_entity_db(paths["db"], ontology), ontology,
+        GenConfig(rng_seed=5), dist=RsDistribution(rows=((2, 3, 4, 1.0),)),
+        trace=events.append)
+    _assert_revised(events)
+    assert report.failures == {} and len(dialogues) == 12
+    save_corpus(dialogues, tmp_path / "sim.json")
+    payload = _validate_json(capsys, tmp_path / "sim.json", "--ontology", str(paths["ontology"]))
+    assert payload["violations"] == [] and _act_changes(payload) == []
+
+
+def test_an_augment_pass_over_the_bundled_seeds_validates(tmp_path, capsys, seeds, ontology):
+    samples, report = augment_corpus(seeds, llm.ScriptedLLM(), None, ontology,
+                                     GenConfig(rng_seed=5))
+    assert report.succeeded
+    save_corpus(samples, tmp_path / "dst.json")
+    assert _validate_json(capsys, tmp_path / "dst.json")["violations"] == []

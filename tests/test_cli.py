@@ -396,6 +396,64 @@ def test_validate_skips_the_act_of_a_dst_sample_s_new_turn(tmp_path, capsys, see
         "fallback: empty act mapped to (general, reqmore, none)" for i in range(6, len(source) + 1)]
 
 
+def _turn(user, belief, act, resp, db=None):
+    return {"user": user, "belief": belief, "act": act, "resp": resp, **({"db": db} if db else {})}
+
+
+def test_validate_output_on_a_hand_made_corpus(tmp_path, capsys):
+    """Every kind of finding at once: stdout, the stderr warnings, --json and the exit code."""
+    empty = {"domain": "hotel", "count": 0, "bucket": "db_0"}
+    corpus = {"dialogues": [
+        {"id": "rules", "goal": {"hotel": {"area": "north"}}, "turns": [
+            _turn("i want a cheap hotel in the north .",
+                  {"hotel": {"pricerange": "cheap", "area": "south"}},
+                  [["hotel", "offerbooked", "reference"], ["hotel", "inform", "choice"],
+                   ["hotel", "inform", "choice"]], "there are [value_choice] .", empty),
+            # every train slot is dropped, so is the domain; drops are reported sorted
+            _turn("and a train to ely on friday .",
+                  {"train": {"destination": "norwich", "day": "sunday"},
+                   "hotel": {"area": "north"}},
+                  [["taxi", "inform", "car"]], "a [value_car] .", empty),
+            _turn("thanks , bye .", {"general": {}},
+                  [["taxi", "offerbook", "none"], ["general", "bye", "none"]], "bye .")]},
+        {"id": "dst", "goal": {"hotel": {"area": "north"}}, "source": SOURCE_DST_AUGMENTED,
+         "turns": [
+             _turn("a hotel in the north .", {"hotel": {"area": "north"}},
+                   [["hotel", "offerbooked", "reference"]], "booked , [value_reference] .",
+                   {"domain": "hotel", "count": 1, "bucket": "db_1"}),
+             _turn("a cheap one .", {"hotel": {"pricerange": "cheap"}}, [], "")]},
+    ]}
+    path = write_json(tmp_path / "findings.json", corpus)
+    violations = [
+        "rules dialogues[0].turns[2].act: act 'offerbook' not permitted in domain 'taxi'",
+        "rules turn 0: value not expressed in utterance: ('hotel', 'area', 'south')",
+        "rules turn 1: value not expressed in utterance: ('hotel', 'area', 'north')",
+        "rules turn 1: value not expressed in utterance: ('train', 'day', 'sunday')",
+        "rules turn 1: value not expressed in utterance: ('train', 'destination', 'norwich')",
+    ]
+    replaced = "nooffer-on-empty-db: replaced (hotel, inform, {}) with nooffer; empty db result"
+    duplicate = "dedupe: dropped duplicate ('hotel', 'nooffer', 'none')"
+    downgraded = ("offerbooked-needs-booking: downgraded (hotel, offerbooked, reference) "
+                  "to inform; no booking context")
+    warnings = [
+        "rules: 3 turns exceed the cap of 2",
+        "rules turn 0: response lacks placeholder [value_reference]",
+        "rules turn 0: the act rules would change the act: " + " | ".join([
+            downgraded, replaced.format("reference"), replaced.format("choice"), duplicate,
+            replaced.format("choice"), duplicate]),
+        "rules turn 1: the act rules would change the act: drop-undiscussed-domains: dropped "
+        "(taxi, inform, car); domain never discussed | "
+        "fallback: empty act mapped to (general, reqmore, none)",
+        "dst turn 0: the act rules would change the act: " + downgraded,
+    ]
+    stderr = "".join(f"warning: {w}\n" for w in warnings)
+    assert main(["validate", "--corpus", path, "--max-turns", "2"]) == 1
+    assert capsys.readouterr() == ("".join(v + "\n" for v in violations), stderr)
+    assert main(["validate", "--corpus", path, "--max-turns", "2", "--json"]) == 1
+    payload = {"dialogues": 2, "violations": violations, "warnings": warnings}
+    assert capsys.readouterr() == (json.dumps(payload) + "\n", stderr)
+
+
 def test_no_network_under_replay_or_mock(tmp_path, monkeypatch, mock_script_file):
     def explode(*args, **kwargs):
         raise AssertionError("network touched under an offline backend")

@@ -578,8 +578,7 @@ def test_aux_act_after_a_general_turn_offers_nothing(ontology, aux, entity_db):
     hotel = Turn("a hotel in the south .", south,
                  entity_db.query("hotel", {"area": "south"}), DialogAct(), "")
     general = turn("thanks .", {"general": {}})
-    state = accumulate_state([south, general.belief, TurnBelief()])
-    db = _query_db(entity_db, TurnBelief(), state, [hotel, general])
+    db = _query_db(entity_db, TurnBelief(), [hotel, general])
     assert db == NO_RESULT
     assert aux.predict_act([hotel, general], "ok .", TurnBelief(), db) == FALLBACK_ACT
 
@@ -926,7 +925,7 @@ def test_aux_act_and_db_query_read_one_domain(ontology, aux, entity_db):
     from dialogic.simulator import _query_db
 
     two = belief({"hotel": {"area": "south"}, "restaurant": {"food": "martian"}})
-    db = _query_db(entity_db, two, accumulate_state([two]), [])
+    db = _query_db(entity_db, two, [])
     assert db == DbResult("restaurant", 0, "db_0")
     assert entity_db.query("hotel", {"area": "south"}).count > 0
     assert aux.predict_act([], "", two, db).triples == (("restaurant", "nooffer", "none"),)

@@ -207,7 +207,7 @@ def test_carried_query_domain_is_the_walk_back_domain(ontology, entity_db, seed)
         belief = (TurnBelief() if roll < 0.35 else TurnBelief({"general": {}}) if roll < 0.5
                   else random_belief(ontology, rng))
         state = accumulate_state([t.belief for t in turns] + [belief])
-        db = _query_db(entity_db, belief, state, turns)
+        db = _query_db(entity_db, belief, turns)
         queried = (bool(belief.task_domains()) if belief.domains()
                    else bool(turns) and turns[-1].db != NO_RESULT)
         if queried:
