@@ -15,7 +15,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -228,11 +228,12 @@ class HttpBackendConfig:
     retries: int = 3
     concurrency: int = 4
     context_budget: int = 4096
-    extra_headers: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
+        if self.context_budget < 1:
+            raise ValueError(f"context_budget must be >= 1, got {self.context_budget}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
@@ -283,7 +284,6 @@ class HttpCompletionBackend(CompletionBackend):
         headers = {"Content-Type": "application/json"}
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        headers.update(self.config.extra_headers)
         return headers
 
     def _post_once(self, req: CompletionRequest) -> str:

@@ -11,9 +11,9 @@ from .model import DbResult, bucketize
 from .ontology import GENERAL_DOMAIN, Ontology
 from .textnorm import SharedTexts, json_entries, parse_time, value_tokens
 
-# train times match by inequality: a requested leave is the earliest departure,
-# a requested arrive the latest arrival
-_TIME_INEQUALITIES = {("train", "leave"): "ge", ("train", "arrive"): "le"}
+# time columns match by inequality in any domain's table: a requested leave is
+# the earliest departure, a requested arrive the latest arrival
+_TIME_INEQUALITIES = {"leave": "ge", "arrive": "le"}
 
 
 class DatabaseError(ValueError):
@@ -64,7 +64,7 @@ def _sorted_times(by_minute: dict[int, list[int]]) -> tuple[list[int], tuple[int
 class EntityDb:
     """What a query reads, per domain: a (slot, value) index of the columns a
     belief can constrain (the domain's informable slots that its table holds),
-    the presorted train times and the row count.
+    the presorted `leave`/`arrive` times and the row count.
 
     `tables` maps each domain to its rows, flat objects of lower-cased text
     as `load_entity_db` builds them; they are indexed here, and no row is kept.
@@ -88,7 +88,7 @@ class EntityDb:
             index: dict[tuple[str, tuple[str, ...]], tuple[int, ...]] = {}
             ids = list(range(len(records)))
             for slot in sorted(indexed):
-                timed = (domain, slot) in _TIME_INEQUALITIES
+                timed = slot in _TIME_INEQUALITIES
                 by_minute: dict[int, list[int]] = {}
                 for cell, rows in _rows_by_cell(records, slot, ids).items():
                     # a time cell is only ever selected by a bound, so it is not
@@ -122,9 +122,9 @@ class EntityDb:
         slot such as hotel `stay` (no table holds one), an informable slot the
         table lacks, a column no belief names (a phone number, train id or
         price). Each narrowing constraint is read by its `value_tokens` and
-        selects its rows by index: a train `leave`/`arrive` value that is one
-        time token ("05:03", "5:03 .") bounds by bisection in that column's
-        presorted times, any other value matches exactly in the (slot,
+        selects its rows by index: a `leave`/`arrive` value in any domain
+        that is one time token ("05:03", "5:03 .") bounds by bisection in that
+        column's presorted times, any other value matches exactly in the (slot,
         normalized value) index built at construction, which holds a time
         column's cells that are not times. Only the selected row sets are intersected,
         so with no active constraint the count is the table size and no
@@ -140,7 +140,7 @@ class EntityDb:
             if value == "dontcare" or slot not in indexed:
                 continue
             tokens = value_tokens(value)
-            mode = _TIME_INEQUALITIES.get((domain, slot))
+            mode = _TIME_INEQUALITIES.get(slot)
             wanted = _minutes(tokens) if mode else None
             if wanted is not None:
                 minutes, rows = self._times[(domain, slot)]

@@ -32,14 +32,6 @@ EXTRA_SLOTS = frozenset({
     "car", "choice",
 })
 
-# act lines name the price range as plain "price" in some domains
-ACT_ONLY_SLOTS: dict[str, frozenset[str]] = {
-    "hotel": frozenset({"choice", "price"}),
-    "restaurant": frozenset({"choice", "price"}),
-    "attraction": frozenset({"choice"}),
-    "train": frozenset({"choice"}),
-}
-
 # surface spellings folded to one canonical slot name at parse/load time
 SLOT_ALIASES: dict[str, str] = {
     "book stay": "stay",
@@ -73,9 +65,17 @@ class DomainSchema:
     acts: frozenset[str]
     queryable: bool
 
-    def slot_universe(self, domain: str) -> frozenset[str]:
-        extra = ACT_ONLY_SLOTS.get(domain, frozenset())
-        return frozenset(self.informable) | self.requestable | extra
+    def slot_universe(self) -> frozenset[str]:
+        """The slots an act in this domain may carry: the informable and
+        requestable slots, `choice` (how many entities match) where the domain
+        is queryable, and `price` where it has a `pricerange` slot (act lines
+        name the price range as plain "price")."""
+        slots = set(self.informable) | self.requestable
+        if self.queryable:
+            slots.add("choice")
+        if "pricerange" in self.informable:
+            slots.add("price")
+        return frozenset(slots)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class Ontology:
                 raise OntologyError(f"domain {name!r}: requestable slots {sorted(stray)} "
                                     "outside the slot universe")
         object.__setattr__(self, "_act_slots", {
-            name: schema.slot_universe(name) for name, schema in self.domains.items()})
+            name: schema.slot_universe() for name, schema in self.domains.items()})
 
     def has_domain(self, domain: str) -> bool:
         return domain in self.domains
@@ -154,11 +154,16 @@ class Ontology:
         domains: dict[str, DomainSchema] = {}
         for name, spec in data.items():
             try:
-                informable = {
-                    canonical_slot(slot): tuple(
+                informable: dict[str, tuple[str, ...]] = {}
+                spelled = spec.get("informable", {})
+                for slot, values in spelled.items():
+                    canonical = canonical_slot(slot)
+                    if canonical in informable:  # one would overwrite the other's values
+                        first = next(k for k in spelled if canonical_slot(k) == canonical)
+                        raise OntologyError(f"domain {name!r}: informable keys {first!r} and "
+                                            f"{slot!r} spell one slot {canonical!r}")
+                    informable[canonical] = tuple(
                         v.lower() for v in _strings(name, f"informable.{slot}", values))
-                    for slot, values in spec.get("informable", {}).items()
-                }
                 requestable = _typed(name, "requestable", spec.get("requestable", []), list)
                 schema = DomainSchema(
                     informable=informable,

@@ -231,7 +231,7 @@ def random_act(ontology, rng) -> DialogAct:
         schema = ontology.schema(domain)
         acts = rng.sample(sorted(schema.acts), min(rng.randint(1, 2), len(schema.acts)))
         for act_type in acts:
-            universe = sorted(schema.slot_universe(domain))
+            universe = sorted(schema.slot_universe())
             n_slots = rng.randint(0, 2) if universe else 0
             if n_slots == 0:
                 triples.append((domain, act_type, "none"))

@@ -363,7 +363,7 @@ def test_record_of_live_pipeline_replays(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     {"concurrency": 0}, {"retries": -1}, {"timeout": 0}, {"timeout": -1.0},
-    {"timeout": float("nan")}, {"timeout": float("inf")}])
+    {"timeout": float("nan")}, {"timeout": float("inf")}, {"context_budget": 0}])
 def test_http_config_rejects_hanging_limits(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         HttpBackendConfig(endpoint="http://localhost:9/v1", model="m", **bad)

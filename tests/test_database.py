@@ -132,7 +132,7 @@ def linear_scan_query(ontology, tables, domain, constraints):
     records = tables[domain]
     columns = {slot for record in records for slot in record}
     informable = ontology.schema(domain).informable
-    time_rule = {"leave": "ge", "arrive": "le"} if domain == "train" else {}
+    time_rule = {"leave": "ge", "arrive": "le"}  # in any domain whose table holds them
     rows = list(records)
     for slot, value in constraints.items():
         if value == "dontcare" or slot not in informable or slot not in columns:
@@ -287,6 +287,35 @@ def test_time_constraint_read_by_its_tokens(ontology):
     odd_db = EntityDb(ontology=ontology, tables={"train": odd})
     assert odd_db.query("train", {"leave": "24:00"}).count == sum(
         r.get("leave") == "24:00" for r in odd) > 0
+
+
+def test_time_columns_bound_in_any_queryable_domain(ontology):
+    """`leave` and `arrive` bound by bisection in a queryable domain of any name:
+    a train table under another domain name answers every query as train does."""
+    rng = make_rng(43)
+    rows = _random_trains(rng, 400)
+    renamed = Ontology(domains={"train": ontology.schema("train"),
+                                "coach": ontology.schema("train")})
+    tables = {"train": rows, "coach": rows}
+    db = EntityDb(ontology=renamed, tables=tables)
+    assert set(db._times) == {(d, s) for d in tables for s in ("leave", "arrive")}
+    assert not any(slot in ("leave", "arrive") and time_of(" ".join(tokens)) is not None
+                   for slot, tokens in db._index["coach"])
+    bounded = 0
+    for _ in range(300):
+        constraints = {}
+        for slot in rng.sample(["departure", "day", "leave", "arrive"], rng.randint(1, 3)):
+            constraints[slot] = rng.choice(
+                [row.get(slot, "") for row in rng.sample(rows, 3)] + ["09:15 .", "dontcare"])
+        result = db.query("coach", constraints)
+        assert result == linear_scan_query(renamed, tables, "coach", constraints), constraints
+        as_train = db.query("train", constraints)
+        assert (result.count, result.bucket) == (as_train.count, as_train.bucket)
+        bounded += 0 < result.count < len(rows)
+    assert bounded > 100
+    leaving = [time_of(row.get("leave", "")) for row in rows]
+    assert db.query("coach", {"leave": "12:00"}).count == sum(
+        minutes is not None and minutes >= 720 for minutes in leaving) > 0
 
 
 def test_query_monotone_in_constraints(entity_db, ontology):

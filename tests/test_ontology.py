@@ -1,12 +1,19 @@
+import json
 import random
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from dialogic.cli import main
+from dialogic.corpus import load_seed_corpus
+from dialogic.database import load_entity_db
+from dialogic.model import accumulate_state
 from dialogic.ontology import (
     ACT_TYPES,
     EXTRA_SLOTS,
+    GENERAL_DOMAIN,
     DomainSchema,
     Ontology,
     OntologyError,
@@ -59,13 +66,30 @@ def test_act_slot_universe(ontology):
     assert ontology.act_slot_permitted("train", "id")
     assert ontology.act_slot_permitted("hotel", "none")
     assert not ontology.act_slot_permitted("hotel", "frobnicate")
-    # the sets built with the ontology answer as `slot_universe` does, slot by slot
+    # the sets built with the ontology answer as `slot_universe` does, slot by slot;
+    # on both ontologies the rule gives the act slots MultiWOZ's domains were listed with
+    listed = {"hotel": {"choice", "price"}, "restaurant": {"choice", "price"},
+              "attraction": {"choice"}, "train": {"choice"}}
     synthetic, _ = synth.build_ontology(random.Random(5))
     for onto in (ontology, Ontology.from_json(synthetic)):
         for domain, schema in onto.domains.items():
-            universe = schema.slot_universe(domain)
+            universe = schema.slot_universe()
+            assert universe == (set(schema.informable) | schema.requestable
+                                | listed.get(domain, set())), domain
             for slot in sorted(universe | EXTRA_SLOTS | {"frobnicate"}):
                 assert onto.act_slot_permitted(domain, slot) == (slot in universe), (domain, slot)
+    # the rule reads the schema's own fields, not its domain's name
+    for queryable in (False, True):
+        for priced in (False, True):
+            informable = {"area": ("north",), **({"pricerange": ("cheap",)} if priced else {})}
+            schema = DomainSchema(informable=informable, requestable=frozenset({"phone"}),
+                                  acts=frozenset({"inform"}), queryable=queryable)
+            expected = ({"area", "phone"} | ({"choice"} if queryable else set())
+                        | ({"pricerange", "price"} if priced else set()))
+            assert schema.slot_universe() == expected, (queryable, priced)
+            onto = Ontology(domains={"xshop": schema})
+            for slot in sorted(EXTRA_SLOTS | {"area", "pricerange"}):
+                assert onto.act_slot_permitted("xshop", slot) == (slot in expected), slot
     with pytest.raises(OntologyError, match="unknown domain 'spaceship'"):
         ontology.act_slot_permitted("spaceship", "area")
 
@@ -108,6 +132,21 @@ def test_ontology_loads_aliased_slot_names(tmp_path):
     assert ont.is_informable("hotel", "stay")
 
 
+@pytest.mark.parametrize("informable", [
+    {"price range": ["cheap"], "pricerange": ["moderate"]},
+    {"pricerange": ["cheap"], "Price Range": ["moderate"]},
+    {"stay": ["1"], "book stay": ["2"]},
+])
+def test_two_spellings_of_one_informable_slot_rejected(informable):
+    """Folding both keys to one slot would keep the last key's values and lose the first's."""
+    first, second = informable
+    canonical = canonical_slot(first)
+    with pytest.raises(OntologyError, match=re.escape(
+            f"domain 'hotel': informable keys {first!r} and {second!r} spell one slot "
+            f"{canonical!r}")):
+        Ontology.from_json({"hotel": {"informable": informable}})
+
+
 @pytest.mark.parametrize("spec, named", [
     ({"informable": {"area": "north"}}, "informable.area"),
     ({"informable": {"area": None}}, "informable.area"),
@@ -129,3 +168,59 @@ def test_malformed_schema_value_is_ontology_error(spec, named):
 def test_missing_schema_keys_keep_their_defaults():
     assert Ontology.from_json({"hotel": {}}).schema("hotel") == DomainSchema(
         informable={}, requestable=frozenset(), acts=frozenset(), queryable=False)
+
+
+def _renamed_dataset(paths: dict[str, Path], out_dir: Path,
+                     names: dict[str, str]) -> dict[str, Path]:
+    """The data set of `paths` rewritten under `out_dir` with each domain `d` of
+    `names` named `names[d]`: in the ontology, the DB file names, the goals,
+    beliefs and acts, and each turn's `db.domain`. Values are kept as they are."""
+    def rename(domain):
+        return names.get(domain, domain)
+
+    out = synth.dataset_paths(out_dir)
+    out["db"].mkdir(parents=True)
+    ontology = json.loads(paths["ontology"].read_text("utf-8"))
+    out["ontology"].write_text(json.dumps({rename(d): spec for d, spec in ontology.items()}),
+                               "utf-8")
+    for table in paths["db"].glob("*_db.json"):
+        domain = table.name[: -len("_db.json")]
+        (out["db"] / f"{rename(domain)}_db.json").write_text(table.read_text("utf-8"), "utf-8")
+    corpus = json.loads(paths["seeds"].read_text("utf-8"))
+    for dialogue in corpus["dialogues"]:
+        dialogue["goal"] = {rename(d): slots for d, slots in dialogue["goal"].items()}
+        for turn in dialogue["turns"]:
+            turn["belief"] = {rename(d): slots for d, slots in turn["belief"].items()}
+            turn["act"] = [[rename(d), t, s] for d, t, s in turn["act"]]
+            turn["db"]["domain"] = rename(turn["db"]["domain"])
+    out["seeds"].write_text(json.dumps(corpus), "utf-8")
+    return out
+
+
+def test_a_renamed_domain_loads_queries_and_validates_as_the_original(tmp_path, capsys):
+    """No rule keys on a domain's name: with every task domain of the synthetic
+    data renamed, the seeds load strictly, every DB query counts as before, and
+    `dialogic validate` reports what it reports on the original, renamed."""
+    paths = synth.write_dataset(tmp_path / "original", 5)
+    names = {d: f"x{d}" for d in json.loads(paths["ontology"].read_text("utf-8"))
+             if d != GENERAL_DOMAIN}
+    runs = []
+    for data in (paths, _renamed_dataset(paths, tmp_path / "renamed", names)):
+        ontology = load_ontology(data["ontology"])
+        seeds = load_seed_corpus(data["seeds"], ontology)  # strict: the first fault raises
+        db = load_entity_db(data["db"], ontology)
+        counts = []  # per user turn, per task domain of the state so far
+        for dialogue in seeds:
+            for i in range(len(dialogue.turns)):
+                state = accumulate_state(turn.belief for turn in dialogue.turns[:i + 1])
+                counts += [(dialogue.id, i, db.query(domain, slots).count)
+                           for domain, slots in state.entries.items()]
+        code = main(["validate", "--corpus", str(data["seeds"]),
+                     "--ontology", str(data["ontology"]), "--json"])
+        runs.append((code, counts, capsys.readouterr().out))
+    (code, counts, report), (renamed_code, renamed_counts, renamed_report) = runs
+    assert len(counts) == 1201 and renamed_counts == counts
+    assert re.sub(rf"\bx({'|'.join(names)})\b", r"\1", renamed_report) == report
+    assert renamed_code == code == 0
+    payload = json.loads(report)
+    assert payload["violations"] == [] and len(payload["warnings"]) == 152
