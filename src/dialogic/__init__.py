@@ -46,7 +46,7 @@ from .model import (
     UserGoal,
     accumulate_state,
 )
-from .ontology import Ontology, default_ontology, load_ontology, save_ontology
+from .ontology import Ontology, default_ontology, load_ontology
 from .revision import (
     AuxPredictor,
     LexicalAuxPredictor,

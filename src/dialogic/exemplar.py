@@ -15,7 +15,7 @@ import re
 
 from .corpus import SeedDataset, key_similarity, similarity_key
 from .model import DialogAct, Dialogue, TripletMap, TurnBelief, UserGoal
-from .ontology import ACT_TYPES, GENERAL_DOMAIN, NONE, Ontology, canonical_slot
+from .ontology import ACT_TYPES, GENERAL_DOMAIN, NONE, SLOT_TOKEN, Ontology, canonical_slot
 
 DEFAULT_TASK_DESCRIPTION = (
     "The following are conversations between a user and an assistant. "
@@ -114,7 +114,7 @@ def serialize_act(act: DialogAct) -> str:
 
 
 _MARKER_RE = re.compile(r"\[([^\[\]]+)\]")
-_ACT_TOKEN_RE = re.compile(r"\[[^\[\]]+\]|[^\s\[\]]+")
+_ACT_TOKEN_RE = re.compile(rf"\[[^\[\]]+\]|{SLOT_TOKEN}")
 
 
 def parse_goal(text: str, cls=UserGoal) -> UserGoal:

@@ -8,6 +8,7 @@ carry in each domain.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -26,11 +27,11 @@ GENERAL_ACTS = frozenset({"welcome", "greet", "bye", "reqmore"})
 # sentinel slot/value for domain-only mentions and slotless acts
 NONE = "none"
 
-# slots that are legal in requests/acts without being goal constraints
-EXTRA_SLOTS = frozenset({
-    "address", "postcode", "phone", "reference", "id", "price", "time",
-    "car", "choice",
-})
+# one slot token of an act line (`[hotel] [inform] area phone`): no whitespace and
+# no bracket; exemplar's act tokenizer is built from it, so every slot a schema
+# names reads back from a serialized act as that one slot
+SLOT_TOKEN = r"[^\s\[\]]+"
+_SLOT_TOKEN_RE = re.compile(SLOT_TOKEN)
 
 # surface spellings folded to one canonical slot name at parse/load time
 SLOT_ALIASES: dict[str, str] = {
@@ -93,10 +94,10 @@ class Ontology:
                 raise OntologyError(f"domain {name!r}: unknown act types {sorted(bad_acts)}")
             if name == GENERAL_DOMAIN and not schema.acts <= GENERAL_ACTS:
                 raise OntologyError("general domain may only carry welcome/greet/bye/reqmore")
-            stray = schema.requestable - frozenset(schema.informable) - EXTRA_SLOTS
-            if stray:
-                raise OntologyError(f"domain {name!r}: requestable slots {sorted(stray)} "
-                                    "outside the slot universe")
+            for slot in (*schema.informable, *sorted(schema.requestable)):
+                if slot == NONE or not _SLOT_TOKEN_RE.fullmatch(slot):
+                    raise OntologyError(f"domain {name!r}: slot {slot!r} is not one act-line "
+                                        f"token (no whitespace, '[' or ']', and not {NONE!r})")
         object.__setattr__(self, "_act_slots", {
             name: schema.slot_universe() for name, schema in self.domains.items()})
 
@@ -135,17 +136,6 @@ class Ontology:
 
     def queryable(self, domain: str) -> bool:
         return self.has_domain(domain) and self.domains[domain].queryable
-
-    def to_json(self) -> dict:
-        return {
-            name: {
-                "informable": {s: list(v) for s, v in schema.informable.items()},
-                "requestable": sorted(schema.requestable),
-                "acts": sorted(schema.acts),
-                "queryable": schema.queryable,
-            }
-            for name, schema in self.domains.items()
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "Ontology":
@@ -196,12 +186,6 @@ def _strings(domain: str, key: str, value) -> list[str]:
 def load_ontology(path: str | Path) -> Ontology:
     """Load an ontology JSON file ({domain: {informable, requestable, acts, queryable}})."""
     return Ontology.from_json(read_json(Path(path), OntologyError))
-
-
-def save_ontology(ontology: Ontology, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ontology.to_json(), fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
 
 
 def default_ontology() -> Ontology:

@@ -14,10 +14,11 @@ import pytest
 from dialogic.backend import MockBackend, ReplayBackend, record_transcript
 from dialogic.corpus import SeedDataset, load_seed_corpus
 from dialogic.database import default_entity_db
-from dialogic.model import DialogAct, GenConfig, TurnBelief, UserGoal
+from dialogic.model import NO_RESULT, DbResult, DialogAct, GenConfig, Turn, TurnBelief, UserGoal
 from dialogic.ontology import default_ontology
 from dialogic.revision import LexicalAuxPredictor
 from dialogic.simulator import simulate_dialogue
+from dialogic.textnorm import utterance_view
 
 SEED_CORPUS_PATH = str(resources.files("dialogic").joinpath("data/seed_corpus.json"))
 
@@ -189,6 +190,30 @@ def loopback():
 def completion_reply(text: str) -> tuple[int, dict, dict]:
     """A 200 answer in the OpenAI completions shape, for `loopback` handlers."""
     return 200, {"choices": [{"text": text}]}, {}
+
+
+def lexical_aux_server(loopback, asked) -> str:
+    """A loopback aux endpoint that answers as the in-process LexicalAuxPredictor
+    on the bundled data; each request appends "belief" or "act" to `asked`."""
+    ontology = default_ontology()
+    lexical = LexicalAuxPredictor(ontology, load_seed_corpus(SEED_CORPUS_PATH, ontology))
+
+    def answer(request, headers):
+        # the wire carries no DB result for a context turn, and the lexical aux reads none
+        context = [Turn(t["user"], TurnBelief.from_dict(t["belief"]), NO_RESULT,
+                        DialogAct.from_triples(t["act"]), t["resp"])
+                   for t in request["context"]]
+        if "belief" in request:
+            asked.append("act")
+            act = lexical.predict_act(context, request["utterance"],
+                                      TurnBelief.from_dict(request["belief"]),
+                                      DbResult.from_json(request["db"]))
+            return 200, {"act": act.to_json()}, {}
+        asked.append("belief")
+        belief = lexical.predict_belief(context, utterance_view(request["utterance"]))
+        return 200, {"belief": belief.to_dict()}, {}
+
+    return loopback(answer)
 
 
 def make_rng(seed: int = 0) -> random.Random:

@@ -28,7 +28,7 @@ from dialogic.model import (
 )
 from dialogic.simulator import simulate_batch
 
-from .conftest import SEED_CORPUS_PATH, TRACE_SCRIPT, completion_reply
+from .conftest import SEED_CORPUS_PATH, TRACE_SCRIPT, completion_reply, lexical_aux_server
 
 BYE_SCRIPT = [
     "[general]): hello , that is all .",
@@ -900,35 +900,6 @@ def test_config_file_and_flags_write_identical_corpora(tmp_path, mock_script_fil
 
 
 # -- external aux model --------------------------------------------------------
-
-def lexical_aux_server(loopback, asked):
-    """A loopback aux endpoint that answers as the in-process LexicalAuxPredictor."""
-    from dialogic.corpus import load_seed_corpus
-    from dialogic.model import NO_RESULT, DbResult, DialogAct, Turn, TurnBelief
-    from dialogic.ontology import default_ontology
-    from dialogic.revision import LexicalAuxPredictor
-    from dialogic.textnorm import utterance_view
-
-    ontology = default_ontology()
-    lexical = LexicalAuxPredictor(ontology, load_seed_corpus(SEED_CORPUS_PATH, ontology))
-
-    def answer(request, headers):
-        # the wire carries no DB result for a context turn, and the lexical aux reads none
-        context = [Turn(t["user"], TurnBelief.from_dict(t["belief"]), NO_RESULT,
-                        DialogAct.from_triples(t["act"]), t["resp"])
-                   for t in request["context"]]
-        if "belief" in request:
-            asked.append("act")
-            act = lexical.predict_act(context, request["utterance"],
-                                      TurnBelief.from_dict(request["belief"]),
-                                      DbResult.from_json(request["db"]))
-            return 200, {"act": act.to_json()}, {}
-        asked.append("belief")
-        belief = lexical.predict_belief(context, utterance_view(request["utterance"]))
-        return 200, {"belief": belief.to_dict()}, {}
-
-    return loopback(answer)
-
 
 def test_simulate_aux_url_matches_in_process_aux(tmp_path, loopback):
     # the reference dialogue's lines, whose revisions take slots from the aux

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -9,18 +10,19 @@ import pytest
 from dialogic.cli import main
 from dialogic.corpus import load_seed_corpus
 from dialogic.database import load_entity_db
-from dialogic.model import accumulate_state
+from dialogic.exemplar import parse_act, serialize_act
+from dialogic.model import DialogAct, accumulate_state
 from dialogic.ontology import (
     ACT_TYPES,
-    EXTRA_SLOTS,
     GENERAL_DOMAIN,
     DomainSchema,
     Ontology,
     OntologyError,
     canonical_slot,
     load_ontology,
-    save_ontology,
 )
+
+from .conftest import SEED_CORPUS_PATH
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -72,11 +74,13 @@ def test_act_slot_universe(ontology):
               "attraction": {"choice"}, "train": {"choice"}}
     synthetic, _ = synth.build_ontology(random.Random(5))
     for onto in (ontology, Ontology.from_json(synthetic)):
+        # every domain is probed with every slot some domain permits
+        probes = set().union(*(s.slot_universe() for s in onto.domains.values()))
         for domain, schema in onto.domains.items():
             universe = schema.slot_universe()
             assert universe == (set(schema.informable) | schema.requestable
                                 | listed.get(domain, set())), domain
-            for slot in sorted(universe | EXTRA_SLOTS | {"frobnicate"}):
+            for slot in sorted(probes | {"frobnicate"}):
                 assert onto.act_slot_permitted(domain, slot) == (slot in universe), (domain, slot)
     # the rule reads the schema's own fields, not its domain's name
     for queryable in (False, True):
@@ -88,18 +92,67 @@ def test_act_slot_universe(ontology):
                         | ({"pricerange", "price"} if priced else set()))
             assert schema.slot_universe() == expected, (queryable, priced)
             onto = Ontology(domains={"xshop": schema})
-            for slot in sorted(EXTRA_SLOTS | {"area", "pricerange"}):
+            for slot in ("area", "pricerange", "price", "choice", "phone", "reference"):
                 assert onto.act_slot_permitted("xshop", slot) == (slot in expected), slot
     with pytest.raises(OntologyError, match="unknown domain 'spaceship'"):
         ontology.act_slot_permitted("spaceship", "area")
 
 
-def test_requestable_outside_universe_rejected():
-    with pytest.raises(OntologyError, match="requestable"):
-        Ontology(domains={"hotel": DomainSchema(
-            informable={"area": ("south",)},
-            requestable=frozenset({"swimming"}),
+def test_requestable_slots_are_the_files_own(tmp_path):
+    """A domain may request whatever its file lists: the bundled attraction domain
+    with an entrance fee and opening hours loads, and a seed act informing the fee
+    loads strictly without the fee being a goal slot."""
+    data = json.loads(resources.files("dialogic").joinpath("data/ontology.json").read_text("utf-8"))
+    data["attraction"]["requestable"] += ["fee", "open"]
+    ontology = Ontology.from_json(data)
+    assert ontology.act_slot_permitted("attraction", "fee")
+    assert not ontology.is_informable("attraction", "fee")
+    path = tmp_path / "fee.json"
+    path.write_text(json.dumps({"dialogues": [{"id": "FEE1", "goal": {"attraction": {}}, "turns": [
+        {"user": "what is the entrance fee of a museum in the centre ?",
+         "belief": {"attraction": {"type": "museum", "area": "centre"}},
+         "db": {"domain": "attraction", "count": 11, "bucket": "db_3"},
+         "act": [["attraction", "inform", "fee"]], "resp": "it is [value_fee] ."}]}]}), "utf-8")
+    turn, = load_seed_corpus(path, ontology).dialogues[0].turns
+    assert turn.act.triples == (("attraction", "inform", "fee"),)
+
+
+@pytest.mark.parametrize("slot", ["entrance fee", "fee]", "[fee", "none", "open\thours", ""])
+@pytest.mark.parametrize("kind", ["informable", "requestable"])
+def test_slot_that_is_not_one_act_token_rejected(tmp_path, capsys, slot, kind):
+    """A slot an act line cannot carry as one token is refused by name, built from
+    JSON or directly: `entrance fee` would read back from `[attraction] [inform]
+    entrance fee` as the two slots `entrance` and `fee`."""
+    message = re.escape(f"domain 'attraction': slot {slot!r} is not one act-line token")
+    spec = {"informable": {"area": ["centre"]}, "requestable": ["phone"], "acts": ["inform"]}
+    if kind == "informable":
+        spec["informable"][slot] = []
+    else:
+        spec["requestable"].append(slot)
+    with pytest.raises(OntologyError, match=message):
+        Ontology.from_json({"attraction": spec})
+    with pytest.raises(OntologyError, match=message):
+        Ontology(domains={"attraction": DomainSchema(
+            informable={"area": (), **({slot: ()} if kind == "informable" else {})},
+            requestable=frozenset({"phone"} | ({slot} if kind == "requestable" else set())),
             acts=frozenset({"inform"}), queryable=True)})
+    path = tmp_path / "ontology.json"
+    path.write_text(json.dumps({"attraction": spec}), "utf-8")
+    code = main(["validate", "--corpus", SEED_CORPUS_PATH, "--ontology", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(message, err) and "Traceback" not in err
+
+
+def test_every_act_slot_reads_back_from_an_act_line(ontology):
+    """Each slot an act may carry, on the bundled and the synthetic ontology,
+    survives `serialize_act` then `parse_act` as itself."""
+    synthetic, _ = synth.build_ontology(random.Random(5))
+    for onto in (ontology, Ontology.from_json(synthetic)):
+        for domain, schema in onto.domains.items():
+            act = DialogAct(tuple((domain, "inform", slot)
+                                  for slot in sorted(schema.slot_universe())))
+            assert parse_act(serialize_act(act)) == act, domain
 
 
 def test_general_domain_act_restriction():
@@ -114,13 +167,6 @@ def test_unknown_act_type_rejected():
         Ontology(domains={"hotel": DomainSchema(
             informable={}, requestable=frozenset(),
             acts=frozenset({"summon"}), queryable=True)})
-
-
-def test_ontology_json_round_trip(tmp_path, ontology):
-    path = tmp_path / "ont.json"
-    save_ontology(ontology, path)
-    again = load_ontology(path)
-    assert again.to_json() == ontology.to_json()
 
 
 def test_ontology_loads_aliased_slot_names(tmp_path):

@@ -36,12 +36,14 @@ from .conftest import (
     TRACE_DB_BUCKETS,
     TRACE_REVISED_ACTS,
     TRACE_REVISED_BELIEFS,
+    lexical_aux_server,
     make_rng,
     random_belief,
     run_trace_simulation,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import llm  # noqa: E402
 import spans  # noqa: E402
 
 BYE_SCRIPT = [
@@ -646,6 +648,30 @@ def test_batch_parallel_workers_match_serial(tmp_path, seeds, aux, entity_db, on
         entity_db, ontology, GenConfig(rng_seed=5), workers=3)
     assert report.succeeded == 6
     assert [dialogue_to_json(d) for d in parallel] == [dialogue_to_json(d) for d in serial]
+
+
+def test_http_aux_under_worker_threads_writes_the_in_process_corpus(
+        tmp_path, seeds, aux, entity_db, ontology, loopback):
+    """Four workers share one HttpAuxPredictor, and with it one HTTP session; the
+    corpus they write is the one a single worker writes with the in-process aux."""
+    from dialogic.corpus import save_corpus
+
+    asked = []
+    remote = HttpAuxPredictor(f"{lexical_aux_server(loopback, asked)}/aux")
+    interval = sys.getswitchinterval()
+    try:
+        for name, predictor, workers in (("local", aux, 1), ("remote", remote, 4)):
+            sys.setswitchinterval(1e-6 if workers > 1 else interval)
+            dialogues, report = simulate_batch(
+                16, GoalStrategy(kind="combination"), seeds, llm.ScriptedLLM(), predictor,
+                entity_db, ontology, GenConfig(rng_seed=5), workers=workers)
+            assert report.failures == {} and len(dialogues) == 16
+            save_corpus(dialogues, tmp_path / f"{name}.json")
+    finally:
+        sys.setswitchinterval(interval)
+        remote.close()
+    assert asked.count("belief") > 16 and "act" in asked
+    assert (tmp_path / "remote.json").read_bytes() == (tmp_path / "local.json").read_bytes()
 
 
 # user lines the aux adds to and the filter drops from, and system lines the rules revise
