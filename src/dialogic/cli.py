@@ -266,6 +266,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     ontology = _load_ontology(args)
     max_turns = GenConfig(**_gen_fields(args)).max_turns
     dataset = _load_corpus("--corpus", args.corpus, ontology, strict=False)
+    db = _load_db(args, ontology)
     violations = list(dataset.issues)
     warnings: list[str] = []
     for dlg in dataset:
@@ -284,7 +285,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             if dlg.source == SOURCE_DST_AUGMENTED and i == len(dlg.turns) - 1:
                 continue  # a DST sample's new user turn has no system act by design
             act, firings, _ = revise_act(turn.act, context, turn.belief, turn.user_utterance,
-                                         turn.db, ontology, None)
+                                         turn.db, db, None)
             if act != turn.act:
                 warnings.append(f"{where}: the act rules would change the act: "
                                 + " | ".join(firings))
@@ -413,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("validate", "re-check corpus invariants")
     p.add_argument("--corpus")
     p.add_argument("--max-turns", dest="max_turns", type=int)
+    p.add_argument("--db-dir", dest="db_dir")
     p.set_defaults(func=cmd_validate)
     return parser
 

@@ -113,6 +113,10 @@ class EntityDb:
         """The row count of the domain's table; 0 for a domain with no table."""
         return self._sizes.get(domain, 0)
 
+    def held_slots(self, domain: str) -> frozenset[str]:
+        """The domain's informable slots that its table holds; none where it has no table."""
+        return self._indexed.get(domain, frozenset())
+
     def query(self, domain: str, constraints: dict[str, str]) -> DbResult:
         """Count entities matching all constraints and bucketize the count.
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .corpus import turn_to_json
+from .database import EntityDb
 from .model import (
     DialogAct,
     DbResult,
@@ -162,26 +163,19 @@ FALLBACK_ACT = DialogAct(((GENERAL_DOMAIN, "reqmore", NONE),))
 _FALLBACK_FIRING = "fallback: empty act mapped to (general, reqmore, none)"
 
 _OFFER_ACTS = ("inform", "recommend", "select", "offerbook")
-# booking attributes per domain: a belief holding one shows a booking in progress
-BOOKING_SLOTS: dict[str, frozenset[str]] = {
-    "hotel": frozenset({"stay", "day", "people"}),
-    "restaurant": frozenset({"time", "day", "people"}),
-    "train": frozenset({"people"}),
-}
-_OTHER_BOOKING_SLOTS = frozenset({"stay", "day", "people", "time"})  # domains not in BOOKING_SLOTS
 
 
-def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief, db: DbResult,
-                 ontology: Ontology) -> tuple[DialogAct, list[str]]:
+def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief, db_result: DbResult,
+                 db: EntityDb) -> tuple[DialogAct, list[str]]:
     """Apply the act rules to each triple in turn; always returns a valid act (never empty).
 
     The rules read the dialogue so far: the turns of `context`, then `belief`.
     In order; each firing starts with its rule's name:
-    1. permitted-acts: drop a triple the ontology does not admit
+    1. permitted-acts: drop a triple `db.ontology` does not admit
        (`model.act_problems`, as a corpus load does); the firing gives its first reason.
     2. offerbooked-needs-booking: offerbooked becomes inform unless an act of
-       `context` offered a booking in the domain or a belief of `context` or
-       `belief` holds one of its booking slots.
+       `context` offered a booking in the domain or a belief holds a booking slot
+       of it: an informable slot its table in `db` lacks (any, with no table).
     3. nooffer-on-empty-db: on a db_0 result, an inform, recommend, select or
        offerbook in the queried domain becomes (domain, nooffer, none), or is
        dropped where the domain permits no nooffer. It runs after rule 2, so a
@@ -194,19 +188,20 @@ def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief, db: Db
     kept: list[Triple] = []
     firings: list[str] = []
     for d, t, s in act.triples:
-        problems = act_problems(ontology, d, t, s)
+        problems = act_problems(db.ontology, d, t, s)
         if problems:
             firings.append(f"permitted-acts: dropped ({d}, {t}, {s}); {problems[0]}")
             continue
-        if t == "offerbooked" and not (
-                any(turn.act.has("offerbook", d) for turn in context)
-                or any(not BOOKING_SLOTS.get(d, _OTHER_BOOKING_SLOTS).isdisjoint(
-                    b.entries.get(d, ())) for b in (belief, *(turn.belief for turn in context)))):
-            firings.append(f"offerbooked-needs-booking: downgraded ({d}, offerbooked, {s}) "
-                           "to inform; no booking context")
-            t = "inform"
-        if db.bucket == "db_0" and d == db.domain and t in _OFFER_ACTS:
-            if not ontology.act_permitted(d, "nooffer"):
+        if t == "offerbooked":
+            booking = db.ontology.schema(d).informable.keys() - db.held_slots(d)
+            if not (any(turn.act.has("offerbook", d) for turn in context)
+                    or any(not booking.isdisjoint(b.entries.get(d, ()))
+                           for b in (belief, *(turn.belief for turn in context)))):
+                firings.append(f"offerbooked-needs-booking: downgraded ({d}, offerbooked, {s}) "
+                               "to inform; no booking context")
+                t = "inform"
+        if db_result.bucket == "db_0" and d == db_result.domain and t in _OFFER_ACTS:
+            if not db.ontology.act_permitted(d, "nooffer"):
                 firings.append(f"nooffer-on-empty-db: dropped ({d}, {t}, {s}); "
                                "empty db result, no nooffer in the domain")
                 continue
@@ -230,14 +225,14 @@ def validate_act(act: DialogAct, context: list[Turn], belief: TurnBelief, db: Db
 
 
 def revise_act(gpt_act: DialogAct, context: list[Turn], belief: TurnBelief, utterance: str,
-               db: DbResult, ontology: Ontology, aux: "AuxPredictor | None"
+               db_result: DbResult, db: EntityDb, aux: "AuxPredictor | None"
                ) -> tuple[DialogAct, list[str], bool]:
     """Rule-validate the LLM act; consult the auxiliary act only on outright failure."""
-    revised, firings = validate_act(gpt_act, context, belief, db, ontology)
+    revised, firings = validate_act(gpt_act, context, belief, db_result, db)
     # the rules kept no triple; a valid LLM [general] [reqmore] is a new act, no failure
     if aux is not None and not gpt_act.is_empty() and revised is FALLBACK_ACT:
-        aux_act = aux.predict_act(context, utterance, belief, db)
-        revised, aux_firings = validate_act(aux_act, context, belief, db, ontology)
+        aux_act = aux.predict_act(context, utterance, belief, db_result)
+        revised, aux_firings = validate_act(aux_act, context, belief, db_result, db)
         firings.extend("aux " + f for f in aux_firings)
         return revised, firings, True
     return revised, firings, False

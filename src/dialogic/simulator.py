@@ -145,8 +145,7 @@ def simulate_dialogue(goal: UserGoal, seeds: SeedDataset, backend: CompletionBac
         db_result = _query_db(db, belief, turns)
 
         raw_act, response = complete_line(SYSTEM_OPENER, SYSTEM_STOPS, parse_system_line)
-        act, firings, used_aux = revise_act(
-            raw_act, turns, belief, utterance, db_result, ontology, aux)
+        act, firings, used_aux = revise_act(raw_act, turns, belief, utterance, db_result, db, aux)
         if act != raw_act:
             regenerated = _request_completion(
                 backend, cfg, prompt + format_system_line(act, ""), SYSTEM_STOPS)

@@ -30,6 +30,8 @@ from dialogic.simulator import simulate_batch
 
 from .conftest import SEED_CORPUS_PATH, TRACE_SCRIPT, completion_reply, lexical_aux_server
 
+BUNDLED_DB_DIR = Path(dialogic.__file__).parent / "data" / "db"
+
 BYE_SCRIPT = [
     "[general]): hello , that is all .",
     "[general] [bye]): goodbye .",
@@ -178,6 +180,24 @@ def test_validate_rejects_corrupted_belief(tmp_path, capsys):
 
 def test_validate_seed_corpus_clean(capsys):
     assert main(["validate", "--corpus", SEED_CORPUS_PATH]) == 0
+
+
+def test_validate_missing_db_dir_is_usage_error(tmp_path, capsys):
+    assert main(["validate", "--corpus", SEED_CORPUS_PATH,
+                 "--db-dir", str(tmp_path / "missing")]) == 2
+    err = capsys.readouterr().err
+    assert "--db-dir" in err
+    assert "Traceback" not in err
+
+
+def test_validate_with_the_bundled_db_dir_prints_what_the_default_prints(capsys):
+    """The act rules read the DB `--db-dir` names; by default, the bundled one."""
+    runs = []
+    for extra in ([], ["--db-dir", str(BUNDLED_DB_DIR)]):
+        code = main(["validate", "--corpus", SEED_CORPUS_PATH, "--json", *extra])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert len(json.loads(runs[0][1])["warnings"]) == 4
 
 
 @pytest.mark.parametrize("db,code", [

@@ -19,7 +19,6 @@ from dialogic.database import (
 )
 from dialogic.model import DbResult
 from dialogic.ontology import Ontology
-from dialogic.revision import BOOKING_SLOTS
 from dialogic.textnorm import match_tokens, parse_time, value_tokens
 
 from .conftest import make_rng
@@ -179,9 +178,14 @@ def _random_trains(rng, n):
     return trains
 
 
+# informable slots the bundled tables do not hold: a query reads no constraint on them
+UNHELD_SLOTS = {"hotel": ("day", "people", "stay"), "restaurant": ("day", "people", "time"),
+                "train": ("people",)}
+
+
 def _random_constraints(rng, records, domain):
     slots = sorted({slot for record in records for slot in record})
-    slots += sorted(BOOKING_SLOTS.get(domain, ())) + ["color"]
+    slots += [*UNHELD_SLOTS.get(domain, ()), "color"]
     constraints = {}
     for slot in rng.sample(slots, rng.randint(0, 4)):
         roll = rng.random()
@@ -534,6 +538,15 @@ def test_index_equals_per_cell_reference(entity_db, default_tables, ontology):
     # several spellings share one key, so the index has fewer keys than spellings
     assert len(random_db._index["hotel"]) < len({(s, v) for r in hotels
                                                   for s, v in r.items() if s != "phone"})
+
+
+def test_held_slots_are_the_informable_slots_a_table_holds(entity_db, ontology):
+    """The bundled tables hold every informable slot of their domain but those of
+    UNHELD_SLOTS; a domain with no table, in any DB, holds none."""
+    for domain in ontology.domains:
+        want = set(ontology.informable_slots(domain)) - set(UNHELD_SLOTS.get(domain, ()))
+        assert entity_db.held_slots(domain) == (want if entity_db.size(domain) else set()), domain
+    assert EntityDb(ontology).held_slots("hotel") == frozenset()
 
 
 def test_unindexed_columns_constrain_nothing(entity_db, default_tables, ontology):

@@ -246,7 +246,8 @@ def _renamed_dataset(paths: dict[str, Path], out_dir: Path,
 def test_a_renamed_domain_loads_queries_and_validates_as_the_original(tmp_path, capsys):
     """No rule keys on a domain's name: with every task domain of the synthetic
     data renamed, the seeds load strictly, every DB query counts as before, and
-    `dialogic validate` reports what it reports on the original, renamed."""
+    `dialogic validate`, reading each data set's own DB, reports what it reports
+    on the original, renamed."""
     paths = synth.write_dataset(tmp_path / "original", 5)
     names = {d: f"x{d}" for d in json.loads(paths["ontology"].read_text("utf-8"))
              if d != GENERAL_DOMAIN}
@@ -262,7 +263,7 @@ def test_a_renamed_domain_loads_queries_and_validates_as_the_original(tmp_path, 
                 counts += [(dialogue.id, i, db.query(domain, slots).count)
                            for domain, slots in state.entries.items()]
         code = main(["validate", "--corpus", str(data["seeds"]),
-                     "--ontology", str(data["ontology"]), "--json"])
+                     "--ontology", str(data["ontology"]), "--db-dir", str(data["db"]), "--json"])
         runs.append((code, counts, capsys.readouterr().out))
     (code, counts, report), (renamed_code, renamed_counts, renamed_report) = runs
     assert len(counts) == 1201 and renamed_counts == counts

@@ -15,9 +15,9 @@ from dialogic.model import (
     accumulate_state,
 )
 from dialogic import revision
-from dialogic.ontology import ACT_TYPES, GENERAL_DOMAIN, NONE
+from dialogic.database import EntityDb, load_entity_db
+from dialogic.ontology import ACT_TYPES, GENERAL_DOMAIN, NONE, Ontology, load_ontology
 from dialogic.revision import (
-    BOOKING_SLOTS,
     FALLBACK_ACT,
     HttpAuxPredictor,
     merge_beliefs,
@@ -30,6 +30,7 @@ from dialogic.revision import (
 from dialogic.textnorm import TokenView, parse_time, utterance_view
 
 from .conftest import make_rng, random_act, random_belief
+from .test_ontology import _renamed_dataset, synth
 from .test_textnorm import reference_find_phrase
 
 
@@ -290,20 +291,20 @@ def test_revise_belief_is_a_fixpoint_but_for_hidden_aux_values(ontology, seed):
 
 # -- act rules -----------------------------------------------------------------
 
-def test_validate_act_no_rule_fires(ontology):
+def test_validate_act_no_rule_fires(entity_db):
     act = DialogAct((("hotel", "request", "area"),))
     out, firings = validate_act(
-        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 5, "db_3"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 5, "db_3"), entity_db)
     assert out == act
     assert firings == []
 
 
-def test_rule_drops_unpermitted_act(ontology):
+def test_rule_drops_unpermitted_act(entity_db):
     act = DialogAct((("taxi", "offerbook", "none"), ("taxi", "inform", "car"),
                      ("taxi", "inform", "food")))
     out, firings = validate_act(
         act, [], belief({"taxi": {"destination": "airport"}}), DbResult("taxi", 0, "db_nores"),
-        ontology)
+        entity_db)
     assert out.triples == (("taxi", "inform", "car"),)
     # the reason is the corpus loader's, `model.act_problems`
     assert firings == [
@@ -313,68 +314,101 @@ def test_rule_drops_unpermitted_act(ontology):
         "slot 'food' not permitted in acts of domain 'taxi'"]
 
 
-def test_rule_nooffer_on_empty_db(ontology):
+def test_rule_nooffer_on_empty_db(entity_db):
     act = DialogAct((("hotel", "offerbook", "none"),))
     out, _ = validate_act(
-        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 0, "db_0"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 0, "db_0"), entity_db)
     assert out.triples == (("hotel", "nooffer", "none"),)
 
 
-def test_rule_nooffer_collapses_duplicates(ontology):
+def test_rule_nooffer_collapses_duplicates(entity_db):
     act = DialogAct((
         ("hotel", "inform", "name"), ("hotel", "recommend", "name"),
         ("hotel", "offerbook", "none"), ("hotel", "request", "area")))
     out, _ = validate_act(
-        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 0, "db_0"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 0, "db_0"), entity_db)
     assert out.triples == (("hotel", "nooffer", "none"), ("hotel", "request", "area"))
 
 
-def test_rule_offerbooked_downgraded_without_booking(ontology):
+def test_rule_offerbooked_downgraded_without_booking(entity_db):
     act = DialogAct((("hotel", "offerbooked", "reference"),))
     out, firings = validate_act(
-        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), entity_db)
     assert out.triples == (("hotel", "inform", "reference"),)
     assert any("downgraded" in f for f in firings)
 
 
-def test_rule_offerbooked_kept_with_booking_slots(ontology):
+def test_rule_offerbooked_kept_with_booking_slots(entity_db):
     act = DialogAct((("hotel", "offerbooked", "reference"),))
     out, _ = validate_act(
         act, [], belief({"hotel": {"area": "south", "stay": "2"}}), DbResult("hotel", 1, "db_1"),
-        ontology)
+        entity_db)
     assert out.triples == (("hotel", "offerbooked", "reference"),)
 
 
-def test_rule_offerbooked_kept_after_offerbook(ontology):
+def test_rule_offerbooked_kept_after_offerbook(entity_db):
     act = DialogAct((("hotel", "offerbooked", "reference"),))
     prior = DialogAct((("hotel", "offerbook", "none"),))
     out, _ = validate_act(
         act, [turn("", {}, prior.triples)], belief({"hotel": {"area": "south"}}),
-        DbResult("hotel", 1, "db_1"), ontology)
+        DbResult("hotel", 1, "db_1"), entity_db)
     assert out.triples == (("hotel", "offerbooked", "reference"),)
 
 
-def test_rule_drops_undiscussed_domain(ontology):
+def test_rule_offerbooked_books_a_renamed_train_as_train(tmp_path):
+    """Booking slots come from the DB, not the domain's name: after a belief
+    holding only `day`, a renamed train downgrades offerbooked as train does,
+    and after `people`, which no train table holds, both keep it."""
+    paths = synth.write_dataset(tmp_path / "original", 5)
+    renamed = _renamed_dataset(paths, tmp_path / "renamed", {"train": "xtrain"})
+    for data, domain in ((paths, "train"), (renamed, "xtrain")):
+        db = load_entity_db(data["db"], load_ontology(data["ontology"]))
+        act = DialogAct(((domain, "offerbooked", "reference"),))
+        result = DbResult(domain, 1, "db_1")
+        out, firings = validate_act(act, [], belief({domain: {"day": "monday"}}), result, db)
+        assert out.triples == ((domain, "inform", "reference"),)
+        assert firings == [f"offerbooked-needs-booking: downgraded ({domain}, offerbooked, "
+                           "reference) to inform; no booking context"]
+        booked = belief({domain: {"day": "monday", "people": "2"}})
+        assert validate_act(act, [], booked, result, db) == (act, [])
+
+
+def test_rule_offerbooked_kept_after_any_slot_of_a_domain_without_a_table():
+    """A domain with no DB table holds no slot: each informable slot is booking context."""
+    ontology = Ontology.from_json({"ferry": {
+        "informable": {"port": [], "day": [], "cabin": []}, "requestable": ["reference"],
+        "acts": ["inform", "offerbooked"], "queryable": True}})
+    db = EntityDb(ontology)
+    assert db.held_slots("ferry") == frozenset()
+    act = DialogAct((("ferry", "offerbooked", "reference"),))
+    for slot in ("port", "day", "cabin"):
+        now = belief({"ferry": {slot: "x"}})
+        assert validate_act(act, [], now, NO_RESULT, db) == (act, [])
+    out, _ = validate_act(act, [], belief({"ferry": {}}), NO_RESULT, db)
+    assert out.triples == (("ferry", "inform", "reference"),)
+
+
+def test_rule_drops_undiscussed_domain(entity_db):
     act = DialogAct((("attraction", "inform", "name"), ("hotel", "request", "area")))
     out, firings = validate_act(
-        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), entity_db)
     assert out.triples == (("hotel", "request", "area"),)
     assert any("never discussed" in f for f in firings)
 
 
-def test_rule_dedupe(ontology):
+def test_rule_dedupe(entity_db):
     act = DialogAct((("hotel", "request", "area"), ("hotel", "request", "area")))
     out, _ = validate_act(
-        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), ontology)
+        act, [], belief({"hotel": {"area": "south"}}), DbResult("hotel", 1, "db_1"), entity_db)
     assert out.triples == (("hotel", "request", "area"),)
 
 
-def test_empty_act_maps_to_reqmore(ontology):
-    out, _ = validate_act(DialogAct(), [], TurnBelief(), NO_RESULT, ontology)
+def test_empty_act_maps_to_reqmore(entity_db):
+    out, _ = validate_act(DialogAct(), [], TurnBelief(), NO_RESULT, entity_db)
     assert out == FALLBACK_ACT
 
 
-def test_validate_act_idempotent(ontology):
+def test_validate_act_idempotent(ontology, entity_db):
     rng = make_rng(14)
     rule_names = ("permitted-acts: ", "nooffer-on-empty-db: ", "offerbooked-needs-booking: ",
                   "drop-undiscussed-domains: ", "dedupe: ", "fallback: ")
@@ -386,46 +420,56 @@ def test_validate_act_idempotent(ontology):
     for _ in range(300):
         act = random_act(ontology, rng)
         db = DbResult("hotel", *rng.choice([(0, "db_0"), (1, "db_1"), (5, "db_3")]))
-        once, firings = validate_act(act, [], now, db, ontology)
-        twice, _ = validate_act(once, [], now, db, ontology)
+        once, firings = validate_act(act, [], now, db, entity_db)
+        twice, _ = validate_act(once, [], now, db, entity_db)
         assert twice == once
         assert all(f.startswith(rule_names) for f in firings)
         assert once.validate(ontology) == []
 
 
-def test_revise_act_consults_aux_on_outright_failure(ontology, aux):
+def test_revise_act_consults_aux_on_outright_failure(ontology, entity_db, aux):
     # act entirely in an undiscussed domain is wiped by the rules
     act = DialogAct((("attraction", "inform", "name"),))
     out, firings, used_aux = revise_act(
-        act, db=DbResult("hotel", 1, "db_1"), ontology=ontology, aux=aux, context=[],
+        act, db_result=DbResult("hotel", 1, "db_1"), db=entity_db, aux=aux, context=[],
         utterance="", belief=belief({"hotel": {"area": "south", "stay": "2"}}))
     assert used_aux
     assert not out.is_empty()
     assert out.validate(ontology) == []
 
 
-def test_revise_act_keeps_valid_llm_act(ontology, aux):
+def test_revise_act_keeps_valid_llm_act(entity_db, aux):
     # a valid [general] [reqmore] from the LLM is no outright failure either
     for act in (DialogAct((("hotel", "request", "area"),)), FALLBACK_ACT):
         out, firings, used_aux = revise_act(
-            act, db=DbResult("hotel", 5, "db_3"), ontology=ontology, aux=aux,
+            act, db_result=DbResult("hotel", 5, "db_3"), db=entity_db, aux=aux,
             context=[], utterance="", belief=belief({"hotel": {"type": "hotel"}}))
         assert not used_aux
         assert out == act
         assert firings == []
 
 
-def test_revise_act_reads_mentioned_domains_from_context(ontology):
+def test_revise_act_reads_mentioned_domains_from_context(entity_db):
     # a domain-only mention adds nothing to the state, yet the domain is discussed
     earlier = turn("any attractions nearby ?", {"attraction": {}})
     now = belief({"hotel": {"area": "south"}})
     act = DialogAct((("attraction", "inform", "address"),))
     for context, kept in (([earlier], True), ([], False)):
         out, firings, _ = revise_act(
-            act, db=DbResult("hotel", 5, "db_3"), ontology=ontology,
+            act, db_result=DbResult("hotel", 5, "db_3"), db=entity_db,
             aux=None, context=context, utterance="i want the south .", belief=now)
         assert (out == act) is kept
         assert any(f.startswith("drop-undiscussed-domains") for f in firings) is not kept
+
+
+# booking slots as a fixed table: on the bundled DB they are the informable
+# slots each table lacks, so the reference pins the rule that derives them there
+REFERENCE_BOOKING_SLOTS = {
+    "hotel": frozenset({"stay", "day", "people"}),
+    "restaurant": frozenset({"time", "day", "people"}),
+    "train": frozenset({"people"}),
+}
+REFERENCE_OTHER_BOOKING_SLOTS = frozenset({"stay", "day", "people", "time"})
 
 
 def reference_validate_act(act, context, belief, state, db, ontology):
@@ -440,7 +484,7 @@ def reference_validate_act(act, context, belief, state, db, ontology):
             continue
         if t == "offerbooked" and not (
                 any(turn.act.has("offerbook", d) for turn in context)
-                or not BOOKING_SLOTS.get(d, revision._OTHER_BOOKING_SLOTS).isdisjoint(
+                or not REFERENCE_BOOKING_SLOTS.get(d, REFERENCE_OTHER_BOOKING_SLOTS).isdisjoint(
                     state.entries.get(d, {}))):
             firings.append(f"offerbooked-needs-booking: downgraded ({d}, offerbooked, {s}) "
                            "to inform; no booking context")
@@ -511,14 +555,14 @@ def _rule_and_triple(firing):
     return head if head.removeprefix("aux ").startswith("permitted-acts: ") else firing
 
 
-def test_validate_act_equals_state_reference(ontology):
+def test_validate_act_equals_state_reference(ontology, entity_db):
     """The rules read the beliefs of the dialogue, not a state accumulated from them."""
     rng = make_rng(41)
     fired = {}
     for _ in range(400):
         act, context, now, db = _random_rule_inputs(ontology, rng)
         state = accumulate_state([t.belief for t in context] + [now])
-        got, firings = validate_act(act, context, now, db, ontology)
+        got, firings = validate_act(act, context, now, db, entity_db)
         want, want_firings = reference_validate_act(act, context, now, state, db, ontology)
         assert got == want
         assert list(map(_rule_and_triple, firings)) == list(map(_rule_and_triple, want_firings))
@@ -530,13 +574,13 @@ def test_validate_act_equals_state_reference(ontology):
     assert len(fired) == 7 and min(fired.values()) >= 20, fired
 
 
-def test_revise_act_equals_state_reference(ontology, aux):
+def test_revise_act_equals_state_reference(ontology, entity_db, aux):
     rng = make_rng(43)
     used = 0
     for _ in range(400):
         act, context, now, db = _random_rule_inputs(ontology, rng)
         state = accumulate_state([t.belief for t in context] + [now])
-        got, firings, used_aux = revise_act(act, context, now, "", db, ontology, aux)
+        got, firings, used_aux = revise_act(act, context, now, "", db, entity_db, aux)
         want, want_firings, want_used = reference_revise_act(
             act, context, now, state, db, ontology, aux)
         assert (got, used_aux) == (want, want_used)
@@ -545,13 +589,13 @@ def test_revise_act_equals_state_reference(ontology, aux):
     assert used >= 10
 
 
-def test_validate_act_is_a_fixpoint(ontology):
+def test_validate_act_is_a_fixpoint(ontology, entity_db):
     """The rules accept their own output: a second pass changes nothing and fires nothing."""
     rng = make_rng(47)
     for _ in range(400):
         act, context, now, db = _random_rule_inputs(ontology, rng)
-        once, _ = validate_act(act, context, now, db, ontology)
-        assert validate_act(once, context, now, db, ontology) == (once, [])
+        once, _ = validate_act(act, context, now, db, entity_db)
+        assert validate_act(once, context, now, db, entity_db) == (once, [])
 
 
 # -- lexical aux predictor -------------------------------------------------------
